@@ -6,9 +6,9 @@ A block function is resilient when no small coalition of coordinates can
 decide its value often, with the remaining coordinates drawn at random.
 """
 from nobfext import (Distribution, Majority, RecursiveMajority3, Tribes,
-                     bias_under, default_block_function, influence_exact,
-                     influence_max_exact, influence_mc, is_monotone)
-from nobfext.resilient import uniform_fixing
+                     UniformBits, bias_under, default_block_function,
+                     influence_exact, influence_max_exact, influence_mc,
+                     is_monotone)
 
 ###############################################################################
 # The stock functions and their bias under uniform inputs
@@ -33,10 +33,10 @@ for f in zoo:
 print("\ninfluence of coalitions in Majority(5):")
 for coalition in [[0], [0, 1], [0, 1, 2]]:
     rest = 5 - len(coalition)
-    val = influence_exact(Majority(5), coalition, uniform_fixing(rest))
+    val = influence_exact(Majority(5), coalition, UniformBits(rest))
     print(f"  I({coalition}) = {val:.4f}")
 
-val, witness = influence_max_exact(Tribes(2, 2), 1, uniform_fixing(3))
+val, witness = influence_max_exact(Tribes(2, 2), 1, UniformBits(3))
 print(f"worst single bit in Tribes(2,2): coalition {witness} "
       f"influence {val:.4f}  (= 3/8)")
 
@@ -48,7 +48,7 @@ f = Tribes(2, 2)
 chain = []
 for size in range(f.arity + 1):
     coalition = list(range(size))
-    chain.append(influence_exact(f, coalition, uniform_fixing(f.arity - size)))
+    chain.append(influence_exact(f, coalition, UniformBits(f.arity - size)))
 print(f"\nnested coalitions {{}},{{0}},{{0,1}},... in Tribes(2,2): "
       f"{[f'{v:.4f}' for v in chain]}")
 assert all(a <= b + 1e-12 for a, b in zip(chain, chain[1:]))
@@ -58,8 +58,8 @@ print("  monotone in the coalition, as required")
 # Monte-Carlo influence brackets the exact value
 ###############################################################################
 
-exact = influence_exact(Majority(5), [0, 3], uniform_fixing(3))
-est = influence_mc(Majority(5), [0, 3], uniform_fixing(3),
+exact = influence_exact(Majority(5), [0, 3], UniformBits(3))
+est = influence_mc(Majority(5), [0, 3], UniformBits(3),
                    samples=20000, seed=11)
 print(f"\nI({{0,3}}) in Majority(5): exact {exact:.6f}, "
       f"MC interval [{est.lo:.4f}, {est.hi:.4f}] from {est.samples} draws")

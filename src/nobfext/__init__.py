@@ -16,17 +16,16 @@ from .gf2 import (BitMatrix, BitVector, gf2_matvec, gf2_rank, hamming_weight,
 from .sources import (ConstantAdversary, Distribution, EpsBiased, ExactTwise,
                       ExplicitTable, MajorityOfGood, NobfSourceSpec,
                       ParityOfGood, TableAdversary, UniformBits,
-                      enumerate_nobf, epsbiased_sample, irreducible_poly,
-                      read_sample_batch, sample_nobf, sample_nobf_batch,
-                      twise_sample, verify_twise, work_cap,
+                      enumerate_nobf, irreducible_poly, read_sample_batch,
+                      sample_nobf, sample_nobf_batch, verify_twise, work_cap,
                       write_sample_batch, zeroed_counterpart)
 from .resilient import (Majority, RecursiveMajority3, ResilientFunction,
                         TableFunction, Tribes, bias_under,
                         default_block_function, function_from_descriptor,
                         influence_exact, influence_max_exact, influence_mc,
                         is_monotone)
-from .codes import (LinearCode, build_good_code, compress, encode,
-                    encode_message, min_distance_exact, preset_code)
+from .codes import (LinearCode, build_good_code, compress, encode_message,
+                    min_distance_exact, preset_code)
 from .stats import (BiasSpectrum, Estimate, VaziraniReport, XorBiasReport,
                     clopper_pearson, fwht, linear_test_bias, parseval_bound,
                     sd_to_uniform_empirical, statistical_distance,
@@ -50,15 +49,14 @@ __all__ = [
     "VaziraniReport", "WorkCapExceeded", "WorstAdversaryReport",
     "XorBiasReport", "bias_under", "build_good_code", "clopper_pearson",
     "compare_zeroed", "compress", "default_block_function", "derive_params",
-    "encode", "encode_message", "enumerate_nobf", "epsbiased_sample",
-    "explicit_params", "extract", "extract_batch", "fixedness_probability",
-    "function_from_descriptor", "fwht", "gf2_matvec", "gf2_rank",
-    "hamming_weight", "influence_exact", "influence_max_exact",
-    "influence_mc", "irreducible_poly", "is_monotone", "linear_test_bias",
-    "min_distance_exact", "output_distribution", "parseval_bound",
-    "partition", "preset_code", "read_sample_batch", "row_combination",
-    "sample_nobf", "sample_nobf_batch", "sd_to_uniform_empirical",
-    "statistical_distance", "twise_sample", "vazirani_check", "verify_twise",
-    "work_cap", "worst_case_adversary", "write_sample_batch",
+    "encode_message", "enumerate_nobf", "explicit_params", "extract",
+    "extract_batch", "fixedness_probability", "function_from_descriptor",
+    "fwht", "gf2_matvec", "gf2_rank", "hamming_weight", "influence_exact",
+    "influence_max_exact", "influence_mc", "irreducible_poly", "is_monotone",
+    "linear_test_bias", "min_distance_exact", "output_distribution",
+    "parseval_bound", "partition", "preset_code", "read_sample_batch",
+    "row_combination", "sample_nobf", "sample_nobf_batch",
+    "sd_to_uniform_empirical", "statistical_distance", "vazirani_check",
+    "verify_twise", "work_cap", "worst_case_adversary", "write_sample_batch",
     "xor_bias_product", "xor_distance_brute", "zeroed_counterpart",
 ]

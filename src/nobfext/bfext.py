@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .bitops import gather_bits_vec, scatter_bits_vec
+from .bitops import gather_bits_vec
 from .codes import LinearCode, build_good_code, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
-                     WorkCapExceeded)
+                     WorkCapExceeded, parse_errors)
 from .gf2 import BitMatrix, BitVector, gf2_matvec
-from .resilient import (ResilientFunction, default_block_function,
-                        function_from_descriptor)
+from .prng import run_chunked
+from .resilient import (ResilientFunction, _undetermined_mask,
+                        default_block_function, function_from_descriptor)
 from .sources import (ENUM_N_CAP, ENUM_SEED_BITS_CAP, Distribution,
                       NobfSourceSpec, TableAdversary, enumerate_nobf, work_cap,
                       zeroed_counterpart)
@@ -124,6 +125,7 @@ class BfextParams:
         }
 
     @classmethod
+    @parse_errors("bfext params")
     def from_json(cls, obj: dict) -> "BfextParams":
         if obj.get("format") != "bfext-params":
             raise ValidationError("not a bfext-params object")
@@ -329,19 +331,8 @@ def _some_block_undetermined(goods: np.ndarray, layout,
     f-value still depends on that block's bad bits."""
     some = np.zeros(goods.shape, dtype=bool)
     for good_idx, good_off, bad_off in layout:
-        compact = gather_bits_vec(goods, good_idx)
-        base = scatter_bits_vec(compact, good_off)
-        any0 = np.zeros(goods.shape, dtype=bool)
-        any1 = np.zeros(goods.shape, dtype=bool)
-        for comp in range(1 << len(bad_off)):
-            filled = base.copy()
-            for j, off in enumerate(bad_off):
-                if (comp >> j) & 1:
-                    filled = filled | np.uint64(1 << off)
-            vals = f.eval_batch(filled).astype(bool)
-            any1 |= vals
-            any0 |= ~vals
-        some |= any0 & any1
+        some |= _undetermined_mask(f, bad_off, good_off,
+                                   gather_bits_vec(goods, good_idx))
     return some
 
 
@@ -358,12 +349,14 @@ def _exact_good_enumeration_ok(spec: NobfSourceSpec) -> bool:
 def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
                           seed: int | None = None,
                           samples: int | None = None,
-                          force_mc: bool = False) -> Estimate:
+                          force_mc: bool = False,
+                          workers: int = 1) -> Estimate:
     """Probability that every block's output is determined by the good
     bits alone, i.e. no assignment of the bad bits can change any Y_i.
 
     Exact via good-bit enumeration when feasible, otherwise Monte Carlo
-    over good-bit samples with a 99% binomial interval.
+    over good-bit samples with a 99% binomial interval, drawn on `workers`
+    threads (the result does not depend on the count).
     """
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
@@ -386,8 +379,10 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
             "exact enumeration infeasible; provide seed and samples")
     if samples < 1:
         raise ValidationError("need at least one sample")
-    k = samples - undetermined_block_count(spec, params, seed, 0, samples)
-    return binomial_estimate(k, samples, confidence=0.99)
+    undet = run_chunked(
+        lambda s, c: undetermined_block_count(spec, params, seed, s, c),
+        samples, workers)
+    return binomial_estimate(samples - sum(undet), samples, confidence=0.99)
 
 
 def undetermined_block_count(spec: NobfSourceSpec, params: BfextParams,
@@ -419,9 +414,11 @@ class CompareZeroedReport:
 def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    seed: int | None = None,
                    samples: int | None = None,
-                   force_mc: bool = False) -> CompareZeroedReport:
+                   force_mc: bool = False,
+                   workers: int = 1) -> CompareZeroedReport:
     """SD(Z, Z') for the zeroed counterpart; exact when the source
-    enumerates, else a coupled plug-in estimate."""
+    enumerates, else a coupled plug-in estimate drawn on `workers` threads
+    (the result does not depend on the count)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     zspec = zeroed_counterpart(spec)
@@ -439,7 +436,10 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
             "exact enumeration infeasible; provide seed and samples")
     if samples < 1:
         raise ValidationError("need at least one sample")
-    ca, cb, mismatches = zeroed_pair_counts(spec, params, seed, 0, samples)
+    parts = run_chunked(
+        lambda s, c: zeroed_pair_counts(spec, params, seed, s, c),
+        samples, workers)
+    ca, cb, mismatches = map(sum, zip(*parts))
     ta = ca / samples
     tb = cb / samples
     est = sd_of_tables(ta, tb)

@@ -23,26 +23,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bfext import (BfextParams, compare_zeroed, extract, fixedness_probability,
-                    undetermined_block_count, zeroed_pair_counts)
+from .bfext import BfextParams, compare_zeroed, extract, fixedness_probability
 from .codes import build_good_code, preset_code
 from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
-                     WorkCapExceeded)
+                     WorkCapExceeded, parse_errors)
 from .gf2 import BitVector
+from .prng import run_chunked
 from .resilient import (function_from_descriptor, influence_exact,
-                        influence_max_exact, undetermined_count, bias_under)
+                        influence_max_exact, influence_mc, bias_under)
 from .schemas import validate_document
 from .sources import (Distribution, NobfSourceSpec, UniformBits,
                       good_dist_from_descriptor, read_sample_batch,
                       sample_nobf_batch, write_sample_batch)
-from .stats import binomial_estimate, linear_test_bias, vazirani_check
+from .stats import linear_test_bias, vazirani_check
 
 DEFAULT_SEED = 0
 
@@ -60,45 +58,52 @@ def write_document(path: str, obj: dict) -> None:
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return obj
 
 
-def _cfg(config: dict, key: str, default=None, required: bool = False):
-    if key in config:
+def _cfg(config: dict, key: str, default=None, required: bool = False,
+         cast=None):
+    """config[key], converted by `cast` when given; a value the conversion
+    rejects is a ValidationError."""
+    if key not in config:
+        if required:
+            raise ValidationError(f"config is missing required key {key!r}")
+        return default
+    if cast is None:
         return config[key]
-    if required:
-        raise ValidationError(f"config is missing required key {key!r}")
-    return default
+    try:
+        return cast(config[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from exc
 
 
-def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, total) into one (start, count) per worker, in order."""
-    workers = max(1, min(workers, total)) if total else 1
-    base, extra = divmod(total, workers)
-    out = []
-    start = 0
-    for i in range(workers):
-        count = base + (1 if i < extra else 0)
-        out.append((start, count))
-        start += count
-    return out
+def _sample_count(config: dict, samples: int | None, default=None):
+    """The --samples flag, else the config's `samples` key (null counts as
+    absent)."""
+    if samples is not None:
+        return samples
+    if config.get("samples") is None:
+        return default
+    return _cfg(config, "samples", cast=int)
 
 
-def run_chunked(fn, total: int, workers: int) -> list:
-    """Apply fn(start, count) over a worker-split counter range.
-
-    Results come back in range order, so any associative combination is
-    independent of the worker count.
-    """
-    chunks = chunk_ranges(total, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(s, c) for s, c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda sc: fn(*sc), chunks))
+def _draw(spec: NobfSourceSpec, seed: int, count: int,
+          workers: int) -> np.ndarray:
+    """count packed samples of spec (stream 0, counters 0..count-1)."""
+    if spec.n > 64:
+        raise WorkCapExceeded("packed sampling width", spec.n, 64)
+    if count < 0:
+        raise ValidationError("sample count must be nonnegative")
+    return np.concatenate(run_chunked(
+        lambda s, c: sample_nobf_batch(spec, seed, c, stream=0, start=s),
+        count, workers))
 
 
 def _run_block(command: str, seed: int, config: dict,
@@ -136,6 +141,7 @@ def _load_params(path: str) -> BfextParams:
     return BfextParams.from_json(obj)
 
 
+@parse_errors("distribution")
 def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribution:
     kind = d.get("kind", "uniform")
     if kind == "uniform":
@@ -155,18 +161,12 @@ def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribu
 def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
                    workers: int) -> int:
     spec = _spec_from_config(config)
-    n_samples = samples if samples is not None else int(_cfg(config, "samples", 0))
+    n_samples = _sample_count(config, samples, 0)
+    drawn = _draw(spec, seed, n_samples, workers) if n_samples > 0 else None
     doc = spec.to_descriptor()
     doc["run"] = _run_block("gen-source", seed, config, n_samples)
     write_document(out, doc)
-    if n_samples > 0:
-        if spec.n > 64:
-            raise WorkCapExceeded("packed sampling width", spec.n, 64)
-        parts = run_chunked(
-            lambda s, c: sample_nobf_batch(spec, seed, c, stream=0, start=s),
-            n_samples, workers)
-        drawn = np.concatenate([p for p in parts if p.size]) if parts else \
-            np.zeros(0, dtype=np.uint64)
+    if drawn is not None:
         write_sample_batch(_cfg(config, "samples_out", out + ".samples"),
                            spec, drawn, seed, stream=0)
     return 0
@@ -188,14 +188,9 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
         spec = _load_spec(config["spec"])
         if spec.n != params.n:
             raise ValidationError("spec and params disagree on n")
-        count = samples if samples is not None else int(_cfg(config, "count", 1))
-        if spec.n > 64:
-            raise WorkCapExceeded("packed sampling width", spec.n, 64)
-        parts = run_chunked(
-            lambda s, c: sample_nobf_batch(spec, seed, c, stream=0, start=s),
-            count, workers)
-        xs = np.concatenate([p for p in parts if p.size]) if parts else []
-        inputs = [BitVector(params.n, int(x)) for x in xs]
+        count = samples if samples is not None else _cfg(config, "count", 1, cast=int)
+        inputs = [BitVector(params.n, int(x))
+                  for x in _draw(spec, seed, count, workers)]
     else:
         raise ValidationError(
             "config needs one of: samples (path), inputs (hex list), spec (path)")
@@ -228,12 +223,13 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
                         workers: int) -> dict:
     f = function_from_descriptor(_cfg(config, "f", required=True))
     if "max_size" in config:
-        q = int(config["max_size"])
+        q = _cfg(config, "max_size", cast=int)
         fixing = (good_dist_from_descriptor(config["fixing"])
                   if "fixing" in config else UniformBits(f.arity - q))
         value, witness = influence_max_exact(f, q, fixing)
         return {"influence": value, "witness": list(witness), "exact": True}
-    coalition = [int(i) for i in _cfg(config, "coalition", required=True)]
+    coalition = _cfg(config, "coalition", required=True,
+                     cast=lambda v: [int(i) for i in v])
     fixing = (good_dist_from_descriptor(config["fixing"])
               if "fixing" in config
               else UniformBits(f.arity - len(set(coalition))))
@@ -243,14 +239,9 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
                 "exact": True}
     if mode != "mc":
         raise ValidationError("influence mode must be 'exact' or 'mc'")
-    n_samples = samples if samples is not None else int(_cfg(config, "samples", 0))
-    if n_samples < 1:
-        raise ValidationError("mc influence needs a positive sample count")
-    counts = run_chunked(
-        lambda s, c: undetermined_count(f, coalition, fixing, seed, s, c),
-        n_samples, workers)
-    est = binomial_estimate(sum(counts), n_samples, confidence=0.99)
-    return {"influence": est.to_json(), "exact": False}
+    est = influence_mc(f, coalition, fixing, _sample_count(config, samples, 0),
+                       seed, workers=workers)
+    return {"influence": est.to_json(), "exact": est.is_exact}
 
 
 def _analysis_spectrum(config: dict, seed: int, samples: int | None,
@@ -267,53 +258,21 @@ def _analysis_vazirani(config: dict, seed: int, samples: int | None,
 
 def _analysis_fixedness(config: dict, seed: int, samples: int | None,
                         workers: int) -> dict:
-    spec = _load_spec(_cfg(config, "spec", required=True))
-    params = _load_params(_cfg(config, "params", required=True))
-    force_mc = bool(_cfg(config, "force_mc", False))
-    n_samples = samples if samples is not None else _cfg(config, "samples")
-    if force_mc:
-        if not n_samples:
-            raise ValidationError("force_mc needs a sample count")
-        undet = run_chunked(
-            lambda s, c: undetermined_block_count(spec, params, seed, s, c),
-            int(n_samples), workers)
-        est = binomial_estimate(int(n_samples) - sum(undet), int(n_samples),
-                                confidence=0.99)
-        return {"probability": est.to_json(), "exact": False}
-    est = fixedness_probability(spec, params, seed=seed,
-                                samples=int(n_samples) if n_samples else None)
+    est = fixedness_probability(
+        _load_spec(_cfg(config, "spec", required=True)),
+        _load_params(_cfg(config, "params", required=True)),
+        seed=seed, samples=_sample_count(config, samples),
+        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers)
     return {"probability": est.to_json(), "exact": est.is_exact}
 
 
 def _analysis_compare_zeroed(config: dict, seed: int, samples: int | None,
                              workers: int) -> dict:
-    spec = _load_spec(_cfg(config, "spec", required=True))
-    params = _load_params(_cfg(config, "params", required=True))
-    force_mc = bool(_cfg(config, "force_mc", False))
-    n_samples = samples if samples is not None else _cfg(config, "samples")
-    if force_mc:
-        if not n_samples:
-            raise ValidationError("force_mc needs a sample count")
-        n_samples = int(n_samples)
-        parts = run_chunked(
-            lambda s, c: zeroed_pair_counts(spec, params, seed, s, c),
-            n_samples, workers)
-        ca = sum(p[0] for p in parts)
-        cb = sum(p[1] for p in parts)
-        mismatches = sum(p[2] for p in parts)
-        est_val = 0.5 * float(np.abs(ca / n_samples - cb / n_samples).sum())
-        bound = (2 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_samples))
-                 + math.sqrt((1 << params.m) / n_samples))
-        return {
-            "sd": {"value": est_val, "lo": max(0.0, est_val - bound),
-                   "hi": min(1.0, est_val + bound), "samples": n_samples,
-                   "confidence": 0.99, "method": "plug-in"},
-            "exact": False,
-            "m": params.m,
-            "mismatch_rate": mismatches / n_samples,
-        }
-    rep = compare_zeroed(spec, params, seed=seed,
-                         samples=int(n_samples) if n_samples else None)
+    rep = compare_zeroed(
+        _load_spec(_cfg(config, "spec", required=True)),
+        _load_params(_cfg(config, "params", required=True)),
+        seed=seed, samples=_sample_count(config, samples),
+        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers)
     return rep.to_json()
 
 
@@ -354,10 +313,10 @@ def cmd_build_code(config: dict, out: str, seed: int, samples: int | None,
         doc["run"] = _run_block("build-code", seed, config)
         write_document(out, doc)
         return 0
-    m = int(_cfg(config, "m", required=True))
-    r = int(_cfg(config, "r", required=True))
-    target_d = int(_cfg(config, "target_d", required=True))
-    attempts = int(_cfg(config, "attempts", 4096))
+    m = _cfg(config, "m", required=True, cast=int)
+    r = _cfg(config, "r", required=True, cast=int)
+    target_d = _cfg(config, "target_d", required=True, cast=int)
+    attempts = _cfg(config, "attempts", 4096, cast=int)
     try:
         code = build_good_code(m, r, target_d, seed=seed, attempts=attempts)
     except SearchBudgetExceeded as exc:
@@ -422,8 +381,8 @@ def main(argv=None) -> int:
                 raise ValidationError("--max-enum must be in 1..63")
             os.environ["NOBF_WORK_CAP"] = str(1 << args.max_enum)
         config = load_json(args.config)
-        seed = args.seed if args.seed is not None else int(_cfg(config, "seed",
-                                                                DEFAULT_SEED))
+        seed = args.seed if args.seed is not None else _cfg(
+            config, "seed", DEFAULT_SEED, cast=int)
         return _COMMANDS[args.command](config, args.out, seed, args.samples,
                                        args.workers)
     except WorkCapExceeded as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import prng
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
-                     WorkCapExceeded)
+                     WorkCapExceeded, parse_errors)
 from .gf2 import BitMatrix, BitVector, gf2_matvec, gf2_rank, row_combination
 
 DISTANCE_M_CAP = 24
@@ -56,6 +56,7 @@ class LinearCode:
         }
 
     @classmethod
+    @parse_errors("linear code")
     def from_json(cls, obj: dict) -> "LinearCode":
         if obj.get("format") != "linear-code":
             raise ValidationError("not a linear-code object")
@@ -84,18 +85,6 @@ def compress(code: LinearCode, y: BitVector) -> BitVector:
     if len(y) != code.r:
         raise DimensionError(f"input has {len(y)} bits, r = {code.r}")
     return gf2_matvec(code.g, y)
-
-
-def encode(code: LinearCode, y: BitVector) -> BitVector:
-    """Length-directed dispatch: length m means message encoding (vG),
-    length r means compression (Gy).  A square code defaults to the
-    message direction; call `compress` explicitly for the other one."""
-    if len(y) == code.m:
-        return encode_message(code, y)
-    if len(y) == code.r:
-        return compress(code, y)
-    raise DimensionError(
-        f"operand length {len(y)} matches neither m={code.m} nor r={code.r}")
 
 
 def _min_weight_u64(rows: list[int], m: int) -> int:

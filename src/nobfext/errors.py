@@ -6,6 +6,8 @@ work-cap rejections exit 3, exhausted search budgets exit 4.
 
 from __future__ import annotations
 
+import functools
+
 
 class NobfError(Exception):
     """Base class for every error raised by this package."""
@@ -13,6 +15,25 @@ class NobfError(Exception):
 
 class ValidationError(NobfError, ValueError):
     """Invalid parameters, malformed descriptors, or broken invariants."""
+
+
+def parse_errors(what: str):
+    """Decorator for readers of descriptors and configs: a KeyError,
+    TypeError or ValueError raised while reading becomes a ValidationError
+    naming `what`, so malformed input never escapes as a bare Python
+    error."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def reader(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except NobfError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValidationError(f"malformed {what}: {detail}") from exc
+        return reader
+    return decorate
 
 
 class DimensionError(ValidationError):

@@ -10,10 +10,14 @@ Values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ValidationError
+
+# int(s, 16) alone would also take signs, underscores, spaces and "0x".
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class BitVector:
         width = max(1, -(-n // 4))
         if len(s) != width:
             raise ValidationError(f"expected {width} hex digits for length {n}, got {len(s)}")
+        if not _HEX_DIGITS.fullmatch(s):
+            raise ValidationError(f"{s!r} is not a hex string")
         value = int(s[::-1], 16)
         if value >> n:
             raise ValidationError(f"hex payload {s!r} has bits set beyond length {n}")

@@ -5,9 +5,13 @@ Every empirical sample in this package is addressed by a
 SplitMix64-style mix of that triple.  Because there is no hidden generator
 state, a batch of draws is identical no matter how it is chunked across
 workers, which is the reproducibility contract the samplers advertise.
+``run_chunked`` is the one place that splits a counter range across
+worker threads.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -88,3 +92,29 @@ def low_bits(seed: int, stream: int, start: int, count: int, nbits: int) -> np.n
     if nbits == 64:
         return w
     return w & np.uint64((1 << nbits) - 1)
+
+
+def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    """Split [0, total) into one (start, count) per worker, in order."""
+    workers = max(1, min(workers, total)) if total else 1
+    base, extra = divmod(total, workers)
+    out = []
+    start = 0
+    for i in range(workers):
+        count = base + (1 if i < extra else 0)
+        out.append((start, count))
+        start += count
+    return out
+
+
+def run_chunked(fn, total: int, workers: int) -> list:
+    """Apply fn(start, count) over a worker-split counter range.
+
+    Results come back in range order, so any associative combination is
+    independent of the worker count.
+    """
+    chunks = chunk_ranges(total, workers)
+    if workers <= 1 or len(chunks) <= 1:
+        return [fn(s, c) for s, c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda sc: fn(*sc), chunks))

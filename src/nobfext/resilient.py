@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from . import prng
 from .bitops import scatter_bits, scatter_bits_vec
-from .errors import DimensionError, ValidationError, WorkCapExceeded
+from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
-from .sources import Distribution, GoodBitDistribution, UniformBits, work_cap
+from .prng import run_chunked
+from .sources import Distribution, GoodBitDistribution, work_cap
 from .stats import Estimate, binomial_estimate
 
 TABLE_ARITY_CAP = 20
@@ -193,6 +193,7 @@ class TableFunction(ResilientFunction):
                 "table_hex": BitVector(1 << self.arity, packed).to_hex()}
 
 
+@parse_errors("block function")
 def function_from_descriptor(d: dict) -> ResilientFunction:
     kind = d.get("kind")
     if kind == "majority":
@@ -310,8 +311,8 @@ def undetermined_count(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
                        seed: int, start: int, count: int) -> int:
     """Number of sampled fixings (counters start..start+count-1) on which
     f stays undetermined.  Counter-addressed, so any chunking of a range
-    sums to the same total; this is the building block influence_mc and
-    the command-line workers share."""
+    sums to the same total; influence_mc splits its range across workers
+    with it."""
     qpos, rest = _split_positions(f.arity, q_set)
     if len(qpos) > MC_COALITION_CAP:
         raise WorkCapExceeded(required=1 << len(qpos), cap=1 << MC_COALITION_CAP,
@@ -327,15 +328,18 @@ def undetermined_count(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
 
 
 def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
-                 samples: int, seed: int) -> Estimate:
-    """Monte-Carlo influence with a 99% Clopper-Pearson interval."""
+                 samples: int, seed: int, workers: int = 1) -> Estimate:
+    """Monte-Carlo influence with a 99% Clopper-Pearson interval, drawn on
+    `workers` threads (the result does not depend on the count)."""
     if not sorted(set(int(i) for i in q_set)):
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,
                         confidence=1.0, method="exact")
     if samples < 1:
         raise ValidationError("need at least one sample")
-    k = undetermined_count(f, q_set, d_good, seed, 0, samples)
-    return binomial_estimate(k, samples, confidence=0.99)
+    counts = run_chunked(
+        lambda s, c: undetermined_count(f, q_set, d_good, seed, s, c),
+        samples, workers)
+    return binomial_estimate(sum(counts), samples, confidence=0.99)
 
 
 def default_block_function(arity: int) -> ResilientFunction:
@@ -344,6 +348,3 @@ def default_block_function(arity: int) -> ResilientFunction:
         return Majority(arity)
     return Tribes(2, arity // 2)
 
-
-def uniform_fixing(n_rest: int) -> UniformBits:
-    return UniformBits(n_rest)

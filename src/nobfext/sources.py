@@ -28,8 +28,9 @@ import numpy as np
 
 from . import prng
 from .bitops import gather_bits_vec, scatter_bits, scatter_bits_vec
-from .errors import DimensionError, ValidationError, WorkCapExceeded
+from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
+from .schemas import validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # and tabulate at most 2^24 outcomes
@@ -488,6 +489,7 @@ class ExplicitTable(GoodBitDistribution):
         return {"kind": "explicit-table", "probs": [float(p) for p in self.probs]}
 
 
+@parse_errors("good-bit distribution")
 def good_dist_from_descriptor(d: dict) -> GoodBitDistribution:
     kind = d.get("kind")
     if kind == "uniform":
@@ -499,20 +501,6 @@ def good_dist_from_descriptor(d: dict) -> GoodBitDistribution:
     if kind == "explicit-table":
         return ExplicitTable(d["probs"])
     raise ValidationError(f"unknown good-bit distribution kind {kind!r}")
-
-
-# Operation-level wrappers matching the module surface.
-
-def twise_sample(n: int, t: int, seed: int, field_bits: int | None = None) -> BitVector:
-    """The seed -> n-bit map of the exact t-wise generator."""
-    gen = ExactTwise(n, t, field_bits)
-    return BitVector(n, gen.outcome_for_seed(seed))
-
-
-def epsbiased_sample(n: int, epsilon: float, seed: int, field_bits: int | None = None) -> BitVector:
-    """The seed -> n-bit map of the small-bias generator."""
-    gen = EpsBiased(n, epsilon, field_bits)
-    return BitVector(n, gen.outcome_for_seed(seed))
 
 
 @dataclass(frozen=True)
@@ -684,6 +672,9 @@ class TableAdversary(AdversaryStrategy):
         if np.any(vals < 0):
             missing = int(goods[np.argmax(vals < 0)])
             raise ValidationError(f"adversary table has no entry for good outcome {missing}")
+        wide = (vals >> q) != 0
+        if np.any(wide):
+            raise ValidationError(f"table entry {int(vals[np.argmax(wide)])} wider than q={q}")
         return vals.astype(np.uint64)
 
     def descriptor(self) -> dict:
@@ -697,6 +688,7 @@ class TableAdversary(AdversaryStrategy):
         return d
 
 
+@parse_errors("adversary")
 def adversary_from_descriptor(d: dict) -> AdversaryStrategy:
     kind = d.get("kind")
     if kind == "constant":
@@ -778,6 +770,7 @@ class NobfSourceSpec:
         }
 
     @classmethod
+    @parse_errors("source spec")
     def from_descriptor(cls, d: dict) -> "NobfSourceSpec":
         if d.get("format") not in (None, "nobf-source-spec"):
             raise ValidationError(f"not a source spec: format={d.get('format')!r}")
@@ -808,11 +801,6 @@ def sample_nobf_batch(spec: NobfSourceSpec, seed: int, count: int,
     return spec.compose_batch(goods, bads)
 
 
-def good_weights(spec: NobfSourceSpec) -> np.ndarray:
-    """Exact probability of each good-bit outcome (desk-scale enumeration)."""
-    return spec.good_dist.exact_table()
-
-
 def enumerate_nobf(spec: NobfSourceSpec) -> Distribution:
     """Exact probability table of the full n-bit source.
 
@@ -821,7 +809,7 @@ def enumerate_nobf(spec: NobfSourceSpec) -> Distribution:
     """
     if spec.n > ENUM_N_CAP:
         raise WorkCapExceeded("source too wide to enumerate", 2 ** spec.n, 2 ** ENUM_N_CAP)
-    weights = good_weights(spec)
+    weights = spec.good_dist.exact_table()
     support = np.nonzero(weights)[0]
     goods = support.astype(np.uint64)
     bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
@@ -865,12 +853,18 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
 
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed sample header in {path}: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != "nobf-samples":
+            raise ValidationError(f"{path} is not a nobf-samples file")
+        validate_document(header)
         n = int(header["n"])
         samples = np.array(
             [BitVector.from_hex(n, line.strip()).bits for line in fh if line.strip()],
             dtype=np.uint64,
         )
-    if samples.size != header.get("count", samples.size):
+    if samples.size != header["count"]:
         raise ValidationError("sample count does not match header")
     return header, samples

@@ -18,7 +18,7 @@ from nobfext.cli import main as cli_main
 from nobfext.codes import preset_code
 from nobfext.gf2 import row_combination
 from nobfext.resilient import (Majority, Tribes, bias_under, influence_exact,
-                               influence_mc, uniform_fixing)
+                               influence_mc)
 from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
                              ExplicitTable, NobfSourceSpec, ParityOfGood,
                              UniformBits, verify_twise)
@@ -114,16 +114,16 @@ def test_criterion_02_twise_verification(capsys):
 
 
 def test_criterion_03_influence_oracle(capsys):
-    ok = abs(influence_exact(Majority(3), [1], uniform_fixing(2)) - 0.5) <= TOL
+    ok = abs(influence_exact(Majority(3), [1], UniformBits(2)) - 0.5) <= TOL
     checked = 0
     for f in [Majority(3), Majority(5), Tribes(2, 2)]:
         n = f.arity
         for size in range(n):
             for base in itertools.combinations(range(n), size):
-                v0 = influence_exact(f, base, uniform_fixing(n - size))
+                v0 = influence_exact(f, base, UniformBits(n - size))
                 for extra in set(range(n)) - set(base):
                     grown = sorted(base + (extra,))
-                    v1 = influence_exact(f, grown, uniform_fixing(n - size - 1))
+                    v1 = influence_exact(f, grown, UniformBits(n - size - 1))
                     ok &= v1 >= v0 - TOL
                     checked += 1
     _report(capsys, 3, ok, f"I(majority-3, {{x1}}) = 1/2; monotone in Q over "
@@ -204,7 +204,7 @@ def test_criterion_09_mc_interval_coverage(capsys):
     exact_sd = 0.5 * sum(abs(p - 0.25) for p in table)
     sampler = ExplicitTable(table)
     for seed in range(100):
-        est = influence_mc(Majority(3), [0], uniform_fixing(2),
+        est = influence_mc(Majority(3), [0], UniformBits(2),
                            samples=10 ** 4, seed=seed)
         hits_inf += est.contains(0.5)
         draws = sampler.sample_batch(seed, 0, 0, 2000)

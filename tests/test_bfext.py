@@ -283,6 +283,8 @@ def test_fixedness_mc_matches_exact():
     est = fixedness_probability(spec, params, seed=5, samples=4000, force_mc=True)
     assert not est.is_exact
     assert est.contains(0.25)
+    assert fixedness_probability(spec, params, seed=5, samples=4000,
+                                 force_mc=True, workers=3) == est
     # chunk-invariant building block
     total = undetermined_block_count(spec, params, 5, 0, 4000)
     parts = sum(undetermined_block_count(spec, params, 5, s, c)
@@ -319,6 +321,8 @@ def test_compare_zeroed_mc_covers_exact():
     spec = _uniform_spec(6, [1], ParityOfGood())
     exact = compare_zeroed(spec, params).sd.value
     mc = compare_zeroed(spec, params, seed=3, samples=6000, force_mc=True)
+    assert compare_zeroed(spec, params, seed=3, samples=6000, force_mc=True,
+                          workers=3) == mc
     assert not mc.exact
     assert mc.sd.contains(exact)
     assert mc.mismatch_rate is not None

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from nobfext.bfext import explicit_params, extract
-from nobfext.cli import canonical_json, chunk_ranges, main
+from nobfext.cli import canonical_json, main
 from nobfext.codes import preset_code
 from nobfext.errors import ValidationError
 from nobfext.gf2 import BitVector
+from nobfext.prng import chunk_ranges
 from nobfext.resilient import Majority
 from nobfext.schemas import SCHEMAS_BY_FORMAT, validate_document
-from nobfext.sources import read_sample_batch
+from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
+                             read_sample_batch)
 
 
 def _write(path, obj):
@@ -25,11 +27,18 @@ def _run(*argv):
     return main(list(argv))
 
 
-def _params_file(tmp_path):
-    params = explicit_params(6, 2, 3, preset_code("identity-2"), Majority(3))
+def _params_file(tmp_path, params=None):
+    params = params or explicit_params(6, 2, 3, preset_code("identity-2"),
+                                       Majority(3))
     p = tmp_path / "params.json"
     p.write_text(canonical_json(params.to_json()))
     return str(p), params
+
+
+def _spec_file(tmp_path, spec, name="spec.json"):
+    p = tmp_path / name
+    p.write_text(canonical_json(spec.to_descriptor()))
+    return str(p)
 
 
 def _source_config():
@@ -239,12 +248,12 @@ def test_analyze_influence_mc_worker_independent(tmp_path):
         "samples": 5000,
     })
     blobs = []
-    for tag, workers in [("1", "1"), ("2", "7")]:
+    for tag, workers in [("1", "1"), ("2", "7"), ("3", "2")]:
         out = tmp_path / f"r{tag}.json"
         assert _run("analyze", "--config", cfg, "--out", str(out),
                     "--seed", "6", "--workers", workers) == 0
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
     res = json.loads(blobs[0])["result"]["influence"]
     assert res["lo"] <= 0.5 <= res["hi"]
     assert res["samples"] == 5000
@@ -312,6 +321,52 @@ def test_analyze_forced_mc_paths_worker_independent(tmp_path):
         assert blobs[0] == blobs[1]
         res = json.loads(blobs[0])["result"]
         assert res["exact"] is False
+
+
+def test_analyze_automatic_mc_fallback_worker_independent(tmp_path):
+    # 61 good bits are too many to enumerate, so both analyses sample
+    # without force_mc, and --workers must not change a byte
+    spath = _spec_file(tmp_path, NobfSourceSpec(63, [1, 5], UniformBits(61),
+                                                ParityOfGood()))
+    ppath, _ = _params_file(tmp_path, explicit_params(
+        63, 21, 3, preset_code("identity-2"), Majority(3)))
+    for analysis in ["fixedness", "compare-zeroed"]:
+        acfg = _write(tmp_path / f"{analysis}.json",
+                      {"analysis": analysis, "spec": spath,
+                       "params": ppath, "samples": 3000})
+        blobs = []
+        for workers in ["1", "2"]:
+            out = tmp_path / f"{analysis}-{workers}.json"
+            assert _run("analyze", "--config", acfg, "--out", str(out),
+                        "--seed", "8", "--workers", workers) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["result"]["exact"] is False
+
+
+def test_analyze_sampled_analyses_exact_when_nothing_can_vary(tmp_path):
+    # no block holds a bad bit: fixedness is exactly 1, even under force_mc
+    spath = _spec_file(tmp_path, NobfSourceSpec(6, [], UniformBits(6)))
+    ppath, _ = _params_file(tmp_path)
+    fcfg = _write(tmp_path / "f.json",
+                  {"analysis": "fixedness", "spec": spath, "params": ppath,
+                   "force_mc": True, "samples": 100})
+    out = tmp_path / "f-out.json"
+    assert _run("analyze", "--config", fcfg, "--out", str(out)) == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["exact"] is True
+    assert res["probability"]["value"] == 1.0
+    assert res["probability"]["method"] == "exact"
+    # the empty coalition never influences: MC influence is exactly 0
+    icfg = _write(tmp_path / "i.json",
+                  {"analysis": "influence", "f": {"kind": "majority", "arity": 3},
+                   "coalition": [], "mode": "mc", "samples": 100})
+    out = tmp_path / "i-out.json"
+    assert _run("analyze", "--config", icfg, "--out", str(out)) == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["exact"] is True
+    assert res["influence"]["value"] == 0.0
+    assert res["influence"]["method"] == "exact"
 
 
 def test_analyze_mc_fixedness_covers_exact(tmp_path):
@@ -389,6 +444,44 @@ def test_exit_2_on_broken_inputs(tmp_path):
     unknown = _write(tmp_path / "u.json", {"analysis": "entropy"})
     assert _run("analyze", "--config", unknown,
                 "--out", str(tmp_path / "o.json")) == 2
+
+
+_WIDE_GOOD = {"kind": "uniform", "n_good": 70}
+
+
+@pytest.mark.parametrize("command,config,argv,code", [
+    # packed sampling stops at n = 64; the check runs before any write
+    ("gen-source", {"n": 70, "bad_positions": [], "good_dist": _WIDE_GOOD},
+     ["--samples", "5"], 3),
+    ("gen-source", {"n": "x", "bad_positions": [], "good_dist": _WIDE_GOOD},
+     [], 2),
+    ("gen-source", {"n": 6, "bad_positions": [], "good_dist": {"kind": "uniform"}},
+     [], 2),
+    ("analyze", {"analysis": "fixedness", "samples": "abc"}, [], 2),
+    ("analyze", {"analysis": "influence", "f": {"kind": "majority"},
+                 "coalition": [0]}, [], 2),
+    ("build-code", {"m": "two", "r": 8, "target_d": 3}, [], 2),
+    # the sampled SD needs a 2^m table; m = 17 is over EMPIRICAL_M_CAP
+    ("analyze", {"analysis": "compare-zeroed", "force_mc": True,
+                 "samples": 100}, [], 3),
+], ids=["n70-samples", "n-not-int", "good-dist-no-n_good", "samples-not-int",
+        "f-no-arity", "m-not-int", "force-mc-m17"])
+def test_failed_command_exits_cleanly_without_output(tmp_path, capsys, command,
+                                                     config, argv, code):
+    # 17 one-bit blocks under the identity code give m = 17
+    ppath, _ = _params_file(tmp_path, explicit_params(
+        17, 17, 1, preset_code("identity-17"), Majority(1)))
+    spath = _spec_file(tmp_path, NobfSourceSpec(17, [0], UniformBits(16),
+                                                ParityOfGood()))
+    cfg = _write(tmp_path / "cfg.json",
+                 {"spec": spath, "params": ppath, **config})
+    out = tmp_path / "out.json"
+    assert _run(command, "--config", cfg, "--out", str(out), *argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("invalid input" if code == 2 else "work cap exceeded") in err
+    assert not out.exists()
+    assert not (tmp_path / "out.json.samples").exists()
 
 
 def test_exit_3_on_work_cap(tmp_path):

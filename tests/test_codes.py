@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nobfext.codes import (LinearCode, build_good_code, check_row_combinations,
-                           compress, encode, encode_message,
+                           compress, encode_message,
                            min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
                             ValidationError, WorkCapExceeded)
@@ -80,6 +80,8 @@ def test_encode_message_examples():
     a, b = BitVector(4, 0b0101), BitVector(4, 0b0011)
     assert encode_message(ham, a ^ b) == \
         encode_message(ham, a) ^ encode_message(ham, b)
+    with pytest.raises(DimensionError):
+        encode_message(ham, BitVector(7, 0))
 
 
 def test_compress_is_matvec():
@@ -89,17 +91,8 @@ def test_compress_is_matvec():
     assert len(z) == 4
     for i in range(4):
         assert z[i] == ham.g.row(i).dot(y)
-
-
-def test_encode_dispatch():
-    ham = preset_code("hamming-7-4")
-    assert encode(ham, BitVector(4, 0b1001)) == encode_message(ham, BitVector(4, 0b1001))
-    assert encode(ham, BitVector(7, 0b1010101)) == compress(ham, BitVector(7, 0b1010101))
     with pytest.raises(DimensionError):
-        encode(ham, BitVector(5, 0))
-    # square code defaults to the message direction
-    ident = preset_code("identity-3")
-    assert encode(ident, BitVector(3, 0b101)) == encode_message(ident, BitVector(3, 0b101))
+        compress(ham, BitVector(4, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def test_hex_round_trip_bit_order():
             assert BitVector.from_hex(n, u.to_hex()) == u
 
 
+def test_from_hex_rejects_non_hex_characters():
+    # each of these would parse as a Python integer literal in base 16
+    for s in ["1_2", "21 ", "+12", "fx0", "-1f"]:
+        with pytest.raises(ValidationError):
+            BitVector.from_hex(12, s)
+
+
 def test_xor_and_dimension_checks():
     a = BitVector.from01("1100")
     b = BitVector.from01("1010")

@@ -11,7 +11,7 @@ from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction,
                                Tribes, bias_under, default_block_function,
                                function_from_descriptor, influence_exact,
                                influence_max_exact, influence_mc, is_monotone,
-                               undetermined_count, uniform_fixing)
+                               undetermined_count)
 from nobfext.sources import Distribution, ExplicitTable, UniformBits
 
 
@@ -152,25 +152,25 @@ def test_bias_empirical_interval_covers_exact():
 
 def test_influence_exact_examples():
     # a single majority-of-3 voter is pivotal iff the other two split: 1/2
-    assert influence_exact(Majority(3), [0], uniform_fixing(2)) == pytest.approx(0.5)
+    assert influence_exact(Majority(3), [0], UniformBits(2)) == pytest.approx(0.5)
     # two voters control majority-of-3 outright
-    assert influence_exact(Majority(3), [0, 1], uniform_fixing(1)) == pytest.approx(1.0)
+    assert influence_exact(Majority(3), [0, 1], UniformBits(1)) == pytest.approx(1.0)
     # no coalition, no influence
-    assert influence_exact(Majority(3), [], uniform_fixing(3)) == 0.0
+    assert influence_exact(Majority(3), [], UniformBits(3)) == 0.0
     # a constant function cannot be influenced
-    assert influence_exact(TableFunction.constant(3, 1), [0, 2], uniform_fixing(1)) == 0.0
+    assert influence_exact(TableFunction.constant(3, 1), [0, 2], UniformBits(1)) == 0.0
 
 
 def test_influence_exact_xor_always_one():
     f = TableFunction(3, [0, 1, 1, 0, 1, 0, 0, 1])
     for j in range(3):
-        assert influence_exact(f, [j], uniform_fixing(2)) == 1.0
+        assert influence_exact(f, [j], UniformBits(2)) == 1.0
 
 
 def test_influence_tribes_single_bit():
     # bit 0 of (x0&x1)|(x2&x3) matters iff x1=1 and the other tribe is 0:
     # (1/2)(3/4) = 3/8
-    assert influence_exact(Tribes(2, 2), [0], uniform_fixing(3)) == pytest.approx(3 / 8)
+    assert influence_exact(Tribes(2, 2), [0], UniformBits(3)) == pytest.approx(3 / 8)
 
 
 def test_influence_monotone_in_coalition():
@@ -179,12 +179,12 @@ def test_influence_monotone_in_coalition():
         n = f.arity
         for size in range(n):
             for base in itertools.combinations(range(n), size):
-                v0 = influence_exact(f, base, uniform_fixing(n - size))
+                v0 = influence_exact(f, base, UniformBits(n - size))
                 for extra in range(n):
                     if extra in base:
                         continue
                     bigger = sorted(base + (extra,))
-                    v1 = influence_exact(f, bigger, uniform_fixing(n - size - 1))
+                    v1 = influence_exact(f, bigger, UniformBits(n - size - 1))
                     assert v1 >= v0 - 1e-12
 
 
@@ -198,37 +198,39 @@ def test_influence_respects_fixing_distribution():
 
 
 def test_influence_max_exact():
-    val, witness = influence_max_exact(Majority(3), 1, uniform_fixing(2))
+    val, witness = influence_max_exact(Majority(3), 1, UniformBits(2))
     assert val == pytest.approx(0.5) and len(witness) == 1
-    val, witness = influence_max_exact(Majority(3), 2, uniform_fixing(1))
+    val, witness = influence_max_exact(Majority(3), 2, UniformBits(1))
     assert val == 1.0 and len(witness) == 2
-    assert influence_max_exact(Majority(3), 0, uniform_fixing(3)) == (0.0, ())
+    assert influence_max_exact(Majority(3), 0, UniformBits(3)) == (0.0, ())
     # tribes: the most influential single bit
-    val, witness = influence_max_exact(Tribes(2, 2), 1, uniform_fixing(3))
+    val, witness = influence_max_exact(Tribes(2, 2), 1, UniformBits(3))
     assert val == pytest.approx(3 / 8)
 
 
 def test_influence_work_caps(monkeypatch):
     monkeypatch.setenv("NOBF_WORK_CAP", "64")
     with pytest.raises(WorkCapExceeded):
-        influence_exact(Majority(7), [0], uniform_fixing(6))
+        influence_exact(Majority(7), [0], UniformBits(6))
     monkeypatch.delenv("NOBF_WORK_CAP")
     with pytest.raises(WorkCapExceeded):
         undetermined_count(Majority(21), list(range(21)),
-                           uniform_fixing(0), 0, 0, 10)
+                           UniformBits(0), 0, 0, 10)
 
 
 def test_influence_mc_interval_and_chunking():
-    est = influence_mc(Majority(3), [0], uniform_fixing(2), samples=4000, seed=2)
+    est = influence_mc(Majority(3), [0], UniformBits(2), samples=4000, seed=2)
     assert est.lo <= 0.5 <= est.hi
+    assert influence_mc(Majority(3), [0], UniformBits(2), samples=4000, seed=2,
+                        workers=3) == est
     assert est.method == "clopper-pearson"
     # the counter-addressed counter is chunking-invariant
-    total = undetermined_count(Majority(3), [0], uniform_fixing(2), 2, 0, 4000)
-    split = sum(undetermined_count(Majority(3), [0], uniform_fixing(2), 2, s, c)
+    total = undetermined_count(Majority(3), [0], UniformBits(2), 2, 0, 4000)
+    split = sum(undetermined_count(Majority(3), [0], UniformBits(2), 2, s, c)
                 for s, c in [(0, 1000), (1000, 1500), (2500, 1500)])
     assert split == total
     # empty coalition: exact zero, no sampling error
-    empty = influence_mc(Majority(3), [], uniform_fixing(3), samples=10, seed=0)
+    empty = influence_mc(Majority(3), [], UniformBits(3), samples=10, seed=0)
     assert empty.value == 0.0 and empty.width == 0.0
 
 
@@ -239,9 +241,11 @@ def test_influence_mc_tracks_exact_on_random_tables():
         table = rng.integers(0, 2, size=32).astype(np.uint8)
         f = TableFunction(5, table)
         coalition = sorted(rng.choice(5, size=2, replace=False).tolist())
-        exact = influence_exact(f, coalition, uniform_fixing(3))
-        est = influence_mc(f, coalition, uniform_fixing(3), samples=3000,
+        exact = influence_exact(f, coalition, UniformBits(3))
+        est = influence_mc(f, coalition, UniformBits(3), samples=3000,
                            seed=100 + trial)
+        assert influence_mc(f, coalition, UniformBits(3), samples=3000,
+                            seed=100 + trial, workers=3) == est
         if not est.contains(exact):
             misses += 1
     assert misses <= 1  # 99% intervals; 20 trials
@@ -250,5 +254,5 @@ def test_influence_mc_tracks_exact_on_random_tables():
 def test_undetermined_is_both_values_attainable():
     # f = x0 (dictator): coalition {1,2} never matters, coalition {0} always
     f = TableFunction(3, [0, 1, 0, 1, 0, 1, 0, 1])
-    assert influence_exact(f, [1, 2], uniform_fixing(1)) == 0.0
-    assert influence_exact(f, [0], uniform_fixing(2)) == 1.0
+    assert influence_exact(f, [1, 2], UniformBits(1)) == 0.0
+    assert influence_exact(f, [0], UniformBits(2)) == 1.0

@@ -12,11 +12,10 @@ from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, _poly_mod, adversary_from_descriptor,
-                             enumerate_nobf, epsbiased_sample,
-                             good_dist_from_descriptor, irreducible_poly,
-                             read_sample_batch, sample_nobf, sample_nobf_batch,
-                             twise_sample, verify_twise, write_sample_batch,
-                             zeroed_counterpart)
+                             enumerate_nobf, good_dist_from_descriptor,
+                             irreducible_poly, read_sample_batch, sample_nobf,
+                             sample_nobf_batch, verify_twise,
+                             write_sample_batch, zeroed_counterpart)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +126,6 @@ def test_explicit_table_twise_check():
     assert rep.worst_distance == pytest.approx(0.5)
 
 
-def test_twise_sample_wrapper_matches_generator():
-    gen = ExactTwise(6, 2)
-    for seed in [0, 1, 17, 63]:
-        assert twise_sample(6, 2, seed).bits == gen.outcome_for_seed(seed)
-    assert len(twise_sample(6, 2, 0)) == 6
-
-
 def test_eps_biased_all_linear_tests_within_bound():
     n, eps = 6, 0.25
     gen = EpsBiased(n, eps)
@@ -155,7 +147,6 @@ def test_eps_biased_scalar_vector_agree():
     outs = gen.outcomes_for_seeds(seeds)
     for seed in range(1 << gen.seed_bits):
         assert gen.outcome_for_seed(seed) == int(outs[seed])
-    assert epsbiased_sample(5, 0.5, 3).bits == gen.outcome_for_seed(3)
 
 
 def test_exact_twise_scalar_vector_agree():
@@ -236,6 +227,17 @@ def test_table_adversary_and_missing_entries():
         adv.bad_bits(0, 3, 1)
     full = TableAdversary(2, [0, 1, 1, 0])
     assert [full.bad_bits(g, 2, 1) for g in range(4)] == [0, 1, 1, 0]
+
+
+def test_table_adversary_entry_wider_than_q_rejected_on_every_path():
+    # entry 5 = 0b101 does not fit q = 2 bad bits; no path may truncate it
+    spec = NobfSourceSpec(4, [2, 3], UniformBits(2), TableAdversary(2, [5, 0, 1, 2]))
+    with pytest.raises(ValidationError):
+        sample_nobf(spec, 0)
+    with pytest.raises(ValidationError):
+        sample_nobf_batch(spec, 0, 16)
+    with pytest.raises(ValidationError):
+        enumerate_nobf(spec)
 
 
 def test_adversary_descriptor_round_trip():
@@ -384,5 +386,19 @@ def test_sample_batch_count_mismatch_rejected(tmp_path):
     write_sample_batch(path, spec, sample_nobf_batch(spec, 1, 5), seed=1)
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-1]) + "\n")  # drop a sample line
+    with pytest.raises(ValidationError):
+        read_sample_batch(path)
+
+
+def test_sample_batch_header_checked_against_schema(tmp_path):
+    path = tmp_path / "h.samples"
+    good = {"count": 1, "format": "nobf-samples", "n": 6, "seed": 0, "stream": 0}
+    for header in [{k: v for k, v in good.items() if k != "stream"},
+                   {**good, "n": "6"}, {**good, "format": "nobf-source-spec"},
+                   [good]]:
+        path.write_text(json.dumps(header) + "\nb0\n")
+        with pytest.raises(ValidationError):
+            read_sample_batch(path)
+    path.write_text("{not json\nb0\n")
     with pytest.raises(ValidationError):
         read_sample_batch(path)
