@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .bitops import gather_bits_vec
+from .bitops import check_packed, gather_bits_vec
 from .codes import LinearCode, build_good_code, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
@@ -33,7 +33,6 @@ from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, sd_of_tables,
                     statistical_distance)
 
 BLOCK_BAD_CAP = 20          # per-block undetermination scan is 2^|Q inter block|
-BATCH_N_CAP = 64            # packed batch paths carry one sample per uint64
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
 DEFAULT_SWEEPS = 64
@@ -254,10 +253,8 @@ def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:
 
 
 def extract_batch(xs: np.ndarray, params: BfextParams) -> np.ndarray:
-    """Vectorized z values for packed uint64 inputs (n <= 64)."""
-    if params.n > BATCH_N_CAP:
-        raise WorkCapExceeded(required=params.n, cap=BATCH_N_CAP,
-                              what="packed batch source length")
+    """Vectorized z values for packed uint64 inputs (n <= PACKED_WIDTH)."""
+    check_packed(params.n, "packed batch source length")
     xs = np.asarray(xs, dtype=np.uint64)
     bl = params.block_len
     mask = np.uint64((1 << bl) - 1)

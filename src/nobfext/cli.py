@@ -97,8 +97,6 @@ def _sample_count(config: dict, samples: int | None, default=None):
 def _draw(spec: NobfSourceSpec, seed: int, count: int,
           workers: int) -> np.ndarray:
     """count packed samples of spec (stream 0, counters 0..count-1)."""
-    if spec.n > 64:
-        raise WorkCapExceeded("packed sampling width", spec.n, 64)
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
     return np.concatenate(run_chunked(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prng
+from .bitops import PACKED_WIDTH
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .gf2 import BitMatrix, BitVector, gf2_matvec, gf2_rank, row_combination
@@ -88,7 +89,7 @@ def compress(code: LinearCode, y: BitVector) -> BitVector:
 
 
 def _min_weight_u64(rows: list[int], m: int) -> int:
-    """Minimum nonzero-codeword weight for r <= 64, via a subset-XOR table
+    """Minimum nonzero-codeword weight for r <= PACKED_WIDTH, via a subset-XOR table
     on the low rows and a scan over high-row combinations."""
     mlow = min(m, 16)
     low = np.zeros(1 << mlow, dtype=np.uint64)
@@ -114,7 +115,7 @@ def min_distance_exact(code: LinearCode) -> int:
         raise WorkCapExceeded(required=1 << code.m, cap=1 << DISTANCE_M_CAP,
                               what="codeword enumeration")
     rows = code.row_ints()
-    if code.r <= 64:
+    if code.r <= PACKED_WIDTH:
         d = _min_weight_u64(rows, code.m)
     else:
         # Gray-code walk; one row XOR per step.

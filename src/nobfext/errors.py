@@ -19,9 +19,9 @@ class ValidationError(NobfError, ValueError):
 
 def parse_errors(what: str):
     """Decorator for readers of descriptors and configs: a KeyError,
-    TypeError or ValueError raised while reading becomes a ValidationError
-    naming `what`, so malformed input never escapes as a bare Python
-    error."""
+    TypeError, ValueError or AttributeError (a descriptor that is not a
+    JSON object) raised while reading becomes a ValidationError naming
+    `what`, so malformed input never escapes as a bare Python error."""
     def decorate(fn):
         @functools.wraps(fn)
         def reader(*args, **kwargs):
@@ -29,7 +29,7 @@ def parse_errors(what: str):
                 return fn(*args, **kwargs)
             except NobfError:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValidationError(f"malformed {what}: {detail}") from exc
         return reader

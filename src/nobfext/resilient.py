@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bitops import scatter_bits, scatter_bits_vec
+from .bitops import check_packed, scatter_bits_vec
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .prng import run_chunked
@@ -25,7 +25,6 @@ from .stats import Estimate, binomial_estimate
 TABLE_ARITY_CAP = 20
 MC_COALITION_CAP = 20
 SUBSET_ENUM_CAP = 10 ** 6
-BATCH_ARITY_CAP = 64
 
 
 class ResilientFunction:
@@ -44,15 +43,8 @@ class ResilientFunction:
         return self.eval_int(x.bits)
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized eval on packed uint64 inputs (arity <= 64)."""
-        if self.arity > BATCH_ARITY_CAP:
-            raise WorkCapExceeded(required=self.arity, cap=BATCH_ARITY_CAP,
-                                  what="packed batch arity")
-        xs = np.asarray(xs, dtype=np.uint64)
-        out = np.empty(xs.shape, dtype=np.uint8)
-        for i, v in enumerate(xs.ravel()):
-            out.ravel()[i] = self.eval_int(int(v))
-        return out
+        """Vectorized eval on packed uint64 inputs (arity <= PACKED_WIDTH)."""
+        raise NotImplementedError
 
     def truth_table(self) -> np.ndarray:
         if self.arity > TABLE_ARITY_CAP:
@@ -247,12 +239,13 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
                        fixings: np.ndarray) -> np.ndarray:
     """Boolean mask over `fixings` (packed bits of the rest-coordinates):
     True where varying the qpos-coordinates can still produce both outputs."""
+    check_packed(f.arity, "packed block arity")
     base = scatter_bits_vec(fixings, rest)
+    patterns = scatter_bits_vec(np.arange(1 << len(qpos), dtype=np.uint64), qpos)
     any0 = np.zeros(fixings.shape, dtype=bool)
     any1 = np.zeros(fixings.shape, dtype=bool)
-    for comp in range(1 << len(qpos)):
-        filled = base | np.uint64(scatter_bits(comp, qpos))
-        vals = f.eval_batch(filled).astype(bool)
+    for pattern in patterns:
+        vals = f.eval_batch(base | pattern).astype(bool)
         any1 |= vals
         any0 |= ~vals
     return any0 & any1

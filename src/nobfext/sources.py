@@ -9,6 +9,13 @@ small-bias via the powering construction, explicit tables), pluggable
 adversaries, seeded sampling, and exact enumeration of the full source
 distribution at desk scale.
 
+Every source concept has one batch kernel over packed uint64 values:
+`outcomes_for_seeds`, `bad_bits_batch` and `compose_batch`.  The scalar
+entry points `outcome_for_seed`, `bad_bits` and `sample_nobf` are
+length-1 views of those kernels, so they accept only values of at most
+PACKED_WIDTH bits and raise WorkCapExceeded beyond that, as do
+`sample_batch`, `sample_nobf_batch` and `read_sample_batch`.
+
 Enumeration caps: exact oracles require a good-bit seed space of at most
 2^24 and n <= 24; the general work-unit budget (default 2^28) can be
 overridden with the NOBF_WORK_CAP environment variable.
@@ -27,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import prng
-from .bitops import gather_bits_vec, scatter_bits, scatter_bits_vec
+from .bitops import PACKED_WIDTH, check_packed, gather_bits_vec, scatter_bits_vec
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .schemas import validate_document
@@ -83,20 +90,6 @@ def irreducible_poly(e: int) -> int:
         ):
             return cand
     raise AssertionError("unreachable: irreducibles exist for every degree")
-
-
-def gf2e_mul(a: int, b: int, e: int, poly: int) -> int:
-    """Product in GF(2^e) with the given reduction polynomial."""
-    res = 0
-    top = 1 << e
-    while b:
-        if b & 1:
-            res ^= a
-        a <<= 1
-        if a & top:
-            a ^= poly
-        b >>= 1
-    return res
 
 
 def gf2e_mul_vec(a: np.ndarray, b: np.ndarray, e: int, poly: int) -> np.ndarray:
@@ -160,7 +153,7 @@ class Distribution:
         arr = np.asarray(samples, dtype=np.uint64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("empirical distribution needs a nonempty 1-d sample array")
-        if m < 64 and np.any(arr >> np.uint64(m)):
+        if m < PACKED_WIDTH and np.any(arr >> np.uint64(m)):
             raise ValidationError(f"sample outside width {m}")
         return cls(m=m, samples=arr, seed=seed)
 
@@ -205,7 +198,7 @@ class Distribution:
 class GoodBitDistribution:
     """Distribution of the good coordinates of an NOBF source.
 
-    Generator-backed kinds expose a finite seed space: ``outcome_for_seed``
+    Generator-backed kinds expose a finite seed space: ``outcomes_for_seeds``
     maps each seed to an n_good-bit outcome, and a uniformly random seed
     induces the distribution.  Explicit tables have no seed space and are
     sampled by inverse CDF.
@@ -228,7 +221,10 @@ class GoodBitDistribution:
         return None
 
     def outcome_for_seed(self, seed: int) -> int:
-        raise NotImplementedError
+        """Outcome for one seed: a length-1 view of `outcomes_for_seeds`."""
+        self._check_seed(seed)
+        check_packed(self.n_good, "packed good-bit width")
+        return int(self.outcomes_for_seeds(np.array([seed], dtype=np.uint64))[0])
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -260,6 +256,7 @@ class GoodBitDistribution:
         """count outcomes for counters start..start+count-1; chunking-invariant."""
         if self.seed_bits is None:
             raise NotImplementedError
+        check_packed(self.n_good, "packed good-bit width")
         if self.seed_bits == 0:
             gen_seeds = np.zeros(count, dtype=np.uint64)
         else:
@@ -287,10 +284,6 @@ class UniformBits(GoodBitDistribution):
 
     def claimed_twise(self) -> int | None:
         return self.n_good
-
-    def outcome_for_seed(self, seed: int) -> int:
-        self._check_seed(seed)
-        return seed
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return seeds.astype(np.uint64, copy=False)
@@ -341,22 +334,6 @@ class ExactTwise(GoodBitDistribution):
 
     def claimed_twise(self) -> int | None:
         return self.t
-
-    def _coeffs(self, seed: int) -> list[int]:
-        e, mask = self.field_bits, (1 << self.field_bits) - 1
-        return [(seed >> (j * e)) & mask for j in range(self.t)]
-
-    def outcome_for_seed(self, seed: int) -> int:
-        self._check_seed(seed)
-        coeffs = self._coeffs(seed)
-        e, poly = self.field_bits, self._poly
-        out = 0
-        for i in range(self.n_good):
-            acc = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                acc = gf2e_mul(acc, i, e, poly) ^ c
-            out |= (acc & 1) << i
-        return out
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         e, poly = self.field_bits, self._poly
@@ -418,18 +395,6 @@ class EpsBiased(GoodBitDistribution):
         self.seed_bits = 2 * e
         self._poly = irreducible_poly(e)
 
-    def outcome_for_seed(self, seed: int) -> int:
-        self._check_seed(seed)
-        e, poly = self.field_bits, self._poly
-        x = seed & ((1 << e) - 1)
-        y = seed >> e
-        out = 0
-        xi = 1
-        for i in range(self.n_good):
-            out |= ((xi & y).bit_count() & 1) << i
-            xi = gf2e_mul(xi, x, e, poly)
-        return out
-
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         e, poly = self.field_bits, self._poly
         s = seeds.astype(np.uint64, copy=False)
@@ -471,6 +436,9 @@ class ExplicitTable(GoodBitDistribution):
         self.seed_bits = None
         self.probs = table
         self._cdf = np.cumsum(table)
+        # a draw at or above the rounded-down total maps to the last outcome
+        # that has positive probability, never to a zero-probability tail
+        self._last = int(np.flatnonzero(table)[-1])
 
     def exact_table(self) -> np.ndarray:
         return self.probs
@@ -478,7 +446,7 @@ class ExplicitTable(GoodBitDistribution):
     def sample_batch(self, seed: int, stream: int, start: int, count: int) -> np.ndarray:
         u = prng.uniform01(seed, stream, start, count)
         idx = np.searchsorted(self._cdf, u, side="right")
-        return np.minimum(idx, (1 << self.n_good) - 1).astype(np.uint64)
+        return np.minimum(idx, self._last).astype(np.uint64)
 
     def outcome_for_seed(self, seed: int) -> int:
         # No generator seed space; one deterministic inverse-CDF draw keyed
@@ -558,13 +526,12 @@ class AdversaryStrategy:
     description: str = ""
 
     def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        raise NotImplementedError
+        """Bad bits for one good outcome: a length-1 view of `bad_bits_batch`."""
+        check_packed(max(n_good, q), "packed adversary width")
+        return int(self.bad_bits_batch(np.array([good], dtype=np.uint64), n_good, q)[0])
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
-        # Generic fallback; subclasses override with vectorized forms.
-        return np.array(
-            [self.bad_bits(int(g), n_good, q) for g in goods], dtype=np.uint64
-        )
+        raise NotImplementedError
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -578,11 +545,6 @@ class ConstantAdversary(AdversaryStrategy):
             raise ValidationError("pattern must be nonnegative")
         self.pattern = pattern
         self.description = f"constant bad-bit pattern 0b{pattern:b}"
-
-    def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        if self.pattern >> q:
-            raise ValidationError(f"constant pattern 0b{self.pattern:b} wider than q={q}")
-        return self.pattern
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         if self.pattern >> q:
@@ -599,9 +561,6 @@ class ParityOfGood(AdversaryStrategy):
     kind = "parity-of-good"
     description = "all bad bits = XOR of the good bits"
 
-    def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        return ((1 << q) - 1) if (good.bit_count() & 1) else 0
-
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         par = np.bitwise_count(goods.astype(np.uint64)).astype(np.uint64) & np.uint64(1)
         return par * np.uint64((1 << q) - 1)
@@ -615,9 +574,6 @@ class MajorityOfGood(AdversaryStrategy):
 
     kind = "majority-of-good"
     description = "all bad bits = strict majority of the good bits"
-
-    def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        return ((1 << q) - 1) if 2 * good.bit_count() > n_good else 0
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         maj = (2 * np.bitwise_count(goods.astype(np.uint64)) > n_good).astype(np.uint64)
@@ -654,16 +610,6 @@ class TableAdversary(AdversaryStrategy):
         self.table = table
         self.provenance = provenance or {}
         self.description = label
-
-    def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        if n_good != self.n_good:
-            raise DimensionError(f"table is over {self.n_good} good bits, not {n_good}")
-        v = int(self.table[good])
-        if v < 0:
-            raise ValidationError(f"adversary table has no entry for good outcome {good}")
-        if v >> q:
-            raise ValidationError(f"table entry {v} wider than q={q}")
-        return v
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         if n_good != self.n_good:
@@ -749,9 +695,6 @@ class NobfSourceSpec:
     def q(self) -> int:
         return len(self.bad_positions)
 
-    def compose(self, good: int, bad: int) -> int:
-        return scatter_bits(good, self.good_positions) | scatter_bits(bad, self.bad_positions)
-
     def compose_batch(self, goods: np.ndarray, bads: np.ndarray) -> np.ndarray:
         return scatter_bits_vec(goods, self.good_positions) | scatter_bits_vec(
             bads, self.bad_positions
@@ -786,16 +729,19 @@ class NobfSourceSpec:
 
 def sample_nobf(spec: NobfSourceSpec, seed: int) -> BitVector:
     """One n-bit sample: good bits from the generator seed, bad bits from
-    the adversary applied to the realized good bits."""
-    good = spec.good_dist.outcome_for_seed(seed)
-    bad = spec.adversary.bad_bits(good, spec.n - spec.q, spec.q)
-    return BitVector(spec.n, spec.compose(good, bad))
+    the adversary applied to the realized good bits (a length-1 view of
+    the batch kernels)."""
+    check_packed(spec.n, "packed sampling width")
+    goods = np.array([spec.good_dist.outcome_for_seed(seed)], dtype=np.uint64)
+    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
+    return BitVector(spec.n, int(spec.compose_batch(goods, bads)[0]))
 
 
 def sample_nobf_batch(spec: NobfSourceSpec, seed: int, count: int,
                       stream: int = 0, start: int = 0) -> np.ndarray:
     """count samples addressed by (seed, stream, start..); identical results
     for any chunking of the counter range."""
+    check_packed(spec.n, "packed sampling width")
     goods = spec.good_dist.sample_batch(seed, stream, start, count)
     bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
     return spec.compose_batch(goods, bads)
@@ -852,7 +798,11 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
 
 
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"no such file: {path}") from exc
+    with fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
@@ -861,6 +811,7 @@ def read_sample_batch(path) -> tuple[dict, np.ndarray]:
             raise ValidationError(f"{path} is not a nobf-samples file")
         validate_document(header)
         n = int(header["n"])
+        check_packed(n, "packed sample width")
         samples = np.array(
             [BitVector.from_hex(n, line.strip()).bits for line in fh if line.strip()],
             dtype=np.uint64,

@@ -1,0 +1,73 @@
+"""Scalar reference evaluators for the batch kernels in `nobfext.sources`.
+
+Each function recomputes one outcome with Python integers straight from
+the construction's definition, sharing no code with the numpy kernels it
+is compared against.
+"""
+
+from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
+                             MajorityOfGood, ParityOfGood, TableAdversary,
+                             UniformBits)
+
+
+def gf2e_mul(a: int, b: int, e: int, poly: int) -> int:
+    """Product in GF(2^e) with the given reduction polynomial."""
+    res = 0
+    top = 1 << e
+    while b:
+        if b & 1:
+            res ^= a
+        a <<= 1
+        if a & top:
+            a ^= poly
+        b >>= 1
+    return res
+
+
+def exact_twise_outcome(gen: ExactTwise, seed: int) -> int:
+    """Bit i = low bit of the seed's degree-(t-1) polynomial at point i."""
+    e, poly = gen.field_bits, gen._poly
+    coeffs = [(seed >> (j * e)) & ((1 << e) - 1) for j in range(gen.t)]
+    out = 0
+    for i in range(gen.n_good):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = gf2e_mul(acc, i, e, poly) ^ c
+        out |= (acc & 1) << i
+    return out
+
+
+def eps_biased_outcome(gen: EpsBiased, seed: int) -> int:
+    """Bit i = <x^i, y> for the seed's field elements x (low) and y (high)."""
+    e, poly = gen.field_bits, gen._poly
+    x = seed & ((1 << e) - 1)
+    y = seed >> e
+    out = 0
+    xi = 1
+    for i in range(gen.n_good):
+        out |= ((xi & y).bit_count() & 1) << i
+        xi = gf2e_mul(xi, x, e, poly)
+    return out
+
+
+def generator_outcome(gen, seed: int) -> int:
+    if isinstance(gen, UniformBits):
+        return seed
+    if isinstance(gen, ExactTwise):
+        return exact_twise_outcome(gen, seed)
+    if isinstance(gen, EpsBiased):
+        return eps_biased_outcome(gen, seed)
+    raise TypeError(f"no oracle for {type(gen).__name__}")
+
+
+def adversary_bad_bits(adv, good: int, n_good: int, q: int) -> int:
+    """Bad-bit pattern for one good outcome (valid inputs only)."""
+    if isinstance(adv, ConstantAdversary):
+        return adv.pattern
+    if isinstance(adv, ParityOfGood):
+        return (1 << q) - 1 if good.bit_count() & 1 else 0
+    if isinstance(adv, MajorityOfGood):
+        return (1 << q) - 1 if 2 * good.bit_count() > n_good else 0
+    if isinstance(adv, TableAdversary):
+        return int(adv.table[good])
+    raise TypeError(f"no oracle for {type(adv).__name__}")

@@ -15,9 +15,9 @@ from nobfext.codes import LinearCode, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix, BitVector, row_combination
 from nobfext.resilient import Majority, TableFunction, Tribes
-from nobfext.sources import (ConstantAdversary, Distribution, NobfSourceSpec,
-                             ParityOfGood, TableAdversary, UniformBits,
-                             sample_nobf_batch)
+from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
+                             NobfSourceSpec, ParityOfGood, TableAdversary,
+                             UniformBits, sample_nobf_batch)
 from nobfext.stats import statistical_distance
 
 
@@ -292,6 +292,15 @@ def test_fixedness_mc_matches_exact():
     assert parts == total
     with pytest.raises(ValidationError):
         fixedness_probability(spec, params, force_mc=True)  # no seed/samples
+
+
+def test_fixedness_refuses_good_bits_wider_than_packed_width():
+    # 71 good bits do not fit one packed value; truncating them would give
+    # 1.0 where the truth is 1 - C(8, 4) / 256
+    spec = NobfSourceSpec(72, [70], ExactTwise(71, 8), ParityOfGood())
+    params = explicit_params(72, 8, 9, preset_code("simplex-k3"), Majority(9))
+    with pytest.raises(WorkCapExceeded):
+        fixedness_probability(spec, params, seed=1, samples=20000)
 
 
 # ---------------------------------------------------------------------------

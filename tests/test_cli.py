@@ -464,15 +464,34 @@ _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
     # the sampled SD needs a 2^m table; m = 17 is over EMPIRICAL_M_CAP
     ("analyze", {"analysis": "compare-zeroed", "force_mc": True,
                  "samples": 100}, [], 3),
+    ("gen-source", {"n": 6, "bad_positions": [], "good_dist": 5}, [], 2),
+    # values wider than one packed uint64 are refused, never truncated
+    ("analyze", {"analysis": "fixedness", "spec": "wide_spec.json",
+                 "params": "wide_params.json", "samples": 100}, [], 3),
+    ("analyze", {"analysis": "influence", "f": {"kind": "majority", "arity": 65},
+                 "coalition": [64], "mode": "mc", "samples": 100}, [], 3),
+    ("extract", {"samples": "wide.samples"}, [], 3),
+    ("extract", {"samples": "missing.samples"}, [], 2),
 ], ids=["n70-samples", "n-not-int", "good-dist-no-n_good", "samples-not-int",
-        "f-no-arity", "m-not-int", "force-mc-m17"])
-def test_failed_command_exits_cleanly_without_output(tmp_path, capsys, command,
+        "f-no-arity", "m-not-int", "force-mc-m17", "good-dist-not-object",
+        "fixedness-n70", "influence-mc-arity65", "extract-samples-n70",
+        "extract-samples-missing"])
+def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
+                                                     monkeypatch, command,
                                                      config, argv, code):
     # 17 one-bit blocks under the identity code give m = 17
     ppath, _ = _params_file(tmp_path, explicit_params(
         17, 17, 1, preset_code("identity-17"), Majority(1)))
     spath = _spec_file(tmp_path, NobfSourceSpec(17, [0], UniformBits(16),
                                                 ParityOfGood()))
+    # relative paths in the configs name these files
+    monkeypatch.chdir(tmp_path)
+    _spec_file(tmp_path, NobfSourceSpec(70, [0], UniformBits(69), ParityOfGood()),
+               name="wide_spec.json")
+    (tmp_path / "wide_params.json").write_text(canonical_json(explicit_params(
+        70, 7, 9, preset_code("simplex-k3"), Majority(9)).to_json()))
+    header = {"count": 1, "format": "nobf-samples", "n": 70, "seed": 0, "stream": 0}
+    (tmp_path / "wide.samples").write_text(json.dumps(header) + "\n" + "0" * 17 + "2\n")
     cfg = _write(tmp_path / "cfg.json",
                  {"spec": spath, "params": ppath, **config})
     out = tmp_path / "out.json"
@@ -482,6 +501,16 @@ def test_failed_command_exits_cleanly_without_output(tmp_path, capsys, command,
     assert ("invalid input" if code == 2 else "work cap exceeded") in err
     assert not out.exists()
     assert not (tmp_path / "out.json.samples").exists()
+
+
+def test_gen_source_wide_spec_without_samples(tmp_path):
+    # the packed width limits drawing, not describing a source
+    cfg = _write(tmp_path / "cfg.json",
+                 {"n": 70, "bad_positions": [], "good_dist": _WIDE_GOOD})
+    out = tmp_path / "spec.json"
+    assert _run("gen-source", "--config", cfg, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["n"] == 70
+    assert not (tmp_path / "spec.json.samples").exists()
 
 
 def test_exit_3_on_work_cap(tmp_path):

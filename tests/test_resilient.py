@@ -216,6 +216,10 @@ def test_influence_work_caps(monkeypatch):
     with pytest.raises(WorkCapExceeded):
         undetermined_count(Majority(21), list(range(21)),
                            UniformBits(0), 0, 0, 10)
+    # a 65-bit block does not fit one packed value; the truth here is
+    # C(64, 32) / 2^64, which a truncating scan would report as 0
+    with pytest.raises(WorkCapExceeded):
+        influence_mc(Majority(65), [64], UniformBits(64), samples=100, seed=0)
 
 
 def test_influence_mc_interval_and_chunking():

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import adversary_bad_bits, generator_outcome, gf2e_mul
 
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
@@ -12,8 +15,9 @@ from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, _poly_mod, adversary_from_descriptor,
-                             enumerate_nobf, good_dist_from_descriptor,
-                             irreducible_poly, read_sample_batch, sample_nobf,
+                             enumerate_nobf, gf2e_mul_vec,
+                             good_dist_from_descriptor, irreducible_poly,
+                             read_sample_batch, sample_nobf,
                              sample_nobf_batch, verify_twise,
                              write_sample_batch, zeroed_counterpart)
 
@@ -33,7 +37,6 @@ def test_irreducible_polys_have_no_proper_factor():
 
 
 def test_gf2e_mul_is_a_field():
-    from nobfext.sources import gf2e_mul
     e = 4
     poly = irreducible_poly(e)
     size = 1 << e
@@ -48,6 +51,13 @@ def test_gf2e_mul_is_a_field():
     for a in range(size):
         for b in range(size):
             assert gf2e_mul(a, b, e, poly) == gf2e_mul(b, a, e, poly)
+    # the vectorized kernel agrees with the oracle on every pair
+    for e in range(1, 7):
+        poly = irreducible_poly(e)
+        a, b = np.divmod(np.arange(1 << (2 * e), dtype=np.uint64), np.uint64(1 << e))
+        prods = gf2e_mul_vec(a, b, e, poly)
+        assert [int(p) for p in prods] == [gf2e_mul(int(x), int(y), e, poly)
+                                           for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +136,16 @@ def test_explicit_table_twise_check():
     assert rep.worst_distance == pytest.approx(0.5)
 
 
+def test_explicit_table_never_draws_zero_probability_outcome(monkeypatch):
+    # the table sums to 1 - 4e-13, within PROB_SUM_TOL, so a draw can land
+    # at or above the last cdf entry; it must map to outcome 1, not 3
+    d = ExplicitTable([0.5, 0.5 - 4e-13, 0.0, 0.0])
+    monkeypatch.setattr("nobfext.prng.uniform01",
+                        lambda seed, stream, start, count: np.full(count, 1 - 2 ** -53))
+    assert d.sample_batch(0, 0, 0, 3).tolist() == [1, 1, 1]
+    assert d.outcome_for_seed(0) == 1
+
+
 def test_eps_biased_all_linear_tests_within_bound():
     n, eps = 6, 0.25
     gen = EpsBiased(n, eps)
@@ -146,6 +166,7 @@ def test_eps_biased_scalar_vector_agree():
     seeds = np.arange(1 << gen.seed_bits, dtype=np.uint64)
     outs = gen.outcomes_for_seeds(seeds)
     for seed in range(1 << gen.seed_bits):
+        assert generator_outcome(gen, seed) == int(outs[seed])
         assert gen.outcome_for_seed(seed) == int(outs[seed])
 
 
@@ -154,7 +175,42 @@ def test_exact_twise_scalar_vector_agree():
     seeds = np.arange(0, 1 << gen.seed_bits, 97, dtype=np.uint64)
     outs = gen.outcomes_for_seeds(seeds)
     for i, seed in enumerate(seeds):
+        assert generator_outcome(gen, int(seed)) == int(outs[i])
         assert gen.outcome_for_seed(int(seed)) == int(outs[i])
+
+
+_GENERATORS = st.one_of(
+    st.builds(UniformBits, st.integers(0, 16)),
+    st.builds(ExactTwise, st.integers(1, 12), st.integers(1, 4)),
+    st.builds(EpsBiased, st.integers(1, 12), st.sampled_from([1.0, 0.5, 0.25, 0.1])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=_GENERATORS, data=st.data())
+def test_generator_kernels_match_oracle_and_views(gen, data):
+    top = (1 << gen.seed_bits) - 1
+    seeds = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
+    outs = gen.outcomes_for_seeds(np.array(seeds, dtype=np.uint64))
+    assert [int(o) for o in outs] == [generator_outcome(gen, s) for s in seeds]
+    assert [gen.outcome_for_seed(s) for s in seeds] == [int(o) for o in outs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_good=st.integers(0, 6), q=st.integers(0, 4), data=st.data())
+def test_adversary_kernels_match_oracle_and_views(n_good, q, data):
+    adv = data.draw(st.one_of(
+        st.just(ParityOfGood()), st.just(MajorityOfGood()),
+        st.builds(ConstantAdversary, st.integers(0, (1 << q) - 1)),
+        st.builds(lambda t: TableAdversary(n_good, t),
+                  st.lists(st.integers(0, (1 << q) - 1),
+                           min_size=1 << n_good, max_size=1 << n_good))))
+    goods = data.draw(st.lists(st.integers(0, (1 << n_good) - 1),
+                               min_size=1, max_size=8))
+    batch = adv.bad_bits_batch(np.array(goods, dtype=np.uint64), n_good, q)
+    assert [int(b) for b in batch] == [adversary_bad_bits(adv, g, n_good, q)
+                                       for g in goods]
+    assert [adv.bad_bits(g, n_good, q) for g in goods] == [int(b) for b in batch]
 
 
 def test_generator_validation():
@@ -215,7 +271,8 @@ def test_parity_and_majority_adversaries():
     goods = np.arange(16, dtype=np.uint64)
     for adv in (par, maj):
         batch = adv.bad_bits_batch(goods, 4, 2)
-        assert [int(v) for v in batch] == [adv.bad_bits(g, 4, 2) for g in range(16)]
+        assert [int(v) for v in batch] == [adversary_bad_bits(adv, g, 4, 2)
+                                           for g in range(16)]
 
 
 def test_table_adversary_and_missing_entries():
@@ -264,8 +321,9 @@ def test_spec_positions_and_compose():
     assert spec.bad_positions == (1, 4)
     assert spec.good_positions == (0, 2, 3, 5)
     # good bits j land at good_positions[j], bad bits at bad_positions[j]
-    x = spec.compose(0b0001, 0b10)
-    assert x == (1 << 0) | (1 << 4)
+    x = spec.compose_batch(np.array([0b0001], dtype=np.uint64),
+                           np.array([0b10], dtype=np.uint64))
+    assert int(x[0]) == (1 << 0) | (1 << 4)
 
 
 def test_spec_validation():
@@ -346,6 +404,26 @@ def test_spec_descriptor_round_trip():
     assert back.t == spec.t
     assert np.array_equal(sample_nobf_batch(back, 5, 64),
                           sample_nobf_batch(spec, 5, 64))
+
+
+def test_packed_width_enforced_on_views_and_batches():
+    # one packed value is one uint64; wider values raise instead of truncating
+    wide = NobfSourceSpec(70, [0], UniformBits(69), ParityOfGood())
+    with pytest.raises(WorkCapExceeded):
+        sample_nobf(wide, 0)
+    with pytest.raises(WorkCapExceeded):
+        sample_nobf_batch(wide, 0, 4)
+    with pytest.raises(WorkCapExceeded):
+        UniformBits(65).outcome_for_seed(0)
+    with pytest.raises(WorkCapExceeded):
+        ExactTwise(71, 8).sample_batch(1, 0, 0, 4)
+    with pytest.raises(WorkCapExceeded):
+        ParityOfGood().bad_bits(0, 70, 2)
+    with pytest.raises(WorkCapExceeded):
+        MajorityOfGood().bad_bits(0, 4, 65)
+    # 64 bits still fit
+    assert UniformBits(64).outcome_for_seed(2 ** 64 - 1) == 2 ** 64 - 1
+    assert ParityOfGood().bad_bits(1, 1, 64) == 2 ** 64 - 1
 
 
 def test_sample_nobf_scalar():
