@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .bitops import check_packed, gather_bits_vec
@@ -41,6 +40,8 @@ DEFAULT_SWEEPS = 64
 def _floor_pow(base: int, expo: float) -> int:
     """floor(base**expo) with a guard against float-pow landing a hair
     under an exact integer; evaluated at 60 digits and nudged by 1e-30."""
+    import mpmath
+
     with mpmath.workdps(60):
         v = mpmath.power(base, expo) + mpmath.mpf("1e-30")
         return int(mpmath.floor(v))
@@ -180,6 +181,8 @@ def derive_params(n: int, delta: float, t: int,
     if ell < 1:
         raise ValidationError("block count came out below 1")
     block_len = n // ell
+    import mpmath
+
     with mpmath.workdps(60):
         cand = min(mpmath.power(n, 0.9 * alpha),
                    mpmath.mpf(beta) * mpmath.power(t, mpmath.mpf(1) / 21))

@@ -39,7 +39,7 @@ from .resilient import (function_from_descriptor, influence_exact,
 from .schemas import validate_document
 from .sources import (Distribution, NobfSourceSpec, UniformBits,
                       good_dist_from_descriptor, read_sample_batch,
-                      sample_nobf_batch, write_sample_batch)
+                      sample_nobf_batch, staged_outputs, write_sample_batch)
 from .stats import linear_test_bias, vazirani_check
 
 DEFAULT_SEED = 0
@@ -50,8 +50,10 @@ def canonical_json(obj) -> str:
 
 
 def write_document(path: str, obj: dict) -> None:
+    """Validate obj and write it canonically under a temporary name that is
+    renamed onto path (see `staged_outputs`)."""
     validate_document(obj)
-    with open(path, "w") as fh:
+    with staged_outputs() as stage, open(stage(path), "w") as fh:
         fh.write(canonical_json(obj))
 
 
@@ -59,8 +61,8 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -163,10 +165,12 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
     drawn = _draw(spec, seed, n_samples, workers) if n_samples > 0 else None
     doc = spec.to_descriptor()
     doc["run"] = _run_block("gen-source", seed, config, n_samples)
-    write_document(out, doc)
-    if drawn is not None:
-        write_sample_batch(_cfg(config, "samples_out", out + ".samples"),
-                           spec, drawn, seed, stream=0)
+    samples_out = _cfg(config, "samples_out", out + ".samples", cast=os.fspath)
+    # the descriptor and the samples appear together or not at all
+    with staged_outputs() as stage:
+        write_document(stage(out), doc)
+        if drawn is not None:
+            write_sample_batch(stage(samples_out), spec, drawn, seed, stream=0)
     return 0
 
 

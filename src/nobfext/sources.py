@@ -16,6 +16,10 @@ length-1 views of those kernels, so they accept only values of at most
 PACKED_WIDTH bits and raise WorkCapExceeded beyond that, as do
 `sample_batch`, `sample_nobf_batch` and `read_sample_batch`.
 
+Output files, the sample batches here and the CLI's documents, are
+written through `staged_outputs`: under a temporary name, renamed into
+place once complete, and removed if anything fails.
+
 Enumeration caps: exact oracles require a good-bit seed space of at most
 2^24 and n <= 24; the general work-unit budget (default 2^28) can be
 overridden with the NOBF_WORK_CAP environment variable.
@@ -23,6 +27,8 @@ overridden with the NOBF_WORK_CAP environment variable.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -150,6 +156,7 @@ class Distribution:
 
     @classmethod
     def empirical(cls, m: int, samples, seed: int | None = None) -> "Distribution":
+        check_packed(m, "empirical sample width")
         arr = np.asarray(samples, dtype=np.uint64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("empirical distribution needs a nonempty 1-d sample array")
@@ -778,6 +785,56 @@ def zeroed_counterpart(spec: NobfSourceSpec) -> NobfSourceSpec:
 
 
 # ---------------------------------------------------------------------------
+# Output files are written under temporary names and renamed into place
+
+_STAGED: dict[str, str] = {}  # temporary path -> final path, for open blocks
+_STAGE_IDS = itertools.count()
+
+
+@contextlib.contextmanager
+def staged_outputs():
+    """Publish output files all together or not at all.
+
+    `stage(path)` returns a temporary path in path's directory to write
+    instead of path.  When the block ends normally every staged file is
+    renamed onto its path with `os.replace`; when the block or a rename
+    fails, the staged and already renamed files are removed, so no final
+    or temporary file remains.  A path that an enclosing block staged is
+    returned as is: the enclosing block publishes it.  An OSError becomes
+    a ValidationError naming the output.
+    """
+    mine: list[str] = []
+
+    def stage(path) -> str:
+        path = os.fspath(path)
+        if path in _STAGED:
+            return path
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_STAGE_IDS)}.tmp")
+        _STAGED[tmp] = path
+        mine.append(tmp)
+        return tmp
+
+    published: list[str] = []
+    try:
+        yield stage
+        for tmp in mine:
+            os.replace(tmp, _STAGED[tmp])
+            published.append(_STAGED[tmp])
+    except BaseException as exc:
+        for path in mine + published:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError) and mine:
+            name = _STAGED.get(exc.filename) or ", ".join(_STAGED[t] for t in mine)
+            raise ValidationError(f"cannot write {name}: {exc.strerror or exc}") from exc
+        raise
+    finally:
+        for tmp in mine:
+            del _STAGED[tmp]
+
+
+# ---------------------------------------------------------------------------
 # Sample-batch files: one JSON header line, then hex strings (LSB nibble first)
 
 
@@ -791,7 +848,7 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
         "stream": int(stream),
     }
     width = max(1, -(-spec.n // 4))
-    with open(path, "w") as fh:
+    with staged_outputs() as stage, open(stage(path), "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for s in samples:
             fh.write(format(int(s), f"0{width}x")[::-1] + "\n")
@@ -800,8 +857,8 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
     try:
         fh = open(path)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
         try:
             header = json.loads(fh.readline())

@@ -1,6 +1,11 @@
 """Distributional measurement: statistical distance, linear-test bias
 spectra, XOR composition of independent bits, and empirical estimates.
 
+Monte-Carlo estimates carry Clopper-Pearson intervals whose ends are beta
+quantiles, computed with `scipy.special.betaincinv`.  That is the
+package's only use of scipy, and `clopper_pearson` imports it on its first
+call, so runs that form no interval never load scipy.
+
 Conventions
 -----------
 The bias of a parity test S is |Pr[parity = 0] - Pr[parity = 1]|, which is
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .errors import DimensionError, ValidationError, WorkCapExceeded
 from .sources import Distribution
@@ -71,14 +75,18 @@ class Estimate:
 
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval for a binomial proportion."""
+    """Two-sided Clopper-Pearson interval for a binomial proportion: the
+    alpha/2 quantile of Beta(k, n-k+1) and the 1-alpha/2 quantile of
+    Beta(k+1, n-k), with alpha = 1 - confidence."""
+    from scipy.special import betaincinv
+
     if n <= 0:
         raise ValidationError("need at least one trial")
     if not 0 <= k <= n:
         raise ValidationError("successes outside 0..n")
     alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 

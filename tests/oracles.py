@@ -1,9 +1,14 @@
-"""Scalar reference evaluators for the batch kernels in `nobfext.sources`.
+"""Reference evaluators for library kernels.
 
-Each function recomputes one outcome with Python integers straight from
-the construction's definition, sharing no code with the numpy kernels it
-is compared against.
+The source oracles recompute one outcome of a `nobfext.sources` batch
+kernel with Python integers straight from the construction's definition,
+sharing no code with the numpy kernels they are compared against.
+`clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, the
+textbook route that `nobfext.stats` replaces with `betaincinv`.
 """
+
+import numpy as np
+from scipy.stats import beta
 
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              MajorityOfGood, ParityOfGood, TableAdversary,
@@ -71,3 +76,13 @@ def adversary_bad_bits(adv, good: int, n_good: int, q: int) -> int:
     if isinstance(adv, TableAdversary):
         return int(adv.table[good])
     raise TypeError(f"no oracle for {type(adv).__name__}")
+
+
+def clopper_pearson(k, n, confidence: float = 0.99):
+    """Clopper-Pearson bounds as beta quantiles from scipy.stats; k and n
+    may be arrays of equal shape."""
+    k, n = np.asarray(k), np.asarray(n)
+    alpha = 1.0 - confidence
+    lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2, k, n - k + 1))
+    hi = np.where(k == n, 1.0, beta.ppf(1 - alpha / 2, k + 1, n - k))
+    return lo, hi

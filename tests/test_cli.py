@@ -1,7 +1,11 @@
 """Command-line front end: documents, determinism, exit codes."""
 
+import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,10 +476,19 @@ _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
                  "coalition": [64], "mode": "mc", "samples": 100}, [], 3),
     ("extract", {"samples": "wide.samples"}, [], 3),
     ("extract", {"samples": "missing.samples"}, [], 2),
+    # an output that cannot be written is an input error, not a traceback
+    ("analyze", {"analysis": "bias", "f": {"kind": "majority", "arity": 3}},
+     ["--out", "no-such-dir/out.json"], 2),
+    ("gen-source", {**_source_config(), "samples_out": "no-such-dir/s.samples"},
+     ["--samples", "5"], 2),
+    # so is an input path that names a directory
+    ("analyze", {}, ["--config", "."], 2),
+    ("extract", {"samples": "."}, [], 2),
 ], ids=["n70-samples", "n-not-int", "good-dist-no-n_good", "samples-not-int",
         "f-no-arity", "m-not-int", "force-mc-m17", "good-dist-not-object",
         "fixedness-n70", "influence-mc-arity65", "extract-samples-n70",
-        "extract-samples-missing"])
+        "extract-samples-missing", "out-dir-missing", "samples-out-dir-missing",
+        "config-is-dir", "extract-samples-is-dir"])
 def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      config, argv, code):
@@ -494,13 +507,31 @@ def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
     (tmp_path / "wide.samples").write_text(json.dumps(header) + "\n" + "0" * 17 + "2\n")
     cfg = _write(tmp_path / "cfg.json",
                  {"spec": spath, "params": ppath, **config})
+    before = sorted(os.listdir(tmp_path))
     out = tmp_path / "out.json"
     assert _run(command, "--config", cfg, "--out", str(out), *argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("invalid input" if code == 2 else "work cap exceeded") in err
-    assert not out.exists()
-    assert not (tmp_path / "out.json.samples").exists()
+    # no output, no half-written output and no temporary file
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_gen_source_failed_samples_write_leaves_no_file(tmp_path, capsys,
+                                                         monkeypatch):
+    def write_then_fail(path, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("nobfext.cli.write_sample_batch", write_then_fail)
+    cfg = _write(tmp_path / "cfg.json", _source_config())
+    assert _run("gen-source", "--config", cfg, "--out", str(tmp_path / "OUT.json"),
+                "--samples", "5") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cannot write" in err and "No space left" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_gen_source_wide_spec_without_samples(tmp_path):
@@ -549,3 +580,53 @@ def test_written_documents_are_canonical(tmp_path):
     assert _run("gen-source", "--config", cfg, "--out", str(out)) == 0
     text = out.read_text()
     assert text == canonical_json(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# start-up: heavy dependencies load only where a command needs them
+
+
+_LOADED_AFTER_MAIN = """
+import json, sys
+from nobfext import cli
+rc = cli.main(sys.argv[1:])
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+print(json.dumps({"rc": rc, "heavy": heavy}))
+"""
+
+
+def _modules_loaded_by(cwd, *argv):
+    """Run cli.main in a fresh interpreter on the checkout's src/; return its
+    exit code and the scipy/mpmath modules it loaded."""
+    env = {k: v for k, v in os.environ.items() if k != "NOBF_WORK_CAP"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True)
+    res = json.loads(proc.stdout.splitlines()[-1])
+    return res["rc"], set(res["heavy"])
+
+
+def test_exact_command_loads_neither_scipy_nor_mpmath(tmp_path):
+    cfg = _write(tmp_path / "bias.json",
+                 {"analysis": "bias", "f": {"kind": "majority", "arity": 3}})
+    rc, heavy = _modules_loaded_by(tmp_path, "analyze", "--config", cfg,
+                                   "--out", "bias-out.json")
+    assert rc == 0
+    assert heavy == set()
+
+
+def test_interval_loads_scipy_special_only(tmp_path):
+    ppath, _ = _params_file(tmp_path)
+    spath = _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5),
+                                                ParityOfGood()))
+    cfg = _write(tmp_path / "fix.json",
+                 {"analysis": "fixedness", "spec": spath, "params": ppath,
+                  "force_mc": True, "samples": 1000})
+    rc, heavy = _modules_loaded_by(tmp_path, "analyze", "--config", cfg,
+                                   "--out", "fix-out.json")
+    assert rc == 0
+    assert not json.loads((tmp_path / "fix-out.json").read_text())["result"]["exact"]
+    assert "scipy.special" in heavy
+    assert "scipy.stats" not in heavy
+    assert not any(m.startswith("mpmath") for m in heavy)

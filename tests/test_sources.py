@@ -93,6 +93,13 @@ def test_distribution_empirical_table():
         Distribution.empirical(1, [0, 2])
 
 
+def test_empirical_distribution_width_is_packed():
+    # each sample is one uint64, so m = 65 cannot be represented
+    with pytest.raises(WorkCapExceeded):
+        Distribution.empirical(65, [1, 2])
+    assert Distribution.empirical(64, [2 ** 64 - 1]).n_samples == 1
+
+
 # ---------------------------------------------------------------------------
 # good-bit generators
 

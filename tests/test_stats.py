@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.sources import Distribution, UniformBits
 from nobfext.stats import (Estimate, binomial_estimate, clopper_pearson, fwht,
@@ -40,6 +41,24 @@ def test_clopper_pearson_edges_and_coverage():
     assert lo < 0.5 < hi
     with pytest.raises(ValidationError):
         clopper_pearson(5, 4)
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+def test_clopper_pearson_bit_identical_to_beta_ppf(confidence):
+    # Every k for n <= 60 (so k = 0, k = n and n = 1), then seeded random
+    # (k, n) with n up to 10^7 and the two ends of a few large n.  Exact
+    # float equality: a scipy whose betaincinv and beta.ppf differ would
+    # change published intervals.
+    grid = [(k, n) for n in range(1, 61) for k in range(n + 1)]
+    rng = np.random.default_rng(2024)
+    ns = rng.integers(1, 10**7, size=300, endpoint=True)
+    grid += zip(rng.integers(0, ns, endpoint=True).tolist(), ns.tolist())
+    grid += [(k, n) for n in (997, 10**6, 10**7) for k in (0, 1, n - 1, n)]
+    ks, ns = np.array(grid).T
+    lo, hi = oracles.clopper_pearson(ks, ns, confidence)
+    want = list(zip(lo.tolist(), hi.tolist()))
+    got = [clopper_pearson(k, n, confidence) for k, n in grid]
+    assert [kn for kn, g, w in zip(grid, got, want) if g != w] == []
 
 
 def test_clopper_pearson_empirical_coverage():
