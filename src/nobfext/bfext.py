@@ -145,14 +145,16 @@ def explicit_params(n: int, ell: int, block_len: int, code: LinearCode,
 
 
 def _default_code_builder(m: int, ell: int) -> LinearCode:
+    """The first of 256 seeded attempts that reaches the best distance."""
     if m == 1:
         return preset_code(f"repetition-{ell}")
-    for target in range(ell - m + 1, 0, -1):
-        try:
-            return build_good_code(m, ell, target, seed=0, attempts=256)
-        except SearchBudgetExceeded:
-            continue
-    raise ValidationError(f"no [{ell},{m}] code found")  # unreachable: d=1 always exists
+    try:
+        return build_good_code(m, ell, ell - m + 1, seed=0, attempts=256)
+    except SearchBudgetExceeded as exc:
+        if exc.best is None:
+            raise ValidationError(f"no [{ell},{m}] code found") from exc
+        exc.best.construction["target_d"] = exc.best.verified_d
+        return exc.best
 
 
 def derive_params(n: int, delta: float, t: int,

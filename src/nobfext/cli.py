@@ -8,12 +8,13 @@ Four subcommands, all driven by a JSON config file and a master seed:
                compare-zeroed reports
   build-code   preset or searched generator matrices
 
-Every output document embeds the config and effective seed, is formatted
-canonically (sorted keys, two-space indent, trailing newline), and
-validates against the schemas in `schemas`.  Outputs are byte-identical
-for a fixed seed regardless of --workers: all sampling is addressed by
-(seed, stream, counter), so splitting a counter range across threads
-cannot change what is drawn.
+Every output document embeds the config and effective seed and is
+formatted canonically (sorted keys, two-space indent, trailing newline).
+Input documents are checked against `schemas` where they are read; outputs
+are checked by the tests and the benchmark.  Outputs are byte-identical for
+a fixed seed regardless of --workers: all sampling is addressed by (seed,
+stream, counter), so splitting a counter range across threads cannot
+change what is drawn.
 
 Exit codes: 0 success, 2 validation error, 3 work-cap exceeded,
 4 search budget exhausted.
@@ -38,8 +39,9 @@ from .resilient import (function_from_descriptor, influence_exact,
                         influence_max_exact, influence_mc, bias_under)
 from .schemas import validate_document
 from .sources import (Distribution, NobfSourceSpec, UniformBits,
-                      good_dist_from_descriptor, read_sample_batch,
-                      sample_nobf_batch, staged_outputs, write_sample_batch)
+                      good_dist_from_descriptor, parse_json, read_sample_batch,
+                      read_text, sample_nobf_batch, staged_outputs,
+                      write_sample_batch)
 from .stats import linear_test_bias, vazirani_check
 
 DEFAULT_SEED = 0
@@ -50,21 +52,14 @@ def canonical_json(obj) -> str:
 
 
 def write_document(path: str, obj: dict) -> None:
-    """Validate obj and write it canonically under a temporary name that is
-    renamed onto path (see `staged_outputs`)."""
-    validate_document(obj)
+    """Write obj canonically under a temporary name that is renamed onto
+    path (see `staged_outputs`)."""
     with staged_outputs() as stage, open(stage(path), "w") as fh:
         fh.write(canonical_json(obj))
 
 
 def load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    obj = parse_json(read_text(path), f"JSON in {path}")
     if not isinstance(obj, dict):
         raise ValidationError(f"{path} does not hold a JSON object")
     return obj
@@ -87,13 +82,16 @@ def _cfg(config: dict, key: str, default=None, required: bool = False,
 
 
 def _sample_count(config: dict, samples: int | None, default=None):
-    """The --samples flag, else the config's `samples` key (null counts as
-    absent)."""
+    """The --samples flag (checked in `main`), else the config's `samples`
+    key (null counts as absent)."""
     if samples is not None:
         return samples
     if config.get("samples") is None:
         return default
-    return _cfg(config, "samples", cast=int)
+    count = _cfg(config, "samples", cast=int)
+    if count < 0:
+        raise ValidationError(f"config key 'samples' must be >= 0, got {count}")
+    return count
 
 
 def _draw(spec: NobfSourceSpec, seed: int, count: int,
@@ -112,21 +110,6 @@ def _run_block(command: str, seed: int, config: dict,
     if samples is not None:
         block["samples"] = int(samples)
     return block
-
-
-def _spec_from_config(config: dict) -> NobfSourceSpec:
-    desc = {
-        "n": _cfg(config, "n", required=True),
-        "bad_positions": _cfg(config, "bad_positions", default=[]),
-        "good_dist": _cfg(config, "good_dist", required=True),
-    }
-    if "adversary" in config:
-        desc["adversary"] = config["adversary"]
-    if "t" in config:
-        desc["t"] = config["t"]
-    if "gamma" in config:
-        desc["gamma"] = config["gamma"]
-    return NobfSourceSpec.from_descriptor(desc)
 
 
 def _load_spec(path: str) -> NobfSourceSpec:
@@ -160,7 +143,7 @@ def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribu
 
 def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
                    workers: int) -> int:
-    spec = _spec_from_config(config)
+    spec = NobfSourceSpec.from_descriptor(config)
     n_samples = _sample_count(config, samples, 0)
     drawn = _draw(spec, seed, n_samples, workers) if n_samples > 0 else None
     doc = spec.to_descriptor()
@@ -185,7 +168,10 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
                 f"sample width {header['n']} does not match params n={params.n}")
         inputs = [BitVector(params.n, int(x)) for x in xs]
     elif "inputs" in config:
-        inputs = [BitVector.from_hex(params.n, h) for h in config["inputs"]]
+        hexes = config["inputs"]
+        if not (isinstance(hexes, list) and all(isinstance(h, str) for h in hexes)):
+            raise ValidationError("config key 'inputs' must be a list of hex strings")
+        inputs = [BitVector.from_hex(params.n, h) for h in hexes]
     elif "spec" in config:
         spec = _load_spec(config["spec"])
         if spec.n != params.n:
@@ -373,11 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     saved_cap = os.environ.get("NOBF_WORK_CAP")
     try:
+        if args.workers < 1:
+            raise ValidationError("--workers must be >= 1")
+        if args.samples is not None and args.samples < 0:
+            raise ValidationError("--samples must be >= 0")
         if args.max_enum is not None:
             if not 0 < args.max_enum <= 63:
                 raise ValidationError("--max-enum must be in 1..63")

@@ -152,8 +152,8 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
     """
     if m > BUILD_M_CAP:
         raise WorkCapExceeded(required=m, cap=BUILD_M_CAP, what="code search m")
-    if r < m:
-        raise ValidationError("need r >= m")
+    if not 1 <= m <= r:
+        raise ValidationError("need 1 <= m <= r")
     if not 1 <= target_d <= r - m + 1:
         raise ValidationError(
             f"target_d must be in 1..{r - m + 1} (Singleton bound for [{r},{m}])")

@@ -2,12 +2,11 @@
 
 Each document carries a `format` tag; `validate_document` dispatches on
 it.  The schemas pin structure, not semantics: loaded objects are still
-re-validated by the constructors they feed.
+re-validated by the constructors they feed.  jsonschema is imported by the
+first call, so a command that reads no document never loads it.
 """
 
 from __future__ import annotations
-
-import jsonschema
 
 from .errors import ValidationError
 
@@ -26,13 +25,7 @@ _RUN_BLOCK = {
     "required": ["command", "seed", "config"],
 }
 
-_GOOD_DIST = {
-    "type": "object",
-    "properties": {"kind": {"type": "string"}},
-    "required": ["kind"],
-}
-
-_ADVERSARY = {
+_DESCRIPTOR = {  # a generator, adversary or block function: kind decides the rest
     "type": "object",
     "properties": {"kind": {"type": "string"}},
     "required": ["kind"],
@@ -45,8 +38,8 @@ SOURCE_SPEC_SCHEMA = {
         "version": _POS,
         "n": _POS,
         "bad_positions": {"type": "array", "items": _NONNEG},
-        "good_dist": _GOOD_DIST,
-        "adversary": _ADVERSARY,
+        "good_dist": _DESCRIPTOR,
+        "adversary": _DESCRIPTOR,
         "t": _NONNEG,
         "gamma": {"type": "number", "minimum": 0},
         "run": _RUN_BLOCK,
@@ -101,8 +94,7 @@ BFEXT_PARAMS_SCHEMA = {
         "beta": {"type": ["number", "null"]},
         "t": {"type": ["integer", "null"]},
         "code": LINEAR_CODE_SCHEMA,
-        "f": {"type": "object", "properties": {"kind": {"type": "string"}},
-              "required": ["kind"]},
+        "f": _DESCRIPTOR,
         "run": _RUN_BLOCK,
     },
     "required": ["format", "version", "mode", "n", "ell", "block_len",
@@ -192,6 +184,8 @@ SCHEMAS_BY_FORMAT = {
 
 def validate_document(obj: dict) -> None:
     """Schema-check a document by its `format` tag."""
+    import jsonschema
+
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
     fmt = obj.get("format")

@@ -16,9 +16,9 @@ length-1 views of those kernels, so they accept only values of at most
 PACKED_WIDTH bits and raise WorkCapExceeded beyond that, as do
 `sample_batch`, `sample_nobf_batch` and `read_sample_batch`.
 
-Output files, the sample batches here and the CLI's documents, are
-written through `staged_outputs`: under a temporary name, renamed into
-place once complete, and removed if anything fails.
+Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
+numbers); output files are written through `staged_outputs`: under a
+temporary name, renamed into place once complete, removed on failure.
 
 Enumeration caps: exact oracles require a good-bit seed space of at most
 2^24 and n <= 24; the general work-unit budget (default 2^28) can be
@@ -219,10 +219,6 @@ class GoodBitDistribution:
     def seed_space_size(self) -> int | None:
         return None if self.seed_bits is None else 1 << self.seed_bits
 
-    @property
-    def is_uniform(self) -> bool:
-        return False
-
     def claimed_twise(self) -> int | None:
         """Independence parameter this generator guarantees, if derivable."""
         return None
@@ -284,10 +280,6 @@ class UniformBits(GoodBitDistribution):
             raise ValidationError("negative bit count")
         self.n_good = n_good
         self.seed_bits = n_good
-
-    @property
-    def is_uniform(self) -> bool:
-        return True
 
     def claimed_twise(self) -> int | None:
         return self.n_good
@@ -668,6 +660,8 @@ class NobfSourceSpec:
                  good_dist: GoodBitDistribution,
                  adversary: AdversaryStrategy | None = None,
                  t: int | None = None, gamma: float = 0.0):
+        if n < 1:
+            raise ValidationError(f"a source needs n >= 1 bits, got n={n}")
         bad = tuple(sorted(set(int(p) for p in bad_positions)))
         if bad and (bad[0] < 0 or bad[-1] >= n):
             raise ValidationError(f"bad positions outside 0..{n - 1}: {bad}")
@@ -687,8 +681,8 @@ class NobfSourceSpec:
             raise ValidationError(
                 f"t={t} exceeds the generator's guaranteed independence {claimed}"
             )
-        if gamma < 0:
-            raise ValidationError("gamma must be nonnegative")
+        if not 0 <= gamma < math.inf:
+            raise ValidationError(f"gamma must be finite and nonnegative, got {gamma}")
         badset = set(bad)
         self.n = n
         self.bad_positions = bad
@@ -722,11 +716,12 @@ class NobfSourceSpec:
     @classmethod
     @parse_errors("source spec")
     def from_descriptor(cls, d: dict) -> "NobfSourceSpec":
+        """A spec document or a gen-source config (bad_positions default [])."""
         if d.get("format") not in (None, "nobf-source-spec"):
             raise ValidationError(f"not a source spec: format={d.get('format')!r}")
         return cls(
             n=int(d["n"]),
-            bad_positions=d["bad_positions"],
+            bad_positions=d.get("bad_positions", []),
             good_dist=good_dist_from_descriptor(d["good_dist"]),
             adversary=adversary_from_descriptor(d["adversary"]) if "adversary" in d else None,
             t=int(d["t"]) if "t" in d else None,
@@ -785,7 +780,36 @@ def zeroed_counterpart(spec: NobfSourceSpec) -> NobfSourceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Output files are written under temporary names and renamed into place
+# Files: inputs are UTF-8 JSON with finite numbers; outputs are staged
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; any failure is a ValidationError."""
+    try:
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            return fh.read()
+    except TypeError as exc:
+        raise ValidationError(f"input path must be a string, got {path!r}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def parse_json(text: str, what: str):
+    """Parse JSON, refusing NaN, Infinity and 1e999 (inf): not JSON numbers."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
 
 _STAGED: dict[str, str] = {}  # temporary path -> final path, for open blocks
 _STAGE_IDS = itertools.count()
@@ -855,24 +879,16 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
 
 
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed sample header in {path}: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != "nobf-samples":
-            raise ValidationError(f"{path} is not a nobf-samples file")
-        validate_document(header)
-        n = int(header["n"])
-        check_packed(n, "packed sample width")
-        samples = np.array(
-            [BitVector.from_hex(n, line.strip()).bits for line in fh if line.strip()],
-            dtype=np.uint64,
-        )
+    header_line, _, body = read_text(path).partition("\n")
+    header = parse_json(header_line, f"sample header in {path}")
+    if not isinstance(header, dict) or header.get("format") != "nobf-samples":
+        raise ValidationError(f"{path} is not a nobf-samples file")
+    validate_document(header)
+    n = int(header["n"])
+    check_packed(n, "packed sample width")
+    hexes = (line.strip() for line in body.split("\n"))
+    samples = np.array([BitVector.from_hex(n, h).bits for h in hexes if h],
+                       dtype=np.uint64)
     if samples.size != header["count"]:
         raise ValidationError("sample count does not match header")
     return header, samples

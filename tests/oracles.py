@@ -5,11 +5,15 @@ kernel with Python integers straight from the construction's definition,
 sharing no code with the numpy kernels they are compared against.
 `clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, the
 textbook route that `nobfext.stats` replaces with `betaincinv`.
+`countdown_code` searches once per target distance where
+`bfext._default_code_builder` searches once in all.
 """
 
 import numpy as np
 from scipy.stats import beta
 
+from nobfext.codes import build_good_code
+from nobfext.errors import SearchBudgetExceeded
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              MajorityOfGood, ParityOfGood, TableAdversary,
                              UniformBits)
@@ -86,3 +90,15 @@ def clopper_pearson(k, n, confidence: float = 0.99):
     lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2, k, n - k + 1))
     hi = np.where(k == n, 1.0, beta.ppf(1 - alpha / 2, k + 1, n - k))
     return lo, hi
+
+
+def countdown_code(m: int, ell: int):
+    """The derived-parameter code by a countdown: a 256-attempt search (seed
+    0) for each target distance from the Singleton bound down; the first
+    search that succeeds gives the code."""
+    for target in range(ell - m + 1, 0, -1):
+        try:
+            return build_good_code(m, ell, target, seed=0, attempts=256)
+        except SearchBudgetExceeded:
+            continue
+    raise AssertionError(f"no [{ell},{m}] code reaches distance 1")

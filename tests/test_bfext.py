@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import countdown_code
+
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
-                           _floor_pow, compare_zeroed, derive_params,
-                           explicit_params, extract, extract_batch,
+                           _default_code_builder, _floor_pow, compare_zeroed,
+                           derive_params, explicit_params, extract, extract_batch,
                            fixedness_probability, output_distribution,
                            partition, undetermined_block_count,
                            worst_case_adversary, zeroed_pair_counts)
@@ -67,6 +69,14 @@ def test_derive_params_m_two_needs_huge_t():
     assert p.code.verified_d >= 1
     q = derive_params(n=1 << 22, delta=0.8, t=(1 << 21) - 1)
     assert q.m == 1
+
+
+@pytest.mark.parametrize("m,ell", [(2, 3), (2, 21), (3, 7), (3, 12), (4, 7),
+                                   (4, 15), (5, 9), (6, 20)])
+def test_default_code_builder_matches_countdown(m, ell):
+    # one search keeping the best code returns the countdown's code, with
+    # the distance it reached recorded as target_d
+    assert _default_code_builder(m, ell).to_json() == countdown_code(m, ell).to_json()
 
 
 def test_derive_params_beta_scales_m():

@@ -27,8 +27,21 @@ def _write(path, obj):
     return str(path)
 
 
+def _check_outputs(out, rc):
+    """Check every document a command wrote against `schemas`: the CLI
+    checks the documents it reads, not the ones it writes."""
+    if rc not in (0, 4):  # 4: a failed code search still writes its report
+        return
+    validate_document(json.loads(Path(out).read_text()))
+    samples = Path(f"{out}.samples")
+    if samples.exists():  # gen-source's sample file, by default name
+        validate_document(json.loads(samples.read_text().partition("\n")[0]))
+
+
 def _run(*argv):
-    return main(list(argv))
+    rc = main(list(argv))
+    _check_outputs(argv[argv.index("--out") + 1], rc)
+    return rc
 
 
 def _params_file(tmp_path, params=None):
@@ -484,11 +497,36 @@ _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
     # so is an input path that names a directory
     ("analyze", {}, ["--config", "."], 2),
     ("extract", {"samples": "."}, [], 2),
+    # rules that only the schema check of the output used to enforce
+    ("gen-source", _source_config(), ["--samples", "-5"], 2),
+    ("analyze", {"analysis": "bias", "f": {"kind": "majority", "arity": 3}},
+     ["--samples", "-5"], 2),
+    ("gen-source", {**_source_config(), "samples": -5}, [], 2),
+    ("gen-source", {"n": 0, "bad_positions": [],
+                    "good_dist": {"kind": "uniform", "n_good": 0}}, [], 2),
+    ("build-code", {"m": -1, "r": 8, "target_d": 3}, [], 2),
+    # input files that are not UTF-8 text
+    ("analyze", {}, ["--config", "bin.json"], 2),
+    ("extract", {"samples": "bin.samples"}, [], 2),
+    # numbers that JSON has not: NaN, Infinity and 1e999 (read as inf)
+    ("gen-source", {**_source_config(), "gamma": float("nan")}, [], 2),
+    ("gen-source", {}, ["--config", "inf.json"], 2),
+    ("analyze", {"analysis": "fixedness", "spec": "inf_spec.json"}, [], 2),
+    ("extract", {"samples": "inf.samples"}, [], 2),
+    # inline inputs must be a list of hex strings; paths must be strings
+    ("extract", {"inputs": 5}, [], 2),
+    ("extract", {"inputs": [5]}, [], 2),
+    ("extract", {"params": 0}, [], 2),
 ], ids=["n70-samples", "n-not-int", "good-dist-no-n_good", "samples-not-int",
         "f-no-arity", "m-not-int", "force-mc-m17", "good-dist-not-object",
         "fixedness-n70", "influence-mc-arity65", "extract-samples-n70",
         "extract-samples-missing", "out-dir-missing", "samples-out-dir-missing",
-        "config-is-dir", "extract-samples-is-dir"])
+        "config-is-dir", "extract-samples-is-dir", "samples-flag-negative",
+        "analyze-samples-flag-negative", "config-samples-negative", "spec-n-zero",
+        "code-m-negative", "config-not-utf8", "extract-samples-not-utf8",
+        "config-nan", "config-1e999", "spec-infinity", "samples-header-1e999",
+        "extract-inputs-not-list", "extract-inputs-not-hex-strings",
+        "extract-params-not-path"])
 def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      config, argv, code):
@@ -505,6 +543,15 @@ def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
         70, 7, 9, preset_code("simplex-k3"), Majority(9)).to_json()))
     header = {"count": 1, "format": "nobf-samples", "n": 70, "seed": 0, "stream": 0}
     (tmp_path / "wide.samples").write_text(json.dumps(header) + "\n" + "0" * 17 + "2\n")
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00{")
+    narrow = json.dumps({**header, "n": 17})
+    (tmp_path / "bin.samples").write_bytes(narrow.encode() + b"\n\xff\xfe000\n")
+    (tmp_path / "inf.samples").write_text(
+        narrow.replace('"seed": 0', '"seed": 1e999') + "\n00000\n")
+    (tmp_path / "inf.json").write_text(
+        json.dumps({**_source_config(), "gamma": 0.5}).replace("0.5", "1e999"))
+    _write(tmp_path / "inf_spec.json",  # json.dumps writes inf as Infinity
+           {**json.loads(Path(spath).read_text()), "gamma": float("inf")})
     cfg = _write(tmp_path / "cfg.json",
                  {"spec": spath, "params": ppath, **config})
     before = sorted(os.listdir(tmp_path))
@@ -513,6 +560,7 @@ def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("invalid input" if code == 2 else "work cap exceeded") in err
+    assert "document failed schema check" not in err
     # no output, no half-written output and no temporary file
     assert sorted(os.listdir(tmp_path)) == before
 
@@ -590,20 +638,22 @@ _LOADED_AFTER_MAIN = """
 import json, sys
 from nobfext import cli
 rc = cli.main(sys.argv[1:])
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+heavy = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("scipy", "mpmath", "jsonschema"))
 print(json.dumps({"rc": rc, "heavy": heavy}))
 """
 
 
 def _modules_loaded_by(cwd, *argv):
     """Run cli.main in a fresh interpreter on the checkout's src/; return its
-    exit code and the scipy/mpmath modules it loaded."""
+    exit code and the scipy, mpmath and jsonschema modules it loaded."""
     env = {k: v for k, v in os.environ.items() if k != "NOBF_WORK_CAP"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           check=True)
     res = json.loads(proc.stdout.splitlines()[-1])
+    _check_outputs(Path(cwd) / argv[argv.index("--out") + 1], res["rc"])
     return res["rc"], set(res["heavy"])
 
 
@@ -614,6 +664,29 @@ def test_exact_command_loads_neither_scipy_nor_mpmath(tmp_path):
                                    "--out", "bias-out.json")
     assert rc == 0
     assert heavy == set()
+
+
+def test_jsonschema_loads_only_to_read_a_document(tmp_path):
+    commands = {
+        "bias": ("analyze", {"analysis": "bias",
+                             "f": {"kind": "majority", "arity": 3}}),
+        "source": ("gen-source", {**_source_config(), "samples": 5}),
+        "code": ("build-code", {"preset": "hamming-7-4"}),
+    }
+    for name, (command, config) in commands.items():
+        cfg = _write(tmp_path / f"{name}.json", config)
+        rc, heavy = _modules_loaded_by(tmp_path, command, "--config", cfg,
+                                       "--out", f"{name}-out.json")
+        assert rc == 0
+        assert not any(m.startswith("jsonschema") for m in heavy), command
+    # extract reads a params document and a sample file: both are checked
+    ppath, _ = _params_file(tmp_path)
+    cfg = _write(tmp_path / "ext.json",
+                 {"params": ppath, "samples": "source-out.json.samples"})
+    rc, heavy = _modules_loaded_by(tmp_path, "extract", "--config", cfg,
+                                   "--out", "ext-out.json")
+    assert rc == 0
+    assert "jsonschema" in heavy
 
 
 def test_interval_loads_scipy_special_only(tmp_path):

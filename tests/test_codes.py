@@ -179,6 +179,8 @@ def test_build_good_code_singleton_precheck():
         build_good_code(4, 7, 5, seed=0)  # d > r - m + 1
     with pytest.raises(ValidationError):
         build_good_code(5, 4, 1, seed=0)  # r < m
+    with pytest.raises(ValidationError):
+        build_good_code(-1, 8, 3, seed=0)  # no rows: nothing to search
 
 
 def test_build_good_code_budget_failure_carries_best():

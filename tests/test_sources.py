@@ -342,6 +342,11 @@ def test_spec_validation():
         NobfSourceSpec(4, [0], UniformBits(3), t=4)  # t > n - q
     with pytest.raises(ValidationError):
         NobfSourceSpec(6, [0], ExactTwise(5, 2), t=3)  # beyond the guarantee
+    with pytest.raises(ValidationError):
+        NobfSourceSpec(0, [], UniformBits(0))
+    for gamma in [-0.5, float("nan"), float("inf")]:
+        with pytest.raises(ValidationError):
+            NobfSourceSpec(4, [0], UniformBits(3), gamma=gamma)
     spec = NobfSourceSpec(6, [0], ExactTwise(5, 2))
     assert spec.t == 2  # defaulted from the generator
 
