@@ -82,7 +82,13 @@ class Majority(ResilientFunction):
 
 
 class Tribes(ResilientFunction):
-    """OR of s disjoint ANDs of width w (arity = w * s)."""
+    """OR of s disjoint ANDs of width w (arity = w * s).
+
+    All tribes are tested at once: after ANDing the input with its shifts
+    by 1..w-1 (log2 w doubling steps), bit i*w is set exactly when tribe
+    i is all ones.  The instance keeps no per-tribe state, and a scalar
+    input costs O(log w) big-integer passes over its arity bits.
+    """
 
     kind = "tribes"
 
@@ -92,21 +98,24 @@ class Tribes(ResilientFunction):
         self.w = w
         self.s = s
         self.arity = w * s
-        self._masks = [((1 << w) - 1) << (i * w) for i in range(s)]
+
+    def _full_tribes(self, x):
+        """x with bit p set where bits p..p+w-1 of x are all set."""
+        span = 1
+        while 2 * span <= self.w:
+            x = x & (x >> span)
+            span *= 2
+        return x & (x >> (self.w - span))
+
+    def _starts(self) -> int:
+        return ((1 << self.arity) - 1) // ((1 << self.w) - 1)  # bit i*w, i < s
 
     def eval_int(self, bits: int) -> int:
-        for m in self._masks:
-            if bits & m == m:
-                return 1
-        return 0
+        return 1 if self._full_tribes(bits) & self._starts() else 0
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.uint64)
-        out = np.zeros(xs.shape, dtype=np.uint8)
-        for m in self._masks:
-            mm = np.uint64(m)
-            out |= (xs & mm) == mm
-        return out
+        full = self._full_tribes(np.asarray(xs, dtype=np.uint64))
+        return ((full & np.uint64(self._starts())) != 0).astype(np.uint8)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "w": self.w, "s": self.s}

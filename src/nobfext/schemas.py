@@ -145,6 +145,24 @@ _ESTIMATE = {
     "required": ["value", "lo", "hi", "method"],
 }
 
+_RESULTS = {  # analysis -> the shape of its result, where it has a fixed one
+    "fixedness": {
+        "type": "object",
+        "properties": {"probability": _ESTIMATE, "exact": {"type": "boolean"}},
+        "required": ["probability", "exact"],
+    },
+    "compare-zeroed": {
+        "type": "object",
+        "properties": {
+            "sd": _ESTIMATE,
+            "exact": {"type": "boolean"},
+            "m": _POS,
+            "mismatch_rate": {"type": ["number", "null"]},
+        },
+        "required": ["sd", "exact", "m", "mismatch_rate"],
+    },
+}
+
 ANALYSIS_REPORT_SCHEMA = {
     "type": "object",
     "properties": {
@@ -156,6 +174,11 @@ ANALYSIS_REPORT_SCHEMA = {
         "run": _RUN_BLOCK,
     },
     "required": ["format", "version", "analysis", "result", "run"],
+    "allOf": [
+        {"if": {"properties": {"analysis": {"const": analysis}}},
+         "then": {"properties": {"result": result}}}
+        for analysis, result in _RESULTS.items()
+    ],
 }
 
 SAMPLE_HEADER_SCHEMA = {

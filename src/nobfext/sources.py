@@ -16,6 +16,13 @@ length-1 views of those kernels, so they accept only values of at most
 PACKED_WIDTH bits and raise WorkCapExceeded beyond that, as do
 `sample_batch`, `sample_nobf_batch` and `read_sample_batch`.
 
+The generator kernels work on whole words.  ExactTwise is a GF(2)-linear
+map of its seed, evaluated through byte tables (at most 8 lookups per
+seed); EpsBiased computes x^i once per distinct x in a batch and takes
+each bit as a parity; compose scatters the good and bad bits in runs of
+consecutive positions (see `bitops`).  No kernel builds a table that
+grows with the field size 2^e.
+
 Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
 numbers); output files are written through `staged_outputs`: under a
 temporary name, renamed into place once complete, removed on failure.
@@ -33,14 +40,15 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import prng
-from .bitops import PACKED_WIDTH, check_packed, gather_bits_vec, scatter_bits_vec
+from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
+                     linear_map_tables, scatter_bits_vec)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .schemas import validate_document
@@ -75,42 +83,73 @@ def _poly_mod(a: int, b: int) -> int:
     return a
 
 
+def _mul_mod(a: int, b: int, f: int) -> int:
+    """a * b modulo f in GF(2)[X], for a of degree below deg f."""
+    top = 1 << (f.bit_length() - 1)
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        a <<= 1
+        if a & top:
+            a ^= f
+        b >>= 1
+    return res
+
+
+def _is_irreducible(f: int) -> bool:
+    """Ben-Or's test: f of degree e is irreducible iff X^(2^i) - X and f
+    are coprime for every i <= e/2 (no factor of degree i divides f)."""
+    xpow = 0b10
+    for _ in range((f.bit_length() - 1) // 2):
+        xpow = _mul_mod(xpow, xpow, f)
+        a, b = f, xpow ^ 0b10
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def irreducible_poly(e: int) -> int:
     """Smallest irreducible polynomial of degree e over GF(2), as a bitmask.
 
-    Found by trial division rather than a hard-coded table; cached per
-    degree.  Constant term must be 1 (x never divides an irreducible of
-    degree >= 1 other than x itself).
+    Found by scanning candidates in increasing order with Ben-Or's test
+    rather than from a hard-coded table; cached per degree.  Constant term
+    must be 1 (x never divides an irreducible of degree >= 1 other than x
+    itself).
     """
     if e < 1:
         raise ValidationError("field degree must be >= 1")
     if e == 1:
         return 0b11  # x + 1
     for low in range(1, 1 << e, 2):
-        cand = (1 << e) | low
-        if all(
-            _poly_mod(cand, q) != 0
-            for d in range(1, e // 2 + 1)
-            for q in range(1 << d, 1 << (d + 1))
-        ):
-            return cand
+        if _is_irreducible((1 << e) | low):
+            return (1 << e) | low
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
-def gf2e_mul_vec(a: np.ndarray, b: np.ndarray, e: int, poly: int) -> np.ndarray:
-    """Vectorized GF(2^e) product (shift-and-add with inline reduction)."""
-    res = np.zeros(a.shape, dtype=np.uint64)
-    aa = a.astype(np.uint64, copy=True)
-    bb = np.broadcast_to(np.asarray(b, dtype=np.uint64), a.shape).copy()
+def gf2e_times_columns(b, e: int, poly: int) -> np.ndarray:
+    """Multiplication by each element of b as e columns: column c holds
+    b * X^c, so a * b is the XOR of the columns at the set bits of a.
+    Shape (e,) + b.shape; e shift-and-reduce passes."""
+    cols = np.empty((e,) + np.shape(b), dtype=np.uint64)
+    v = np.array(b, dtype=np.uint64)
+    one, top, p = np.uint64(1), np.uint64(e), np.uint64(poly)
+    for c in range(e):
+        cols[c] = v
+        v <<= one
+        v ^= p * ((v >> top) & one)
+    return cols
+
+
+def gf2e_times(cols: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a * b for the columns `gf2e_times_columns(b, ...)`: e masked XORs."""
+    res = np.zeros(cols.shape[1:], dtype=np.uint64)
     one = np.uint64(1)
-    top = np.uint64(e)
-    p = np.uint64(poly)
-    for _ in range(e):
-        res ^= np.where(bb & one, aa, np.uint64(0))
-        aa <<= one
-        aa ^= np.where((aa >> top) & one, p, np.uint64(0))
-        bb >>= one
+    for c, col in enumerate(cols):
+        res ^= col * ((a >> np.uint64(c)) & one)
     return res
 
 
@@ -304,6 +343,11 @@ class ExactTwise(GoodBitDistribution):
     evaluation points determine a bijection between coefficient tuples and
     value tuples (Vandermonde), so every t-coordinate restriction is
     exactly uniform.  Requires 2^e >= n_good distinct points.
+
+    The outcome is GF(2)-linear in the seed, so the kernel is one linear
+    map: the outcome words of the seed_bits unit seeds, built once per
+    instance, in byte tables of ceil(seed_bits / 8) x 256 words (at most
+    16 KB).  Each seed then costs at most 8 lookups and XORs.
     """
 
     kind = "exact-twise"
@@ -334,18 +378,25 @@ class ExactTwise(GoodBitDistribution):
     def claimed_twise(self) -> int | None:
         return self.t
 
-    def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        # seed bit j*e + c is bit c of coefficient j, i.e. the coefficient
+        # X^c; at point i it contributes X^c * i^j, whose low bit is bit i
+        # of that seed bit's outcome word
         e, poly = self.field_bits, self._poly
-        mask = np.uint64((1 << e) - 1)
-        s = seeds.astype(np.uint64, copy=False)
-        coeffs = [(s >> np.uint64(j * e)) & mask for j in range(self.t)]
-        out = np.zeros(s.shape, dtype=np.uint64)
-        for i in range(self.n_good):
-            acc = coeffs[-1].copy()
-            for c in reversed(coeffs[:-1]):
-                acc = gf2e_mul_vec(acc, np.uint64(i), e, poly) ^ c
-            out |= (acc & np.uint64(1)) << np.uint64(i)
-        return out
+        points = np.arange(self.n_good, dtype=np.uint64)
+        times_points = gf2e_times_columns(points, e, poly)
+        weights = np.uint64(1) << points
+        power = np.ones(self.n_good, dtype=np.uint64)
+        columns = []
+        for _ in range(self.t):
+            low = gf2e_times_columns(power, e, poly) & np.uint64(1)
+            columns.extend(np.bitwise_or.reduce(low * weights, axis=1))
+            power = gf2e_times(times_points, power)
+        return linear_map_tables(np.array(columns, dtype=np.uint64))
+
+    def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        return apply_linear_map(self._tables, seeds)
 
     def descriptor(self) -> dict:
         return {
@@ -365,6 +416,13 @@ class EpsBiased(GoodBitDistribution):
     p_S(X) = sum_{i in S} X^i, which is unbiased unless x is one of its
     at most n_good-1 roots, so every linear test has bias at most
     (n_good - 1) / 2^e <= epsilon.
+
+    The kernel computes the powers x^i once per distinct x in a batch,
+    multiplying by x through its e columns x * X^c (e words per distinct
+    x, built in e passes), and then takes bit i as the parity of
+    x^i & y for every seed.  A batch of N seeds with U distinct x costs a
+    sort of N plus n_good * e passes over U values and n_good passes over
+    N; no table grows with the field, so every e up to 31 takes this path.
     """
 
     kind = "eps-biased"
@@ -395,16 +453,17 @@ class EpsBiased(GoodBitDistribution):
         self._poly = irreducible_poly(e)
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        e, poly = self.field_bits, self._poly
+        e = self.field_bits
         s = seeds.astype(np.uint64, copy=False)
-        x = s & np.uint64((1 << e) - 1)
+        xs, which = np.unique(s & np.uint64((1 << e) - 1), return_inverse=True)
+        times_x = gf2e_times_columns(xs, e, self._poly)
         y = s >> np.uint64(e)
         out = np.zeros(s.shape, dtype=np.uint64)
-        xi = np.ones(s.shape, dtype=np.uint64)
+        xi = np.ones(xs.shape, dtype=np.uint64)
         for i in range(self.n_good):
-            bit = np.bitwise_count(xi & y).astype(np.uint64) & np.uint64(1)
+            bit = np.bitwise_count(xi[which] & y).astype(np.uint64) & np.uint64(1)
             out |= bit << np.uint64(i)
-            xi = gf2e_mul_vec(xi, x, e, poly)
+            xi = gf2e_times(times_x, xi)
         return out
 
     def descriptor(self) -> dict:

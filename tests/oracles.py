@@ -6,7 +6,9 @@ sharing no code with the numpy kernels they are compared against.
 `clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, the
 textbook route that `nobfext.stats` replaces with `betaincinv`.
 `countdown_code` searches once per target distance where
-`bfext._default_code_builder` searches once in all.
+`bfext._default_code_builder` searches once in all.  `scatter_bits` and
+`gather_bits` move one bit at a time where `nobfext.bitops` moves runs;
+`tribes_value` tests one tribe at a time.
 """
 
 import numpy as np
@@ -17,6 +19,24 @@ from nobfext.errors import SearchBudgetExceeded
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              MajorityOfGood, ParityOfGood, TableAdversary,
                              UniformBits)
+
+
+def scatter_bits(values, positions) -> list[int]:
+    """Bit j of each value deposited at positions[j]."""
+    return [sum(((int(v) >> j) & 1) << p for j, p in enumerate(positions))
+            for v in values]
+
+
+def gather_bits(values, positions) -> list[int]:
+    """Bit positions[j] of each value collected into bit j."""
+    return [sum(((int(v) >> p) & 1) << j for j, p in enumerate(positions))
+            for v in values]
+
+
+def tribes_value(w: int, s: int, bits: int) -> int:
+    """1 when some tribe i (bits i*w .. i*w+w-1) is all ones."""
+    full = (1 << w) - 1
+    return int(any((bits >> (i * w)) & full == full for i in range(s)))
 
 
 def gf2e_mul(a: int, b: int, e: int, poly: int) -> int:

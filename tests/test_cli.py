@@ -320,6 +320,34 @@ def test_analyze_fixedness_and_compare_zeroed(tmp_path):
     assert zres["sd"]["value"] <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("analysis,field,bad", [
+    ("fixedness", "probability", 0.5),
+    ("fixedness", "probability", {"value": 0.5, "lo": 0.5, "hi": 0.5}),
+    ("fixedness", "exact", "yes"),
+    ("compare-zeroed", "sd", {"value": "0", "lo": 0, "hi": 0, "method": "exact"}),
+    ("compare-zeroed", "exact", 1),
+    ("compare-zeroed", "m", 0),
+    ("compare-zeroed", "mismatch_rate", "none"),
+    ("compare-zeroed", "sd", None),
+])
+def test_analysis_result_schema_pins_fixedness_and_compare_zeroed(analysis, field, bad):
+    estimate = {"value": 0.25, "lo": 0.25, "hi": 0.25, "samples": 0,
+                "confidence": 1.0, "method": "exact"}
+    result = ({"probability": estimate, "exact": True} if analysis == "fixedness"
+              else {"sd": estimate, "exact": True, "m": 2, "mismatch_rate": None})
+    doc = {"format": "analysis-report", "version": 1, "analysis": analysis,
+           "result": result, "run": {"command": "analyze", "seed": 0, "config": {}}}
+    validate_document(doc)
+    doc["result"] = {**result, field: bad}
+    with pytest.raises(ValidationError):
+        validate_document(doc)
+    doc["result"] = {k: v for k, v in result.items() if k != field}
+    with pytest.raises(ValidationError):
+        validate_document(doc)
+    # the other analyses keep a free-form result
+    validate_document({**doc, "analysis": "bias", "result": {"bias": 0.0, "exact": True}})
+
+
 def test_analyze_forced_mc_paths_worker_independent(tmp_path):
     cfg = _write(tmp_path / "gen.json", _source_config())
     spec_out = tmp_path / "spec.json"

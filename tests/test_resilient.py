@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import tribes_value
 
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
@@ -48,6 +49,33 @@ def test_tribes_values():
     assert int(f.truth_table().sum()) == 7
     xs = np.arange(16, dtype=np.uint64)
     assert np.array_equal(f.eval_batch(xs), [f.eval_int(x) for x in range(16)])
+
+
+@pytest.mark.parametrize("w,s", [(w, s) for w in range(1, 7) for s in range(1, 5)
+                                 if w * s <= 14])
+def test_tribes_batch_scalar_and_truth_table_agree(w, s):
+    f = Tribes(w, s)
+    xs = np.arange(1 << f.arity, dtype=np.uint64)
+    want = [tribes_value(w, s, x) for x in range(1 << f.arity)]
+    assert f.eval_batch(xs).tolist() == want
+    assert f.truth_table().tolist() == want
+    assert [f.eval_int(x) for x in range(1 << f.arity)] == want
+
+
+def test_tribes_wide_inputs_match_oracle():
+    rng = np.random.default_rng(3)
+    for w, s in [(32, 2), (64, 1), (5, 12), (1, 64), (3, 700), (7, 300)]:
+        f = Tribes(w, s)
+        full = (1 << w) - 1
+        cases = [0, (1 << f.arity) - 1]
+        for _ in range(20):
+            x = int.from_bytes(rng.bytes(-(-f.arity // 8)), "little") & ((1 << f.arity) - 1)
+            x &= ~int.from_bytes(rng.bytes(-(-f.arity // 8)), "little")  # sparser
+            cases += [x, x | full << (w * int(rng.integers(s)))]
+        assert [f.eval_int(x) for x in cases] == [tribes_value(w, s, x) for x in cases]
+        if f.arity <= 64:
+            assert f.eval_batch(np.array(cases, dtype=np.uint64)).tolist() == \
+                [tribes_value(w, s, x) for x in cases]
 
 
 def test_tribes_degenerate_shapes():

@@ -2,20 +2,24 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import adversary_bad_bits, generator_outcome, gf2e_mul
+from oracles import (adversary_bad_bits, gather_bits, generator_outcome, gf2e_mul,
+                     scatter_bits)
 
+from nobfext import prng
+from nobfext.bitops import gather_bits_vec, scatter_bits_vec
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
 from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, _poly_mod, adversary_from_descriptor,
-                             enumerate_nobf, gf2e_mul_vec,
+                             enumerate_nobf, gf2e_times, gf2e_times_columns,
                              good_dist_from_descriptor, irreducible_poly,
                              read_sample_batch, sample_nobf,
                              sample_nobf_batch, verify_twise,
@@ -27,13 +31,20 @@ from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
 
 
 def test_irreducible_polys_have_no_proper_factor():
-    for e in range(1, 13):
+    def has_factor(p, e):  # a divisor of degree 1..e//2, by trial division
+        return any(_poly_mod(p, d) == 0
+                   for ddeg in range(1, e // 2 + 1)
+                   for d in range(1 << ddeg, 1 << (ddeg + 1)))
+
+    for e in range(1, 15):
         p = irreducible_poly(e)
         assert p.bit_length() == e + 1  # degree exactly e
-        # irreducible iff no divisor of degree 1..e//2
-        for ddeg in range(1, e // 2 + 1):
-            for d in range(1 << ddeg, 1 << (ddeg + 1)):
-                assert _poly_mod(p, d) != 0
+        assert not has_factor(p, e)
+        # the smallest one: every smaller candidate with constant term 1 factors
+        assert all(has_factor(c, e) for c in range((1 << e) | 1, p, 2))
+    # every field up to the seed limit has its polynomial at once
+    assert irreducible_poly(31) == 0x80000009
+    assert irreducible_poly(63) == (1 << 63) | 0b11
 
 
 def test_gf2e_mul_is_a_field():
@@ -55,7 +66,7 @@ def test_gf2e_mul_is_a_field():
     for e in range(1, 7):
         poly = irreducible_poly(e)
         a, b = np.divmod(np.arange(1 << (2 * e), dtype=np.uint64), np.uint64(1 << e))
-        prods = gf2e_mul_vec(a, b, e, poly)
+        prods = gf2e_times(gf2e_times_columns(b, e, poly), a)
         assert [int(p) for p in prods] == [gf2e_mul(int(x), int(y), e, poly)
                                            for x, y in zip(a, b)]
 
@@ -186,21 +197,80 @@ def test_exact_twise_scalar_vector_agree():
         assert gen.outcome_for_seed(int(seed)) == int(outs[i])
 
 
-_GENERATORS = st.one_of(
-    st.builds(UniformBits, st.integers(0, 16)),
-    st.builds(ExactTwise, st.integers(1, 12), st.integers(1, 4)),
-    st.builds(EpsBiased, st.integers(1, 12), st.sampled_from([1.0, 0.5, 0.25, 0.1])),
-)
+@st.composite
+def _generators(draw):
+    """Generators of up to 64 good bits, with the default or an explicit
+    field up to the 2^63 seed limit."""
+    kind = draw(st.sampled_from(["uniform", "exact-twise", "eps-biased"]))
+    if kind == "uniform":
+        return UniformBits(draw(st.integers(0, 64)))
+    n = draw(st.integers(1, 64))
+    if kind == "exact-twise":
+        t = draw(st.integers(1, 4))
+        e_min = max(1, (n - 1).bit_length())
+        return ExactTwise(n, t, draw(st.none() | st.integers(e_min, 63 // t)))
+    eps = draw(st.sampled_from([1.0, 0.5, 0.1, 0.01, 1e-6]))
+    e_min = EpsBiased(n, eps).field_bits
+    return EpsBiased(n, eps, draw(st.none() | st.integers(e_min, 31)))
+
+
+_GENERATORS = _generators()
 
 
 @settings(max_examples=60, deadline=None)
 @given(gen=_GENERATORS, data=st.data())
 def test_generator_kernels_match_oracle_and_views(gen, data):
+    # seeds share their low halves (EpsBiased's x) from a small pool, so a
+    # batch repeats x values under different y values
     top = (1 << gen.seed_bits) - 1
-    seeds = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
+    low = (1 << (gen.seed_bits // 2)) - 1
+    pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    seeds = [s ^ ((s ^ data.draw(st.sampled_from(pool))) & low)
+             if data.draw(st.booleans()) else s
+             for s in data.draw(st.lists(st.integers(0, top), min_size=1, max_size=64))]
     outs = gen.outcomes_for_seeds(np.array(seeds, dtype=np.uint64))
     assert [int(o) for o in outs] == [generator_outcome(gen, s) for s in seeds]
     assert [gen.outcome_for_seed(s) for s in seeds] == [int(o) for o in outs]
+
+
+@pytest.mark.parametrize("gen", [EpsBiased(57, 0.01), ExactTwise(60, 4), ExactTwise(20, 3)],
+                         ids=["eps-biased-57", "exact-twise-60-4", "exact-twise-20-3"])
+def test_benchmark_generators_match_oracle_on_4096_draws(gen):
+    draws = gen.sample_batch(1, 0, 0, 4096)
+    seeds = prng.low_bits(1, 0, 0, 4096, gen.seed_bits)
+    assert [int(d) for d in draws] == [generator_outcome(gen, int(s)) for s in seeds]
+
+
+@pytest.mark.parametrize("gen", [EpsBiased(40, 1e-6, field_bits=31),
+                                 ExactTwise(64, 2, field_bits=31)],
+                         ids=["eps-biased-e31", "exact-twise-e31"])
+def test_large_field_kernels_build_no_field_sized_table(gen):
+    # a table of 2^31 entries would need gigabytes; 2,000 draws need kilobytes
+    tracemalloc.start()
+    try:
+        draws = gen.sample_batch(7, 0, 0, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    seeds = prng.low_bits(7, 0, 0, 2000, gen.seed_bits)
+    assert [int(d) for d in draws] == [generator_outcome(gen, int(s)) for s in seeds]
+
+
+_POSITION_CASES = [[], list(range(64)), list(range(63, -1, -1)), [5], [63, 0],
+                   [0, 1, 2, 7, 8, 9, 3, 40, 41, 63]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_run_scatter_gather_match_per_bit_oracle(data):
+    positions = data.draw(st.sampled_from(_POSITION_CASES)
+                          | st.lists(st.integers(0, 63), unique=True, max_size=64)
+                          | st.lists(st.integers(0, 63), unique=True, max_size=64).map(sorted))
+    values = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=16))
+    arr = np.array(values, dtype=np.uint64)
+    assert [int(v) for v in scatter_bits_vec(arr, positions)] == scatter_bits(values, positions)
+    assert [int(v) for v in gather_bits_vec(arr, positions)] == gather_bits(values, positions)
 
 
 @settings(max_examples=60, deadline=None)
