@@ -10,8 +10,8 @@ import numpy as np
 
 from nobfext import (BitVector, ConstantAdversary, Majority, NobfSourceSpec,
                      UniformBits, derive_params, explicit_params, extract,
-                     extract_batch, output_distribution, partition,
-                     preset_code, statistical_distance, Distribution)
+                     extract_batch, output_distribution, preset_code,
+                     statistical_distance, Distribution)
 
 ###############################################################################
 # A hand-sized instance: n=9 input, 3 blocks of 3, identity compressor
@@ -24,12 +24,10 @@ print(f"params: n={params.n} ell={params.ell} block_len={params.block_len} "
       f"code=[r={params.code.r},m={params.code.m},d={params.code.verified_d}] "
       f"f=majority({params.f.arity})")
 
-blocks = partition(x, params.ell, params.block_len)
-print(f"x = {x.to01()}")
-for i, b in enumerate(blocks):
-    print(f"  block {i}: {b.to01()}  majority -> {Majority(3).eval_int(b.bits)}")
-
 trace = extract(x, params)
+print(f"x = {x.to01()}")
+for i, b in enumerate(trace.blocks):
+    print(f"  block {i}: {b.to01()}  majority -> {Majority(3).eval(b)}")
 print(f"block bits y = {trace.y.to01()}, used prefix = {trace.y_used.to01()}, "
       f"output z = {trace.z.to01()}")
 

@@ -8,12 +8,14 @@ between the real and zeroed outputs is at most the probability that some
 used block is undetermined; and small parity biases multiply through the
 code, which is what Fourier-side bounds quantify.
 """
+import math
+
 from nobfext import (ConstantAdversary, Distribution, NobfSourceSpec,
                      ParityOfGood, Tribes, UniformBits, compare_zeroed,
                      explicit_params, fixedness_probability, output_distribution,
                      parseval_bound, preset_code, statistical_distance,
                      vazirani_check, worst_case_adversary, xor_bias_product,
-                     xor_distance_brute, zeroed_counterpart)
+                     zeroed_counterpart)
 
 ###############################################################################
 # A fully enumerable system: 8 bits, two blocks of Tribes(2,2), identity code
@@ -82,7 +84,10 @@ print(f"  parseval bound {parseval_bound(d):.6f} (tighter)")
 
 distances = [0.3, 0.1, 0.25]
 xr = xor_bias_product(distances)
-brute = xor_distance_brute(distances)
+# the XOR is 1 with probability sum over odd-parity outcomes of prod Pr[bit]
+p1 = sum(math.prod(0.5 - e if (o >> i) & 1 else 0.5 + e for i, e in enumerate(distances))
+         for o in range(1 << len(distances)) if bin(o).count("1") % 2)
+brute = abs(p1 - 0.5)
 print(f"\nXOR of bits at distances {distances} from fair:")
 print(f"  product formula {xr.distance:.6f}, brute convolution {brute:.6f}")
 

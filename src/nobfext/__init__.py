@@ -11,8 +11,7 @@ spectra) back every quantitative claim the pipeline's analysis rests on.
 
 from .errors import (DimensionError, NobfError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded)
-from .gf2 import (BitMatrix, BitVector, gf2_matvec, gf2_rank, hamming_weight,
-                  row_combination)
+from .gf2 import BitMatrix, BitVector, gf2_rank, hamming_weight, row_combination
 from .sources import (ConstantAdversary, Distribution, EpsBiased, ExactTwise,
                       ExplicitTable, MajorityOfGood, NobfSourceSpec,
                       ParityOfGood, TableAdversary, UniformBits,
@@ -24,16 +23,16 @@ from .resilient import (Majority, RecursiveMajority3, ResilientFunction,
                         default_block_function, function_from_descriptor,
                         influence_exact, influence_max_exact, influence_mc,
                         is_monotone)
-from .codes import (LinearCode, build_good_code, compress, encode_message,
-                    min_distance_exact, preset_code)
+from .codes import (LinearCode, build_good_code, compress, compress_batch,
+                    encode_message, min_distance_exact, preset_code)
 from .stats import (BiasSpectrum, Estimate, VaziraniReport, XorBiasReport,
                     clopper_pearson, fwht, linear_test_bias, parseval_bound,
                     sd_to_uniform_empirical, statistical_distance,
-                    vazirani_check, xor_bias_product, xor_distance_brute)
+                    vazirani_check, xor_bias_product)
 from .bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
                     WorstAdversaryReport, compare_zeroed, derive_params,
                     explicit_params, extract, extract_batch,
-                    fixedness_probability, output_distribution, partition,
+                    fixedness_probability, output_distribution, trace_batch,
                     worst_case_adversary)
 
 __version__ = "0.1.0"
@@ -48,15 +47,16 @@ __all__ = [
     "TableFunction", "Tribes", "UniformBits", "ValidationError",
     "VaziraniReport", "WorkCapExceeded", "WorstAdversaryReport",
     "XorBiasReport", "bias_under", "build_good_code", "clopper_pearson",
-    "compare_zeroed", "compress", "default_block_function", "derive_params",
-    "encode_message", "enumerate_nobf", "explicit_params", "extract",
-    "extract_batch", "fixedness_probability", "function_from_descriptor",
-    "fwht", "gf2_matvec", "gf2_rank", "hamming_weight", "influence_exact",
-    "influence_max_exact", "influence_mc", "irreducible_poly", "is_monotone",
-    "linear_test_bias", "min_distance_exact", "output_distribution",
-    "parseval_bound", "partition", "preset_code", "read_sample_batch",
+    "compare_zeroed", "compress", "compress_batch", "default_block_function",
+    "derive_params", "encode_message", "enumerate_nobf", "explicit_params",
+    "extract", "extract_batch", "fixedness_probability",
+    "function_from_descriptor", "fwht", "gf2_rank", "hamming_weight",
+    "influence_exact", "influence_max_exact", "influence_mc",
+    "irreducible_poly", "is_monotone", "linear_test_bias",
+    "min_distance_exact", "output_distribution",
+    "parseval_bound", "preset_code", "read_sample_batch",
     "row_combination", "sample_nobf", "sample_nobf_batch",
-    "sd_to_uniform_empirical", "statistical_distance", "vazirani_check",
-    "verify_twise", "work_cap", "worst_case_adversary", "write_sample_batch",
-    "xor_bias_product", "xor_distance_brute", "zeroed_counterpart",
+    "sd_to_uniform_empirical", "statistical_distance", "trace_batch",
+    "vazirani_check", "verify_twise", "work_cap", "worst_case_adversary",
+    "write_sample_batch", "xor_bias_product", "zeroed_counterpart",
 ]

@@ -2,7 +2,10 @@
 
 Pipeline: split the n-bit input into ell blocks of block_len bits, apply
 one boolean function f per block to get y, keep the first r coordinates,
-and compress through an [r, m, d] generator matrix: z = G y_used.
+and compress through an [r, m, d] generator matrix: z = G y_used.  Each
+step is one batch kernel on packed words of any width (`bitops.bit_field`,
+`f.eval_batch`, `codes.compress_batch`); `extract_batch` and
+`trace_batch` run them over a batch, and `extract` is their length-1 view.
 
 The diagnostics quantify the two steps the analysis rests on: the
 probability that every block's output is already determined by the good
@@ -17,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitops import check_packed, gather_bits_vec
-from .codes import LinearCode, build_good_code, preset_code
+from .bitops import (PACKED_WIDTH, as_words, bit_field, gather_bits_vec,
+                     hex_from_words, n_words, words_from_ints)
+from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, BitVector, gf2_matvec
+from .gf2 import BitVector
 from .prng import run_chunked
 from .resilient import (ResilientFunction, _undetermined_mask,
                         default_block_function, function_from_descriptor)
@@ -224,6 +228,7 @@ class ExtractionTrace:
         }
 
     @classmethod
+    @parse_errors("extraction trace")
     def from_json(cls, obj: dict) -> "ExtractionTrace":
         if obj.get("format") != "extraction-trace":
             raise ValidationError("not an extraction-trace object")
@@ -234,46 +239,46 @@ class ExtractionTrace:
                    z=BitVector.from_hex(int(obj["m"]), obj["z"]))
 
 
-def partition(x: BitVector, ell: int, block_len: int) -> list[BitVector]:
-    """Block i holds coordinates [i*block_len, (i+1)*block_len); trailing
-    coordinates beyond ell*block_len are discarded."""
-    if ell * block_len > len(x):
-        raise ValidationError(
-            f"ell * block_len = {ell * block_len} exceeds input length {len(x)}")
-    return [x.slice(i * block_len, block_len) for i in range(ell)]
+def _block_and_compress(x: np.ndarray, params: BfextParams):
+    """y, y_used and z words of (N, W) input words."""
+    bl = params.block_len
+    y = np.zeros((len(x), n_words(params.ell)), dtype=np.uint64)
+    for i in range(params.ell):
+        bit = params.f.eval_batch(bit_field(x, i * bl, bl)).astype(np.uint64)
+        y[:, i // PACKED_WIDTH] |= bit << np.uint64(i % PACKED_WIDTH)
+    y_used = bit_field(y, 0, params.r)
+    return y, y_used, compress_batch(params.code, y_used)
+
+
+def extract_batch(xs: np.ndarray, params: BfextParams) -> np.ndarray:
+    """z for packed inputs of any n: (N, W) words give (N, n_words(m))
+    words, and a 1-D uint64 array (n <= PACKED_WIDTH) gives a 1-D z."""
+    z = _block_and_compress(as_words(xs, params.n, "packed batch source length"),
+                            params)[2]
+    return z if np.ndim(xs) == 2 else z[:, 0]
+
+
+def trace_batch(xs: np.ndarray, params: BfextParams) -> list[dict]:
+    """The `ExtractionTrace.to_json` document of each packed input (1-D or
+    (N, W) words), every field hex-encoded a column at a time."""
+    x = as_words(xs, params.n, "packed batch source length")
+    y, y_used, z = _block_and_compress(x, params)
+    bl = params.block_len
+    blocks = zip(*(hex_from_words(bit_field(x, i * bl, bl), bl) for i in range(params.ell)))
+    head = {"format": "extraction-trace", "version": 1, "block_len": bl,
+            "ell": params.ell, "r": params.r, "m": params.m}
+    return [dict(head, blocks=list(b), y=yh, y_used=uh, z=zh)
+            for b, yh, uh, zh in zip(blocks, hex_from_words(y, params.ell),
+                                     hex_from_words(y_used, params.r),
+                                     hex_from_words(z, params.m))]
 
 
 def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:
     """The full pipeline on one input, with every intermediate recorded."""
     if len(x) != params.n:
         raise DimensionError(f"input has {len(x)} bits, expected {params.n}")
-    blocks = partition(x, params.ell, params.block_len)
-    ybits = 0
-    for i, b in enumerate(blocks):
-        ybits |= params.f.eval(b) << i
-    y = BitVector(params.ell, ybits)
-    y_used = y.slice(0, params.r)
-    z = gf2_matvec(params.code.g, y_used)
-    return ExtractionTrace(blocks=tuple(blocks), y=y, y_used=y_used, z=z)
-
-
-def extract_batch(xs: np.ndarray, params: BfextParams) -> np.ndarray:
-    """Vectorized z values for packed uint64 inputs (n <= PACKED_WIDTH)."""
-    check_packed(params.n, "packed batch source length")
-    xs = np.asarray(xs, dtype=np.uint64)
-    bl = params.block_len
-    mask = np.uint64((1 << bl) - 1)
-    y = np.zeros(xs.shape, dtype=np.uint64)
-    for i in range(params.ell):
-        blk = (xs >> np.uint64(i * bl)) & mask
-        y |= params.f.eval_batch(blk).astype(np.uint64) << np.uint64(i)
-    y_used = y & np.uint64((1 << params.r) - 1)
-    z = np.zeros(xs.shape, dtype=np.uint64)
-    one = np.uint64(1)
-    for j, row in enumerate(params.code.g.rows):
-        bit = np.bitwise_count(y_used & np.uint64(row)) & one
-        z |= bit << np.uint64(j)
-    return z
+    return ExtractionTrace.from_json(
+        trace_batch(words_from_ints([x.bits], params.n), params)[0])
 
 
 def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distribution:

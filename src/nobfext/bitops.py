@@ -1,10 +1,18 @@
-"""Word-level bit kernels shared by the generators and enumeration kernels.
+"""Word-level bit kernels shared by the generators, block functions, codes
+and enumeration kernels.
 
 All outcome integers follow the package convention: coordinate i of a
-source is bit i (LSB-first) of the packed int.  Batch kernels carry one
-packed value per uint64, so a packed value holds at most PACKED_WIDTH
-bits; `check_packed` enforces that where packed values are made, raising
-WorkCapExceeded instead of dropping the high bits.
+source is bit i (LSB-first) of the packed int.  A batch of packed values
+of one width is a uint64 array of shape (N, W), W = `n_words(width)`, with
+word 0 least significant; a 1-D (N,) array is the W = 1 layout, so it
+holds at most PACKED_WIDTH bits per value.  `as_words` turns either form
+into (N, W) words and, like `check_packed`, raises WorkCapExceeded for a
+1-D array of wider values instead of dropping the high bits.  The word
+count always comes from the value width.  `shift_right` and `bit_field`
+move bits across word boundaries and `popcount` sums the per-word counts,
+so the extractor's steps run on any width.  Hex strings carry ceil(width/4)
+digits (at least one), least significant nibble first; `hex_from_words`
+and `words_from_hex` are the package's one codec for them.
 
 Scatter and gather move bits in runs: consecutive indices j whose
 positions p advance with them (p - j constant) move with one
@@ -17,19 +25,122 @@ value (Arlazarov, Dinic, Kronrod and Faradzev 1970).
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
 
-from .errors import WorkCapExceeded
+from .errors import DimensionError, ValidationError, WorkCapExceeded
 
 PACKED_WIDTH = 64  # bits in one packed uint64 value
+
+_NIBBLE_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
 def check_packed(width: int, what: str) -> None:
     """Reject a `width`-bit packed value that does not fit one uint64."""
     if width > PACKED_WIDTH:
         raise WorkCapExceeded(what, width, PACKED_WIDTH)
+
+
+def n_words(width: int) -> int:
+    """Words per packed value of `width` bits (at least one)."""
+    return max(1, -(-width // PACKED_WIDTH))
+
+
+def _top_mask(width: int) -> np.uint64:
+    """Mask of the bits of the last word that a `width`-bit value uses."""
+    return np.uint64((1 << ((width - 1) % PACKED_WIDTH + 1)) - 1 if width else 0)
+
+
+def as_words(values, width: int, what: str) -> np.ndarray:
+    """Packed `width`-bit values as (N, W) words: a 1-D array is the W = 1
+    layout (WorkCapExceeded when width > PACKED_WIDTH), a 2-D one must
+    have W = n_words(width) columns."""
+    v = np.asarray(values, dtype=np.uint64)
+    if v.ndim == 1:
+        check_packed(width, what)
+        return v[:, None]
+    if v.ndim != 2 or v.shape[1] != n_words(width):
+        raise DimensionError(
+            f"{what}: {width}-bit values need {n_words(width)} words each, "
+            f"got shape {v.shape}")
+    return v
+
+
+def words_from_ints(values: Sequence[int], width: int) -> np.ndarray:
+    """(N, W) words of nonnegative ints below 2^width."""
+    w = n_words(width)
+    buf = b"".join(int(v).to_bytes(8 * w, "little") for v in values)
+    return np.frombuffer(buf, dtype="<u8").astype(np.uint64).reshape(len(values), w)
+
+
+def ints_from_words(words: np.ndarray) -> list[int]:
+    """The int of each row of an (N, W) word array."""
+    rows = np.ascontiguousarray(words, dtype="<u8")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def hex_from_words(words: np.ndarray, width: int) -> list[str]:
+    """Hex string of each packed `width`-bit value (1-D or (N, W) words)."""
+    raw = np.ascontiguousarray(as_words(words, width, "hex value width"),
+                               dtype="<u8").view(np.uint8)
+    nibbles = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint8)
+    nibbles[:, 0::2] = raw & 15
+    nibbles[:, 1::2] = raw >> 4
+    digits = max(1, -(-width // 4))
+    chars = np.ascontiguousarray(_NIBBLE_CHARS[nibbles[:, :digits]])
+    return [b.decode("ascii") for b in chars.view(f"S{digits}").ravel().tolist()]
+
+
+def words_from_hex(strings: Sequence[str], width: int) -> np.ndarray:
+    """(N, W) words of hex strings of `width`-bit values; a string of the
+    wrong length, with a non-hex character or with bits set beyond
+    `width` is a ValidationError."""
+    digits = max(1, -(-width // 4))
+    values = []
+    for s in strings:
+        if len(s) != digits:
+            raise ValidationError(
+                f"expected {digits} hex digits for length {width}, got {len(s)}")
+        if not _HEX_DIGITS.fullmatch(s):  # int() also takes signs, "_" and "0x"
+            raise ValidationError(f"{s!r} is not a hex string")
+        values.append(int(s[::-1], 16))
+        if values[-1] >> width:
+            raise ValidationError(f"hex payload {s!r} has bits set beyond length {width}")
+    return words_from_ints(values, width)
+
+
+def shift_right(words: np.ndarray, s: int) -> np.ndarray:
+    """Logical right shift by s >= 0 bits of each value in (N, W) words."""
+    q, b = divmod(s, PACKED_WIDTH)
+    keep = max(0, words.shape[1] - q)
+    out = np.empty_like(words)
+    out[:, keep:] = 0
+    np.right_shift(words[:, q:], np.uint64(b), out=out[:, :keep])
+    if b and keep > 1:
+        out[:, :keep - 1] |= words[:, q + 1:] << np.uint64(PACKED_WIDTH - b)
+    return out
+
+
+def bit_field(words: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bits start .. start+width-1 of each value in (N, W) words, as
+    (N, n_words(width)) words."""
+    q, b = divmod(start, PACKED_WIDTH)
+    k = n_words(width)
+    out = shift_right(words[:, q:q + k + 1], b)[:, :k]
+    out[:, -1] &= _top_mask(width)
+    return out
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each value in (N, W) words: the per-word counts summed
+    a word at a time (numpy reduces a short last axis far slower)."""
+    total = np.bitwise_count(words[:, 0])
+    for k in range(1, words.shape[1]):
+        total = total + np.bitwise_count(words[:, k]).astype(np.uint32)
+    return total
 
 
 def _runs(positions: Sequence[int]) -> list[tuple[int, int, np.uint64]]:

@@ -29,11 +29,11 @@ import sys
 
 import numpy as np
 
-from .bfext import BfextParams, compare_zeroed, extract, fixedness_probability
+from .bfext import BfextParams, compare_zeroed, fixedness_probability, trace_batch
+from .bitops import words_from_hex
 from .codes import build_good_code, preset_code
 from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitVector
 from .prng import run_chunked
 from .resilient import (function_from_descriptor, influence_exact,
                         influence_max_exact, influence_mc, bias_under)
@@ -160,29 +160,26 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
 def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
                 workers: int) -> int:
     params = _load_params(_cfg(config, "params", required=True))
-    inputs: list[BitVector] = []
     if "samples" in config and isinstance(config["samples"], str):
         header, xs = read_sample_batch(config["samples"])
         if int(header["n"]) != params.n:
             raise ValidationError(
                 f"sample width {header['n']} does not match params n={params.n}")
-        inputs = [BitVector(params.n, int(x)) for x in xs]
     elif "inputs" in config:
         hexes = config["inputs"]
         if not (isinstance(hexes, list) and all(isinstance(h, str) for h in hexes)):
             raise ValidationError("config key 'inputs' must be a list of hex strings")
-        inputs = [BitVector.from_hex(params.n, h) for h in hexes]
+        xs = words_from_hex(hexes, params.n)
     elif "spec" in config:
         spec = _load_spec(config["spec"])
         if spec.n != params.n:
             raise ValidationError("spec and params disagree on n")
         count = samples if samples is not None else _cfg(config, "count", 1, cast=int)
-        inputs = [BitVector(params.n, int(x))
-                  for x in _draw(spec, seed, count, workers)]
+        xs = _draw(spec, seed, count, workers)
     else:
         raise ValidationError(
             "config needs one of: samples (path), inputs (hex list), spec (path)")
-    traces = [extract(x, params).to_json() for x in inputs]
+    traces = trace_batch(xs, params)
     doc = {
         "format": "extraction-report",
         "version": 1,

@@ -1,9 +1,11 @@
 """Binary linear [r, m, d] codes with verified minimum distance.
 
 The extractor uses a generator matrix both ways: a message v encodes to
-the codeword vG, and an r-bit vector y compresses to Gy.  Distance is
-established only by exhaustive enumeration; `verified_d = 0` means
-unverified and such codes are rejected downstream.
+the codeword vG, and an r-bit vector y compresses to Gy.  `compress_batch`
+is the one Gy kernel, on packed words of any r (see `nobfext.bitops`).
+Distance is established only by exhaustive enumeration, one subset-XOR
+word kernel for every r; `verified_d = 0` means unverified and such codes
+are rejected downstream.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prng
-from .bitops import PACKED_WIDTH
+from .bitops import (PACKED_WIDTH, as_words, ints_from_words, n_words, popcount,
+                     words_from_ints)
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, BitVector, gf2_matvec, gf2_rank, row_combination
+from .gf2 import BitMatrix, BitVector, gf2_rank
 
 DISTANCE_M_CAP = 24
 BUILD_M_CAP = 20
@@ -41,9 +44,6 @@ class LinearCode:
             raise ValidationError("generator matrix must have full row rank")
         if not 0 <= self.verified_d <= self.r:
             raise ValidationError("verified_d outside 0..r")
-
-    def row_ints(self) -> list[int]:
-        return list(self.g.rows)
 
     def to_json(self) -> dict:
         return {
@@ -81,31 +81,49 @@ def encode_message(code: LinearCode, v: BitVector) -> BitVector:
     return BitVector(code.r, acc)
 
 
+def compress_batch(code: LinearCode, ys) -> np.ndarray:
+    """G y for packed r-bit values (1-D or (N, W) words, see `bitops`):
+    bit j of z is the parity of y & row j, the per-word popcounts summed.
+    z has the layout of ys: 1-D for 1-D input, else (N, n_words(m))."""
+    y = as_words(ys, code.r, "packed code length")
+    z = np.zeros((len(y), n_words(code.m)), dtype=np.uint64)
+    for j, row in enumerate(words_from_ints(code.g.rows, code.r)):
+        bit = (popcount(y & row) & 1).astype(np.uint64)
+        z[:, j // PACKED_WIDTH] |= bit << np.uint64(j % PACKED_WIDTH)
+    return z if np.ndim(ys) == 2 else z[:, 0]
+
+
 def compress(code: LinearCode, y: BitVector) -> BitVector:
     """Gy: one output bit per generator row."""
     if len(y) != code.r:
         raise DimensionError(f"input has {len(y)} bits, r = {code.r}")
-    return gf2_matvec(code.g, y)
+    z = compress_batch(code, words_from_ints([y.bits], code.r))
+    return BitVector(code.m, ints_from_words(z)[0])
 
 
-def _min_weight_u64(rows: list[int], m: int) -> int:
-    """Minimum nonzero-codeword weight for r <= PACKED_WIDTH, via a subset-XOR table
-    on the low rows and a scan over high-row combinations."""
-    mlow = min(m, 16)
-    low = np.zeros(1 << mlow, dtype=np.uint64)
+def _min_weight(rows: np.ndarray, stop_at: int = 0) -> int:
+    """Minimum weight of a nonzero XOR of the (m, W) word rows.
+
+    A table of every XOR of the low rows (at most 2^16 entries and 2^22
+    words, stored word-major) is scanned once per XOR h of the high rows.
+    The scan stops once the minimum is at most `stop_at`: a code search
+    that needs more than its best distance so far cannot keep an attempt
+    that has gone that low.
+    """
+    m, w = rows.shape
+    mlow = min(m, 16, max(0, 22 - (w - 1).bit_length()))
+    low = np.zeros((w, 1 << mlow), dtype=np.uint64)
     for j in range(mlow):
-        low[1 << j:2 << j] = low[:1 << j] ^ np.uint64(rows[j])
-    high = [0]
-    for j in range(mlow, m):
-        high += [h ^ rows[j] for h in high]
-    best = None
-    for hi_idx, h in enumerate(high):
-        w = np.bitwise_count(low ^ np.uint64(h))
-        if hi_idx == 0:
-            w = w[1:]  # skip the zero message
-        cand = int(w.min())
-        if best is None or cand < best:
-            best = cand
+        low[:, 1 << j:2 << j] = low[:, :1 << j] ^ rows[j][:, None]
+    high = rows[mlow:]
+    best = PACKED_WIDTH * w  # no codeword is heavier
+    for combo in range(1 << len(high)):
+        h = np.bitwise_xor.reduce(high[[(combo >> j) & 1 == 1 for j in range(len(high))]])
+        weights = popcount((low ^ h[:, None]).T)[0 if combo else 1:]  # skip the zero message
+        if weights.size:
+            best = min(best, int(weights.min()))
+            if best <= stop_at:
+                break
     return best
 
 
@@ -114,32 +132,8 @@ def min_distance_exact(code: LinearCode) -> int:
     if code.m > DISTANCE_M_CAP:
         raise WorkCapExceeded(required=1 << code.m, cap=1 << DISTANCE_M_CAP,
                               what="codeword enumeration")
-    rows = code.row_ints()
-    if code.r <= PACKED_WIDTH:
-        d = _min_weight_u64(rows, code.m)
-    else:
-        # Gray-code walk; one row XOR per step.
-        cw = 0
-        d = None
-        for i in range(1, 1 << code.m):
-            cw ^= rows[(i & -i).bit_length() - 1]
-            w = cw.bit_count()
-            if d is None or w < d:
-                d = w
-    code.verified_d = int(d)
+    code.verified_d = _min_weight(words_from_ints(code.g.rows, code.r))
     return code.verified_d
-
-
-def check_row_combinations(code: LinearCode) -> bool:
-    """Every nonempty row combination has weight in [verified_d, r]."""
-    if code.verified_d < 1:
-        raise ValidationError("distance not verified")
-    for s in range(1, 1 << code.m):
-        members = [i for i in range(code.m) if (s >> i) & 1]
-        w = row_combination(code.g, members).weight()
-        if not code.verified_d <= w <= code.r:
-            return False
-    return True
 
 
 def build_good_code(m: int, r: int, target_d: int, seed: int,
@@ -168,10 +162,13 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
         code = LinearCode(m=m, r=r, g=g,
                           construction={"kind": "random-search", "seed": seed,
                                         "target_d": target_d, "attempt": attempt})
-        d = min_distance_exact(code)
-        if d >= target_d:
+        # an attempt at or below the best distance so far can be dropped as
+        # soon as its scan shows that, so its verified_d may stay an upper bound
+        code.verified_d = _min_weight(words_from_ints(rows, r),
+                                      stop_at=best.verified_d if best else 0)
+        if code.verified_d >= target_d:
             return code
-        if best is None or d > best.verified_d:
+        if best is None or code.verified_d > best.verified_d:
             best = code
     raise SearchBudgetExceeded(
         f"no [{r},{m}] code with distance >= {target_d} in {attempts} attempts",

@@ -1,23 +1,22 @@
-"""Packed GF(2) vectors and matrices.
+"""Packed GF(2) vectors and matrices, one value at a time.
 
 Bit-order convention used everywhere in this package: coordinate 0 is the
 least significant bit of the integer payload.  Hex serialization writes
 ceil(len/4) nibbles with the least significant nibble first, i.e. the most
-significant hex digit comes last.
+significant hex digit comes last; `BitVector` encodes and parses through
+the word codec of `nobfext.bitops`, which the batch paths use too.  The
+matrix-vector product G y is the batch kernel `codes.compress_batch`.
 
 Values are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .bitops import hex_from_words, ints_from_words, words_from_hex, words_from_ints
 from .errors import DimensionError, ValidationError
-
-# int(s, 16) alone would also take signs, underscores, spaces and "0x".
-_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,10 @@ class BitVector:
 
     @classmethod
     def from_hex(cls, n: int, s: str) -> "BitVector":
-        width = max(1, -(-n // 4))
-        if len(s) != width:
-            raise ValidationError(f"expected {width} hex digits for length {n}, got {len(s)}")
-        if not _HEX_DIGITS.fullmatch(s):
-            raise ValidationError(f"{s!r} is not a hex string")
-        value = int(s[::-1], 16)
-        if value >> n:
-            raise ValidationError(f"hex payload {s!r} has bits set beyond length {n}")
-        return cls(n, value)
+        return cls(n, ints_from_words(words_from_hex([s], n))[0])
 
     def to_hex(self) -> str:
-        width = max(1, -(-self.n // 4))
-        return format(self.bits, f"0{width}x")[::-1]
+        return hex_from_words(words_from_ints([self.bits], self.n), self.n)[0]
 
     def to01(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
@@ -185,16 +175,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.cols})"
-
-
-def gf2_matvec(g: BitMatrix, y: BitVector) -> BitVector:
-    """G y over GF(2): output bit i is <row i, y>."""
-    if y.n != g.cols:
-        raise DimensionError(f"matvec: vector length {y.n} != {g.cols} columns")
-    out = 0
-    for i, r in enumerate(g.rows):
-        out |= ((r & y.bits).bit_count() & 1) << i
-    return BitVector(g.nrows, out)
 
 
 def row_combination(g: BitMatrix, s: Iterable[int]) -> BitVector:

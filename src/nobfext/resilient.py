@@ -6,6 +6,12 @@ influence of Q is the probability of that event over a random fixing.
 Majority, tribes, and recursive majority are provided as concrete
 functions whose bias and influence are classical and small enough to
 enumerate; an explicit-table function lets anything else plug in.
+
+Each function has one evaluator, `eval_batch`, on packed inputs of any
+arity in the word layout of `nobfext.bitops` ((N, W) uint64 words, or a
+1-D array when the arity is at most 64); `eval` is its length-1 view.
+The influence and undetermination scans pack their inputs one word each,
+so they take arities up to PACKED_WIDTH.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import math
 
 import numpy as np
 
-from .bitops import check_packed, scatter_bits_vec
+from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_right,
+                     words_from_ints)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .prng import run_chunked
@@ -33,18 +40,18 @@ class ResilientFunction:
     arity: int
     kind: str
 
-    def eval_int(self, bits: int) -> int:
-        """Value on a packed input (bit i of `bits` is coordinate i)."""
-        raise NotImplementedError
-
     def eval(self, x: BitVector) -> int:
         if len(x) != self.arity:
             raise DimensionError(f"input has {len(x)} bits, arity is {self.arity}")
-        return self.eval_int(x.bits)
+        return int(self.eval_batch(words_from_ints([x.bits], self.arity))[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized eval on packed uint64 inputs (arity <= PACKED_WIDTH)."""
+        """One uint8 value per packed input: (N, W) words, W = ceil(arity/64),
+        or a 1-D array when arity <= PACKED_WIDTH."""
         raise NotImplementedError
+
+    def _words(self, xs) -> np.ndarray:
+        return as_words(xs, self.arity, "packed block arity")
 
     def truth_table(self) -> np.ndarray:
         if self.arity > TABLE_ARITY_CAP:
@@ -70,12 +77,8 @@ class Majority(ResilientFunction):
             raise ValidationError("majority needs odd arity >= 1")
         self.arity = arity
 
-    def eval_int(self, bits: int) -> int:
-        return 1 if bits.bit_count() > self.arity // 2 else 0
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.uint64)
-        return (np.bitwise_count(xs) > self.arity // 2).astype(np.uint8)
+        return (popcount(self._words(xs)) > self.arity // 2).astype(np.uint8)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "arity": self.arity}
@@ -85,9 +88,9 @@ class Tribes(ResilientFunction):
     """OR of s disjoint ANDs of width w (arity = w * s).
 
     All tribes are tested at once: after ANDing the input with its shifts
-    by 1..w-1 (log2 w doubling steps), bit i*w is set exactly when tribe
-    i is all ones.  The instance keeps no per-tribe state, and a scalar
-    input costs O(log w) big-integer passes over its arity bits.
+    by 1..w-1 (log2 w doubling steps, each a shift across words), bit i*w
+    is set exactly when tribe i is all ones.  The instance keeps no
+    per-tribe state.
     """
 
     kind = "tribes"
@@ -99,30 +102,26 @@ class Tribes(ResilientFunction):
         self.s = s
         self.arity = w * s
 
-    def _full_tribes(self, x):
-        """x with bit p set where bits p..p+w-1 of x are all set."""
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        x = self._words(xs)  # ends with bit p set where bits p..p+w-1 all are
         span = 1
         while 2 * span <= self.w:
-            x = x & (x >> span)
+            x = x & shift_right(x, span)
             span *= 2
-        return x & (x >> (self.w - span))
-
-    def _starts(self) -> int:
-        return ((1 << self.arity) - 1) // ((1 << self.w) - 1)  # bit i*w, i < s
-
-    def eval_int(self, bits: int) -> int:
-        return 1 if self._full_tribes(bits) & self._starts() else 0
-
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        full = self._full_tribes(np.asarray(xs, dtype=np.uint64))
-        return ((full & np.uint64(self._starts())) != 0).astype(np.uint8)
+        x = x & shift_right(x, self.w - span)
+        starts = ((1 << self.arity) - 1) // ((1 << self.w) - 1)  # bit i*w, i < s
+        return (popcount(x & words_from_ints([starts], self.arity)) > 0).astype(np.uint8)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "w": self.w, "s": self.s}
 
 
 class RecursiveMajority3(ResilientFunction):
-    """Depth-d ternary majority tree on 3^d leaves (depth 1 = majority-3)."""
+    """Depth-d ternary majority tree on 3^d leaves (depth 1 = majority-3).
+
+    Bit-sliced: step k = 0..d-1 replaces bit p by the majority of bits p,
+    p + 3^k and p + 2*3^k, so after d steps bit 0 is the root.
+    """
 
     kind = "recursive-majority-3"
 
@@ -132,21 +131,23 @@ class RecursiveMajority3(ResilientFunction):
         self.depth = depth
         self.arity = 3 ** depth
 
-    def eval_int(self, bits: int) -> int:
-        vals = [(bits >> i) & 1 for i in range(self.arity)]
-        while len(vals) > 1:
-            vals = [1 if vals[i] + vals[i + 1] + vals[i + 2] >= 2 else 0
-                    for i in range(0, len(vals), 3)]
-        return vals[0]
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.uint64)
-        vals = np.stack([((xs >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
-                         for i in range(self.arity)])
-        while vals.shape[0] > 1:
-            trip = vals.reshape(-1, 3, *vals.shape[1:])
-            vals = ((trip.sum(axis=1, dtype=np.uint8)) >= 2).astype(np.uint8)
-        return vals[0]
+        x = self._words(xs)
+        step = 1
+        for _ in range(self.depth):
+            # maj(x, a, b) = b ^ ((a ^ b) & (x ^ b)) in place, so that at most
+            # three input-sized arrays are alive at once
+            a = shift_right(x, step)
+            b = shift_right(a, step)
+            a ^= b
+            b ^= x
+            a &= b
+            a ^= b
+            a ^= x
+            del b
+            x = a
+            step *= 3
+        return x[:, 0].astype(np.uint8) & np.uint8(1)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "depth": self.depth}
@@ -171,27 +172,24 @@ class TableFunction(ResilientFunction):
     @classmethod
     def from_values_hex(cls, arity: int, s: str) -> "TableFunction":
         v = BitVector.from_hex(1 << arity, s)
-        return cls(arity, [(v.bits >> i) & 1 for i in range(1 << arity)])
+        raw = np.frombuffer(v.bits.to_bytes(-(-v.n // 8), "little"), dtype=np.uint8)
+        return cls(arity, np.unpackbits(raw, count=v.n, bitorder="little"))
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "TableFunction":
         return cls(arity, np.full(1 << arity, value & 1, dtype=np.uint8))
 
-    def eval_int(self, bits: int) -> int:
-        return int(self._table[bits])
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self._table[np.asarray(xs, dtype=np.uint64).astype(np.int64)]
+        return self._table[self._words(xs)[:, 0].astype(np.int64)]
 
     def truth_table(self) -> np.ndarray:
         return self._table.copy()
 
     def descriptor(self) -> dict:
-        packed = 0
-        for i, b in enumerate(self._table):
-            packed |= int(b) << i
+        packed = np.packbits(self._table, bitorder="little").tobytes()
         return {"kind": self.kind, "arity": self.arity,
-                "table_hex": BitVector(1 << self.arity, packed).to_hex()}
+                "table_hex": BitVector(1 << self.arity,
+                                       int.from_bytes(packed, "little")).to_hex()}
 
 
 @parse_errors("block function")

@@ -48,7 +48,8 @@ import numpy as np
 
 from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
-                     linear_map_tables, scatter_bits_vec)
+                     hex_from_words, linear_map_tables, scatter_bits_vec,
+                     words_from_hex)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .schemas import validate_document
@@ -930,11 +931,10 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
         "seed": int(seed),
         "stream": int(stream),
     }
-    width = max(1, -(-spec.n // 4))
+    lines = hex_from_words(samples, spec.n)
     with staged_outputs() as stage, open(stage(path), "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for s in samples:
-            fh.write(format(int(s), f"0{width}x")[::-1] + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
@@ -945,9 +945,8 @@ def read_sample_batch(path) -> tuple[dict, np.ndarray]:
     validate_document(header)
     n = int(header["n"])
     check_packed(n, "packed sample width")
-    hexes = (line.strip() for line in body.split("\n"))
-    samples = np.array([BitVector.from_hex(n, h).bits for h in hexes if h],
-                       dtype=np.uint64)
+    hexes = [h for h in (line.strip() for line in body.split("\n")) if h]
+    samples = words_from_hex(hexes, n)[:, 0]
     if samples.size != header["count"]:
         raise ValidationError("sample count does not match header")
     return header, samples

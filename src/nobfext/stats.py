@@ -267,25 +267,6 @@ def xor_bias_product(distances) -> XorBiasReport:
                          literal_bound=literal, literal_holds=literal_holds)
 
 
-def xor_distance_brute(distances) -> float:
-    """Independent oracle for xor_bias_product: enumerate the joint
-    distribution of the bits (each with Pr[1] = 1/2 - e_i, the sign being
-    irrelevant to the XOR's distance) and measure the XOR bit directly."""
-    ds = [float(e) for e in distances]
-    t = len(ds)
-    p1 = 0.0
-    for outcome in range(1 << t):
-        pr = 1.0
-        parity = 0
-        for i, e in enumerate(ds):
-            bit = (outcome >> i) & 1
-            pr *= (0.5 - e) if bit else (0.5 + e)
-            parity ^= bit
-        if parity:
-            p1 += pr
-    return abs(p1 - 0.5)
-
-
 def required_samples(m: int) -> int:
     return EMPIRICAL_MIN_FACTOR * (1 << m)
 

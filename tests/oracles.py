@@ -9,6 +9,13 @@ textbook route that `nobfext.stats` replaces with `betaincinv`.
 `bfext._default_code_builder` searches once in all.  `scatter_bits` and
 `gather_bits` move one bit at a time where `nobfext.bitops` moves runs;
 `tribes_value` tests one tribe at a time.
+
+The extractor oracles work on one Python int per value, where the library
+runs packed-word kernels: `block_value` evaluates each block function from
+its definition, `matvec` is G y row by row, `extract_trace` is the whole
+pipeline on one input, and `gray_min_distance` walks every codeword in
+Gray-code order.  `row_combinations_within` and `xor_distance_brute`
+enumerate what `min_distance_exact` and `stats.xor_bias_product` compute.
 """
 
 import numpy as np
@@ -16,6 +23,8 @@ from scipy.stats import beta
 
 from nobfext.codes import build_good_code
 from nobfext.errors import SearchBudgetExceeded
+from nobfext.gf2 import BitMatrix, row_combination
+from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              MajorityOfGood, ParityOfGood, TableAdversary,
                              UniformBits)
@@ -122,3 +131,78 @@ def countdown_code(m: int, ell: int):
         except SearchBudgetExceeded:
             continue
     raise AssertionError(f"no [{ell},{m}] code reaches distance 1")
+
+
+def block_value(f, bits: int) -> int:
+    """f on one packed input (bit i of `bits` is coordinate i)."""
+    if isinstance(f, Majority):
+        return int(bits.bit_count() > f.arity // 2)
+    if isinstance(f, Tribes):
+        return tribes_value(f.w, f.s, bits)
+    if isinstance(f, RecursiveMajority3):
+        vals = [(bits >> i) & 1 for i in range(f.arity)]
+        while len(vals) > 1:
+            vals = [int(sum(vals[i:i + 3]) >= 2) for i in range(0, len(vals), 3)]
+        return vals[0]
+    if isinstance(f, TableFunction):
+        return int(f.truth_table()[bits])
+    raise TypeError(f"no oracle for {type(f).__name__}")
+
+
+def matvec(g: BitMatrix, y: int) -> int:
+    """G y over GF(2): output bit i is the parity of row i AND y."""
+    return sum(((row & y).bit_count() & 1) << i for i, row in enumerate(g.rows))
+
+
+def extract_trace(x: int, params) -> dict:
+    """The extraction-trace document of one input, from the definition."""
+    bl, ell, r, m = params.block_len, params.ell, params.r, params.m
+    blocks = [(x >> (i * bl)) & ((1 << bl) - 1) for i in range(ell)]
+    y = sum(block_value(params.f, b) << i for i, b in enumerate(blocks))
+    y_used = y & ((1 << r) - 1)
+    return {"format": "extraction-trace", "version": 1, "block_len": bl,
+            "ell": ell, "r": r, "m": m,
+            "blocks": [_hex(b, bl) for b in blocks], "y": _hex(y, ell),
+            "y_used": _hex(y_used, r), "z": _hex(matvec(params.code.g, y_used), m)}
+
+
+def _hex(value: int, width: int) -> str:
+    """Hex digits of value, least significant nibble first."""
+    return format(value, f"0{max(1, -(-width // 4))}x")[::-1]
+
+
+def gray_min_distance(code) -> int:
+    """Minimum nonzero-codeword weight; one row XOR per Gray-code step."""
+    cw, best = 0, None
+    for i in range(1, 1 << code.m):
+        cw ^= code.g.rows[(i & -i).bit_length() - 1]
+        if best is None or cw.bit_count() < best:
+            best = cw.bit_count()
+    return best
+
+
+def row_combinations_within(code) -> bool:
+    """Every nonempty row combination has weight in [verified_d, r]."""
+    for s in range(1, 1 << code.m):
+        members = [i for i in range(code.m) if (s >> i) & 1]
+        if not code.verified_d <= row_combination(code.g, members).weight() <= code.r:
+            return False
+    return True
+
+
+def xor_distance_brute(distances) -> float:
+    """Distance from fair of the XOR of independent bits, each with
+    Pr[1] = 1/2 - e_i (the sign is irrelevant to the XOR's distance), by
+    enumerating their joint distribution."""
+    ds = [float(e) for e in distances]
+    p1 = 0.0
+    for outcome in range(1 << len(ds)):
+        pr = 1.0
+        parity = 0
+        for i, e in enumerate(ds):
+            bit = (outcome >> i) & 1
+            pr *= (0.5 - e) if bit else (0.5 + e)
+            parity ^= bit
+        if parity:
+            p1 += pr
+    return abs(p1 - 0.5)

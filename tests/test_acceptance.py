@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import xor_distance_brute
 
 from nobfext.bfext import (compare_zeroed, explicit_params,
                            fixedness_probability, output_distribution,
@@ -23,8 +24,7 @@ from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
                              ExplicitTable, NobfSourceSpec, ParityOfGood,
                              UniformBits, verify_twise)
 from nobfext.stats import (sd_to_uniform_empirical, statistical_distance,
-                           vazirani_check, xor_bias_product,
-                           xor_distance_brute)
+                           vazirani_check, xor_bias_product)
 
 TOL = 1e-12
 

@@ -5,18 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from oracles import countdown_code
+from oracles import countdown_code, extract_trace
 
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
                            _default_code_builder, _floor_pow, compare_zeroed,
                            derive_params, explicit_params, extract, extract_batch,
                            fixedness_probability, output_distribution,
-                           partition, undetermined_block_count,
+                           trace_batch, undetermined_block_count,
                            worst_case_adversary, zeroed_pair_counts)
-from nobfext.codes import LinearCode, preset_code
+from nobfext.bitops import ints_from_words, words_from_ints
+from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix, BitVector, row_combination
-from nobfext.resilient import Majority, TableFunction, Tribes
+from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, sample_nobf_batch)
@@ -152,10 +153,11 @@ def test_params_json_round_trip():
 
 def test_partition_blocks_and_truncation():
     x = BitVector.from01("1101001110")
-    blocks = partition(x, 3, 3)
+    params = explicit_params(10, 3, 3, preset_code("identity-3"), Majority(3))
+    blocks = extract(x, params).blocks
     assert [b.to01() for b in blocks] == ["110", "100", "111"]  # bit 9 dropped
     with pytest.raises(ValidationError):
-        partition(x, 4, 3)
+        explicit_params(10, 4, 3, preset_code("identity-3"), Majority(3))
 
 
 def test_extract_hand_example():
@@ -188,8 +190,38 @@ def test_extract_batch_matches_scalar():
     rng = np.random.default_rng(10)
     xs = rng.integers(0, 1 << 13, size=200, dtype=np.uint64)
     zs = extract_batch(xs, params)
+    assert zs.shape == xs.shape  # one word in, one word out
     for x, z in zip(xs, zs):
         assert int(z) == extract(BitVector(13, int(x)), params).z.bits
+
+
+def _random_code(m, r, seed):
+    rng = np.random.default_rng(seed)
+    rows = tuple(int.from_bytes(rng.bytes(-(-r // 8)), "little") & ((1 << r) - 1)
+                 for _ in range(m))
+    code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
+    min_distance_exact(code)
+    return code
+
+
+@pytest.mark.parametrize("params", [
+    # 125 two-bit blocks: y and y_used span two words
+    explicit_params(250, 125, 2, _random_code(3, 100, 1), Tribes(2, 1)),
+    # three 81-bit blocks, each straddling a word boundary
+    explicit_params(250, 3, 81, preset_code("identity-3"), RecursiveMajority3(4)),
+    explicit_params(250, 2, 125, preset_code("repetition-2"), Majority(125)),
+], ids=["ell125", "block81", "block125"])
+def test_wide_inputs_match_scalar_oracle(params):
+    rng = np.random.default_rng(250)
+    xs = [int.from_bytes(rng.bytes(32), "little") >> 6 for _ in range(40)]
+    xs += [0, (1 << 250) - 1]
+    want = [extract_trace(x, params) for x in xs]
+    words = words_from_ints(xs, 250)
+    assert trace_batch(words, params) == want
+    assert [extract(BitVector(250, x), params).to_json() for x in xs] == want
+    z = extract_batch(words, params)
+    assert z.shape == (len(xs), 1)
+    assert ints_from_words(z) == [int(w["z"][::-1], 16) for w in want]
 
 
 def test_extract_batch_width_cap():
@@ -218,6 +250,10 @@ def test_trace_json_round_trip():
     trace = extract(BitVector.from01("110100"), params)
     back = ExtractionTrace.from_json(json.loads(json.dumps(trace.to_json())))
     assert back == trace
+    # a malformed document is a ValidationError, not a bare KeyError or TypeError
+    for bad in [{"format": "extraction-trace"}, dict(trace.to_json(), blocks=[5, 6])]:
+        with pytest.raises(ValidationError):
+            ExtractionTrace.from_json(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import extract_trace
 
 from nobfext.bfext import explicit_params, extract
 from nobfext.cli import canonical_json, main
-from nobfext.codes import preset_code
+from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError
-from nobfext.gf2 import BitVector
+from nobfext.gf2 import BitMatrix, BitVector
 from nobfext.prng import chunk_ranges
-from nobfext.resilient import Majority
+from nobfext.resilient import Majority, Tribes
 from nobfext.schemas import SCHEMAS_BY_FORMAT, validate_document
 from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
                              read_sample_batch)
@@ -168,6 +169,24 @@ def test_extract_inline_inputs(tmp_path):
     assert doc["count"] == 1
     want = extract(x, params).to_json()
     assert doc["traces"][0] == want
+
+
+def test_extract_inline_inputs_wider_than_a_word(tmp_path):
+    # 250-bit inputs in 125 two-bit blocks; y, y_used and x span several words
+    rng = np.random.default_rng(7)
+    rows = tuple(int.from_bytes(rng.bytes(13), "little") >> 4 for _ in range(3))
+    code = LinearCode(m=3, r=100, g=BitMatrix(cols=100, rows=rows))
+    min_distance_exact(code)
+    ppath, params = _params_file(tmp_path, explicit_params(250, 125, 2, code,
+                                                           Tribes(2, 1)))
+    xs = [int.from_bytes(rng.bytes(32), "little") >> 6 for _ in range(30)]
+    cfg = _write(tmp_path / "cfg.json", {
+        "params": ppath, "inputs": [BitVector(250, x).to_hex() for x in xs]})
+    out = tmp_path / "traces.json"
+    assert _run("extract", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    validate_document(doc)
+    assert doc["traces"] == [extract_trace(x, params) for x in xs]
 
 
 def test_extract_from_sample_file(tmp_path):

@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from oracles import gray_min_distance, row_combinations_within
 
-from nobfext.codes import (LinearCode, build_good_code, check_row_combinations,
-                           compress, encode_message,
+from nobfext import codes
+from nobfext.codes import (LinearCode, build_good_code, compress, encode_message,
                            min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
                             ValidationError, WorkCapExceeded)
@@ -49,7 +50,7 @@ def test_presets(name, m, r, d):
     code = preset_code(name)
     assert (code.m, code.r, code.verified_d) == (m, r, d)
     assert _distance_brute(code) == d
-    assert check_row_combinations(code)
+    assert row_combinations_within(code)
 
 
 def test_preset_unknown_name():
@@ -123,13 +124,22 @@ def test_min_distance_stores_result():
 
 
 def test_min_distance_wide_words():
-    # r > 64 exercises the big-int fallback path
+    # r > 64 spreads each codeword over several words
     rows = tuple((1 << (20 * i)) | (1 << 79) for i in range(3))
     code = LinearCode(m=3, r=80, g=BitMatrix(cols=80, rows=rows))
     # single rows have weight 2; row pairs cancel bit 79 leaving weight 2;
     # the triple sum has weight 4 (one 1 << 20i each, bit 79 survives)
     assert min_distance_exact(code) == 2
     assert _distance_brute(code) == 2
+    # random codes from one to many words, with m above the low-row table
+    # (16 rows at one word, fewer at more) so the high-row scan runs too
+    rng = np.random.default_rng(12)
+    for m, r in [(3, 64), (5, 65), (6, 130), (17, 70), (15, 200), (9, 5000),
+                 (12, 100000)]:
+        rows = tuple(int.from_bytes(rng.bytes(-(-r // 8)), "little") & ((1 << r) - 1)
+                     for _ in range(m))
+        code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
+        assert min_distance_exact(code) == gray_min_distance(code)
 
 
 def test_min_distance_work_cap():
@@ -148,12 +158,6 @@ def test_row_combination_weights_bounded():
                 assert code.verified_d <= w <= code.r
 
 
-def test_check_row_combinations_requires_verified_distance():
-    code = LinearCode(m=2, r=3, g=BitMatrix.from01(["110", "011"]))
-    with pytest.raises(ValidationError):
-        check_row_combinations(code)
-
-
 # ---------------------------------------------------------------------------
 # seeded search
 
@@ -163,7 +167,7 @@ def test_build_good_code_finds_and_verifies():
     assert code.verified_d >= 3
     assert _distance_brute(code) == code.verified_d
     assert code.construction["kind"] == "random-search"
-    assert check_row_combinations(code)
+    assert row_combinations_within(code)
 
 
 def test_build_good_code_deterministic():
@@ -191,6 +195,47 @@ def test_build_good_code_budget_failure_carries_best():
     assert info.value.best_distance == 3
     assert info.value.best is not None
     assert info.value.best.verified_d == 3
+
+
+def _search(monkeypatch, m, r, d, seed, attempts, stop):
+    """build_good_code's result (a code, or the SearchBudgetExceeded best
+    and best_distance), with the scans' early stop on or off, and every
+    distance the scans returned."""
+    exact = codes._min_weight
+    seen = []
+
+    def scan(rows, stop_at=0):
+        seen.append(exact(rows, stop_at if stop else 0))
+        return seen[-1]
+
+    monkeypatch.setattr(codes, "_min_weight", scan)
+    try:
+        result = build_good_code(m, r, d, seed=seed, attempts=attempts).to_json()
+    except SearchBudgetExceeded as exc:
+        result = (exc.best.to_json(), exc.best_distance)
+    monkeypatch.undo()
+    return result, seen
+
+
+@pytest.mark.parametrize("m,r,d,seed,attempts", [
+    (4, 7, 3, 11, 4096), (3, 9, 4, 2, 4096), (6, 20, 8, 1, 300),
+    (4, 7, 4, 3, 200),                       # exhausted: [7,4,4] does not exist
+    (17, 40, 14, 5, 40), (16, 100, 40, 2, 30),  # several blocks per scan
+])
+def test_search_early_stop_changes_no_result(monkeypatch, m, r, d, seed, attempts):
+    stopped, early = _search(monkeypatch, m, r, d, seed, attempts, stop=True)
+    full, exact = _search(monkeypatch, m, r, d, seed, attempts, stop=False)
+    assert stopped == full
+    # the stop only ever cuts short an attempt that could not be kept
+    assert all(e >= x for e, x in zip(early, exact))
+
+
+def test_search_early_stop_cuts_scans(monkeypatch):
+    # with 17 rows a scan covers two blocks, so failed attempts can stop
+    # after the first one and report an upper bound, not their distance
+    _, early = _search(monkeypatch, 17, 40, 14, 5, 40, stop=True)
+    _, exact = _search(monkeypatch, 17, 40, 14, 5, 40, stop=False)
+    assert early != exact
 
 
 def test_code_json_round_trip():

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import tribes_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import block_value, tribes_value
 
+from nobfext.bitops import words_from_ints
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction,
@@ -24,7 +27,7 @@ def test_majority_values():
     maj3 = Majority(3)
     assert maj3.eval(BitVector.from01("110")) == 1
     assert maj3.eval(BitVector.from01("100")) == 0
-    assert [maj3.eval_int(x) for x in range(8)] == [0, 0, 0, 1, 0, 1, 1, 1]
+    assert [maj3.eval(BitVector(3, x)) for x in range(8)] == [0, 0, 0, 1, 0, 1, 1, 1]
     with pytest.raises(ValidationError):
         Majority(4)
     with pytest.raises(DimensionError):
@@ -35,20 +38,20 @@ def test_majority_batch_matches_scalar():
     maj5 = Majority(5)
     xs = np.arange(32, dtype=np.uint64)
     assert np.array_equal(maj5.eval_batch(xs),
-                          [maj5.eval_int(x) for x in range(32)])
+                          [block_value(maj5, x) for x in range(32)])
 
 
 def test_tribes_values():
     f = Tribes(2, 2)  # (x0 and x1) or (x2 and x3)
     assert f.arity == 4
-    assert f.eval_int(0b0011) == 1
-    assert f.eval_int(0b1100) == 1
-    assert f.eval_int(0b0110) == 0
-    assert f.eval_int(0) == 0
+    assert f.eval(BitVector(4, 0b0011)) == 1
+    assert f.eval(BitVector(4, 0b1100)) == 1
+    assert f.eval(BitVector(4, 0b0110)) == 0
+    assert f.eval(BitVector(4, 0)) == 0
     # exactly 7 of 16 inputs satisfy it: 1 - (3/4)^2 = 7/16
     assert int(f.truth_table().sum()) == 7
     xs = np.arange(16, dtype=np.uint64)
-    assert np.array_equal(f.eval_batch(xs), [f.eval_int(x) for x in range(16)])
+    assert np.array_equal(f.eval_batch(xs), [block_value(f, x) for x in range(16)])
 
 
 @pytest.mark.parametrize("w,s", [(w, s) for w in range(1, 7) for s in range(1, 5)
@@ -59,7 +62,7 @@ def test_tribes_batch_scalar_and_truth_table_agree(w, s):
     want = [tribes_value(w, s, x) for x in range(1 << f.arity)]
     assert f.eval_batch(xs).tolist() == want
     assert f.truth_table().tolist() == want
-    assert [f.eval_int(x) for x in range(1 << f.arity)] == want
+    assert [f.eval(BitVector(f.arity, x)) for x in range(1 << f.arity)] == want
 
 
 def test_tribes_wide_inputs_match_oracle():
@@ -72,16 +75,17 @@ def test_tribes_wide_inputs_match_oracle():
             x = int.from_bytes(rng.bytes(-(-f.arity // 8)), "little") & ((1 << f.arity) - 1)
             x &= ~int.from_bytes(rng.bytes(-(-f.arity // 8)), "little")  # sparser
             cases += [x, x | full << (w * int(rng.integers(s)))]
-        assert [f.eval_int(x) for x in cases] == [tribes_value(w, s, x) for x in cases]
+        want = [tribes_value(w, s, x) for x in cases]
+        assert [f.eval(BitVector(f.arity, x)) for x in cases] == want
+        assert f.eval_batch(words_from_ints(cases, f.arity)).tolist() == want
         if f.arity <= 64:
-            assert f.eval_batch(np.array(cases, dtype=np.uint64)).tolist() == \
-                [tribes_value(w, s, x) for x in cases]
+            assert f.eval_batch(np.array(cases, dtype=np.uint64)).tolist() == want
 
 
 def test_tribes_degenerate_shapes():
     # w=1 is an OR, s=1 a single AND
-    assert [Tribes(1, 3).eval_int(x) for x in range(8)] == [0, 1, 1, 1, 1, 1, 1, 1]
-    assert [Tribes(3, 1).eval_int(x) for x in range(8)] == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert Tribes(1, 3).truth_table().tolist() == [0, 1, 1, 1, 1, 1, 1, 1]
+    assert Tribes(3, 1).truth_table().tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
     with pytest.raises(ValidationError):
         Tribes(0, 2)
 
@@ -95,15 +99,71 @@ def test_recursive_majority_values():
     maj3 = Majority(3)
     for x in [0, 0b111000000, 0b111111000, (1 << 9) - 1, 0b011110001]:
         blocks = [(x >> (3 * i)) & 7 for i in range(3)]
-        expect = maj3.eval_int(sum(maj3.eval_int(b) << i for i, b in enumerate(blocks)))
-        assert r2.eval_int(x) == expect
+        expect = block_value(maj3, sum(block_value(maj3, b) << i
+                                       for i, b in enumerate(blocks)))
+        assert r2.eval(BitVector(9, x)) == expect
     xs = np.arange(512, dtype=np.uint64)
-    assert np.array_equal(r2.eval_batch(xs), [r2.eval_int(x) for x in range(512)])
+    assert np.array_equal(r2.eval_batch(xs), [block_value(r2, x) for x in range(512)])
+
+
+# one, two and three words per input; the tribes at (5, 20) and (7, 25)
+# straddle word boundaries, and (65, 2) has tribes wider than a word
+_BLOCK_FUNCTIONS = [
+    Majority(5), Majority(63), Tribes(3, 4), Tribes(8, 8), RecursiveMajority3(2),
+    RecursiveMajority3(3), TableFunction(4, np.arange(16) * 7 % 3 == 1),
+    Majority(65), Majority(127), Tribes(5, 20), Tribes(65, 1), RecursiveMajority3(4),
+    Majority(129), Tribes(7, 25), Tribes(65, 2), Tribes(1, 150),
+]
+
+
+@st.composite
+def _block_inputs(draw, f):
+    """Inputs to f: uniform, sparse or dense, and for tribes often with
+    one tribe filled so that both outputs occur."""
+    a, b = (draw(st.integers(0, (1 << f.arity) - 1)) for _ in range(2))
+    x = draw(st.sampled_from([a, a & b, a | b]))
+    if isinstance(f, Tribes) and draw(st.booleans()):
+        x |= ((1 << f.w) - 1) << (f.w * draw(st.integers(0, f.s - 1)))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.sampled_from(_BLOCK_FUNCTIONS), data=st.data())
+def test_eval_batch_matches_oracle_on_one_to_three_words(f, data):
+    xs = data.draw(st.lists(_block_inputs(f), min_size=1, max_size=16))
+    want = [block_value(f, x) for x in xs]
+    assert f.eval_batch(words_from_ints(xs, f.arity)).tolist() == want
+    assert [f.eval(BitVector(f.arity, x)) for x in xs] == want
+    if f.arity <= 64:
+        assert f.eval_batch(np.array(xs, dtype=np.uint64)).tolist() == want
+    if f.arity <= 20:
+        assert f.truth_table()[xs].tolist() == want
+
+
+def test_eval_batch_word_layout_checks():
+    # a 1-D array holds one word per input; wider inputs need (N, W) words
+    with pytest.raises(WorkCapExceeded):
+        Majority(65).eval_batch(np.zeros(3, dtype=np.uint64))
+    with pytest.raises(DimensionError):
+        Majority(65).eval_batch(np.zeros((3, 3), dtype=np.uint64))
+
+
+def test_table_function_hex_round_trip_at_arity_cap():
+    rng = np.random.default_rng(20)
+    table = rng.integers(0, 2, size=1 << 20, dtype=np.uint8)
+    f = TableFunction(20, table)
+    d = f.descriptor()
+    # 2^18 digits, least significant nibble first
+    packed = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+    assert d["table_hex"] == format(packed, "0262144x")[::-1]
+    g = function_from_descriptor(d)
+    assert np.array_equal(g.truth_table(), table)
+    assert g.descriptor() == d
 
 
 def test_table_function_and_hex():
     f = TableFunction(2, [0, 1, 1, 0])  # XOR
-    assert [f.eval_int(x) for x in range(4)] == [0, 1, 1, 0]
+    assert [f.eval(BitVector(2, x)) for x in range(4)] == [0, 1, 1, 0]
     g = TableFunction.from_values_hex(2, f.descriptor()["table_hex"])
     assert np.array_equal(g.truth_table(), f.truth_table())
     c = TableFunction.constant(3, 1)

@@ -13,7 +13,7 @@ from nobfext.stats import (Estimate, binomial_estimate, clopper_pearson, fwht,
                            linear_test_bias, parseval_bound, required_samples,
                            sd_of_tables, sd_to_uniform_empirical,
                            statistical_distance, vazirani_check,
-                           xor_bias_product, xor_distance_brute)
+                           xor_bias_product)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_xor_product_matches_brute_oracle():
         t = int(rng.integers(1, 7))
         ds = rng.uniform(0, 0.5, size=t).tolist()
         rep = xor_bias_product(ds)
-        assert rep.distance == pytest.approx(xor_distance_brute(ds), abs=1e-12)
+        assert rep.distance == pytest.approx(oracles.xor_distance_brute(ds), abs=1e-12)
 
 
 def test_xor_literal_bound_comparison():
@@ -248,7 +248,7 @@ def test_xor_literal_bound_comparison():
     assert rep2.literal_bound == pytest.approx(0.04)
     assert rep2.literal_holds is False
     # the exact value is still correct; the brute oracle agrees
-    assert rep2.distance == pytest.approx(xor_distance_brute([0.2, 0.2]))
+    assert rep2.distance == pytest.approx(oracles.xor_distance_brute([0.2, 0.2]))
     # only the zero end is degenerate enough for the literal form to hold
     assert xor_bias_product([0.0, 0.0]).literal_holds
     assert xor_bias_product([0.5, 0.5]).literal_holds is False
