@@ -20,22 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitops import (PACKED_WIDTH, as_words, bit_field, gather_bits_vec,
+from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
                      hex_from_words, n_words, words_from_ints)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .gf2 import BitVector
 from .prng import run_chunked
-from .resilient import (ResilientFunction, _undetermined_mask,
+from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
                         default_block_function, function_from_descriptor)
-from .sources import (ENUM_N_CAP, ENUM_SEED_BITS_CAP, Distribution,
-                      NobfSourceSpec, TableAdversary, enumerate_nobf, work_cap,
-                      zeroed_counterpart)
-from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, sd_of_tables,
-                    statistical_distance)
+from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec,
+                      TableAdversary, work_cap)
+from .stats import EMPIRICAL_M_CAP, Estimate, binomial_estimate, sd_of_tables
 
-BLOCK_BAD_CAP = 20          # per-block undetermination scan is 2^|Q inter block|
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
 DEFAULT_SWEEPS = 64
@@ -281,25 +278,43 @@ def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:
         trace_batch(words_from_ints([x.bits], params.n), params)[0])
 
 
+def _output_counts(spec: NobfSourceSpec, params: BfextParams, goods: np.ndarray,
+                   bads: np.ndarray, weights: np.ndarray | None):
+    """Counts over the 2^m outputs of the inputs composed of goods and bads
+    (each input weighing one, or its weight), and the outputs z.
+
+    Float weights (explicit good-bit tables) are added in increasing order
+    of the composed input x, in windows of 2^20 values of x.  Float sums
+    round by their order, so the order is fixed: it is the one the output
+    documents of explicit tables have been computed in."""
+    xs = spec.compose_batch(goods, bads)
+    zs = extract_batch(xs, params)
+    size = 1 << params.m
+    if weights is None:
+        return np.bincount(zs.astype(np.int64), minlength=size), zs
+    order = np.argsort(xs)
+    window = xs[order] >> np.uint64(20)
+    z, w = zs[order].astype(np.int64), weights[order]
+    counts = np.zeros(size)
+    for k in np.unique(window):
+        counts += np.bincount(z[window == k], weights=w[window == k], minlength=size)
+    return counts, zs
+
+
 def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distribution:
-    """Exact distribution of z under the source: enumerate the source
-    table and push it through the pipeline in chunks."""
+    """Exact distribution of z under the source: the outputs of the
+    good-bit support walk, binned chunk by chunk.  No table of 2^n inputs
+    is built; the walk bounds the seed space (at most 2^24 seeds) and the
+    packed width (n <= 64)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
-    src = enumerate_nobf(spec)
-    probs = src.probs
-    out = np.zeros(1 << params.m, dtype=np.float64)
-    chunk = 1 << 20
-    for lo in range(0, probs.size, chunk):
-        hi = min(lo + chunk, probs.size)
-        w = probs[lo:hi]
-        support = np.nonzero(w)[0]
-        if support.size == 0:
-            continue
-        zs = extract_batch((support + lo).astype(np.uint64), params)
-        out += np.bincount(zs.astype(np.int64), weights=w[support],
-                           minlength=1 << params.m)
-    return Distribution.exact(params.m, out)
+    check_packed(spec.n, "packed source width")
+    dist = spec.good_dist
+    counts = 0
+    for goods, weights in dist.support():
+        bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
+        counts = counts + _output_counts(spec, params, goods, bads, weights)[0]
+    return Distribution.exact(params.m, counts / dist.support_total)
 
 
 def _block_layout(spec: NobfSourceSpec, params: BfextParams):
@@ -319,10 +334,6 @@ def _block_layout(spec: NobfSourceSpec, params: BfextParams):
         local_bads = [p - lo for p in spec.bad_positions if lo <= p < hi]
         if not local_bads:
             continue
-        if len(local_bads) > BLOCK_BAD_CAP:
-            raise WorkCapExceeded(required=1 << len(local_bads),
-                                  cap=1 << BLOCK_BAD_CAP,
-                                  what="per-block undetermination scan")
         goods = [p for p in range(lo, hi) if p not in badset]
         layout.append((
             [good_index[p] for p in goods],
@@ -344,13 +355,11 @@ def _some_block_undetermined(goods: np.ndarray, layout,
 
 
 def _exact_good_enumeration_ok(spec: NobfSourceSpec) -> bool:
-    n_good = spec.n - spec.q
-    if n_good > ENUM_N_CAP:
-        return False
+    """True when the exact oracles can walk the good-bit support: at most
+    2^ENUM_SEED_BITS_CAP seeds (explicit tables always qualify) and inputs
+    that fit one packed word."""
     space = spec.good_dist.seed_space_size
-    if space is not None and space > (1 << ENUM_SEED_BITS_CAP):
-        return False
-    return True
+    return spec.n <= PACKED_WIDTH and (space is None or space <= 1 << ENUM_SEED_BITS_CAP)
 
 
 def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
@@ -361,26 +370,24 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     """Probability that every block's output is determined by the good
     bits alone, i.e. no assignment of the bad bits can change any Y_i.
 
-    Exact via good-bit enumeration when feasible, otherwise Monte Carlo
-    over good-bit samples with a 99% binomial interval, drawn on `workers`
-    threads (the result does not depend on the count).
+    Exact over the good-bit support walk when it is feasible (see
+    `_exact_good_enumeration_ok`) and fits the work cap, otherwise Monte
+    Carlo over good-bit samples with a 99% binomial interval, drawn on
+    `workers` threads (the result does not depend on the count).
     """
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     layout = _block_layout(spec, params)
     if not layout:
         return Estimate.exact_value(1.0)
-    scan = sum(1 << len(b[2]) for b in layout)
     if not force_mc and _exact_good_enumeration_ok(spec):
-        weights = spec.good_dist.exact_table()
-        units = weights.size * scan
+        dist = spec.good_dist
+        units = dist.support_size * sum(_scan_evals(params.f, len(b[2])) for b in layout)
         if units > work_cap():
             raise WorkCapExceeded(required=units, cap=work_cap(),
                                   what="fixedness enumeration")
-        support = np.nonzero(weights)[0]
-        some = _some_block_undetermined(support.astype(np.uint64), layout,
-                                        params.f)
-        return Estimate.exact_value(1.0 - float(weights[support[some]].sum()))
+        return Estimate.exact_value(1.0 - dist.probability(
+            lambda goods: _some_block_undetermined(goods, layout, params.f)))
     if samples is None or seed is None:
         raise ValidationError(
             "exact enumeration infeasible; provide seed and samples")
@@ -423,17 +430,22 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    samples: int | None = None,
                    force_mc: bool = False,
                    workers: int = 1) -> CompareZeroedReport:
-    """SD(Z, Z') for the zeroed counterpart; exact when the source
-    enumerates, else a coupled plug-in estimate drawn on `workers` threads
-    (the result does not depend on the count)."""
+    """SD(Z, Z') for the zeroed counterpart from one coupled pass of
+    `_coupled_counts`: over the good-bit support walk when it is feasible
+    (see `_exact_good_enumeration_ok`; two 2^m tables, none of 2^n), else
+    a plug-in estimate over good bits sampled on `workers` threads (the
+    result does not depend on the count)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
-    zspec = zeroed_counterpart(spec)
-    if not force_mc and _exact_good_enumeration_ok(spec) and spec.n <= ENUM_N_CAP:
-        p = output_distribution(spec, params)
-        pz = output_distribution(zspec, params)
+    if not force_mc and _exact_good_enumeration_ok(spec):
+        dist = spec.good_dist
+        ca = cb = 0
+        for goods, weights in dist.support():
+            a, b, _ = _coupled_counts(spec, params, goods, weights)
+            ca, cb = ca + a, cb + b
+        total = dist.support_total
         return CompareZeroedReport(
-            sd=Estimate.exact_value(statistical_distance(p, pz)),
+            sd=Estimate.exact_value(sd_of_tables(ca / total, cb / total)),
             exact=True, m=params.m)
     if params.m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << params.m, cap=1 << EMPIRICAL_M_CAP,
@@ -459,21 +471,25 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                                mismatch_rate=mismatches / samples)
 
 
+def _coupled_counts(spec: NobfSourceSpec, params: BfextParams,
+                    goods: np.ndarray, weights: np.ndarray | None):
+    """The one kernel of the zeroed comparison: identical good bits, bad
+    bits set by the adversary on one side and pinned to zero on the other.
+    Returns (output counts, zeroed output counts, number of differing
+    pairs), each good outcome weighing one or its weight."""
+    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
+    ca, za = _output_counts(spec, params, goods, bads, weights)
+    cb, zb = _output_counts(spec, params, goods, np.zeros_like(goods), weights)
+    return ca, cb, int(np.count_nonzero(za != zb))
+
+
 def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
                        seed: int, start: int, count: int):
-    """Coupled sampling for the zeroed comparison: identical good bits,
-    bad bits set by the adversary on one side and pinned to zero on the
-    other.  Returns (output counts, zeroed output counts, number of
+    """`_coupled_counts` on the good bits sampled at counters
+    start..start+count-1: (output counts, zeroed output counts, number of
     differing pairs); counter-addressed and chunking-invariant."""
-    goods = spec.good_dist.sample_batch(seed, 0, start, count)
-    n_good = spec.n - spec.q
-    bads = spec.adversary.bad_bits_batch(goods, n_good, spec.q)
-    zero = np.zeros(count, dtype=np.uint64)
-    za = extract_batch(spec.compose_batch(goods, bads), params)
-    zb = extract_batch(spec.compose_batch(goods, zero), params)
-    ca = np.bincount(za.astype(np.int64), minlength=1 << params.m).astype(np.float64)
-    cb = np.bincount(zb.astype(np.int64), minlength=1 << params.m).astype(np.float64)
-    return ca, cb, int(np.count_nonzero(za != zb))
+    return _coupled_counts(spec, params,
+                           spec.good_dist.sample_batch(seed, 0, start, count), None)
 
 
 @dataclass(frozen=True)

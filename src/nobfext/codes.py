@@ -4,8 +4,8 @@ The extractor uses a generator matrix both ways: a message v encodes to
 the codeword vG, and an r-bit vector y compresses to Gy.  `compress_batch`
 is the one Gy kernel, on packed words of any r (see `nobfext.bitops`).
 Distance is established only by exhaustive enumeration, one subset-XOR
-word kernel for every r; `verified_d = 0` means unverified and such codes
-are rejected downstream.
+word kernel for every r, also for the distance a loaded document claims;
+`verified_d = 0` means unverified and such codes are rejected downstream.
 """
 
 from __future__ import annotations
@@ -62,9 +62,15 @@ class LinearCode:
         if obj.get("format") != "linear-code":
             raise ValidationError("not a linear-code object")
         g = BitMatrix.from_hex_rows(int(obj["r"]), obj["rows"])
-        return cls(m=int(obj["m"]), r=int(obj["r"]), g=g,
-                   verified_d=int(obj.get("verified_d", 0)),
+        code = cls(m=int(obj["m"]), r=int(obj["r"]), g=g,
                    construction=dict(obj.get("construction", {"kind": "explicit"})))
+        # a claimed distance is re-derived, never trusted; 0 claims none
+        claimed = int(obj.get("verified_d", 0))
+        if claimed and min_distance_exact(code) != claimed:
+            raise ValidationError(
+                f"code claims verified_d = {claimed}, but its minimum distance "
+                f"is {code.verified_d}")
+        return code
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.r},{self.m},{self.verified_d or '?'}]"

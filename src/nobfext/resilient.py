@@ -11,7 +11,11 @@ Each function has one evaluator, `eval_batch`, on packed inputs of any
 arity in the word layout of `nobfext.bitops` ((N, W) uint64 words, or a
 1-D array when the arity is at most 64); `eval` is its length-1 view.
 The influence and undetermination scans pack their inputs one word each,
-so they take arities up to PACKED_WIDTH.
+so they take arities up to PACKED_WIDTH.  Majority, tribes and recursive
+majority are monotone (Ben-Or and Linial 1985), marked by the class
+attribute `monotone`; for them a coalition is undetermined exactly when f
+differs between the coalition all 0 and all 1, two evaluations whatever
+its size.  Other functions are scanned over all 2^|Q| coalition patterns.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .sources import Distribution, GoodBitDistribution, work_cap
 from .stats import Estimate, binomial_estimate
 
 TABLE_ARITY_CAP = 20
-MC_COALITION_CAP = 20
+SCAN_BITS_CAP = 20  # coalition size of the 2^|Q| scan of a non-monotone f
 SUBSET_ENUM_CAP = 10 ** 6
 
 
@@ -39,6 +43,7 @@ class ResilientFunction:
 
     arity: int
     kind: str
+    monotone: bool = False  # True only where monotone for every instance
 
     def eval(self, x: BitVector) -> int:
         if len(x) != self.arity:
@@ -71,6 +76,7 @@ class Majority(ResilientFunction):
     """Strict majority; even arities are rejected rather than tie-broken."""
 
     kind = "majority"
+    monotone = True
 
     def __init__(self, arity: int):
         if arity < 1 or arity % 2 == 0:
@@ -94,6 +100,7 @@ class Tribes(ResilientFunction):
     """
 
     kind = "tribes"
+    monotone = True
 
     def __init__(self, w: int, s: int):
         if w < 1 or s < 1:
@@ -124,6 +131,7 @@ class RecursiveMajority3(ResilientFunction):
     """
 
     kind = "recursive-majority-3"
+    monotone = True
 
     def __init__(self, depth: int):
         if depth < 1:
@@ -242,12 +250,29 @@ def _split_positions(arity: int, q_set) -> tuple[list[int], list[int]]:
     return qpos, rest
 
 
+def _scan_evals(f: ResilientFunction, k: int) -> int:
+    """Evaluations of f per fixing that `_undetermined_mask` makes for a
+    coalition of k coordinates."""
+    return 2 if f.monotone else 1 << k
+
+
 def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
                        fixings: np.ndarray) -> np.ndarray:
     """Boolean mask over `fixings` (packed bits of the rest-coordinates):
-    True where varying the qpos-coordinates can still produce both outputs."""
+    True where varying the qpos-coordinates can still produce both outputs.
+
+    A monotone f takes its least value with the coalition all 0 and its
+    greatest with it all 1, so two evaluations decide; any other f is
+    evaluated on all 2^|Q| patterns (WorkCapExceeded above SCAN_BITS_CAP
+    coordinates)."""
     check_packed(f.arity, "packed block arity")
     base = scatter_bits_vec(fixings, rest)
+    if f.monotone:
+        ones = np.uint64(sum(1 << p for p in qpos))
+        return f.eval_batch(base) != f.eval_batch(base | ones)
+    if len(qpos) > SCAN_BITS_CAP:
+        raise WorkCapExceeded(required=1 << len(qpos), cap=1 << SCAN_BITS_CAP,
+                              what="undetermination scan")
     patterns = scatter_bits_vec(np.arange(1 << len(qpos), dtype=np.uint64), qpos)
     any0 = np.zeros(fixings.shape, dtype=bool)
     any1 = np.zeros(fixings.shape, dtype=bool)
@@ -260,7 +285,8 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
 
 def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution) -> float:
     """Probability over d_good-fixings of the non-coalition coordinates
-    that f's value still depends on the coalition."""
+    that f's value still depends on the coalition, summed over the
+    support walk of d_good (no table of its outcomes is built)."""
     qpos, rest = _split_positions(f.arity, q_set)
     if not qpos:
         return 0.0
@@ -268,16 +294,12 @@ def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution) ->
         raise DimensionError(
             f"fixing distribution covers {d_good.n_good} coordinates, "
             f"need {len(rest)}")
-    space = d_good.seed_space_size
-    units = (space if space is not None else 1 << len(rest)) << len(qpos)
+    units = d_good.support_size * _scan_evals(f, len(qpos))
     cap = work_cap()
     if units > cap:
         raise WorkCapExceeded(required=units, cap=cap,
                               what="influence enumeration")
-    weights = d_good.exact_table()
-    support = np.nonzero(weights)[0]
-    undet = _undetermined_mask(f, qpos, rest, support.astype(np.uint64))
-    return float(weights[support[undet]].sum())
+    return d_good.probability(lambda fixings: _undetermined_mask(f, qpos, rest, fixings))
 
 
 def influence_max_exact(f: ResilientFunction, q: int,
@@ -314,9 +336,6 @@ def undetermined_count(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
     sums to the same total; influence_mc splits its range across workers
     with it."""
     qpos, rest = _split_positions(f.arity, q_set)
-    if len(qpos) > MC_COALITION_CAP:
-        raise WorkCapExceeded(required=1 << len(qpos), cap=1 << MC_COALITION_CAP,
-                              what="undetermination scan")
     if not qpos:
         return 0
     if d_good.n_good != len(rest):

@@ -27,9 +27,12 @@ Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
 numbers); output files are written through `staged_outputs`: under a
 temporary name, renamed into place once complete, removed on failure.
 
-Enumeration caps: exact oracles require a good-bit seed space of at most
-2^24 and n <= 24; the general work-unit budget (default 2^28) can be
-overridden with the NOBF_WORK_CAP environment variable.
+Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
+so exactness is bounded by the seed space (at most 2^24 seeds) and the
+packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
+results are tables of 2^n_good and 2^n entries, keep n <= 24.  The
+general work-unit budget (default 2^28) can be overridden with the
+NOBF_WORK_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +58,8 @@ from .gf2 import BitVector
 from .schemas import validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
-ENUM_N_CAP = 24           # and tabulate at most 2^24 outcomes
+ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
+SUPPORT_CHUNK = 1 << 18   # seeds per chunk of the support walk
 DEFAULT_WORK_CAP = 1 << 28
 
 
@@ -280,20 +284,59 @@ class GoodBitDistribution:
                 f"seed {seed} outside the {2 ** self.seed_bits}-element seed space"
             )
 
-    def exact_table(self) -> np.ndarray:
-        """Exact probability table over 2^n_good outcomes (desk scale only)."""
-        if self.n_good > ENUM_N_CAP:
-            raise WorkCapExceeded("good-bit table too wide", 2 ** self.n_good, 2 ** ENUM_N_CAP)
-        if self.seed_bits is None:
-            raise NotImplementedError
+    def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Walk the support as chunks of (packed outcomes, weights).
+
+        Generator-backed kinds yield the outcomes of at most SUPPORT_CHUNK
+        seeds at a time with weights None: each seed weighs one, and sums
+        are divided by `support_total` (the seed-space size) once, so they
+        stay exact.  Explicit tables yield their nonzero rows with their
+        probabilities.  Seed spaces above 2^ENUM_SEED_BITS_CAP and outcomes
+        wider than PACKED_WIDTH raise WorkCapExceeded before any chunk.
+        """
+        check_packed(self.n_good, "packed good-bit width")
         if self.seed_bits > ENUM_SEED_BITS_CAP:
             raise WorkCapExceeded(
                 "seed space too large to enumerate", 2 ** self.seed_bits, 2 ** ENUM_SEED_BITS_CAP
             )
-        seeds = np.arange(1 << self.seed_bits, dtype=np.uint64)
-        outcomes = self.outcomes_for_seeds(seeds).astype(np.int64)
-        counts = np.bincount(outcomes, minlength=1 << self.n_good)
-        return counts / counts.sum()
+        space = 1 << self.seed_bits
+        return ((self.outcomes_for_seeds(
+                    np.arange(lo, min(lo + SUPPORT_CHUNK, space), dtype=np.uint64)), None)
+                for lo in range(0, space, SUPPORT_CHUNK))
+
+    @property
+    def support_total(self) -> float:
+        """Total weight of the support walk."""
+        return float(self.seed_space_size)
+
+    @property
+    def support_size(self) -> int:
+        """Outcomes the support walk visits at most (its work units)."""
+        return 1 << (self.n_good if self.seed_bits is None else self.seed_bits)
+
+    def probability(self, event: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Probability that the boolean mask `event(goods)` holds, summed
+        over the support walk."""
+        mass = 0
+        for goods, weights in self.support():
+            hit = event(goods)
+            mass += int(np.count_nonzero(hit)) if weights is None else float(weights[hit].sum())
+        return mass / self.support_total
+
+    def table_of(self, key: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
+        """Probability table over 0..size-1 of `key(goods)`, binned over the
+        support walk."""
+        counts = 0
+        for goods, weights in self.support():
+            counts = counts + np.bincount(key(goods).astype(np.int64), weights=weights,
+                                          minlength=size)
+        return counts / self.support_total
+
+    def exact_table(self) -> np.ndarray:
+        """Exact probability table over 2^n_good outcomes (desk scale only)."""
+        if self.n_good > ENUM_N_CAP:
+            raise WorkCapExceeded("good-bit table too wide", 2 ** self.n_good, 2 ** ENUM_N_CAP)
+        return self.table_of(lambda goods: goods, 1 << self.n_good)
 
     def sample_batch(self, seed: int, stream: int, start: int, count: int) -> np.ndarray:
         """count outcomes for counters start..start+count-1; chunking-invariant."""
@@ -326,11 +369,6 @@ class UniformBits(GoodBitDistribution):
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return seeds.astype(np.uint64, copy=False)
-
-    def exact_table(self) -> np.ndarray:
-        if self.n_good > ENUM_N_CAP:
-            raise WorkCapExceeded("good-bit table too wide", 2 ** self.n_good, 2 ** ENUM_N_CAP)
-        return np.full(1 << self.n_good, 1.0 / (1 << self.n_good))
 
     def descriptor(self) -> dict:
         return {"kind": "uniform", "n_good": self.n_good}
@@ -499,8 +537,12 @@ class ExplicitTable(GoodBitDistribution):
         # that has positive probability, never to a zero-probability tail
         self._last = int(np.flatnonzero(table)[-1])
 
-    def exact_table(self) -> np.ndarray:
-        return self.probs
+    support_total = 1.0
+
+    def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """The nonzero rows, in increasing order, as one chunk."""
+        rows = np.flatnonzero(self.probs)
+        return iter([(rows.astype(np.uint64), self.probs[rows])])
 
     def sample_batch(self, seed: int, stream: int, start: int, count: int) -> np.ndarray:
         u = prng.uniform01(seed, stream, start, count)
@@ -540,9 +582,11 @@ class TwiseReport:
 def verify_twise(dist: GoodBitDistribution, n: int, t: int) -> TwiseReport:
     """Check that every t-coordinate marginal is exactly uniform.
 
-    Exhaustive over all C(n, t) subsets; rejected when C(n, t) * 2^t
-    exceeds the work cap.  The report carries the worst subset (0-based)
-    and its statistical distance from uniform.
+    Exhaustive over all C(n, t) subsets, each marginal binned over the
+    support walk (so n may reach PACKED_WIDTH when the seed space is
+    small); rejected when C(n, t) * 2^t exceeds the work cap.  The report
+    carries the worst subset (0-based) and its statistical distance from
+    uniform.
     """
     if n != dist.n_good:
         raise DimensionError(f"distribution is over {dist.n_good} bits, not {n}")
@@ -553,14 +597,14 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int) -> TwiseReport:
     if units > cap:
         raise WorkCapExceeded("t-wise verification too large; shrink n or t", units, cap)
 
-    table = dist.exact_table()
-    outcomes = np.arange(table.size, dtype=np.uint64)
+    chunks = list(dist.support())
     worst_sd = 0.0
     worst_subset: tuple[int, ...] | None = None
     target = 1.0 / (1 << t)
     for subset in combinations(range(n), t):
-        vals = gather_bits_vec(outcomes, subset).astype(np.int64)
-        marg = np.bincount(vals, weights=table, minlength=1 << t)
+        marg = sum(np.bincount(gather_bits_vec(goods, subset).astype(np.int64),
+                               weights=weights, minlength=1 << t)
+                   for goods, weights in chunks) / dist.support_total
         sd = 0.5 * float(np.abs(marg - target).sum())
         if sd > worst_sd:
             worst_sd = sd
@@ -812,18 +856,18 @@ def sample_nobf_batch(spec: NobfSourceSpec, seed: int, count: int,
 def enumerate_nobf(spec: NobfSourceSpec) -> Distribution:
     """Exact probability table of the full n-bit source.
 
-    This is the oracle behind every desk-scale acceptance check; capped at
-    n <= 24 and a good-bit seed space of 2^24.
+    The composed inputs are binned over the good-bit support walk.  The
+    result is a table of 2^n entries, so n is capped at ENUM_N_CAP (24)
+    besides the walk's seed-space cap; the extractor's oracles walk the
+    support themselves and build no such table.
     """
     if spec.n > ENUM_N_CAP:
         raise WorkCapExceeded("source too wide to enumerate", 2 ** spec.n, 2 ** ENUM_N_CAP)
-    weights = spec.good_dist.exact_table()
-    support = np.nonzero(weights)[0]
-    goods = support.astype(np.uint64)
-    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
-    outcomes = spec.compose_batch(goods, bads).astype(np.int64)
-    table = np.bincount(outcomes, weights=weights[support], minlength=1 << spec.n)
-    return Distribution.exact(spec.n, table)
+    n_good = spec.n - spec.q
+    return Distribution.exact(spec.n, spec.good_dist.table_of(
+        lambda goods: spec.compose_batch(
+            goods, spec.adversary.bad_bits_batch(goods, n_good, spec.q)),
+        1 << spec.n))
 
 
 def zeroed_counterpart(spec: NobfSourceSpec) -> NobfSourceSpec:

@@ -16,18 +16,27 @@ its definition, `matvec` is G y row by row, `extract_trace` is the whole
 pipeline on one input, and `gray_min_distance` walks every codeword in
 Gray-code order.  `row_combinations_within` and `xor_distance_brute`
 enumerate what `min_distance_exact` and `stats.xor_bias_product` compute.
+
+The dense oracles compute the exact oracles' results from tables of every
+input: `dense_source_table` holds the probability of each of the 2^n
+inputs, and `dense_output_distribution`, `dense_compare_zeroed` and
+`dense_fixedness` derive z's table, SD(Z, Z') and the fixedness from it,
+where the library walks the good-bit support.  Their float sums run in
+increasing order of the input, 2^20 inputs at a time, the order the
+library's results must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.stats import beta
 
+from nobfext.bfext import extract_batch
 from nobfext.codes import build_good_code
 from nobfext.errors import SearchBudgetExceeded
 from nobfext.gf2 import BitMatrix, row_combination
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
-                             MajorityOfGood, ParityOfGood, TableAdversary,
-                             UniformBits)
+                             ExplicitTable, MajorityOfGood, ParityOfGood,
+                             TableAdversary, UniformBits, zeroed_counterpart)
 
 
 def scatter_bits(values, positions) -> list[int]:
@@ -206,3 +215,66 @@ def xor_distance_brute(distances) -> float:
         if parity:
             p1 += pr
     return abs(p1 - 0.5)
+
+
+def dense_good_table(dist) -> np.ndarray:
+    """Probability of each of the 2^n_good outcomes: the explicit table, or
+    the outcome counts of every seed over the seed-space size."""
+    if isinstance(dist, ExplicitTable):
+        return dist.probs
+    seeds = np.arange(1 << dist.seed_bits, dtype=np.uint64)
+    counts = np.bincount(dist.outcomes_for_seeds(seeds).astype(np.int64),
+                         minlength=1 << dist.n_good)
+    return counts / counts.sum()
+
+
+def dense_source_table(spec) -> np.ndarray:
+    """Probability of each of the 2^n inputs of the source."""
+    weights = dense_good_table(spec.good_dist)
+    support = np.nonzero(weights)[0]
+    goods = support.astype(np.uint64)
+    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
+    xs = spec.compose_batch(goods, bads).astype(np.int64)
+    return np.bincount(xs, weights=weights[support], minlength=1 << spec.n)
+
+
+def dense_output_distribution(spec, params) -> np.ndarray:
+    """z's table: the dense source table pushed through the pipeline 2^20
+    inputs at a time."""
+    probs = dense_source_table(spec)
+    out = np.zeros(1 << params.m)
+    chunk = 1 << 20
+    for lo in range(0, probs.size, chunk):
+        w = probs[lo:lo + chunk]
+        support = np.nonzero(w)[0]
+        if support.size:
+            zs = extract_batch((support + lo).astype(np.uint64), params)
+            out += np.bincount(zs.astype(np.int64), weights=w[support],
+                               minlength=1 << params.m)
+    return out
+
+
+def dense_compare_zeroed(spec, params) -> float:
+    """SD(Z, Z') from the two dense output tables."""
+    p = dense_output_distribution(spec, params)
+    pz = dense_output_distribution(zeroed_counterpart(spec), params)
+    return 0.5 * float(np.abs(p - pz).sum())
+
+
+def dense_fixedness(spec, params) -> float:
+    """1 - Pr[some block output moves with the bad bits]: every bad-bit
+    pattern tried on every good outcome, block by block in Python."""
+    weights = dense_good_table(spec.good_dist)
+    support = np.nonzero(weights)[0]
+    bl, ell = params.block_len, params.ell
+
+    def y(x):
+        return [block_value(params.f, (x >> (i * bl)) & ((1 << bl) - 1)) for i in range(ell)]
+
+    moved = []
+    for g in support:
+        base = scatter_bits([g], spec.good_positions)[0]
+        ys = {tuple(y(base | scatter_bits([b], spec.bad_positions)[0]))
+              for b in range(1 << spec.q)}
+        moved.append(len(ys) > 1)
+    return 1.0 - float(weights[support[np.array(moved, dtype=bool)]].sum())

@@ -1,11 +1,15 @@
 """The block extractor pipeline and its diagnostics."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import countdown_code, extract_trace
+from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
+                     dense_output_distribution, extract_trace)
 
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
                            _default_code_builder, _floor_pow, compare_zeroed,
@@ -18,7 +22,8 @@ from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix, BitVector, row_combination
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
-from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
+from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
+                             ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, sample_nobf_batch)
 from nobfext.stats import statistical_distance
@@ -397,6 +402,115 @@ def test_zeroed_pair_counts_chunk_invariant():
         cb2 += b
         mm2 += m
     assert np.array_equal(ca, ca2) and np.array_equal(cb, cb2) and mm == mm2
+
+
+# ---------------------------------------------------------------------------
+# exact oracles on the support walk
+
+
+@st.composite
+def _small_systems(draw):
+    """A random source of every good-bit kind and adversary, with params."""
+    n = draw(st.integers(3, 9))
+    bad = sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(3, n - 1))))
+    n_good, q = n - len(bad), len(bad)
+    kind = draw(st.sampled_from(["uniform", "exact-twise", "eps-biased",
+                                 "explicit-table"]))
+    if kind == "uniform":
+        good = UniformBits(n_good)
+    elif kind == "exact-twise":
+        good = ExactTwise(n_good, draw(st.integers(1, min(3, n_good))))
+    elif kind == "eps-biased":
+        good = EpsBiased(n_good, draw(st.sampled_from([1.0, 0.5, 0.2])))
+    else:
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1 << n_good,
+                                   max_size=1 << n_good)))
+        w[draw(st.integers(0, w.size - 1))] += 0.1  # some row is nonzero
+        good = ExplicitTable(w / w.sum())
+    adv = draw(st.sampled_from(["constant", "parity", "majority", "table"]))
+    adversary = {"constant": lambda: ConstantAdversary(draw(st.integers(0, (1 << q) - 1))),
+                 "parity": ParityOfGood, "majority": MajorityOfGood,
+                 "table": lambda: TableAdversary(n_good, draw(st.lists(
+                     st.integers(0, (1 << q) - 1), min_size=1 << n_good,
+                     max_size=1 << n_good)))}[adv]()
+    block_len = draw(st.integers(1, n))
+    ell = draw(st.integers(1, n // block_len))
+    f = draw(st.sampled_from([Majority(block_len) if block_len % 2 else
+                              Tribes(2, block_len // 2),
+                              TableFunction(block_len, draw(st.lists(
+                                  st.integers(0, 1), min_size=1 << block_len,
+                                  max_size=1 << block_len)))]))
+    code = preset_code(draw(st.sampled_from([f"identity-{ell}", f"repetition-{ell}"])))
+    return (NobfSourceSpec(n, bad, good, adversary),
+            explicit_params(n, ell, block_len, code, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_systems())
+def test_support_walk_equals_dense_oracles_bit_for_bit(system):
+    spec, params = system
+    assert np.array_equal(output_distribution(spec, params).probs,
+                          dense_output_distribution(spec, params))
+    rep = compare_zeroed(spec, params)
+    assert rep.exact and rep.sd.value == dense_compare_zeroed(spec, params)
+    fixed = fixedness_probability(spec, params)
+    assert fixed.is_exact and fixed.value == dense_fixedness(spec, params)
+
+
+def test_explicit_table_sums_in_input_order_across_windows():
+    # the composed inputs span four 2^20-wide windows of x, and each of
+    # the two outputs sums about 128 weights, so float sums in any other
+    # order would round differently
+    rng = np.random.default_rng(8)
+    w = rng.random(256)
+    spec = NobfSourceSpec(22, range(8, 22), ExplicitTable(w / w.sum()),
+                          TableAdversary(8, rng.integers(0, 1 << 14, size=256)))
+    params = explicit_params(22, 11, 2, preset_code("repetition-11"),
+                             TableFunction(2, [0, 1, 1, 0]))
+    assert np.array_equal(output_distribution(spec, params).probs,
+                          dense_output_distribution(spec, params))
+    assert compare_zeroed(spec, params).sd.value == dense_compare_zeroed(spec, params)
+
+
+def test_exact_oracles_at_n64_agree_with_monte_carlo():
+    # 60 t-wise good bits come from 2^12 seeds, so both oracles are exact
+    # at n = 64 although no table of 2^60 outcomes could be built
+    spec = NobfSourceSpec(64, [1, 2, 10, 11], ExactTwise(60, 2), MajorityOfGood())
+    params = explicit_params(64, 7, 9, preset_code("simplex-k3"), Majority(9))
+    fixed = fixedness_probability(spec, params)
+    assert fixed.is_exact and 0.0 < fixed.value < 1.0
+    mc = fixedness_probability(spec, params, seed=2, samples=20000, force_mc=True)
+    assert mc.contains(fixed.value)
+    rep = compare_zeroed(spec, params)
+    assert rep.exact and rep.sd.value > 0.0
+    mc = compare_zeroed(spec, params, seed=2, samples=20000, force_mc=True)
+    assert mc.sd.contains(rep.sd.value)
+    # a seed space of 2^61 is not walked; the sampled path needs a sample count
+    wide = NobfSourceSpec(64, [1, 20, 40], UniformBits(61), ParityOfGood())
+    with pytest.raises(ValidationError):
+        compare_zeroed(wide, params)
+    assert not compare_zeroed(wide, params, seed=2, samples=100).exact
+
+
+def test_exact_compare_zeroed_memory_stays_below_source_table():
+    # the benchmark's n = 24 system: a dense source table alone is 128 MB
+    n, bad = 24, [1, 4, 10, 20]
+    spec = NobfSourceSpec(n, bad, UniformBits(n - len(bad)), MajorityOfGood())
+    params = explicit_params(n, 8, 3, preset_code("hamming-7-4"), Majority(3))
+    tracemalloc.start()
+    try:
+        assert compare_zeroed(spec, params).exact
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def test_fixedness_monotone_block_with_many_bad_bits():
+    # 21 bad bits in one majority block: two evaluations per outcome, not 2^21
+    spec = NobfSourceSpec(25, range(21), UniformBits(4), ParityOfGood())
+    params = explicit_params(25, 1, 25, preset_code("repetition-1"), Majority(25))
+    assert fixedness_probability(spec, params).value == 0.0
 
 
 @pytest.mark.parametrize("bad,adv", [

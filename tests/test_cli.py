@@ -564,6 +564,8 @@ _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
     ("extract", {"inputs": 5}, [], 2),
     ("extract", {"inputs": [5]}, [], 2),
     ("extract", {"params": 0}, [], 2),
+    # a code whose claimed distance is not its minimum distance
+    ("analyze", {"analysis": "fixedness", "params": "bad_d_params.json"}, [], 2),
 ], ids=["n70-samples", "n-not-int", "good-dist-no-n_good", "samples-not-int",
         "f-no-arity", "m-not-int", "force-mc-m17", "good-dist-not-object",
         "fixedness-n70", "influence-mc-arity65", "extract-samples-n70",
@@ -573,7 +575,7 @@ _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
         "code-m-negative", "config-not-utf8", "extract-samples-not-utf8",
         "config-nan", "config-1e999", "spec-infinity", "samples-header-1e999",
         "extract-inputs-not-list", "extract-inputs-not-hex-strings",
-        "extract-params-not-path"])
+        "extract-params-not-path", "params-code-verified-d-wrong"])
 def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      config, argv, code):
@@ -590,6 +592,9 @@ def test_failed_command_exits_cleanly_without_output(tmp_path, capsys,
         70, 7, 9, preset_code("simplex-k3"), Majority(9)).to_json()))
     header = {"count": 1, "format": "nobf-samples", "n": 70, "seed": 0, "stream": 0}
     (tmp_path / "wide.samples").write_text(json.dumps(header) + "\n" + "0" * 17 + "2\n")
+    bad_d = explicit_params(17, 17, 1, preset_code("identity-17"), Majority(1)).to_json()
+    bad_d["code"]["verified_d"] = 2  # identity codes have distance 1
+    (tmp_path / "bad_d_params.json").write_text(canonical_json(bad_d))
     (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00{")
     narrow = json.dumps({**header, "n": 17})
     (tmp_path / "bin.samples").write_bytes(narrow.encode() + b"\n\xff\xfe000\n")

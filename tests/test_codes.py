@@ -238,6 +238,14 @@ def test_search_early_stop_cuts_scans(monkeypatch):
     assert early != exact
 
 
+def test_code_json_verified_d_is_rederived():
+    obj = preset_code("identity-2").to_json()
+    with pytest.raises(ValidationError, match="minimum distance is 1"):
+        LinearCode.from_json({**obj, "verified_d": 2})
+    assert LinearCode.from_json(obj).verified_d == 1
+    assert LinearCode.from_json({**obj, "verified_d": 0}).verified_d == 0  # no claim
+
+
 def test_code_json_round_trip():
     code = build_good_code(3, 9, 4, seed=2)
     obj = json.loads(json.dumps(code.to_json()))

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import block_value, tribes_value
 
-from nobfext.bitops import words_from_ints
+from nobfext.bitops import popcount, words_from_ints
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
-from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction,
-                               Tribes, bias_under, default_block_function,
+from nobfext.resilient import (Majority, RecursiveMajority3, ResilientFunction,
+                               TableFunction, Tribes, _undetermined_mask,
+                               bias_under, default_block_function,
                                function_from_descriptor, influence_exact,
                                influence_max_exact, influence_mc, is_monotone,
                                undetermined_count)
@@ -201,6 +202,42 @@ def test_is_monotone():
     assert not is_monotone(TableFunction(1, [1, 0]))        # NOT
 
 
+class _Parity(ResilientFunction):
+    """XOR of all inputs: not monotone, at any arity."""
+
+    kind = "parity"
+
+    def __init__(self, arity: int):
+        self.arity = arity
+
+    def eval_batch(self, xs):
+        return (popcount(self._words(xs)) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("f", [Majority(1), Majority(3), Majority(7), Tribes(1, 1),
+                               Tribes(2, 3), Tribes(3, 2), Tribes(1, 5),
+                               RecursiveMajority3(1), RecursiveMajority3(2),
+                               TableFunction(2, [0, 1, 1, 0]), _Parity(5)],
+                         ids=repr)
+def test_monotone_flag_matches_is_monotone(f):
+    assert f.monotone == is_monotone(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Majority(5), Majority(9), Tribes(2, 3), Tribes(3, 3),
+                        RecursiveMajority3(2)]),
+       st.data())
+def test_two_point_mask_equals_full_scan(f, data):
+    # the monotone shortcut against the 2^|Q| scan of the same truth table
+    qpos = sorted(data.draw(st.sets(st.integers(0, f.arity - 1), min_size=1)))
+    rest = [i for i in range(f.arity) if i not in qpos]
+    fixings = np.arange(1 << len(rest), dtype=np.uint64)
+    scanned = TableFunction(f.arity, f.truth_table())
+    assert f.monotone and not scanned.monotone
+    assert np.array_equal(_undetermined_mask(f, qpos, rest, fixings),
+                          _undetermined_mask(scanned, qpos, rest, fixings))
+
+
 def test_monotone_matches_brute_force_on_random_tables():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -301,9 +338,13 @@ def test_influence_work_caps(monkeypatch):
     with pytest.raises(WorkCapExceeded):
         influence_exact(Majority(7), [0], UniformBits(6))
     monkeypatch.delenv("NOBF_WORK_CAP")
+    # the 2^|Q| scan of a non-monotone function is capped at 20 coordinates;
+    # a monotone one takes two evaluations, so its coalition is not capped
     with pytest.raises(WorkCapExceeded):
-        undetermined_count(Majority(21), list(range(21)),
+        undetermined_count(_Parity(21), list(range(21)),
                            UniformBits(0), 0, 0, 10)
+    assert undetermined_count(Majority(21), list(range(21)),
+                              UniformBits(0), 0, 0, 10) == 10
     # a 65-bit block does not fit one packed value; the truth here is
     # C(64, 32) / 2^64, which a truncating scan would report as 0
     with pytest.raises(WorkCapExceeded):

@@ -15,8 +15,8 @@ from nobfext import prng
 from nobfext.bitops import gather_bits_vec, scatter_bits_vec
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
-from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
-                             ExactTwise, ExplicitTable, MajorityOfGood,
+from nobfext.sources import (SUPPORT_CHUNK, ConstantAdversary, Distribution,
+                             EpsBiased, ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, _poly_mod, adversary_from_descriptor,
                              enumerate_nobf, gf2e_times, gf2e_times_columns,
@@ -129,6 +129,28 @@ def test_exact_twise_marginals_uniform(n, t):
     rep = verify_twise(ExactTwise(n, t), n, t)
     assert rep.ok
     assert rep.worst_distance <= 1e-12
+
+
+def test_verify_twise_walks_seeds_beyond_table_width():
+    # 60 good bits from 2^12 seeds: no 2^60 table, every pair still checked
+    assert verify_twise(ExactTwise(60, 2), 60, 2).ok
+    # a seed space above 2^24 is not walked
+    with pytest.raises(WorkCapExceeded):
+        verify_twise(ExactTwise(60, 5), 60, 1)
+
+
+def test_support_walk_chunks_and_weights():
+    gen = ExactTwise(20, 4)  # 2^20 seeds: four chunks
+    chunks = list(gen.support())
+    assert [g.size for g, _ in chunks] == [SUPPORT_CHUNK] * 4
+    assert all(w is None for _, w in chunks) and gen.support_total == 1 << 20
+    seeds = np.arange(1 << 20, dtype=np.uint64)
+    assert np.array_equal(np.concatenate([g for g, _ in chunks]),
+                          gen.outcomes_for_seeds(seeds))
+    table = ExplicitTable([0.25, 0.0, 0.75, 0.0])
+    [(rows, weights)] = list(table.support())
+    assert rows.tolist() == [0, 2] and weights.tolist() == [0.25, 0.75]
+    assert table.probability(lambda g: g == 2) == 0.75
 
 
 def test_exact_twise_eventually_fails_higher_t():
