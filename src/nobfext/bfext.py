@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
-                     hex_from_words, n_words, words_from_ints)
+                     hex_from_words, n_words, scatter_bits_vec, words_from_ints)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
@@ -236,13 +236,20 @@ class ExtractionTrace:
                    z=BitVector.from_hex(int(obj["m"]), obj["z"]))
 
 
-def _block_and_compress(x: np.ndarray, params: BfextParams):
-    """y, y_used and z words of (N, W) input words."""
+def _block_bits(x: np.ndarray, params: BfextParams, blocks) -> np.ndarray:
+    """(N, n_words(ell)) words of (N, W) input words holding f of each
+    block in `blocks` at its index, every other bit zero."""
     bl = params.block_len
     y = np.zeros((len(x), n_words(params.ell)), dtype=np.uint64)
-    for i in range(params.ell):
+    for i in blocks:
         bit = params.f.eval_batch(bit_field(x, i * bl, bl)).astype(np.uint64)
         y[:, i // PACKED_WIDTH] |= bit << np.uint64(i % PACKED_WIDTH)
+    return y
+
+
+def _block_and_compress(x: np.ndarray, params: BfextParams):
+    """y, y_used and z words of (N, W) input words."""
+    y = _block_bits(x, params, range(params.ell))
     y_used = bit_field(y, 0, params.r)
     return y, y_used, compress_batch(params.code, y_used)
 
@@ -278,27 +285,25 @@ def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:
         trace_batch(words_from_ints([x.bits], params.n), params)[0])
 
 
-def _output_counts(spec: NobfSourceSpec, params: BfextParams, goods: np.ndarray,
-                   bads: np.ndarray, weights: np.ndarray | None):
-    """Counts over the 2^m outputs of the inputs composed of goods and bads
-    (each input weighing one, or its weight), and the outputs z.
+def _tally(zs: np.ndarray, xs: np.ndarray, weights: np.ndarray | None,
+           m: int) -> np.ndarray:
+    """Counts over the 2^m outputs zs of the packed inputs xs, each input
+    weighing one, or its weight.
 
     Float weights (explicit good-bit tables) are added in increasing order
-    of the composed input x, in windows of 2^20 values of x.  Float sums
-    round by their order, so the order is fixed: it is the one the output
-    documents of explicit tables have been computed in."""
-    xs = spec.compose_batch(goods, bads)
-    zs = extract_batch(xs, params)
-    size = 1 << params.m
+    of the input x, in windows of 2^20 values of x.  Float sums round by
+    their order, so the order is fixed: it is the one the output documents
+    of explicit tables have been computed in."""
+    size = 1 << m
     if weights is None:
-        return np.bincount(zs.astype(np.int64), minlength=size), zs
+        return np.bincount(zs.astype(np.int64), minlength=size)
     order = np.argsort(xs)
     window = xs[order] >> np.uint64(20)
     z, w = zs[order].astype(np.int64), weights[order]
     counts = np.zeros(size)
     for k in np.unique(window):
         counts += np.bincount(z[window == k], weights=w[window == k], minlength=size)
-    return counts, zs
+    return counts
 
 
 def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distribution:
@@ -312,8 +317,9 @@ def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distributi
     dist = spec.good_dist
     counts = 0
     for goods, weights in dist.support():
-        bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
-        counts = counts + _output_counts(spec, params, goods, bads, weights)[0]
+        xs = spec.compose_batch(
+            goods, spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q))
+        counts = counts + _tally(extract_batch(xs, params), xs, weights, params.m)
     return Distribution.exact(params.m, counts / dist.support_total)
 
 
@@ -476,11 +482,26 @@ def _coupled_counts(spec: NobfSourceSpec, params: BfextParams,
     """The one kernel of the zeroed comparison: identical good bits, bad
     bits set by the adversary on one side and pinned to zero on the other.
     Returns (output counts, zeroed output counts, number of differing
-    pairs), each good outcome weighing one or its weight."""
-    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
-    ca, za = _output_counts(spec, params, goods, bads, weights)
-    cb, zb = _output_counts(spec, params, goods, np.zeros_like(goods), weights)
-    return ca, cb, int(np.count_nonzero(za != zb))
+    pairs), each good outcome weighing one or its weight.
+
+    The zeroed input is x0 = the good bits scattered into place, and the
+    adversary's is x0 | its bad bits.  Only the r blocks that z reads are
+    evaluated, and a block holding no bad bit is evaluated once, on x0:
+    its output is the same on both sides."""
+    bl, r = params.block_len, params.r
+    bad_blocks = sorted({p // bl for p in spec.bad_positions if p // bl < r})
+    x0 = scatter_bits_vec(goods, spec.good_positions)
+    xa = x0 | scatter_bits_vec(
+        spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q),
+        spec.bad_positions)
+    w0, wa = x0[:, None], xa[:, None]
+    shared = _block_bits(w0, params, (i for i in range(r) if i not in bad_blocks))
+    zb = compress_batch(params.code, bit_field(
+        shared | _block_bits(w0, params, bad_blocks), 0, r))[:, 0]
+    za = compress_batch(params.code, bit_field(
+        shared | _block_bits(wa, params, bad_blocks), 0, r))[:, 0]
+    return (_tally(za, xa, weights, params.m), _tally(zb, x0, weights, params.m),
+            int(np.count_nonzero(za != zb)))
 
 
 def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,

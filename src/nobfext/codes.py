@@ -6,25 +6,32 @@ is the one Gy kernel, on packed words of any r (see `nobfext.bitops`).
 Distance is established only by exhaustive enumeration, one subset-XOR
 word kernel for every r, also for the distance a loaded document claims;
 `verified_d = 0` means unverified and such codes are rejected downstream.
+The code search keeps only exhaustively verified codes; it rejects most
+attempts before any scan, by a codeword of weight at most the best
+distance so far among a few XORs of the attempt's echelon rows, which is
+a proof that the attempt's distance is no better.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import prng
-from .bitops import (PACKED_WIDTH, as_words, ints_from_words, n_words, popcount,
-                     words_from_ints)
+from .bitops import (PACKED_WIDTH, as_words, bit_field, ints_from_words, n_words,
+                     popcount, words_from_ints)
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, BitVector, gf2_rank
+from .gf2 import BitMatrix, BitVector, gf2_echelon, gf2_rank
 
 DISTANCE_M_CAP = 24
 BUILD_M_CAP = 20
 DEFAULT_ATTEMPTS = 4096
+WITNESS_ROWS = 3  # echelon rows XORed, at most, into a search attempt's witnesses
 
 
 @dataclass
@@ -142,13 +149,39 @@ def min_distance_exact(code: LinearCode) -> int:
     return code.verified_d
 
 
+@lru_cache(maxsize=None)
+def _witness_index(m: int) -> np.ndarray:
+    """Every combination of 1..WITNESS_ROWS of m row indices, as rows of
+    WITNESS_ROWS entries padded with m, the index of a zero row."""
+    idx = np.array([c + (m,) * (WITNESS_ROWS - k) for k in range(1, WITNESS_ROWS + 1)
+                    for c in itertools.combinations(range(m), k)], dtype=np.intp)
+    idx.flags.writeable = False  # one cached table serves every search
+    return idx
+
+
+def _witness_weight(echelon: list[int], r: int) -> int:
+    """Least weight of an XOR of 1..WITNESS_ROWS of the echelon rows: the
+    weight of a nonzero codeword, so an upper bound on the distance."""
+    rows = words_from_ints(echelon + [0], r)[_witness_index(len(echelon))]
+    return int(popcount(np.bitwise_xor.reduce(rows, axis=1)).min())
+
+
 def build_good_code(m: int, r: int, target_d: int, seed: int,
                     attempts: int = DEFAULT_ATTEMPTS) -> LinearCode:
     """Seeded random search for a full-rank generator with verified
     distance >= target_d.
 
-    Deterministic per seed.  Exhausting the attempt budget raises
-    SearchBudgetExceeded carrying the best code found.
+    Attempt a draws row i as ``prng.bits(seed, a, i, r)``, all m rows from
+    one `prng.words` call.  One reduced echelon elimination both skips a
+    rank-deficient attempt and gives the rows whose XORs of at most
+    WITNESS_ROWS are tried first: once a best distance b exists, such a
+    codeword of weight <= b proves the attempt no better, and it is
+    dropped unscanned (the information-set step of the Brouwer-Zimmermann
+    method).  Only the rest get the exhaustive `_min_weight` scan, which
+    stops as soon as it goes <= b; a kept code's verified_d is therefore
+    always its exact distance.  Deterministic per seed.  Exhausting the
+    attempt budget raises SearchBudgetExceeded carrying the best code
+    found.
     """
     if m > BUILD_M_CAP:
         raise WorkCapExceeded(required=m, cap=BUILD_M_CAP, what="code search m")
@@ -159,23 +192,26 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
             f"target_d must be in 1..{r - m + 1} (Singleton bound for [{r},{m}])")
     if attempts < 1:
         raise ValidationError("need at least one attempt")
+    w = n_words(r)
     best: LinearCode | None = None
     for attempt in range(attempts):
-        rows = [prng.bits(seed, attempt, i, r) for i in range(m)]
-        g = BitMatrix(cols=r, rows=tuple(rows))
-        if gf2_rank(g) != m:
+        rows = bit_field(prng.words(seed, attempt, 0, m * w).reshape(m, w), 0, r)
+        ints = ints_from_words(rows)
+        echelon = gf2_echelon(ints)
+        if len(echelon) != m:
             continue
-        code = LinearCode(m=m, r=r, g=g,
+        b = best.verified_d if best else 0
+        if b and _witness_weight(echelon, r) <= b:
+            continue
+        d = _min_weight(rows, stop_at=b)
+        if d <= b:
+            continue
+        best = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=tuple(ints)),
+                          verified_d=d,
                           construction={"kind": "random-search", "seed": seed,
                                         "target_d": target_d, "attempt": attempt})
-        # an attempt at or below the best distance so far can be dropped as
-        # soon as its scan shows that, so its verified_d may stay an upper bound
-        code.verified_d = _min_weight(words_from_ints(rows, r),
-                                      stop_at=best.verified_d if best else 0)
-        if code.verified_d >= target_d:
-            return code
-        if best is None or code.verified_d > best.verified_d:
-            best = code
+        if d >= target_d:
+            return best
     raise SearchBudgetExceeded(
         f"no [{r},{m}] code with distance >= {target_d} in {attempts} attempts",
         best=best, best_distance=best.verified_d if best else 0)

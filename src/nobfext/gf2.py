@@ -197,20 +197,28 @@ def hamming_weight(v: BitVector) -> int:
     return v.bits.bit_count()
 
 
+def gf2_echelon(rows: Iterable[int]) -> list[int]:
+    """Reduced row echelon form of packed rows over GF(2), zero rows dropped.
+
+    Each returned row's lowest set bit is its pivot, and no other returned
+    row has that bit; the row count is the rank.
+    """
+    basis: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if row & p:
+                row ^= b
+        if row:
+            pivot = row & -row
+            for i, b in enumerate(basis):
+                if b & pivot:
+                    basis[i] = b ^ row
+            basis.append(row)
+            pivots.append(pivot)
+    return basis
+
+
 def gf2_rank(g: BitMatrix) -> int:
-    """Rank over GF(2) by Gaussian elimination on packed rows."""
-    work = [r for r in g.rows if r]
-    rank = 0
-    for col in range(g.cols):
-        mask = 1 << col
-        pivot = next((k for k in range(rank, len(work)) if work[k] & mask), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for k in range(len(work)):
-            if k != rank and work[k] & mask:
-                work[k] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    """Rank over GF(2): the row count of the reduced echelon form."""
+    return len(gf2_echelon(g.rows))

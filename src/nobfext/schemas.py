@@ -3,10 +3,13 @@
 Each document carries a `format` tag; `validate_document` dispatches on
 it.  The schemas pin structure, not semantics: loaded objects are still
 re-validated by the constructors they feed.  jsonschema is imported by the
-first call, so a command that reads no document never loads it.
+first call, so a command that reads no document never loads it, and each
+format's validator is built once per process.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -205,17 +208,27 @@ SCHEMAS_BY_FORMAT = {
 }
 
 
+@lru_cache(maxsize=None)
+def _validator(fmt: str):
+    """The jsonschema validator of one format's schema, built once: the
+    schemas are constants, so they are not re-checked against the
+    metaschema per document (`check_schema` runs on them in the tests)."""
+    from jsonschema.validators import validator_for
+
+    schema = SCHEMAS_BY_FORMAT[fmt]
+    return validator_for(schema)(schema)
+
+
 def validate_document(obj: dict) -> None:
-    """Schema-check a document by its `format` tag."""
-    import jsonschema
+    """Schema-check a document by its `format` tag; the error reported is
+    jsonschema's `best_match`, as `jsonschema.validate` would raise."""
+    from jsonschema.exceptions import best_match
 
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
     fmt = obj.get("format")
-    schema = SCHEMAS_BY_FORMAT.get(fmt)
-    if schema is None:
+    if not isinstance(fmt, str) or fmt not in SCHEMAS_BY_FORMAT:
         raise ValidationError(f"unknown document format {fmt!r}")
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise ValidationError(f"document failed schema check: {exc.message}") from exc
+    error = best_match(_validator(fmt).iter_errors(obj))
+    if error is not None:
+        raise ValidationError(f"document failed schema check: {error.message}")

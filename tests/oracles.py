@@ -6,9 +6,12 @@ sharing no code with the numpy kernels they are compared against.
 `clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, the
 textbook route that `nobfext.stats` replaces with `betaincinv`.
 `countdown_code` searches once per target distance where
-`bfext._default_code_builder` searches once in all.  `scatter_bits` and
-`gather_bits` move one bit at a time where `nobfext.bitops` moves runs;
-`tribes_value` tests one tribe at a time.
+`bfext._default_code_builder` searches once in all.  `reference_search`
+is the code search drawing each row with `prng.bits`, checking rank with
+`gf2_rank` and scanning every full-rank attempt in full, where
+`build_good_code` rejects most attempts by a low-weight witness.
+`scatter_bits` and `gather_bits` move one bit at a time where
+`nobfext.bitops` moves runs; `tribes_value` tests one tribe at a time.
 
 The extractor oracles work on one Python int per value, where the library
 runs packed-word kernels: `block_value` evaluates each block function from
@@ -30,9 +33,11 @@ import numpy as np
 from scipy.stats import beta
 
 from nobfext.bfext import extract_batch
-from nobfext.codes import build_good_code
+from nobfext import prng
+from nobfext.bitops import words_from_ints
+from nobfext.codes import LinearCode, _min_weight, build_good_code
 from nobfext.errors import SearchBudgetExceeded
-from nobfext.gf2 import BitMatrix, row_combination
+from nobfext.gf2 import BitMatrix, gf2_rank, row_combination
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              ExplicitTable, MajorityOfGood, ParityOfGood,
@@ -140,6 +145,28 @@ def countdown_code(m: int, ell: int):
         except SearchBudgetExceeded:
             continue
     raise AssertionError(f"no [{ell},{m}] code reaches distance 1")
+
+
+def reference_search(m: int, r: int, target_d: int, seed: int, attempts: int):
+    """`build_good_code` attempt by attempt: every full-rank attempt is
+    scanned in full, and the first to reach target_d is returned; without
+    one, SearchBudgetExceeded carries the first attempt of the greatest
+    distance."""
+    best = None
+    for attempt in range(attempts):
+        g = BitMatrix(cols=r, rows=tuple(prng.bits(seed, attempt, i, r) for i in range(m)))
+        if gf2_rank(g) != m:
+            continue
+        d = _min_weight(words_from_ints(g.rows, r))
+        code = LinearCode(m=m, r=r, g=g, verified_d=d,
+                          construction={"kind": "random-search", "seed": seed,
+                                        "target_d": target_d, "attempt": attempt})
+        if d >= target_d:
+            return code
+        if best is None or d > best.verified_d:
+            best = code
+    raise SearchBudgetExceeded("budget exhausted", best=best,
+                               best_distance=best.verified_d if best else 0)
 
 
 def block_value(f, bits: int) -> int:

@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
-                           _default_code_builder, _floor_pow, compare_zeroed,
-                           derive_params, explicit_params, extract, extract_batch,
-                           fixedness_probability, output_distribution,
+                           _coupled_counts, _default_code_builder, _floor_pow,
+                           compare_zeroed, derive_params, explicit_params, extract,
+                           extract_batch, fixedness_probability, output_distribution,
                            trace_batch, undetermined_block_count,
                            worst_case_adversary, zeroed_pair_counts)
 from nobfext.bitops import ints_from_words, words_from_ints
@@ -455,6 +455,75 @@ def test_support_walk_equals_dense_oracles_bit_for_bit(system):
     assert rep.exact and rep.sd.value == dense_compare_zeroed(spec, params)
     fixed = fixedness_probability(spec, params)
     assert fixed.is_exact and fixed.value == dense_fixedness(spec, params)
+
+
+@st.composite
+def _coupled_batches(draw):
+    """A spec, params with r <= ell and ell * block_len <= n, a batch of
+    good outcomes and either no weights or dyadic ones (exact in any
+    summation order); some block may hold only bad bits."""
+    block_len = draw(st.integers(1, 5))
+    ell = draw(st.integers(1, 6))
+    n = ell * block_len + draw(st.integers(0, 4))
+    bad = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    if draw(st.booleans()):  # one block wholly bad
+        j = draw(st.integers(0, ell - 1))
+        bad |= set(range(j * block_len, (j + 1) * block_len))
+    bad = sorted(bad)[:n - 1]
+    n_good, q = n - len(bad), len(bad)
+    kinds = ["constant", "parity", "majority"] + (["table"] if n_good <= 8 else [])
+    adversary = {"constant": lambda: ConstantAdversary(draw(st.integers(0, (1 << q) - 1))),
+                 "parity": ParityOfGood, "majority": MajorityOfGood,
+                 "table": lambda: TableAdversary(n_good, draw(st.lists(
+                     st.integers(0, (1 << q) - 1), min_size=1 << n_good,
+                     max_size=1 << n_good)))}[draw(st.sampled_from(kinds))]()
+    f = draw(st.sampled_from([Majority(block_len) if block_len % 2 else Tribes(1, block_len),
+                              TableFunction(block_len, draw(st.lists(
+                                  st.integers(0, 1), min_size=1 << block_len,
+                                  max_size=1 << block_len)))]))
+    k = draw(st.integers(1, ell))
+    code = preset_code(draw(st.sampled_from([f"identity-{k}", f"repetition-{k}"])))
+    size = draw(st.integers(1, 40))
+    goods = np.array(draw(st.lists(st.integers(0, (1 << n_good) - 1), min_size=size,
+                                   max_size=size)), dtype=np.uint64)
+    weights = None if draw(st.booleans()) else np.array(draw(st.lists(
+        st.integers(0, 1024), min_size=size, max_size=size))) / 1024.0
+    return (NobfSourceSpec(n, bad, UniformBits(n_good), adversary),
+            explicit_params(n, ell, block_len, code, f), goods, weights)
+
+
+def _two_passes(spec, params, goods, weights):
+    """`_coupled_counts` from two independent extract_batch passes."""
+    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
+    za = extract_batch(spec.compose_batch(goods, bads), params).astype(np.int64)
+    zb = extract_batch(spec.compose_batch(goods, np.zeros_like(goods)),
+                       params).astype(np.int64)
+    size = 1 << params.m
+    return (np.bincount(za, weights=weights, minlength=size),
+            np.bincount(zb, weights=weights, minlength=size),
+            int(np.count_nonzero(za != zb)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coupled_batches())
+@example((  # blocks 3 and 4 come after r = 3; bits 15, 16 lie beyond ell * block_len
+    NobfSourceSpec(17, [1, 7, 15], UniformBits(14), ParityOfGood()),
+    explicit_params(17, 5, 3, preset_code("repetition-3"), Majority(3)),
+    np.arange(0, 1 << 14, 37, dtype=np.uint64), None))
+@example((  # block 1 is wholly bad; every outcome has its own weight
+    NobfSourceSpec(9, [3, 4, 5], UniformBits(6), MajorityOfGood()),
+    explicit_params(9, 3, 3, preset_code("identity-3"), Majority(3)),
+    np.arange(64, dtype=np.uint64), np.arange(64) / 2048))
+@example((  # every bit of the only block read is bad
+    NobfSourceSpec(6, [0, 1, 2], UniformBits(3), ConstantAdversary(5)),
+    explicit_params(6, 2, 3, preset_code("identity-1"), Majority(3)),
+    np.arange(8, dtype=np.uint64), None))
+def test_coupled_counts_equal_two_extract_passes(batch):
+    spec, params, goods, weights = batch
+    got = _coupled_counts(spec, params, goods, weights)
+    want = _two_passes(spec, params, goods, weights)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 def test_explicit_table_sums_in_input_order_across_windows():

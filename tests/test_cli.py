@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from oracles import extract_trace
@@ -101,11 +102,32 @@ def test_schema_validation_accepts_and_rejects():
         validate_document({"format": "no-such-format"})
     with pytest.raises(ValidationError):
         validate_document({"m": 1})  # no format at all
+    with pytest.raises(ValidationError):
+        validate_document({"format": ["linear-code"]})  # an unhashable tag
     assert set(SCHEMAS_BY_FORMAT) >= {
         "nobf-source-spec", "linear-code", "bfext-params",
         "extraction-trace", "extraction-report", "analysis-report",
         "code-search-failure", "nobf-samples",
     }
+
+
+@pytest.mark.parametrize("fmt", sorted(SCHEMAS_BY_FORMAT))
+def test_every_schema_is_valid_against_its_metaschema(fmt):
+    # validate_document builds each validator once and skips this check
+    schema = SCHEMAS_BY_FORMAT[fmt]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_errors_match_jsonschema_validate():
+    code_doc = preset_code("hamming-7-4").to_json()
+    for broken in ({k: v for k, v in code_doc.items() if k != "rows"},
+                   {**code_doc, "m": 0, "rows": "1"},
+                   {**code_doc, "rows": ["zz", 3], "construction": []}):
+        with pytest.raises(jsonschema.exceptions.ValidationError) as want:
+            jsonschema.validate(broken, SCHEMAS_BY_FORMAT["linear-code"])
+        with pytest.raises(ValidationError) as got:
+            validate_document(broken)
+        assert str(got.value).endswith(want.value.message)
 
 
 # ---------------------------------------------------------------------------

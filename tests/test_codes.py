@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from oracles import gray_min_distance, row_combinations_within
+from oracles import gray_min_distance, reference_search, row_combinations_within
 
 from nobfext import codes
+from nobfext.bitops import words_from_ints
 from nobfext.codes import (LinearCode, build_good_code, compress, encode_message,
                            min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
@@ -231,11 +232,54 @@ def test_search_early_stop_changes_no_result(monkeypatch, m, r, d, seed, attempt
 
 
 def test_search_early_stop_cuts_scans(monkeypatch):
-    # with 17 rows a scan covers two blocks, so failed attempts can stop
-    # after the first one and report an upper bound, not their distance
-    _, early = _search(monkeypatch, 17, 40, 14, 5, 40, stop=True)
-    _, exact = _search(monkeypatch, 17, 40, 14, 5, 40, stop=False)
-    assert early != exact
+    # 17 one-word rows: the low-row table holds every XOR of rows 0..15,
+    # disjoint nibbles of weight 4 each, so the first block's minimum is 4;
+    # the lightest codeword, row 16 ^ row 0 = bit 63, lies in the second
+    rows = words_from_ints([0xF << (4 * j) for j in range(16)] + [0xF | 1 << 63], 64)
+    assert codes._min_weight(rows) == 1
+    assert codes._min_weight(rows, stop_at=4) == 4  # stopped after one block
+    assert codes._min_weight(rows, stop_at=3) == 1  # no block goes that low early
+    # the search hands every scan after its first the best distance so far
+    exact, stops = codes._min_weight, []
+
+    def scan(rows, stop_at=0):
+        stops.append(stop_at)
+        return exact(rows, stop_at)
+
+    monkeypatch.setattr(codes, "_min_weight", scan)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        build_good_code(17, 40, 14, seed=5, attempts=40)
+    assert stops[0] == 0 and len(stops) > 1
+    assert all(0 < s <= info.value.best_distance for s in stops[1:])
+    assert stops[1:] == sorted(stops[1:])
+
+
+def _outcome(search, *args):
+    """A search's code document, or (best document, best_distance) when it
+    exhausts its budget."""
+    try:
+        return search(*args).to_json()
+    except SearchBudgetExceeded as exc:
+        return (exc.best.to_json() if exc.best else None, exc.best_distance)
+
+
+@pytest.mark.parametrize("m,r,d,seed,attempts", [
+    (4, 7, 3, 11, 4096), (3, 9, 4, 2, 4096),
+    (20, 48, 10, 1, 60), (6, 20, 8, 1, 300), (4, 7, 4, 3, 200),  # exhausted
+    (7, 9, 3, 0, 100),
+    (17, 40, 14, 5, 40), (16, 100, 40, 2, 30),           # several scan blocks
+    (6, 70, 28, 4, 60), (5, 130, 60, 1, 40), (8, 200, 90, 2, 30),  # r > 64
+    (3, 3, 1, 0, 50), (5, 5, 1, 1, 50), (4, 5, 2, 0, 50),  # rank-deficient draws
+    (6, 7, 2, 3, 40), (9, 10, 2, 0, 80), (1, 1, 1, 0, 5), (5, 5, 1, 1, 3),
+])
+def test_search_equals_reference_search(m, r, d, seed, attempts):
+    assert _outcome(build_good_code, m, r, d, seed, attempts) == \
+        _outcome(reference_search, m, r, d, seed, attempts)
+
+
+def test_bench_search_keeps_its_attempt():
+    code = build_good_code(20, 48, 10, seed=1)
+    assert code.construction["attempt"] == 544 and code.verified_d == 10
 
 
 def test_code_json_verified_d_is_rederived():
