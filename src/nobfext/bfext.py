@@ -487,7 +487,9 @@ def _coupled_counts(spec: NobfSourceSpec, params: BfextParams,
     The zeroed input is x0 = the good bits scattered into place, and the
     adversary's is x0 | its bad bits.  Only the r blocks that z reads are
     evaluated, and a block holding no bad bit is evaluated once, on x0:
-    its output is the same on both sides."""
+    its output is the same on both sides.  Sources wider than one packed
+    word raise WorkCapExceeded, as `extract_batch` does."""
+    check_packed(spec.n, "packed batch source length")
     bl, r = params.block_len, params.r
     bad_blocks = sorted({p // bl for p in spec.bad_positions if p // bl < r})
     x0 = scatter_bits_vec(goods, spec.good_positions)

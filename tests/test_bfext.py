@@ -354,6 +354,18 @@ def test_fixedness_refuses_good_bits_wider_than_packed_width():
         fixedness_probability(spec, params, seed=1, samples=20000)
 
 
+@pytest.mark.parametrize("ell,block_len", [(6, 11), (14, 5)])
+def test_compare_zeroed_refuses_sources_wider_than_packed_width(ell, block_len):
+    # 64 good bits load and sample, but the 70-bit composed input does not
+    # fit one packed value: the last block spans bit 64 (block_len 11) or
+    # lies wholly past it (block_len 5); z reads every block
+    spec = NobfSourceSpec(70, list(range(6)), UniformBits(64), ConstantAdversary(1))
+    params = explicit_params(70, ell, block_len, preset_code(f"repetition-{ell}"),
+                             Majority(block_len))
+    with pytest.raises(WorkCapExceeded):
+        compare_zeroed(spec, params, seed=1, samples=100)
+
+
 # ---------------------------------------------------------------------------
 # zeroed comparison and the coupling bound
 
