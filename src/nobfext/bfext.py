@@ -5,7 +5,9 @@ one boolean function f per block to get y, keep the first r coordinates,
 and compress through an [r, m, d] generator matrix: z = G y_used.  Each
 step is one batch kernel on packed words of any width (`bitops.bit_field`,
 `f.eval_batch`, `codes.compress_batch`); `extract_batch` and
-`trace_batch` run them over a batch, and `extract` is their length-1 view.
+`trace_columns` (every step's hex characters, as matrices) run them over a
+batch; `trace_batch` gives those as `trace_document`s, and `extract` is
+the length-1 view.
 
 The diagnostics quantify the two steps the analysis rests on: the
 probability that every block's output is already determined by the good
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
-                     hex_from_words, n_words, scatter_bits_vec, words_from_ints)
+                     hex_chars, n_words, scatter_bits_vec, words_from_ints)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
@@ -211,18 +214,9 @@ class ExtractionTrace:
     z: BitVector
 
     def to_json(self) -> dict:
-        return {
-            "format": "extraction-trace",
-            "version": 1,
-            "block_len": len(self.blocks[0]) if self.blocks else 0,
-            "ell": len(self.y),
-            "r": len(self.y_used),
-            "m": len(self.z),
-            "blocks": [b.to_hex() for b in self.blocks],
-            "y": self.y.to_hex(),
-            "y_used": self.y_used.to_hex(),
-            "z": self.z.to_hex(),
-        }
+        return trace_document(len(self.blocks[0]) if self.blocks else 0, len(self.y),
+                              len(self.y_used), len(self.z),
+                              [v.to_hex() for v in (*self.blocks, self.y, self.y_used, self.z)])
 
     @classmethod
     @parse_errors("extraction trace")
@@ -262,19 +256,36 @@ def extract_batch(xs: np.ndarray, params: BfextParams) -> np.ndarray:
     return z if np.ndim(xs) == 2 else z[:, 0]
 
 
-def trace_batch(xs: np.ndarray, params: BfextParams) -> list[dict]:
-    """The `ExtractionTrace.to_json` document of each packed input (1-D or
-    (N, W) words), every field hex-encoded a column at a time."""
+def trace_document(block_len: int, ell: int, r: int, m: int,
+                   fields: Sequence[str]) -> dict:
+    """The extraction-trace document with the hex fields `fields`: the
+    blocks, then y, y_used and z, as `trace_columns` gives them and as the
+    document's sorted keys hold them."""
+    *blocks, y, y_used, z = fields
+    return {"format": "extraction-trace", "version": 1, "block_len": block_len,
+            "ell": ell, "r": r, "m": m, "blocks": blocks,
+            "y": y, "y_used": y_used, "z": z}
+
+
+def trace_columns(xs: np.ndarray, params: BfextParams) -> list[np.ndarray]:
+    """The hex fields of the trace of each packed input (1-D or (N, W)
+    words) as (N, digits) character matrices (`bitops.hex_chars`): the ell
+    blocks, then y, y_used and z."""
     x = as_words(xs, params.n, "packed batch source length")
     y, y_used, z = _block_and_compress(x, params)
     bl = params.block_len
-    blocks = zip(*(hex_from_words(bit_field(x, i * bl, bl), bl) for i in range(params.ell)))
-    head = {"format": "extraction-trace", "version": 1, "block_len": bl,
-            "ell": params.ell, "r": params.r, "m": params.m}
-    return [dict(head, blocks=list(b), y=yh, y_used=uh, z=zh)
-            for b, yh, uh, zh in zip(blocks, hex_from_words(y, params.ell),
-                                     hex_from_words(y_used, params.r),
-                                     hex_from_words(z, params.m))]
+    return ([hex_chars(bit_field(x, i * bl, bl), bl) for i in range(params.ell)]
+            + [hex_chars(y, params.ell), hex_chars(y_used, params.r),
+               hex_chars(z, params.m)])
+
+
+def trace_batch(xs: np.ndarray, params: BfextParams) -> list[dict]:
+    """The `ExtractionTrace.to_json` document of each packed input (1-D or
+    (N, W) words)."""
+    columns = [[row.tobytes().decode("ascii") for row in c]
+               for c in trace_columns(xs, params)]
+    return [trace_document(params.block_len, params.ell, params.r, params.m, fields)
+            for fields in zip(*columns)]
 
 
 def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:

@@ -11,8 +11,10 @@ into (N, W) words and, like `check_packed`, raises WorkCapExceeded for a
 count always comes from the value width.  `shift_right` and `bit_field`
 move bits across word boundaries and `popcount` sums the per-word counts,
 so the extractor's steps run on any width.  Hex strings carry ceil(width/4)
-digits (at least one), least significant nibble first; `hex_from_words`
-and `words_from_hex` are the package's one codec for them.
+digits (at least one), least significant nibble first.  The package's one
+codec for them works on (N, digits) byte matrices: `hex_chars` writes one,
+`words_from_hex` reads one through a 256-entry table of nibble values, and
+`hex_from_words` is the string view of `hex_chars`.
 
 Scatter and gather move bits in runs: consecutive indices j whose
 positions p advance with them (p - j constant) move with one
@@ -25,7 +27,6 @@ value (Arlazarov, Dinic, Kronrod and Faradzev 1970).
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,10 @@ from .errors import DimensionError, ValidationError, WorkCapExceeded
 PACKED_WIDTH = 64  # bits in one packed uint64 value
 
 _NIBBLE_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+# the value of each hex character byte, 16 for every other byte
+_NIBBLE_VALUES = np.frombuffer(bytes(
+    int(c, 16) if c in "0123456789abcdefABCDEF" else 16 for c in map(chr, range(256))),
+    dtype=np.uint8)
 
 
 def check_packed(width: int, what: str) -> None:
@@ -82,34 +86,56 @@ def ints_from_words(words: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def hex_from_words(words: np.ndarray, width: int) -> list[str]:
-    """Hex string of each packed `width`-bit value (1-D or (N, W) words)."""
+def _hex_digits(width: int) -> int:
+    return max(1, -(-width // 4))
+
+
+def hex_chars(words: np.ndarray, width: int) -> np.ndarray:
+    """(N, digits) uint8 matrix of the hex characters of each packed
+    `width`-bit value (1-D or (N, W) words), least significant nibble first."""
     raw = np.ascontiguousarray(as_words(words, width, "hex value width"),
                                dtype="<u8").view(np.uint8)
     nibbles = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint8)
     nibbles[:, 0::2] = raw & 15
     nibbles[:, 1::2] = raw >> 4
-    digits = max(1, -(-width // 4))
-    chars = np.ascontiguousarray(_NIBBLE_CHARS[nibbles[:, :digits]])
-    return [b.decode("ascii") for b in chars.view(f"S{digits}").ravel().tolist()]
+    return _NIBBLE_CHARS[nibbles[:, :_hex_digits(width)]]
+
+
+def hex_from_words(words: np.ndarray, width: int) -> list[str]:
+    """Hex string of each packed `width`-bit value (1-D or (N, W) words)."""
+    chars = hex_chars(words, width)
+    text = chars.tobytes().decode("ascii")
+    d = chars.shape[1]
+    return [text[i:i + d] for i in range(0, len(text), d)]
 
 
 def words_from_hex(strings: Sequence[str], width: int) -> np.ndarray:
-    """(N, W) words of hex strings of `width`-bit values; a string of the
-    wrong length, with a non-hex character or with bits set beyond
-    `width` is a ValidationError."""
-    digits = max(1, -(-width // 4))
-    values = []
-    for s in strings:
-        if len(s) != digits:
-            raise ValidationError(
-                f"expected {digits} hex digits for length {width}, got {len(s)}")
-        if not _HEX_DIGITS.fullmatch(s):  # int() also takes signs, "_" and "0x"
+    """(N, W) words of hex strings of `width`-bit values.  The first string
+    of the wrong length, with a non-hex character or with bits set beyond
+    `width` (checked in that order) is a ValidationError."""
+    digits = _hex_digits(width)
+    strings = list(strings)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    wrong = np.flatnonzero(lengths != digits)
+    head = strings[:wrong[0]] if wrong.size else strings
+    # "replace" turns each non-ASCII character into one "?", not a hex digit
+    chars = np.frombuffer("".join(head).encode("ascii", "replace"), dtype=np.uint8)
+    nibbles = _NIBBLE_VALUES[chars].reshape(len(head), digits)
+    non_hex = (nibbles > 15).any(axis=1)
+    beyond = nibbles[:, -1] >> np.uint8(width - 4 * (digits - 1))
+    bad = np.flatnonzero(non_hex | (beyond != 0))
+    if bad.size:
+        s = head[bad[0]]
+        if non_hex[bad[0]]:
             raise ValidationError(f"{s!r} is not a hex string")
-        values.append(int(s[::-1], 16))
-        if values[-1] >> width:
-            raise ValidationError(f"hex payload {s!r} has bits set beyond length {width}")
-    return words_from_ints(values, width)
+        raise ValidationError(f"hex payload {s!r} has bits set beyond length {width}")
+    if wrong.size:
+        raise ValidationError(f"expected {digits} hex digits for length {width}, "
+                              f"got {lengths[wrong[0]]}")
+    padded = np.zeros((len(head), 16 * n_words(width)), dtype=np.uint8)
+    padded[:, :digits] = nibbles
+    raw = padded[:, 0::2] | (padded[:, 1::2] << np.uint8(4))
+    return raw.view("<u8").astype(np.uint64, copy=False)
 
 
 def shift_right(words: np.ndarray, s: int) -> np.ndarray:

@@ -10,6 +10,8 @@ Four subcommands, all driven by a JSON config file and a master seed:
 
 Every output document embeds the config and effective seed and is
 formatted canonically (sorted keys, two-space indent, trailing newline).
+`report_json` writes an extraction report's traces, which differ only in
+fixed-width hex fields, as one byte matrix with `canonical_json`'s bytes.
 Input documents are checked against `schemas` where they are read; outputs
 are checked by the tests and the benchmark.  Outputs are byte-identical for
 a fixed seed regardless of --workers: all sampling is addressed by (seed,
@@ -29,7 +31,8 @@ import sys
 
 import numpy as np
 
-from .bfext import BfextParams, compare_zeroed, fixedness_probability, trace_batch
+from .bfext import (BfextParams, compare_zeroed, fixedness_probability,
+                    trace_columns, trace_document)
 from .bitops import words_from_hex
 from .codes import build_good_code, preset_code
 from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
@@ -51,11 +54,46 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_document(path: str, obj: dict) -> None:
-    """Write obj canonically under a temporary name that is renamed onto
-    path (see `staged_outputs`)."""
+_TRACES = '\n  "traces": []'  # the one line at indent 2 that holds this key
+
+
+def report_json(doc: dict, params: BfextParams, columns: list[np.ndarray]) -> str:
+    """`canonical_json` of the extraction report doc, whose empty traces
+    list stands for the traces whose hex fields are `columns`
+    (`trace_columns`).
+
+    The traces differ only in their fixed-width hex fields, so one
+    placeholder trace rendered by `canonical_json` and indented to the
+    list's depth is the template row of an (N, row_len) byte matrix, and
+    each column is copied into it at its field's offset.  The matrix goes
+    in at the top-level traces line: run.config, which sorts before it,
+    is user content and may hold a traces key of its own, but only at a
+    deeper indent."""
+    text = canonical_json(doc)
+    count = len(columns[-1])
+    if not count:
+        return text
+    head, _, tail = text.partition(_TRACES)
+    trace = canonical_json(trace_document(params.block_len, params.ell, params.r,
+                                          params.m, ["#" * c.shape[1] for c in columns]))
+    row = ("    " + trace[:-1].replace("\n", "\n    ") + ",\n").encode("ascii")
+    rows = np.tile(np.frombuffer(row, dtype=np.uint8), (count, 1))
+    start = 0
+    for chars in columns:
+        digits = chars.shape[1]
+        start = row.index(b'"' + b"#" * digits + b'"', start) + 1
+        rows[:, start:start + digits] = chars
+        start += digits
+    body = str(rows.reshape(-1)[:-2].data, "ascii")  # no comma after the last trace
+    return f'{head}\n  "traces": [\n{body}\n  ]{tail}'
+
+
+def write_document(path: str, obj: dict, render=canonical_json) -> None:
+    """Write render(obj), `canonical_json` unless an extraction report
+    brings its own (`report_json`), under a temporary name that is renamed
+    onto path (see `staged_outputs`)."""
     with staged_outputs() as stage, open(stage(path), "w") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(render(obj))
 
 
 def load_json(path: str) -> dict:
@@ -179,16 +217,17 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
     else:
         raise ValidationError(
             "config needs one of: samples (path), inputs (hex list), spec (path)")
-    traces = trace_batch(xs, params)
+    columns = trace_columns(xs, params)
+    count = len(columns[-1])
     doc = {
         "format": "extraction-report",
         "version": 1,
         "n": params.n,
-        "count": len(traces),
-        "traces": traces,
-        "run": _run_block("extract", seed, config, len(traces)),
+        "count": count,
+        "traces": [],
+        "run": _run_block("extract", seed, config, count),
     }
-    write_document(out, doc)
+    write_document(out, doc, lambda d: report_json(d, params, columns))
     return 0
 
 

@@ -51,8 +51,7 @@ import numpy as np
 
 from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
-                     hex_from_words, linear_map_tables, scatter_bits_vec,
-                     words_from_hex)
+                     hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
 from .schemas import validate_document
@@ -975,10 +974,11 @@ def write_sample_batch(path, spec: NobfSourceSpec, samples: np.ndarray, seed: in
         "seed": int(seed),
         "stream": int(stream),
     }
-    lines = hex_from_words(samples, spec.n)
+    chars = hex_chars(samples, spec.n)
+    lines = np.column_stack([chars, np.full(len(chars), ord("\n"), dtype=np.uint8)])
     with staged_outputs() as stage, open(stage(path), "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+        fh.write(lines.tobytes().decode("ascii"))
 
 
 def read_sample_batch(path) -> tuple[dict, np.ndarray]:
@@ -989,7 +989,7 @@ def read_sample_batch(path) -> tuple[dict, np.ndarray]:
     validate_document(header)
     n = int(header["n"])
     check_packed(n, "packed sample width")
-    hexes = [h for h in (line.strip() for line in body.split("\n")) if h]
+    hexes = list(filter(None, map(str.strip, body.split("\n"))))
     samples = words_from_hex(hexes, n)[:, 0]
     if samples.size != header["count"]:
         raise ValidationError("sample count does not match header")

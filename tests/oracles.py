@@ -20,6 +20,11 @@ pipeline on one input, and `gray_min_distance` walks every codeword in
 Gray-code order.  `row_combinations_within` and `xor_distance_brute`
 enumerate what `min_distance_exact` and `stats.xor_bias_product` compute.
 
+The codec and writer oracles are the per-string routes the byte-matrix
+kernels replace: `words_from_hex` checks and parses one string at a time
+with a regex and `int`, and `report_json` renders an extraction report
+from the dict traces of `trace_batch` with `canonical_json`.
+
 The dense oracles compute the exact oracles' results from tables of every
 input: `dense_source_table` holds the probability of each of the 2^n
 inputs, and `dense_output_distribution`, `dense_compare_zeroed` and
@@ -29,12 +34,16 @@ increasing order of the input, 2^20 inputs at a time, the order the
 library's results must reproduce bit for bit.
 """
 
+import re
+
 import numpy as np
 from scipy.stats import beta
 
-from nobfext.bfext import extract_batch
+from nobfext.bfext import extract_batch, trace_batch
 from nobfext import prng
 from nobfext.bitops import words_from_ints
+from nobfext.cli import canonical_json
+from nobfext.errors import ValidationError
 from nobfext.codes import LinearCode, _min_weight, build_good_code
 from nobfext.errors import SearchBudgetExceeded
 from nobfext.gf2 import BitMatrix, gf2_rank, row_combination
@@ -205,6 +214,32 @@ def extract_trace(x: int, params) -> dict:
 def _hex(value: int, width: int) -> str:
     """Hex digits of value, least significant nibble first."""
     return format(value, f"0{max(1, -(-width // 4))}x")[::-1]
+
+
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
+def words_from_hex(strings, width: int) -> np.ndarray:
+    """(N, W) words of hex strings, one string at a time: its length, its
+    characters, then bits beyond width."""
+    digits = max(1, -(-width // 4))
+    values = []
+    for s in strings:
+        if len(s) != digits:
+            raise ValidationError(
+                f"expected {digits} hex digits for length {width}, got {len(s)}")
+        if not _HEX_DIGITS.fullmatch(s):  # int() also takes signs, "_" and "0x"
+            raise ValidationError(f"{s!r} is not a hex string")
+        values.append(int(s[::-1], 16))
+        if values[-1] >> width:
+            raise ValidationError(f"hex payload {s!r} has bits set beyond length {width}")
+    return words_from_ints(values, width)
+
+
+def report_json(doc: dict, xs, params) -> str:
+    """The extraction report doc with the dict traces of xs in its traces
+    list, rendered whole by `canonical_json`."""
+    return canonical_json(dict(doc, traces=trace_batch(xs, params)))
 
 
 def gray_min_distance(code) -> int:

@@ -10,15 +10,21 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 from oracles import extract_trace
 
-from nobfext.bfext import explicit_params, extract
-from nobfext.cli import canonical_json, main
+from nobfext.bfext import explicit_params, extract, trace_columns
+from nobfext.bitops import hex_from_words, words_from_ints
+from nobfext.cli import _run_block, canonical_json, main, report_json
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError
 from nobfext.gf2 import BitMatrix, BitVector
 from nobfext.prng import chunk_ranges
-from nobfext.resilient import Majority, Tribes
+from nobfext.resilient import (Majority, RecursiveMajority3, Tribes,
+                               default_block_function)
 from nobfext.schemas import SCHEMAS_BY_FORMAT, validate_document
 from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
                              read_sample_batch)
@@ -656,6 +662,40 @@ def test_gen_source_failed_samples_write_leaves_no_file(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+class _FullDisk:
+    """A file that takes half of the first text written to it, then fails
+    with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_extract_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    ppath, params = _params_file(tmp_path)
+    cfg = _write(tmp_path / "cfg.json",
+                 {"params": ppath, "inputs": hex_from_words(np.arange(40, dtype=np.uint64),
+                                                           params.n)})
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr("nobfext.cli.open", lambda path, mode="r": _FullDisk(open(path, mode)),
+                        raising=False)
+    assert _run("extract", "--config", cfg, "--out", str(tmp_path / "OUT.json")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "cannot write" in err and "No space left" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_gen_source_wide_spec_without_samples(tmp_path):
     # the packed width limits drawing, not describing a source
     cfg = _write(tmp_path / "cfg.json",
@@ -697,11 +737,73 @@ def test_workers_must_be_positive(tmp_path):
 
 
 def test_written_documents_are_canonical(tmp_path):
-    cfg = _write(tmp_path / "cfg.json", _source_config())
+    cfg = _write(tmp_path / "cfg.json", dict(_source_config(), samples=50))
     out = tmp_path / "spec.json"
     assert _run("gen-source", "--config", cfg, "--out", str(out)) == 0
-    text = out.read_text()
-    assert text == canonical_json(json.loads(text))
+    ppath, _ = _params_file(tmp_path)
+    wide = _write(tmp_path / "wide.json", explicit_params(
+        250, 3, 81, preset_code("identity-3"), RecursiveMajority3(4)).to_json())
+    wide_inputs = hex_from_words(words_from_ints(
+        [3 ** k % (1 << 250) for k in range(0, 300, 7)], 250), 250)
+    reports = {"from-file": {"params": ppath, "samples": f"{out}.samples"},
+               "wide-inputs": {"params": wide, "inputs": wide_inputs},
+               "no-inputs": {"params": ppath, "inputs": []}}
+    outs = [out]
+    for name, config in reports.items():
+        outs.append(tmp_path / f"{name}.json")
+        assert _run("extract", "--config", _write(tmp_path / "cfg.json", config),
+                    "--out", str(outs[-1])) == 0
+    for path in outs:
+        text = path.read_text()
+        assert text == canonical_json(json.loads(text))
+    counts = [json.loads(path.read_text())["count"] for path in outs[1:]]
+    assert counts == [50, len(wide_inputs), 0]
+
+
+@st.composite
+def _report_batches(draw):
+    """Params whose block_len, ell, r and m may each cross a 64-bit word
+    boundary, a batch of 0, 1 or many inputs of their width (1-D words
+    when n fits one word, sometimes), and a user config that may hold a
+    traces key and characters JSON escapes."""
+    ell = draw(st.integers(1, 70))
+    block_len = draw(st.integers(1, 280 // ell))
+    n = ell * block_len + draw(st.integers(0, 70))
+    r = draw(st.integers(1, ell))
+    m = draw(st.integers(1, r))
+    extra = draw(st.lists(st.integers(0, (1 << (r - m)) - 1), min_size=m, max_size=m))
+    code = LinearCode(m=m, r=r, verified_d=1, g=BitMatrix(  # full rank: identity first
+        cols=r, rows=tuple((1 << i) | (e << m) for i, e in enumerate(extra))))
+    params = explicit_params(n, ell, block_len, code, default_block_function(block_len))
+    count = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    words = words_from_ints(xs, n)
+    if n <= 64 and draw(st.booleans()):
+        words = words[:, 0]
+    config = draw(st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(st.text(max_size=8), st.integers(), st.lists(st.text(max_size=4))),
+        max_size=4))
+    if draw(st.booleans()):
+        config["traces"] = draw(st.sampled_from([[], "[]", {"traces": []}]))
+    return params, words, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_report_batches())
+@example((explicit_params(150, 70, 2, LinearCode(70, 70, BitMatrix.identity(70), 1),
+                          Tribes(2, 1)),
+          words_from_ints([(1 << 150) - 1, 5 << 64, 1 << 139], 150), {}))  # y, y_used, z: 2 words
+@example((explicit_params(250, 2, 125, preset_code("repetition-2"), Majority(125)),
+          words_from_ints([(1 << 250) - 1, 0, 1 << 130], 250),
+          {"traces": [], "%s": "%(z)s @ \"q\" \\ \u0663 \u00e9", "@": ["\n  \"traces\": []"]}))
+def test_report_writer_matches_dict_traces_byte_for_byte(batch):
+    params, words, config = batch
+    count = len(words)
+    doc = {"format": "extraction-report", "version": 1, "n": params.n, "count": count,
+           "traces": [], "run": _run_block("extract", 1, config, count)}
+    assert (report_json(doc, params, trace_columns(words, params))
+            == oracles.report_json(doc, words, params))
 
 
 # ---------------------------------------------------------------------------

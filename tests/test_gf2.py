@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import matvec
 
+from nobfext.bitops import hex_from_words, words_from_hex
 from nobfext.codes import LinearCode, compress
 from nobfext.errors import DimensionError, ValidationError
 from nobfext.gf2 import BitMatrix, BitVector, gf2_rank, hamming_weight, row_combination
@@ -50,6 +54,59 @@ def test_from_hex_rejects_non_hex_characters():
     for s in ["1_2", "21 ", "+12", "fx0", "-1f"]:
         with pytest.raises(ValidationError):
             BitVector.from_hex(12, s)
+
+
+# characters a hex string must not hold, including ones int(s, 16) takes
+# and a non-ASCII digit (str.isdigit and int() accept it)
+_NOT_HEX = "+_x -\u0663\u00e9\x00g"
+
+
+@st.composite
+def _hex_batches(draw):
+    """A width and a list of hex strings for it, mostly well formed, with
+    up to three strings of the wrong length, with a non-hex character or
+    with bits beyond the width put in anywhere."""
+    width = draw(st.integers(1, 130))
+    digits = -(-width // 4)
+
+    def hex_of(value):
+        return format(value, f"0{digits}x")[::-1]
+
+    good = st.integers(0, (1 << width) - 1).map(hex_of)
+    strings = draw(st.lists(st.one_of(good, good.map(str.upper)), max_size=6))
+    bad = st.one_of(
+        st.integers(0, (1 << 4 * digits) - 1).map(hex_of),  # may spill past width
+        st.text("0123456789abcdefABCDEF" + _NOT_HEX,
+                min_size=max(0, digits - 1), max_size=digits + 1),
+        st.tuples(good, st.integers(0, digits - 1), st.sampled_from(_NOT_HEX)).map(
+            lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]))
+    for _ in range(draw(st.integers(0, 3))):
+        strings.insert(draw(st.integers(0, len(strings))), draw(bad))
+    return width, strings
+
+
+def _words_or_error(codec, strings, width):
+    try:
+        words = codec(strings, width)
+    except ValidationError as exc:
+        return str(exc)
+    return words.dtype, words.shape, words.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hex_batches())
+@example((4, ["\u0663"]))                # one non-ASCII digit of the right length
+@example((5, ["1f", "x", "g0"]))          # bits beyond the width come first
+@example((5, ["10", "x", "g0"]))          # then the wrong length
+@example((130, []))
+@example((64, ["f" * 16, "F" * 16]))
+def test_hex_codec_matches_per_string_oracle(batch):
+    width, strings = batch
+    got = _words_or_error(words_from_hex, strings, width)
+    assert got == _words_or_error(oracles.words_from_hex, strings, width)
+    if not isinstance(got, str):  # parsed: the codec's other half gives the strings back
+        assert hex_from_words(words_from_hex(strings, width), width) == [
+            s.lower() for s in strings]
 
 
 def test_xor_and_dimension_checks():
