@@ -11,7 +11,7 @@ spectra) back every quantitative claim the pipeline's analysis rests on.
 
 from .errors import (DimensionError, NobfError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded)
-from .gf2 import BitMatrix, BitVector, gf2_rank, hamming_weight, row_combination
+from .gf2 import BitMatrix, BitVector, gf2_rank, row_combination
 from .sources import (ConstantAdversary, Distribution, EpsBiased, ExactTwise,
                       ExplicitTable, MajorityOfGood, NobfSourceSpec,
                       ParityOfGood, TableAdversary, UniformBits,
@@ -50,7 +50,7 @@ __all__ = [
     "compare_zeroed", "compress", "compress_batch", "default_block_function",
     "derive_params", "encode_message", "enumerate_nobf", "explicit_params",
     "extract", "extract_batch", "fixedness_probability",
-    "function_from_descriptor", "fwht", "gf2_rank", "hamming_weight",
+    "function_from_descriptor", "fwht", "gf2_rank",
     "influence_exact", "influence_max_exact", "influence_mc",
     "irreducible_poly", "is_monotone", "linear_test_bias",
     "min_distance_exact", "output_distribution",

@@ -17,8 +17,7 @@ and the output of the same source with its bad bits pinned to zero.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +33,8 @@ from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
                         default_block_function, function_from_descriptor)
 from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec,
                       TableAdversary, work_cap)
-from .stats import EMPIRICAL_M_CAP, Estimate, binomial_estimate, sd_of_tables
+from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
+                    sd_of_tables)
 
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
@@ -95,22 +95,6 @@ class BfextParams:
     @property
     def r(self) -> int:
         return self.code.r
-
-    def q_conditions(self, q: int) -> dict:
-        """Advisory report of the two bad-bit budgets the analysis uses:
-        a global one in terms of n and a per-block one in terms of
-        block_len.  Both are reported; neither is enforced."""
-        if self.delta is None:
-            raise ValidationError("q conditions need delta")
-        g_thr = float(self.n) ** (1.0 - self.delta)
-        b_thr = float(self.block_len) ** (1.0 - 0.75 * self.delta)
-        return {
-            "q": int(q),
-            "global_threshold": g_thr,
-            "q_ok_global": q <= g_thr,
-            "per_block_threshold": b_thr,
-            "q_ok_per_block": q < b_thr,
-        }
 
     def to_json(self) -> dict:
         return {
@@ -476,14 +460,9 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
         lambda s, c: zeroed_pair_counts(spec, params, seed, s, c),
         samples, workers)
     ca, cb, mismatches = map(sum, zip(*parts))
-    ta = ca / samples
-    tb = cb / samples
-    est = sd_of_tables(ta, tb)
-    dev = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))
-    bias_term = math.sqrt((1 << params.m) / samples)
-    bound = 2 * dev + bias_term
-    sd = Estimate(value=est, lo=max(0.0, est - bound), hi=min(1.0, est + bound),
-                  samples=samples, confidence=0.99, method="plug-in")
+    # alpha stays the literal 0.01: 1.0 - 0.99 is not 0.01 in floating point
+    sd = plugin_sd_estimate(sd_of_tables(ca / samples, cb / samples), samples,
+                            params.m, 0.01, 0.99, tables=2)
     return CompareZeroedReport(sd=sd, exact=False, m=params.m,
                                mismatch_rate=mismatches / samples)
 

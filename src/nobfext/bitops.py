@@ -19,10 +19,11 @@ codec for them works on (N, digits) byte matrices: `hex_chars` writes one,
 Scatter and gather move bits in runs: consecutive indices j whose
 positions p advance with them (p - j constant) move with one
 shift-and-mask, so a position list of r runs costs r array passes
-whatever its length (Hacker's Delight, section 7).  A GF(2)-linear map of
-at most 64 input bits is evaluated by the method of Four Russians: one
-256-entry table per input byte, so a map costs at most 8 lookups per
-value (Arlazarov, Dinic, Kronrod and Faradzev 1970).
+whatever its length (Hacker's Delight, section 7).  Every GF(2)-linear
+map in the package, of any input and output width, is evaluated by the
+method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970):
+`xor_table` builds the XORs of each group of 8 input columns, and
+`apply_linear_map` does one 256-entry table lookup per input byte.
 """
 
 from __future__ import annotations
@@ -203,24 +204,32 @@ def gather_bits_vec(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
+def xor_table(rows: np.ndarray) -> np.ndarray:
+    """(..., 2^k, W) words whose entry v is the XOR of the rows of a
+    (..., k, W) array at the set bits of v; built by doubling, k passes."""
+    *lead, k, w = rows.shape
+    table = np.zeros((*lead, 1 << k, w), dtype=np.uint64)
+    for b in range(k):
+        table[..., 1 << b:2 << b, :] = table[..., :1 << b, :] ^ rows[..., b:b + 1, :]
+    return table
+
+
 def linear_map_tables(columns: np.ndarray) -> np.ndarray:
-    """Byte tables of the GF(2)-linear map whose input bit b maps to the
-    word columns[b] (at most 64 columns): row k, entry v is the XOR of the
-    columns at the set bits of v << 8k.  Built by doubling, 8 passes."""
-    cols = np.zeros(-(-len(columns) // 8) * 8, dtype=np.uint64)
-    cols[:len(columns)] = columns
-    cols = cols.reshape(-1, 8)
-    tables = np.zeros((cols.shape[0], 256), dtype=np.uint64)
-    for b in range(8):
-        tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ cols[:, b:b + 1]
-    return tables
+    """(ceil(B/8), 256, W') byte tables of the GF(2)-linear map whose input
+    bit b maps to the W'-word value columns[b] of a (B, W') array: table k
+    is the `xor_table` of columns 8k .. 8k+7."""
+    cols = np.pad(columns, ((0, -len(columns) % 8), (0, 0)))
+    return xor_table(cols.reshape(-1, 8, cols.shape[1]))
 
 
 def apply_linear_map(tables: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The map of `linear_map_tables` on each value: one lookup per byte."""
-    v = values.astype(np.uint64, copy=False)
-    out = np.zeros(v.shape, dtype=np.uint64)
-    byte = np.uint64(0xFF)
+    """(N, W') words of the map of `linear_map_tables` on 1-D or (N, W)
+    words: one lookup per input byte, read through a uint8 view."""
+    v = np.ascontiguousarray(values, dtype="<u8")
+    raw = (v if v.ndim == 2 else v[:, None]).view(np.uint8)
+    out = np.zeros((len(v), tables.shape[2]), dtype=np.uint64)
+    idx = np.empty(len(v), dtype=np.intp)  # take is several times slower on uint8
     for k, table in enumerate(tables):
-        out ^= table[(v >> np.uint64(8 * k)) & byte]
+        idx[:] = raw[:, k]
+        out ^= table.take(idx, axis=0)
     return out

@@ -1,10 +1,10 @@
 """Binary linear [r, m, d] codes with verified minimum distance.
 
 The extractor uses a generator matrix both ways: a message v encodes to
-the codeword vG, and an r-bit vector y compresses to Gy.  `compress_batch`
-is the one Gy kernel, on packed words of any r (see `nobfext.bitops`).
-Distance is established only by exhaustive enumeration, one subset-XOR
-word kernel for every r, also for the distance a loaded document claims;
+the codeword vG (`gf2.row_combination`), and an r-bit vector y compresses
+to Gy by `compress_batch`, the `bitops` linear map of G's columns, for any
+r and m.  Distance is established only by exhaustive enumeration of
+`bitops.xor_table`s, also for the distance a loaded document claims;
 `verified_d = 0` means unverified and such codes are rejected downstream.
 The code search keeps only exhaustively verified codes; it rejects most
 attempts before any scan, by a codeword of weight at most the best
@@ -22,11 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import prng
-from .bitops import (PACKED_WIDTH, as_words, bit_field, ints_from_words, n_words,
-                     popcount, words_from_ints)
+from .bitops import (PACKED_WIDTH, apply_linear_map, as_words, bit_field,
+                     ints_from_words, linear_map_tables, n_words, popcount,
+                     words_from_ints, xor_table)
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, BitVector, gf2_echelon, gf2_rank
+from .gf2 import BitMatrix, BitVector, gf2_echelon, gf2_rank, row_combination
 
 DISTANCE_M_CAP = 24
 BUILD_M_CAP = 20
@@ -84,25 +85,20 @@ class LinearCode:
 
 
 def encode_message(code: LinearCode, v: BitVector) -> BitVector:
-    """vG: XOR of the generator rows selected by the message bits."""
+    """vG: the row combination of the message's set bits (0 for v = 0)."""
     if len(v) != code.m:
         raise DimensionError(f"message has {len(v)} bits, m = {code.m}")
-    acc = 0
-    for i in range(code.m):
-        if v[i]:
-            acc ^= code.g.rows[i]
-    return BitVector(code.r, acc)
+    rows = [i for i in range(code.m) if v[i]]
+    return row_combination(code.g, rows) if rows else BitVector.zeros(code.r)
 
 
 def compress_batch(code: LinearCode, ys) -> np.ndarray:
     """G y for packed r-bit values (1-D or (N, W) words, see `bitops`):
-    bit j of z is the parity of y & row j, the per-word popcounts summed.
+    one `apply_linear_map` whose input bit j maps to column j of G.
     z has the layout of ys: 1-D for 1-D input, else (N, n_words(m))."""
     y = as_words(ys, code.r, "packed code length")
-    z = np.zeros((len(y), n_words(code.m)), dtype=np.uint64)
-    for j, row in enumerate(words_from_ints(code.g.rows, code.r)):
-        bit = (popcount(y & row) & 1).astype(np.uint64)
-        z[:, j // PACKED_WIDTH] |= bit << np.uint64(j % PACKED_WIDTH)
+    columns = words_from_ints(code.g.transpose().rows, code.m)
+    z = apply_linear_map(linear_map_tables(columns), y)
     return z if np.ndim(ys) == 2 else z[:, 0]
 
 
@@ -117,21 +113,17 @@ def compress(code: LinearCode, y: BitVector) -> BitVector:
 def _min_weight(rows: np.ndarray, stop_at: int = 0) -> int:
     """Minimum weight of a nonzero XOR of the (m, W) word rows.
 
-    A table of every XOR of the low rows (at most 2^16 entries and 2^22
-    words, stored word-major) is scanned once per XOR h of the high rows.
-    The scan stops once the minimum is at most `stop_at`: a code search
-    that needs more than its best distance so far cannot keep an attempt
-    that has gone that low.
+    The `xor_table` of the low rows (at most 2^16 entries and 2^22 words,
+    stored word-major) is scanned once per entry h of the `xor_table` of
+    the other rows.  The scan stops once the minimum is at most `stop_at`:
+    a code search that needs more than its best distance so far cannot
+    keep an attempt that has gone that low.
     """
     m, w = rows.shape
     mlow = min(m, 16, max(0, 22 - (w - 1).bit_length()))
-    low = np.zeros((w, 1 << mlow), dtype=np.uint64)
-    for j in range(mlow):
-        low[:, 1 << j:2 << j] = low[:, :1 << j] ^ rows[j][:, None]
-    high = rows[mlow:]
+    low = xor_table(rows[:mlow].T[:, :, None])[:, :, 0]  # one table per word
     best = PACKED_WIDTH * w  # no codeword is heavier
-    for combo in range(1 << len(high)):
-        h = np.bitwise_xor.reduce(high[[(combo >> j) & 1 == 1 for j in range(len(high))]])
+    for combo, h in enumerate(xor_table(rows[mlow:])):
         weights = popcount((low ^ h[:, None]).T)[0 if combo else 1:]  # skip the zero message
         if weights.size:
             best = min(best, int(weights.min()))
@@ -258,14 +250,9 @@ def preset_code(name: str) -> LinearCode:
         if k < 1:
             raise ValidationError("simplex needs k >= 1")
         r = (1 << k) - 1
-        rows = []
-        for i in range(k):
-            bits = 0
-            for j in range(r):
-                if ((j + 1) >> i) & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        code = LinearCode(m=k, r=r, g=BitMatrix(cols=r, rows=tuple(rows)),
+        # the columns of G are the 2^k - 1 nonzero k-bit vectors
+        g = BitMatrix(cols=k, rows=tuple(range(1, r + 1))).transpose()
+        code = LinearCode(m=k, r=r, g=g,
                           construction={"kind": "preset", "name": name})
         expect = 1 << (k - 1)
     else:

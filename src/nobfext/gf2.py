@@ -4,8 +4,8 @@ Bit-order convention used everywhere in this package: coordinate 0 is the
 least significant bit of the integer payload.  Hex serialization writes
 ceil(len/4) nibbles with the least significant nibble first, i.e. the most
 significant hex digit comes last; `BitVector` encodes and parses through
-the word codec of `nobfext.bitops`, which the batch paths use too.  The
-matrix-vector product G y is the batch kernel `codes.compress_batch`.
+the word codec of `nobfext.bitops`, which the batch paths use too.  vG is
+`row_combination`, and G y the batch kernel `codes.compress_batch`.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -41,12 +41,6 @@ class BitVector:
     @classmethod
     def ones(cls, n: int) -> "BitVector":
         return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "BitVector":
-        """Mask value to n bits explicitly (never a silent truncation path
-        for operations; only for callers that hold wider integers)."""
-        return cls(n, value & ((1 << n) - 1))
 
     @classmethod
     def from_bits(cls, coords: Iterable[int]) -> "BitVector":
@@ -104,11 +98,6 @@ class BitVector:
         if self.n != other.n:
             raise DimensionError(f"dot of lengths {self.n} and {other.n}")
         return (self.bits & other.bits).bit_count() & 1
-
-    def slice(self, start: int, length: int) -> "BitVector":
-        if start < 0 or length < 0 or start + length > self.n:
-            raise ValidationError(f"slice [{start}, {start + length}) outside length {self.n}")
-        return BitVector(length, (self.bits >> start) & ((1 << length) - 1))
 
     def __repr__(self) -> str:
         return f"BitVector({self.n}, 0b{format(self.bits, f'0{max(self.n, 1)}b')})"
@@ -191,10 +180,6 @@ def row_combination(g: BitMatrix, s: Iterable[int]) -> BitVector:
     for i in idx:
         acc ^= g.rows[i]
     return BitVector(g.cols, acc)
-
-
-def hamming_weight(v: BitVector) -> int:
-    return v.bits.bit_count()
 
 
 def gf2_echelon(rows: Iterable[int]) -> list[int]:

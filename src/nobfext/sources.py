@@ -382,10 +382,9 @@ class ExactTwise(GoodBitDistribution):
     value tuples (Vandermonde), so every t-coordinate restriction is
     exactly uniform.  Requires 2^e >= n_good distinct points.
 
-    The outcome is GF(2)-linear in the seed, so the kernel is one linear
-    map: the outcome words of the seed_bits unit seeds, built once per
-    instance, in byte tables of ceil(seed_bits / 8) x 256 words (at most
-    16 KB).  Each seed then costs at most 8 lookups and XORs.
+    The outcome is GF(2)-linear in the seed: one `bitops.apply_linear_map`
+    whose (seed_bits, 1) columns are the outcomes of the unit seeds, built
+    once per instance (tables of at most 16 KB, at most 8 lookups a seed).
     """
 
     kind = "exact-twise"
@@ -431,10 +430,10 @@ class ExactTwise(GoodBitDistribution):
             low = gf2e_times_columns(power, e, poly) & np.uint64(1)
             columns.extend(np.bitwise_or.reduce(low * weights, axis=1))
             power = gf2e_times(times_points, power)
-        return linear_map_tables(np.array(columns, dtype=np.uint64))
+        return linear_map_tables(np.array(columns, dtype=np.uint64)[:, None])
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        return apply_linear_map(self._tables, seeds)
+        return apply_linear_map(self._tables, seeds)[:, 0]
 
     def descriptor(self) -> dict:
         return {

@@ -271,12 +271,22 @@ def required_samples(m: int) -> int:
     return EMPIRICAL_MIN_FACTOR * (1 << m)
 
 
-def sd_to_uniform_empirical(samples, m: int, confidence: float = 0.99) -> Estimate:
-    """Plug-in statistical distance of an empirical table from U_m.
+def plugin_sd_estimate(value: float, samples: int, m: int, alpha: float,
+                       confidence: float, tables: int = 1) -> Estimate:
+    """A plug-in SD `value` from `tables` empirical tables of 2^m cells and
+    N `samples` each, +- per table a bounded-difference deviation term
+    sqrt(ln(2/alpha) / (2N)) and a plug-in bias term (1/2) sqrt(2^m / N)."""
+    dev = math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
+    bound = tables * (dev + 0.5 * math.sqrt((1 << m) / samples))
+    return Estimate(value=value, lo=max(0.0, value - bound),
+                    hi=min(1.0, value + bound), samples=samples,
+                    confidence=confidence, method="plug-in")
 
-    The interval combines a bounded-difference deviation term
-    sqrt(ln(2/alpha) / (2N)) with a plug-in bias term (1/2) sqrt(2^m / N);
-    the true SD lies inside with probability at least `confidence`.
+
+def sd_to_uniform_empirical(samples, m: int, confidence: float = 0.99) -> Estimate:
+    """Plug-in statistical distance of an empirical table from U_m; the
+    true SD lies inside the `plugin_sd_estimate` interval with probability
+    at least `confidence`.
     """
     if m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << m, cap=1 << EMPIRICAL_M_CAP,
@@ -291,9 +301,4 @@ def sd_to_uniform_empirical(samples, m: int, confidence: float = 0.99) -> Estima
         raise ValidationError("sample outcomes outside 0..2^m-1")
     table = np.bincount(xs, minlength=1 << m) / n
     est = 0.5 * float(np.abs(table - 1.0 / (1 << m)).sum())
-    alpha = 1.0 - confidence
-    dev = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-    bias_term = 0.5 * math.sqrt((1 << m) / n)
-    bound = dev + bias_term
-    return Estimate(value=est, lo=max(0.0, est - bound), hi=min(1.0, est + bound),
-                    samples=n, confidence=confidence, method="plug-in")
+    return plugin_sd_estimate(est, n, m, 1.0 - confidence, confidence)

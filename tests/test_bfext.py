@@ -128,19 +128,6 @@ def test_derived_mode_consistency_enforced():
                     f=f, mode="derived", delta=0.8, alpha=0.8 / 4)
 
 
-def test_q_conditions_report():
-    p = derive_params(n=1 << 20, delta=0.8, t=4)
-    rep = p.q_conditions(2)
-    assert rep["q"] == 2
-    assert rep["q_ok_global"] == (2 <= (1 << 20) ** 0.2)
-    assert rep["per_block_threshold"] == pytest.approx(65536 ** 0.4)
-    assert rep["q_ok_per_block"]
-    big = p.q_conditions(10 ** 6)
-    assert not big["q_ok_global"] and not big["q_ok_per_block"]
-    with pytest.raises(ValidationError):
-        _maj3_params().q_conditions(1)  # explicit mode carries no delta
-
-
 def test_params_json_round_trip():
     p = _maj3_params()
     back = BfextParams.from_json(json.loads(json.dumps(p.to_json())))

@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
-from oracles import gray_min_distance, reference_search, row_combinations_within
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import gray_min_distance, matvec, reference_search, row_combinations_within
 
 from nobfext import codes
-from nobfext.bitops import words_from_ints
-from nobfext.codes import (LinearCode, build_good_code, compress, encode_message,
-                           min_distance_exact, preset_code)
+from nobfext.bitops import PACKED_WIDTH, ints_from_words, n_words, words_from_ints
+from nobfext.codes import (LinearCode, build_good_code, compress, compress_batch,
+                           encode_message, min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
                             ValidationError, WorkCapExceeded)
 from nobfext.gf2 import BitMatrix, BitVector
@@ -82,6 +85,7 @@ def test_encode_message_examples():
     a, b = BitVector(4, 0b0101), BitVector(4, 0b0011)
     assert encode_message(ham, a ^ b) == \
         encode_message(ham, a) ^ encode_message(ham, b)
+    assert encode_message(ham, BitVector(4, 0)) == BitVector.zeros(7)
     with pytest.raises(DimensionError):
         encode_message(ham, BitVector(7, 0))
 
@@ -95,6 +99,49 @@ def test_compress_is_matvec():
         assert z[i] == ham.g.row(i).dot(y)
     with pytest.raises(DimensionError):
         compress(ham, BitVector(4, 0))
+
+
+def _full_rank_rows(rng, m: int, r: int) -> tuple[int, ...]:
+    """m random r-bit rows whose low m columns are unit lower triangular,
+    so the rows have full rank."""
+    return tuple(rng.getrandbits(r - m) << m | 1 << i | rng.getrandbits(i)
+                 for i in range(m))
+
+
+def _compress_case(r: int, m: int, n: int, seed: int):
+    rng = random.Random(seed)
+    return r, m, _full_rank_rows(rng, m, r), [rng.getrandbits(r) for _ in range(n)]
+
+
+@st.composite
+def _compress_cases(draw):
+    r = draw(st.integers(1, 150))
+    m = draw(st.integers(1, min(r, 80)))
+    return _compress_case(r, m, draw(st.integers(0, 24)), draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compress_cases())
+@example(_compress_case(7, 4, 0, 1))      # an empty batch
+@example(_compress_case(13, 5, 9, 2))     # r and m not multiples of 8
+@example(_compress_case(100, 20, 9, 3))   # r > 64: two input words
+@example(_compress_case(150, 70, 9, 4))   # m > 64: two output words
+def test_compress_batch_matches_matvec(case):
+    """The one linear-map kernel, batch against the row-by-row oracle, on
+    (N, W) words and, where r fits one word, on 1-D values."""
+    r, m, rows, ys = case
+    code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
+    want = [matvec(code.g, y) for y in ys]
+    z = compress_batch(code, words_from_ints(ys, r))
+    assert z.shape == (len(ys), n_words(m))
+    assert ints_from_words(z) == want
+    flat = np.array([y % (1 << PACKED_WIDTH) for y in ys], dtype=np.uint64)
+    if r > PACKED_WIDTH:
+        with pytest.raises(WorkCapExceeded):
+            compress_batch(code, flat)  # refused, not cut to the low word
+    else:
+        z1 = compress_batch(code, flat)
+        assert z1.shape == (len(ys),) and z1.tolist() == want
 
 
 # ---------------------------------------------------------------------------
