@@ -10,7 +10,7 @@ Four subcommands, all driven by a JSON config file and a master seed:
 
 Every output document embeds the config and effective seed and is
 formatted canonically (sorted keys, two-space indent, trailing newline).
-`report_json` writes an extraction report's traces, which differ only in
+`report_chunks` writes an extraction report's traces, which differ only in
 fixed-width hex fields, as one byte matrix with `canonical_json`'s bytes.
 Input documents are checked against `schemas` where they are read; outputs
 are checked by the tests and the benchmark.  Outputs are byte-identical for
@@ -57,22 +57,24 @@ def canonical_json(obj) -> str:
 _TRACES = '\n  "traces": []'  # the one line at indent 2 that holds this key
 
 
-def report_json(doc: dict, params: BfextParams, columns: list[np.ndarray]) -> str:
-    """`canonical_json` of the extraction report doc, whose empty traces
-    list stands for the traces whose hex fields are `columns`
-    (`trace_columns`).
+def report_chunks(doc: dict, params: BfextParams,
+                  columns: list[np.ndarray]) -> tuple:
+    """The bytes of `canonical_json` of the extraction report doc, whose
+    empty traces list stands for the traces whose hex fields are `columns`
+    (`trace_columns`), as a head, a body and a tail to be written in turn.
 
     The traces differ only in their fixed-width hex fields, so one
     placeholder trace rendered by `canonical_json` and indented to the
     list's depth is the template row of an (N, row_len) byte matrix, and
-    each column is copied into it at its field's offset.  The matrix goes
-    in at the top-level traces line: run.config, which sorts before it,
-    is user content and may hold a traces key of its own, but only at a
-    deeper indent."""
+    each column is copied into it at its field's offset.  The body is that
+    matrix's own buffer, so the report is never held twice.  It goes in at
+    the top-level traces line: run.config, which sorts before it, is user
+    content and may hold a traces key of its own, but only at a deeper
+    indent."""
     text = canonical_json(doc)
     count = len(columns[-1])
     if not count:
-        return text
+        return (text.encode("ascii"),)
     head, _, tail = text.partition(_TRACES)
     trace = canonical_json(trace_document(params.block_len, params.ell, params.r,
                                           params.m, ["#" * c.shape[1] for c in columns]))
@@ -84,16 +86,28 @@ def report_json(doc: dict, params: BfextParams, columns: list[np.ndarray]) -> st
         start = row.index(b'"' + b"#" * digits + b'"', start) + 1
         rows[:, start:start + digits] = chars
         start += digits
-    body = str(rows.reshape(-1)[:-2].data, "ascii")  # no comma after the last trace
-    return f'{head}\n  "traces": [\n{body}\n  ]{tail}'
+    return (f'{head}\n  "traces": [\n'.encode("ascii"),
+            rows.reshape(-1)[:-2].data,  # no comma after the last trace
+            f"\n  ]{tail}".encode("ascii"))
 
 
-def write_document(path: str, obj: dict, render=canonical_json) -> None:
-    """Write render(obj), `canonical_json` unless an extraction report
-    brings its own (`report_json`), under a temporary name that is renamed
-    onto path (see `staged_outputs`)."""
-    with staged_outputs() as stage, open(stage(path), "w") as fh:
-        fh.write(render(obj))
+def report_json(doc: dict, params: BfextParams, columns: list[np.ndarray]) -> str:
+    """The extraction report of `report_chunks` as one string."""
+    return b"".join(report_chunks(doc, params, columns)).decode("ascii")
+
+
+def _canonical_bytes(obj: dict) -> tuple:
+    return (canonical_json(obj).encode("ascii"),)
+
+
+def write_document(path: str, obj: dict, render=_canonical_bytes) -> None:
+    """Write the byte chunks of render(obj), `canonical_json` unless an
+    extraction report brings its own (`report_chunks`), to a binary file
+    under a temporary name that is renamed onto path (see
+    `staged_outputs`)."""
+    with staged_outputs() as stage, open(stage(path), "wb") as fh:
+        for chunk in render(obj):
+            fh.write(chunk)
 
 
 def load_json(path: str) -> dict:
@@ -227,7 +241,7 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
         "traces": [],
         "run": _run_block("extract", seed, config, count),
     }
-    write_document(out, doc, lambda d: report_json(d, params, columns))
+    write_document(out, doc, lambda d: report_chunks(d, params, columns))
     return 0
 
 
@@ -320,7 +334,7 @@ def cmd_analyze(config: dict, out: str, seed: int, samples: int | None,
     result = handler(config, seed, samples, workers)
     doc = {
         "format": "analysis-report",
-        "version": 1,
+        "version": 2,
         "analysis": name,
         "result": result,
         "run": _run_block("analyze", seed, config, samples),

@@ -39,10 +39,6 @@ class BitVector:
         return cls(n, 0)
 
     @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def from_bits(cls, coords: Iterable[int]) -> "BitVector":
         """Coordinate sequence, index 0 first: from_bits([1,1,0]) has x0=x1=1."""
         value = 0
@@ -124,10 +120,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, k: int) -> "BitMatrix":
         return cls(k, tuple(1 << i for i in range(k)))
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
-        return cls(cols, (0,) * nrows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":

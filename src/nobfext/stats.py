@@ -2,9 +2,11 @@
 spectra, XOR composition of independent bits, and empirical estimates.
 
 Monte-Carlo estimates carry Clopper-Pearson intervals whose ends are beta
-quantiles, computed with `scipy.special.betaincinv`.  That is the
-package's only use of scipy, and `clopper_pearson` imports it on its first
-call, so runs that form no interval never load scipy.
+quantiles.  They are computed here in float64, with no scipy: the
+regularized incomplete beta function I_x(a, b) is a continued fraction,
+and `_beta_quantile` inverts it by a bracketed Halley iteration.  Each end
+is then rounded outward by the relative margin `CP_MARGIN`, which is wider
+than the kernel's error, so every interval contains the exact one.
 
 Conventions
 -----------
@@ -17,6 +19,8 @@ or divide by two themselves.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +31,7 @@ from .sources import Distribution
 SPECTRUM_M_CAP = 20
 EMPIRICAL_M_CAP = 16
 EMPIRICAL_MIN_FACTOR = 100   # required samples per table cell
+CP_MARGIN = 1e-9             # relative outward rounding of each interval end
 
 
 @dataclass(frozen=True)
@@ -74,20 +79,152 @@ class Estimate:
         }
 
 
-def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval for a binomial proportion: the
-    alpha/2 quantile of Beta(k, n-k+1) and the 1-alpha/2 quantile of
-    Beta(k+1, n-k), with alpha = 1 - confidence."""
-    from scipy.special import betaincinv
+# Stirling series of lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)): the
+# coefficients B_2j / (2j (2j - 1)) of x^(1 - 2j), j = 1..8.  For x >= 10 the
+# first omitted term is below 2e-18.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_TINY = 1e-300           # stands in for a zero Lentz denominator
+_CF_TERMS = 100_000      # bound on continued-fraction terms
+_QUANTILE_STEPS = 200    # bound on root-finding steps
 
+
+def _stirling_correction(x: float) -> float:
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s / (x * x) + c
+    return s / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for a, b >= 1 without the cancellation of
+    lgamma(a) + lgamma(b) - lgamma(a + b): arguments >= 10 enter through
+    differences of Stirling corrections, as in R's `lbeta`."""
+    p, q = min(a, b), max(a, b)
+    if p >= 10:
+        corr = (_stirling_correction(p) + _stirling_correction(q)
+                - _stirling_correction(p + q))
+        return (-0.5 * math.log(q) + _LN_SQRT_2PI + corr
+                + (p - 0.5) * math.log(p / (p + q)) + q * math.log1p(-p / (p + q)))
+    if q >= 10:
+        corr = _stirling_correction(q) - _stirling_correction(p + q)
+        return (math.lgamma(p) + corr + p - p * math.log(p + q)
+                + (q - 0.5) * math.log1p(-p / (p + q)))
+    return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) divided by x^a y^b / B(a, b), for y = 1 - x and
+    lam = a - (a + b) x >= 0: the continued fraction of DiDonato and Morris
+    (ACM TOMS 708, `bfrac`), evaluated by the modified Lentz method.  Its
+    coefficients take x, y and lam separately, so the side that is small
+    keeps its relative precision when the caller swaps the two."""
+    c, c0, c1 = lam + 1.0, b / a, 1.0 + 1.0 / a
+    f = c / c1
+    lentz_c, lentz_d = f, 0.0
+    for i in range(1, _CF_TERMS):
+        t = i / a
+        s = a + 2 * i - 1
+        w = i * (b - i) * x
+        p = 1.0 + (i - 1) / a
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = i + w / s + (t + 1.0) / (c1 + t + t) * (c + i * (y + 1.0))
+        lentz_d = 1.0 / (beta + alpha * lentz_d or _TINY)
+        lentz_c = beta + alpha / lentz_c or _TINY
+        delta = lentz_c * lentz_d
+        f *= delta
+        if abs(delta - 1.0) <= 2.0 ** -52:
+            break
+    return 1.0 / f
+
+
+def _beta_tail(x: float, a: float, b: float, log_beta: float, upper: bool) -> float:
+    """I_x(a, b), or 1 - I_x(a, b) when `upper`.  The fraction is evaluated
+    on the side of the mean where it converges fast (the symmetry
+    I_x(a, b) = 1 - I_(1-x)(b, a), Numerical Recipes section 6.4)."""
+    lam = a - (a + b) * x
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+    if lam >= 0.0:
+        below = front * _beta_fraction(a, b, x, 1.0 - x, lam)
+        return 1.0 - below if upper else below
+    above = front * _beta_fraction(b, a, 1.0 - x, x, -lam)
+    return above if upper else 1.0 - above
+
+
+def _beta_quantile(p: float, a: float, b: float, upper: bool = False) -> float:
+    """The x in (0, 1) at which the lower tail I_x(a, b), or the upper tail
+    when `upper`, equals p, for a, b >= 1 and 0 < p <= 1/2.
+
+    Halley steps start from the normal approximation of Abramowitz and
+    Stegun 26.5.22 and stay inside a bracket of the root; a step that would
+    leave it bisects instead.  Both loops are bounded, so a NaN anywhere
+    ends the search rather than hanging it."""
+    log_beta = _log_beta(a, b)
+    t = math.sqrt(-2.0 * math.log(p))
+    z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+    z = z if upper else -z
+    al = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+    w = (z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
+         * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+    x = a / (a + b * math.exp(2.0 * w))
+    lo, hi = 0.0, 1.0
+    sign = -1.0 if upper else 1.0      # the tail's slope in x
+    for _ in range(_QUANTILE_STEPS):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        err = _beta_tail(x, a, b, log_beta, upper) - p
+        if err == 0.0:
+            return x
+        if sign * err < 0.0:
+            lo = x
+        else:
+            hi = x
+        density = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+                           - log_beta)
+        newton = sign * err / density if density > 0.0 else math.nan
+        curvature = newton * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
+        step = newton / (1.0 - 0.5 * max(-1.0, min(1.0, curvature)))
+        if abs(step) <= 1e-13 * x:
+            return x - step
+        x -= step
+        if hi - lo <= 1e-13 * lo:
+            break
+    return x if lo < x < hi else 0.5 * (lo + hi)
+
+
+def _count(value, name: str) -> int:
+    """value as an int: numpy integers pass, bools and floats do not."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson interval for k successes in n trials: the
+    alpha/2 quantile of Beta(k, n-k+1) and the 1-alpha/2 quantile of
+    Beta(k+1, n-k), with alpha = 1 - confidence, each rounded outward by
+    the relative margin `CP_MARGIN`.  The ends at k = 0 and k = n are 0.0
+    and 1.0 exactly.  The result depends on (k, n, confidence) alone."""
+    k, n = _count(k, "k"), _count(n, "n")
+    if (isinstance(confidence, (bool, np.bool_))
+            or not isinstance(confidence, numbers.Real)
+            or not 0.0 < confidence < 1.0):
+        raise ValidationError("confidence must be a finite number strictly "
+                              f"between 0 and 1, got {confidence!r}")
     if n <= 0:
-        raise ValidationError("need at least one trial")
+        raise ValidationError(f"n must be at least 1 trial, got {n}")
     if not 0 <= k <= n:
-        raise ValidationError("successes outside 0..n")
-    alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
-    return lo, hi
+        raise ValidationError(f"k must be in 0..n = 0..{n}, got {k}")
+    alpha = 1.0 - float(confidence)
+    lo = 0.0 if k == 0 else _beta_quantile(alpha / 2, k, n - k + 1)
+    hi = 1.0 if k == n else _beta_quantile(alpha / 2, k + 1, n - k, upper=True)
+    return lo * (1.0 - CP_MARGIN), min(1.0, hi * (1.0 + CP_MARGIN))
 
 
 def binomial_estimate(k: int, n: int, confidence: float = 0.99) -> Estimate:

@@ -3,8 +3,8 @@
 The source oracles recompute one outcome of a `nobfext.sources` batch
 kernel with Python integers straight from the construction's definition,
 sharing no code with the numpy kernels they are compared against.
-`clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, the
-textbook route that `nobfext.stats` replaces with `betaincinv`.
+`clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, where
+`nobfext.stats` inverts its own float64 incomplete beta function.
 `countdown_code` searches once per target distance where
 `bfext._default_code_builder` searches once in all.  `reference_search`
 is the code search drawing each row with `prng.bits`, checking rank with

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -865,17 +866,50 @@ def test_jsonschema_loads_only_to_read_a_document(tmp_path):
     assert "jsonschema" in heavy
 
 
-def test_interval_loads_scipy_special_only(tmp_path):
+def test_runtime_dependencies_are_numpy_mpmath_jsonschema():
+    # scipy is a test-only oracle; jsonschema leaves once schemas have their
+    # own checker
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+             for dep in project["dependencies"]}
+    assert names == {"numpy", "mpmath", "jsonschema"}
+
+
+_EMPIRICAL_BIAS = """
+import json, sys
+import numpy as np
+from nobfext import Distribution, Majority, bias_under
+est = bias_under(Majority(3), Distribution.empirical(3, np.arange(4000) % 8))
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+print(json.dumps({"method": est.method, "heavy": heavy}))
+"""
+
+
+def test_interval_commands_load_neither_scipy_nor_mpmath(tmp_path):
     ppath, _ = _params_file(tmp_path)
     spath = _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5),
                                                 ParityOfGood()))
-    cfg = _write(tmp_path / "fix.json",
-                 {"analysis": "fixedness", "spec": spath, "params": ppath,
-                  "force_mc": True, "samples": 1000})
-    rc, heavy = _modules_loaded_by(tmp_path, "analyze", "--config", cfg,
-                                   "--out", "fix-out.json")
-    assert rc == 0
-    assert not json.loads((tmp_path / "fix-out.json").read_text())["result"]["exact"]
-    assert "scipy.special" in heavy
-    assert "scipy.stats" not in heavy
-    assert not any(m.startswith("mpmath") for m in heavy)
+    commands = {
+        "fix": {"analysis": "fixedness", "spec": spath, "params": ppath,
+                "force_mc": True, "samples": 1000},
+        "infl": {"analysis": "influence", "f": {"kind": "majority", "arity": 3},
+                 "coalition": [0], "mode": "mc", "samples": 1000},
+    }
+    for name, config in commands.items():
+        cfg = _write(tmp_path / f"{name}.json", config)
+        rc, heavy = _modules_loaded_by(tmp_path, "analyze", "--config", cfg,
+                                       "--out", f"{name}-out.json")
+        assert rc == 0
+        result = json.loads((tmp_path / f"{name}-out.json").read_text())["result"]
+        assert not result["exact"], name
+        assert not any(m.split(".")[0] in ("scipy", "mpmath") for m in heavy), name
+    # the CLI's distributions are exact tables, so bias on an empirical
+    # distribution forms its interval through the library
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _EMPIRICAL_BIAS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res == {"method": "clopper-pearson", "heavy": []}

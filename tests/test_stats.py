@@ -3,17 +3,19 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
+from nobfext import stats
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.sources import Distribution, UniformBits
-from nobfext.stats import (Estimate, binomial_estimate, clopper_pearson, fwht,
-                           linear_test_bias, parseval_bound, required_samples,
-                           sd_of_tables, sd_to_uniform_empirical,
-                           statistical_distance, vazirani_check,
-                           xor_bias_product)
+from nobfext.stats import (CP_MARGIN, Estimate, _log_beta, binomial_estimate,
+                           clopper_pearson, fwht, linear_test_bias,
+                           parseval_bound, required_samples, sd_of_tables,
+                           sd_to_uniform_empirical, statistical_distance,
+                           vazirani_check, xor_bias_product)
 
 
 # ---------------------------------------------------------------------------
@@ -44,21 +46,64 @@ def test_clopper_pearson_edges_and_coverage():
 
 
 @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
-def test_clopper_pearson_bit_identical_to_beta_ppf(confidence):
+def test_clopper_pearson_contains_beta_ppf(confidence):
     # Every k for n <= 60 (so k = 0, k = n and n = 1), then seeded random
-    # (k, n) with n up to 10^7 and the two ends of a few large n.  Exact
-    # float equality: a scipy whose betaincinv and beta.ppf differ would
-    # change published intervals.
+    # (k, n) with n up to 10^7 and the ends of a few large n.  Each bound is
+    # scipy's beta quantile rounded outward by CP_MARGIN, so it lies outside
+    # scipy's and within twice the margin of it.
     grid = [(k, n) for n in range(1, 61) for k in range(n + 1)]
     rng = np.random.default_rng(2024)
     ns = rng.integers(1, 10**7, size=300, endpoint=True)
     grid += zip(rng.integers(0, ns, endpoint=True).tolist(), ns.tolist())
-    grid += [(k, n) for n in (997, 10**6, 10**7) for k in (0, 1, n - 1, n)]
+    grid += [(k, n) for n in (997, 10**6, 10**7)
+             for k in (0, 1, 2, 3, n - 3, n - 2, n - 1, n)]
     ks, ns = np.array(grid).T
-    lo, hi = oracles.clopper_pearson(ks, ns, confidence)
-    want = list(zip(lo.tolist(), hi.tolist()))
-    got = [clopper_pearson(k, n, confidence) for k, n in grid]
-    assert [kn for kn, g, w in zip(grid, got, want) if g != w] == []
+    want_lo, want_hi = oracles.clopper_pearson(ks, ns, confidence)
+    lo, hi = np.array([clopper_pearson(k, n, confidence) for k, n in grid]).T
+    assert np.all(lo <= want_lo) and np.all(hi >= want_hi)
+    assert np.all(lo[ks == 0] == 0.0) and np.all(hi[ks == ns] == 1.0)
+    for got, want in ((lo, want_lo), (hi, want_hi)):
+        inner = want > 0.0
+        assert np.max(np.abs(got[inner] - want[inner]) / want[inner]) <= 2 * CP_MARGIN
+
+
+@pytest.mark.parametrize("k, n", [(1, 10**7), (3, 10**7), (9, 10**7), (10, 10**7),
+                                  (5 * 10**6, 5 * 10**6), (1, 1), (3, 7), (12, 40)])
+def test_log_beta_does_not_cancel(k, n):
+    # lgamma(a) + lgamma(b) - lgamma(a + b) is off by about 1e-8 at (1, 10^7)
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.beta(k, n)))
+    assert abs(_log_beta(k, n) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("k, n, confidence, argument", [
+    (1.0, 10, 0.99, "k"), (True, 10, 0.99, "k"), (np.True_, 10, 0.99, "k"),
+    ("1", 10, 0.99, "k"), (1, 10.0, 0.99, "n"), (1, False, 0.99, "n"),
+    (1, 0, 0.99, "n"), (-1, 10, 0.99, "k"), (11, 10, 0.99, "k"),
+    (1, 10, 1.5, "confidence"), (1, 10, 1.0, "confidence"),
+    (1, 10, 0.0, "confidence"), (1, 10, -0.5, "confidence"),
+    (1, 10, math.nan, "confidence"), (1, 10, math.inf, "confidence"),
+    (1, 10, "0.9", "confidence"), (1, 10, True, "confidence"),
+    (1, 10, None, "confidence"),
+])
+def test_clopper_pearson_input_contract(k, n, confidence, argument):
+    with pytest.raises(ValidationError, match=rf"\b{argument}\b"):
+        clopper_pearson(k, n, confidence)
+
+
+def test_clopper_pearson_accepts_numpy_numbers():
+    want = clopper_pearson(7, 300, 0.95)
+    assert clopper_pearson(np.int64(7), np.uint32(300), np.float64(0.95)) == want
+    assert binomial_estimate(np.int64(7), np.int64(300)).to_json() == \
+        binomial_estimate(7, 300).to_json()
+
+
+def test_beta_quantile_ends_on_nan(monkeypatch):
+    # every root-finding loop is bounded: a tail that is NaN everywhere
+    # still returns a point of (0, 1) instead of hanging
+    monkeypatch.setattr(stats, "_beta_tail", lambda *args: math.nan)
+    x = stats._beta_quantile(0.005, 3.0, 5.0)
+    assert 0.0 < x < 1.0
 
 
 def test_clopper_pearson_empirical_coverage():
