@@ -16,7 +16,7 @@ from .sources import (ConstantAdversary, Distribution, EpsBiased, ExactTwise,
                       ExplicitTable, MajorityOfGood, NobfSourceSpec,
                       ParityOfGood, TableAdversary, UniformBits,
                       enumerate_nobf, irreducible_poly, read_sample_batch,
-                      sample_nobf, sample_nobf_batch, verify_twise, work_cap,
+                      sample_nobf, sample_nobf_batch, verify_twise,
                       write_sample_batch, zeroed_counterpart)
 from .resilient import (Majority, RecursiveMajority3, ResilientFunction,
                         TableFunction, Tribes, bias_under,
@@ -57,6 +57,6 @@ __all__ = [
     "parseval_bound", "preset_code", "read_sample_batch",
     "row_combination", "sample_nobf", "sample_nobf_batch",
     "sd_to_uniform_empirical", "statistical_distance", "trace_batch",
-    "vazirani_check", "verify_twise", "work_cap", "worst_case_adversary",
+    "vazirani_check", "verify_twise", "worst_case_adversary",
     "write_sample_batch", "xor_bias_product", "zeroed_counterpart",
 ]

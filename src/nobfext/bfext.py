@@ -28,11 +28,10 @@ from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .gf2 import BitVector
-from .prng import run_chunked
 from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
                         default_block_function, function_from_descriptor)
-from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec,
-                      TableAdversary, work_cap)
+from .sources import (DEFAULT_WORK_CAP, ENUM_SEED_BITS_CAP, Distribution,
+                      NobfSourceSpec, TableAdversary, mass)
 from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
                     sd_of_tables)
 
@@ -309,13 +308,14 @@ def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distributi
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     check_packed(spec.n, "packed source width")
-    dist = spec.good_dist
-    counts = 0
-    for goods, weights in dist.support():
+
+    def tally(goods, weights):
         xs = spec.compose_batch(
             goods, spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q))
-        counts = counts + _tally(extract_batch(xs, params), xs, weights, params.m)
-    return Distribution.exact(params.m, counts / dist.support_total)
+        return _tally(extract_batch(xs, params), xs, weights, params.m)
+
+    counts, total = spec.good_dist.walk(tally, True)
+    return Distribution.exact(params.m, sum(counts) / total)
 
 
 def _block_layout(spec: NobfSourceSpec, params: BfextParams):
@@ -367,7 +367,8 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
                           seed: int | None = None,
                           samples: int | None = None,
                           force_mc: bool = False,
-                          workers: int = 1) -> Estimate:
+                          workers: int = 1,
+                          cap: int = DEFAULT_WORK_CAP) -> Estimate:
     """Probability that every block's output is determined by the good
     bits alone, i.e. no assignment of the bad bits can change any Y_i.
 
@@ -381,34 +382,19 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     layout = _block_layout(spec, params)
     if not layout:
         return Estimate.exact_value(1.0)
-    if not force_mc and _exact_good_enumeration_ok(spec):
-        dist = spec.good_dist
+    dist = spec.good_dist
+    exact = not force_mc and _exact_good_enumeration_ok(spec)
+    if exact:
         units = dist.support_size * sum(_scan_evals(params.f, len(b[2])) for b in layout)
-        if units > work_cap():
-            raise WorkCapExceeded(required=units, cap=work_cap(),
-                                  what="fixedness enumeration")
-        return Estimate.exact_value(1.0 - dist.probability(
-            lambda goods: _some_block_undetermined(goods, layout, params.f)))
-    if samples is None or seed is None:
-        raise ValidationError(
-            "exact enumeration infeasible; provide seed and samples")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    undet = run_chunked(
-        lambda s, c: undetermined_block_count(spec, params, seed, s, c),
-        samples, workers)
-    return binomial_estimate(samples - sum(undet), samples, confidence=0.99)
-
-
-def undetermined_block_count(spec: NobfSourceSpec, params: BfextParams,
-                             seed: int, start: int, count: int) -> int:
-    """Sampled count of good-bit draws (counters start..start+count-1)
-    leaving some block undetermined; chunking-invariant."""
-    layout = _block_layout(spec, params)
-    if not layout:
-        return 0
-    goods = spec.good_dist.sample_batch(seed, 0, start, count)
-    return int(_some_block_undetermined(goods, layout, params.f).sum())
+        if units > cap:
+            raise WorkCapExceeded(required=units, cap=cap, what="fixedness enumeration")
+    undetermined, total = dist.walk(
+        lambda goods, weights: mass(_some_block_undetermined(goods, layout, params.f),
+                                    weights),
+        exact, seed, samples, workers)
+    if exact:
+        return Estimate.exact_value(1.0 - sum(undetermined) / total)
+    return binomial_estimate(samples - sum(undetermined), samples, confidence=0.99)
 
 
 @dataclass(frozen=True)
@@ -432,43 +418,31 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    force_mc: bool = False,
                    workers: int = 1) -> CompareZeroedReport:
     """SD(Z, Z') for the zeroed counterpart from one coupled pass of
-    `_coupled_counts`: over the good-bit support walk when it is feasible
-    (see `_exact_good_enumeration_ok`; two 2^m tables, none of 2^n), else
-    a plug-in estimate over good bits sampled on `workers` threads (the
-    result does not depend on the count)."""
+    `zeroed_pair_counts`: over the good-bit support walk when it is
+    feasible (see `_exact_good_enumeration_ok`; two 2^m tables, none of
+    2^n), else a plug-in estimate over good bits sampled on `workers`
+    threads (the result does not depend on the count)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
-    if not force_mc and _exact_good_enumeration_ok(spec):
-        dist = spec.good_dist
-        ca = cb = 0
-        for goods, weights in dist.support():
-            a, b, _ = _coupled_counts(spec, params, goods, weights)
-            ca, cb = ca + a, cb + b
-        total = dist.support_total
-        return CompareZeroedReport(
-            sd=Estimate.exact_value(sd_of_tables(ca / total, cb / total)),
-            exact=True, m=params.m)
-    if params.m > EMPIRICAL_M_CAP:
+    exact = not force_mc and _exact_good_enumeration_ok(spec)
+    if not exact and params.m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << params.m, cap=1 << EMPIRICAL_M_CAP,
                               what="empirical output width")
-    if samples is None or seed is None:
-        raise ValidationError(
-            "exact enumeration infeasible; provide seed and samples")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    parts = run_chunked(
-        lambda s, c: zeroed_pair_counts(spec, params, seed, s, c),
-        samples, workers)
+    parts, total = spec.good_dist.walk(
+        lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
+        exact, seed, samples, workers)
     ca, cb, mismatches = map(sum, zip(*parts))
+    sd = sd_of_tables(ca / total, cb / total)
+    if exact:
+        return CompareZeroedReport(sd=Estimate.exact_value(sd), exact=True, m=params.m)
     # alpha stays the literal 0.01: 1.0 - 0.99 is not 0.01 in floating point
-    sd = plugin_sd_estimate(sd_of_tables(ca / samples, cb / samples), samples,
-                            params.m, 0.01, 0.99, tables=2)
-    return CompareZeroedReport(sd=sd, exact=False, m=params.m,
-                               mismatch_rate=mismatches / samples)
+    return CompareZeroedReport(
+        sd=plugin_sd_estimate(sd, samples, params.m, 0.01, 0.99, tables=2),
+        exact=False, m=params.m, mismatch_rate=mismatches / samples)
 
 
-def _coupled_counts(spec: NobfSourceSpec, params: BfextParams,
-                    goods: np.ndarray, weights: np.ndarray | None):
+def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
+                       goods: np.ndarray, weights: np.ndarray | None):
     """The one kernel of the zeroed comparison: identical good bits, bad
     bits set by the adversary on one side and pinned to zero on the other.
     Returns (output counts, zeroed output counts, number of differing
@@ -496,15 +470,6 @@ def _coupled_counts(spec: NobfSourceSpec, params: BfextParams,
             int(np.count_nonzero(za != zb)))
 
 
-def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
-                       seed: int, start: int, count: int):
-    """`_coupled_counts` on the good bits sampled at counters
-    start..start+count-1: (output counts, zeroed output counts, number of
-    differing pairs); counter-addressed and chunking-invariant."""
-    return _coupled_counts(spec, params,
-                           spec.good_dist.sample_batch(seed, 0, start, count), None)
-
-
 @dataclass(frozen=True)
 class WorstAdversaryReport:
     adversary: TableAdversary
@@ -518,7 +483,8 @@ class WorstAdversaryReport:
 
 
 def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
-                         sweeps: int = DEFAULT_SWEEPS) -> WorstAdversaryReport:
+                         sweeps: int = DEFAULT_SWEEPS,
+                         cap: int = DEFAULT_WORK_CAP) -> WorstAdversaryReport:
     """Search for the bad-bit strategy maximizing SD(Z, Z').
 
     Exhaustive over all strategy tables when the table is at most
@@ -541,8 +507,8 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
     weights = spec.good_dist.exact_table()
     gcount = weights.size
     npat = 1 << q
-    if gcount * npat > work_cap():
-        raise WorkCapExceeded(required=gcount * npat, cap=work_cap(),
+    if gcount * npat > cap:
+        raise WorkCapExceeded(required=gcount * npat, cap=cap,
                               what="adversary search choice matrix")
     goods = np.arange(gcount, dtype=np.uint64)
     # z_choice[b, g]: output when the good bits are g and the bad bits b.
@@ -609,7 +575,7 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                 changed = True
         if not changed:
             break
-    sd = 0.5 * float(np.abs(diff).sum())
+    sd = sd_of_tables(diff, 0.0)
     adv = TableAdversary(n_good, entries, label="brute-force-worst",
                          provenance={"method": "ascent", "sweeps": swept,
                                      "objective_sd": sd})

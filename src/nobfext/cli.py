@@ -41,7 +41,7 @@ from .prng import run_chunked
 from .resilient import (function_from_descriptor, influence_exact,
                         influence_max_exact, influence_mc, bias_under)
 from .schemas import validate_document
-from .sources import (Distribution, NobfSourceSpec, UniformBits,
+from .sources import (DEFAULT_WORK_CAP, Distribution, NobfSourceSpec, UniformBits,
                       good_dist_from_descriptor, parse_json, read_sample_batch,
                       read_text, sample_nobf_batch, staged_outputs,
                       write_sample_batch)
@@ -89,11 +89,6 @@ def report_chunks(doc: dict, params: BfextParams,
     return (f'{head}\n  "traces": [\n'.encode("ascii"),
             rows.reshape(-1)[:-2].data,  # no comma after the last trace
             f"\n  ]{tail}".encode("ascii"))
-
-
-def report_json(doc: dict, params: BfextParams, columns: list[np.ndarray]) -> str:
-    """The extraction report of `report_chunks` as one string."""
-    return b"".join(report_chunks(doc, params, columns)).decode("ascii")
 
 
 def _canonical_bytes(obj: dict) -> tuple:
@@ -185,16 +180,12 @@ def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribu
             raise ValidationError("uniform distribution needs a width m")
         return Distribution.uniform(int(m))
     if kind == "table":
-        probs = np.asarray(d["probs"], dtype=np.float64)
-        m = max(0, int(probs.size).bit_length() - 1)
-        if probs.size != 1 << m:
-            raise ValidationError("table length must be a power of two")
-        return Distribution.exact(m, probs)
+        return Distribution.from_table(d["probs"])
     raise ValidationError(f"unknown distribution kind {kind!r}")
 
 
 def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
-                   workers: int) -> int:
+                   workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     spec = NobfSourceSpec.from_descriptor(config)
     n_samples = _sample_count(config, samples, 0)
     drawn = _draw(spec, seed, n_samples, workers) if n_samples > 0 else None
@@ -210,7 +201,7 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
 
 
 def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
-                workers: int) -> int:
+                workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     params = _load_params(_cfg(config, "params", required=True))
     if "samples" in config and isinstance(config["samples"], str):
         header, xs = read_sample_batch(config["samples"])
@@ -246,7 +237,7 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
 
 
 def _analysis_bias(config: dict, seed: int, samples: int | None,
-                   workers: int) -> dict:
+                   workers: int, cap: int) -> dict:
     f = function_from_descriptor(_cfg(config, "f", required=True))
     dist = _distribution_from_config(_cfg(config, "distribution",
                                           default={"kind": "uniform"}),
@@ -258,13 +249,13 @@ def _analysis_bias(config: dict, seed: int, samples: int | None,
 
 
 def _analysis_influence(config: dict, seed: int, samples: int | None,
-                        workers: int) -> dict:
+                        workers: int, cap: int) -> dict:
     f = function_from_descriptor(_cfg(config, "f", required=True))
     if "max_size" in config:
         q = _cfg(config, "max_size", cast=int)
         fixing = (good_dist_from_descriptor(config["fixing"])
                   if "fixing" in config else UniformBits(f.arity - q))
-        value, witness = influence_max_exact(f, q, fixing)
+        value, witness = influence_max_exact(f, q, fixing, cap)
         return {"influence": value, "witness": list(witness), "exact": True}
     coalition = _cfg(config, "coalition", required=True,
                      cast=lambda v: [int(i) for i in v])
@@ -273,7 +264,7 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
               else UniformBits(f.arity - len(set(coalition))))
     mode = _cfg(config, "mode", "exact")
     if mode == "exact":
-        return {"influence": influence_exact(f, coalition, fixing),
+        return {"influence": influence_exact(f, coalition, fixing, cap),
                 "exact": True}
     if mode != "mc":
         raise ValidationError("influence mode must be 'exact' or 'mc'")
@@ -283,29 +274,29 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
 
 
 def _analysis_spectrum(config: dict, seed: int, samples: int | None,
-                       workers: int) -> dict:
+                       workers: int, cap: int) -> dict:
     dist = _distribution_from_config(_cfg(config, "distribution", required=True))
     return linear_test_bias(dist).to_json()
 
 
 def _analysis_vazirani(config: dict, seed: int, samples: int | None,
-                       workers: int) -> dict:
+                       workers: int, cap: int) -> dict:
     dist = _distribution_from_config(_cfg(config, "distribution", required=True))
     return vazirani_check(dist).to_json()
 
 
 def _analysis_fixedness(config: dict, seed: int, samples: int | None,
-                        workers: int) -> dict:
+                        workers: int, cap: int) -> dict:
     est = fixedness_probability(
         _load_spec(_cfg(config, "spec", required=True)),
         _load_params(_cfg(config, "params", required=True)),
         seed=seed, samples=_sample_count(config, samples),
-        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers)
+        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
     return {"probability": est.to_json(), "exact": est.is_exact}
 
 
 def _analysis_compare_zeroed(config: dict, seed: int, samples: int | None,
-                             workers: int) -> dict:
+                             workers: int, cap: int) -> dict:
     rep = compare_zeroed(
         _load_spec(_cfg(config, "spec", required=True)),
         _load_params(_cfg(config, "params", required=True)),
@@ -325,13 +316,13 @@ _ANALYSES = {
 
 
 def cmd_analyze(config: dict, out: str, seed: int, samples: int | None,
-                workers: int) -> int:
+                workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     name = _cfg(config, "analysis", required=True)
     handler = _ANALYSES.get(name)
     if handler is None:
         raise ValidationError(
             f"unknown analysis {name!r}; choose from {sorted(_ANALYSES)}")
-    result = handler(config, seed, samples, workers)
+    result = handler(config, seed, samples, workers, cap)
     doc = {
         "format": "analysis-report",
         "version": 2,
@@ -344,7 +335,7 @@ def cmd_analyze(config: dict, out: str, seed: int, samples: int | None,
 
 
 def cmd_build_code(config: dict, out: str, seed: int, samples: int | None,
-                   workers: int) -> int:
+                   workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     if "preset" in config:
         code = preset_code(config["preset"])
         doc = code.to_json()
@@ -409,21 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    saved_cap = os.environ.get("NOBF_WORK_CAP")
     try:
         if args.workers < 1:
             raise ValidationError("--workers must be >= 1")
         if args.samples is not None and args.samples < 0:
             raise ValidationError("--samples must be >= 0")
+        cap = DEFAULT_WORK_CAP
         if args.max_enum is not None:
             if not 0 < args.max_enum <= 63:
                 raise ValidationError("--max-enum must be in 1..63")
-            os.environ["NOBF_WORK_CAP"] = str(1 << args.max_enum)
+            cap = 1 << args.max_enum
         config = load_json(args.config)
         seed = args.seed if args.seed is not None else _cfg(
             config, "seed", DEFAULT_SEED, cast=int)
         return _COMMANDS[args.command](config, args.out, seed, args.samples,
-                                       args.workers)
+                                       args.workers, cap)
     except WorkCapExceeded as exc:
         print(f"work cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -436,13 +427,6 @@ def main(argv=None) -> int:
     except NobfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.max_enum is not None:
-            if saved_cap is None:
-                os.environ.pop("NOBF_WORK_CAP", None)
-            else:
-                os.environ["NOBF_WORK_CAP"] = saved_cap
-
 
 if __name__ == "__main__":
     sys.exit(main())

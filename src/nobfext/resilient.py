@@ -29,8 +29,7 @@ from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_r
                      words_from_ints)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
-from .prng import run_chunked
-from .sources import Distribution, GoodBitDistribution, work_cap
+from .sources import DEFAULT_WORK_CAP, Distribution, GoodBitDistribution, mass
 from .stats import Estimate, binomial_estimate
 
 TABLE_ARITY_CAP = 20
@@ -242,11 +241,18 @@ def bias_under(f: ResilientFunction, d: Distribution):
                     samples=est.samples, confidence=0.99, method="clopper-pearson")
 
 
-def _split_positions(arity: int, q_set) -> tuple[list[int], list[int]]:
+def _coalition(f: ResilientFunction, q_set,
+               d_good: GoodBitDistribution) -> tuple[list[int], list[int]]:
+    """The sorted coalition positions and the rest, checked against f's
+    arity and, for a nonempty coalition, against the fixing width."""
     qpos = sorted(set(int(i) for i in q_set))
-    if qpos and (qpos[0] < 0 or qpos[-1] >= arity):
+    if qpos and (qpos[0] < 0 or qpos[-1] >= f.arity):
         raise ValidationError("coalition positions outside 0..arity-1")
-    rest = [i for i in range(arity) if i not in set(qpos)]
+    rest = [i for i in range(f.arity) if i not in set(qpos)]
+    if qpos and d_good.n_good != len(rest):
+        raise DimensionError(
+            f"fixing distribution covers {d_good.n_good} coordinates, "
+            f"need {len(rest)}")
     return qpos, rest
 
 
@@ -283,32 +289,36 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
     return any0 & any1
 
 
-def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution) -> float:
+def _undetermined_mass(f: ResilientFunction, qpos: list[int], rest: list[int]):
+    """The `GoodBitDistribution.walk` kernel of the influence oracles."""
+    return lambda fixings, weights: mass(_undetermined_mask(f, qpos, rest, fixings), weights)
+
+
+def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
+                    cap: int = DEFAULT_WORK_CAP) -> float:
     """Probability over d_good-fixings of the non-coalition coordinates
     that f's value still depends on the coalition, summed over the
     support walk of d_good (no table of its outcomes is built)."""
-    qpos, rest = _split_positions(f.arity, q_set)
+    qpos, rest = _coalition(f, q_set, d_good)
     if not qpos:
         return 0.0
-    if d_good.n_good != len(rest):
-        raise DimensionError(
-            f"fixing distribution covers {d_good.n_good} coordinates, "
-            f"need {len(rest)}")
     units = d_good.support_size * _scan_evals(f, len(qpos))
-    cap = work_cap()
     if units > cap:
         raise WorkCapExceeded(required=units, cap=cap,
                               what="influence enumeration")
-    return d_good.probability(lambda fixings: _undetermined_mask(f, qpos, rest, fixings))
+    hits, total = d_good.walk(_undetermined_mass(f, qpos, rest), True)
+    return sum(hits) / total
 
 
 def influence_max_exact(f: ResilientFunction, q: int,
-                        d_good_family: GoodBitDistribution) -> tuple[float, tuple[int, ...]]:
+                        d_good_family: GoodBitDistribution,
+                        cap: int = DEFAULT_WORK_CAP) -> tuple[float, tuple[int, ...]]:
     """Maximum influence over all size-q coalitions, with a maximizing set.
 
     The same fixing distribution is reused for every coalition, its
     coordinates mapped onto the non-coalition positions in increasing
-    order.
+    order.  The work of all C(arity, q) coalition walks together is
+    checked against the cap before the first one.
     """
     if not 0 <= q <= f.arity:
         raise ValidationError("coalition size outside 0..arity")
@@ -318,10 +328,14 @@ def influence_max_exact(f: ResilientFunction, q: int,
     if n_subsets > SUBSET_ENUM_CAP:
         raise WorkCapExceeded(required=n_subsets, cap=SUBSET_ENUM_CAP,
                               what="coalition enumeration (use influence_mc)")
+    units = n_subsets * d_good_family.support_size * _scan_evals(f, q)
+    if units > cap:
+        raise WorkCapExceeded(required=units, cap=cap,
+                              what="coalition influence enumeration")
     best = -1.0
     witness: tuple[int, ...] = ()
     for subset in itertools.combinations(range(f.arity), q):
-        val = influence_exact(f, subset, d_good_family)
+        val = influence_exact(f, subset, d_good_family, cap)
         if val > best:
             best, witness = val, subset
             if best >= 1.0:
@@ -329,36 +343,16 @@ def influence_max_exact(f: ResilientFunction, q: int,
     return best, witness
 
 
-def undetermined_count(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
-                       seed: int, start: int, count: int) -> int:
-    """Number of sampled fixings (counters start..start+count-1) on which
-    f stays undetermined.  Counter-addressed, so any chunking of a range
-    sums to the same total; influence_mc splits its range across workers
-    with it."""
-    qpos, rest = _split_positions(f.arity, q_set)
-    if not qpos:
-        return 0
-    if d_good.n_good != len(rest):
-        raise DimensionError(
-            f"fixing distribution covers {d_good.n_good} coordinates, "
-            f"need {len(rest)}")
-    fixings = d_good.sample_batch(seed, 0, start, count)
-    return int(_undetermined_mask(f, qpos, rest, fixings).sum())
-
-
 def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
                  samples: int, seed: int, workers: int = 1) -> Estimate:
     """Monte-Carlo influence with a 99% Clopper-Pearson interval, drawn on
     `workers` threads (the result does not depend on the count)."""
-    if not sorted(set(int(i) for i in q_set)):
+    qpos, rest = _coalition(f, q_set, d_good)
+    if not qpos:
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,
                         confidence=1.0, method="exact")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    counts = run_chunked(
-        lambda s, c: undetermined_count(f, q_set, d_good, seed, s, c),
-        samples, workers)
-    return binomial_estimate(sum(counts), samples, confidence=0.99)
+    hits, _ = d_good.walk(_undetermined_mass(f, qpos, rest), False, seed, samples, workers)
+    return binomial_estimate(sum(hits), samples, confidence=0.99)
 
 
 def default_block_function(arity: int) -> ResilientFunction:

@@ -30,9 +30,10 @@ temporary name, renamed into place once complete, removed on failure.
 Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
 so exactness is bounded by the seed space (at most 2^24 seeds) and the
 packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
-results are tables of 2^n_good and 2^n entries, keep n <= 24.  The
-general work-unit budget (default 2^28) can be overridden with the
-NOBF_WORK_CAP environment variable.
+results are tables of 2^n_good and 2^n entries, keep n <= 24.  Every
+oracle, exact or sampled, runs its per-chunk kernel through
+`GoodBitDistribution.walk`.  The general work-unit budget is the `cap`
+argument of each oracle that checks one (default DEFAULT_WORK_CAP = 2^28).
 """
 
 from __future__ import annotations
@@ -59,21 +60,7 @@ from .schemas import validate_document
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
 SUPPORT_CHUNK = 1 << 18   # seeds per chunk of the support walk
-DEFAULT_WORK_CAP = 1 << 28
-
-
-def work_cap() -> int:
-    """Work-unit budget for exact enumerations (env NOBF_WORK_CAP overrides)."""
-    raw = os.environ.get("NOBF_WORK_CAP")
-    if raw is None:
-        return DEFAULT_WORK_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"NOBF_WORK_CAP={raw!r} is not an integer") from exc
-    if cap <= 0:
-        raise ValidationError("NOBF_WORK_CAP must be positive")
-    return cap
+DEFAULT_WORK_CAP = 1 << 28  # work units an exact oracle may spend by default
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +185,15 @@ class Distribution:
         return cls(m=m, probs=table)
 
     @classmethod
+    def from_table(cls, probs) -> "Distribution":
+        """An exact table whose width m is read off its length."""
+        table = np.asarray(probs, dtype=np.float64)
+        m = max(0, int(table.size).bit_length() - 1)
+        if table.ndim != 1 or table.size != 1 << m:
+            raise ValidationError("table length must be a power of two")
+        return cls.exact(m, table)
+
+    @classmethod
     def empirical(cls, m: int, samples, seed: int | None = None) -> "Distribution":
         check_packed(m, "empirical sample width")
         arr = np.asarray(samples, dtype=np.uint64)
@@ -313,23 +309,34 @@ class GoodBitDistribution:
         """Outcomes the support walk visits at most (its work units)."""
         return 1 << (self.n_good if self.seed_bits is None else self.seed_bits)
 
-    def probability(self, event: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Probability that the boolean mask `event(goods)` holds, summed
-        over the support walk."""
-        mass = 0
-        for goods, weights in self.support():
-            hit = event(goods)
-            mass += int(np.count_nonzero(hit)) if weights is None else float(weights[hit].sum())
-        return mass / self.support_total
+    def walk(self, kernel: Callable, exact: bool, seed: int | None = None,
+             samples: int | None = None, workers: int = 1) -> tuple[list, float | int]:
+        """The results of kernel(goods, weights) over the good bits, and the
+        total weight to divide their sum by.
+
+        Exact walks run the kernel on each chunk of `support()` and return
+        `support_total`.  Otherwise the kernel sees the draws at counters
+        0..samples-1 of (seed, stream 0) with weights None, one
+        `prng.run_chunked` chunk per worker, and the total is `samples`;
+        draws are counter-addressed, so the sum does not depend on
+        `workers`."""
+        if exact:
+            return [kernel(*chunk) for chunk in self.support()], self.support_total
+        if samples is None or seed is None:
+            raise ValidationError("exact enumeration infeasible; provide seed and samples")
+        if samples < 1:
+            raise ValidationError("need at least one sample")
+        return prng.run_chunked(
+            lambda start, count: kernel(self.sample_batch(seed, 0, start, count), None),
+            samples, workers), samples
 
     def table_of(self, key: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
         """Probability table over 0..size-1 of `key(goods)`, binned over the
         support walk."""
-        counts = 0
-        for goods, weights in self.support():
-            counts = counts + np.bincount(key(goods).astype(np.int64), weights=weights,
-                                          minlength=size)
-        return counts / self.support_total
+        counts, total = self.walk(
+            lambda goods, weights: np.bincount(key(goods).astype(np.int64),
+                                               weights=weights, minlength=size), True)
+        return sum(counts) / total
 
     def exact_table(self) -> np.ndarray:
         """Exact probability table over 2^n_good outcomes (desk scale only)."""
@@ -350,6 +357,12 @@ class GoodBitDistribution:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+
+def mass(hit: np.ndarray, weights: np.ndarray | None):
+    """The weight of the outcomes a boolean mask `hit` marks in one chunk
+    of `GoodBitDistribution.walk`: a count when weights is None."""
+    return int(np.count_nonzero(hit)) if weights is None else float(weights[hit].sum())
 
 
 class UniformBits(GoodBitDistribution):
@@ -518,22 +531,14 @@ class ExplicitTable(GoodBitDistribution):
     kind = "explicit-table"
 
     def __init__(self, probs):
-        table = np.asarray(probs, dtype=np.float64)
-        n_good = max(0, int(table.size).bit_length() - 1)
-        if table.ndim != 1 or table.size != 1 << n_good:
-            raise ValidationError("table length must be a power of two")
-        if np.any(table < 0):
-            raise ValidationError("probabilities must be nonnegative")
-        total = float(table.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
-        self.n_good = n_good
+        dist = Distribution.from_table(probs)
+        self.n_good = dist.m
         self.seed_bits = None
-        self.probs = table
-        self._cdf = np.cumsum(table)
+        self.probs = dist.probs
+        self._cdf = np.cumsum(self.probs)
         # a draw at or above the rounded-down total maps to the last outcome
         # that has positive probability, never to a zero-probability tail
-        self._last = int(np.flatnonzero(table)[-1])
+        self._last = int(np.flatnonzero(self.probs)[-1])
 
     support_total = 1.0
 
@@ -577,7 +582,8 @@ class TwiseReport:
     worst_distance: float
 
 
-def verify_twise(dist: GoodBitDistribution, n: int, t: int) -> TwiseReport:
+def verify_twise(dist: GoodBitDistribution, n: int, t: int,
+                 cap: int = DEFAULT_WORK_CAP) -> TwiseReport:
     """Check that every t-coordinate marginal is exactly uniform.
 
     Exhaustive over all C(n, t) subsets, each marginal binned over the
@@ -591,7 +597,6 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int) -> TwiseReport:
     if not 1 <= t <= n:
         raise ValidationError(f"t={t} outside 1..{n}")
     units = math.comb(n, t) * (1 << t)
-    cap = work_cap()
     if units > cap:
         raise WorkCapExceeded("t-wise verification too large; shrink n or t", units, cap)
 

@@ -241,10 +241,11 @@ def statistical_distance(p: Distribution, q: Distribution) -> float:
     """
     if p.m != q.m:
         raise DimensionError(f"width mismatch: {p.m} vs {q.m}")
-    return 0.5 * float(np.abs(p.as_table() - q.as_table()).sum())
+    return sd_of_tables(p.as_table(), q.as_table())
 
 
-def sd_of_tables(pt: np.ndarray, qt: np.ndarray) -> float:
+def sd_of_tables(pt: np.ndarray, qt) -> float:
+    """Half the L1 difference of two tables; qt may be a scalar."""
     return 0.5 * float(np.abs(np.asarray(pt, dtype=np.float64)
                               - np.asarray(qt, dtype=np.float64)).sum())
 
@@ -437,5 +438,5 @@ def sd_to_uniform_empirical(samples, m: int, confidence: float = 0.99) -> Estima
     if xs.size and (xs.min() < 0 or xs.max() >= (1 << m)):
         raise ValidationError("sample outcomes outside 0..2^m-1")
     table = np.bincount(xs, minlength=1 << m) / n
-    est = 0.5 * float(np.abs(table - 1.0 / (1 << m)).sum())
-    return plugin_sd_estimate(est, n, m, 1.0 - confidence, confidence)
+    return plugin_sd_estimate(sd_of_tables(table, 1.0 / (1 << m)), n, m,
+                              1.0 - confidence, confidence)

@@ -12,16 +12,16 @@ from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
-                           _coupled_counts, _default_code_builder, _floor_pow,
-                           compare_zeroed, derive_params, explicit_params, extract,
-                           extract_batch, fixedness_probability, output_distribution,
-                           trace_batch, undetermined_block_count,
+                           _default_code_builder, _floor_pow, compare_zeroed,
+                           derive_params, explicit_params, extract, extract_batch,
+                           fixedness_probability, output_distribution, trace_batch,
                            worst_case_adversary, zeroed_pair_counts)
 from nobfext.bitops import ints_from_words, words_from_ints
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix, BitVector, row_combination
-from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
+from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
+                               influence_mc)
 from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
@@ -323,11 +323,6 @@ def test_fixedness_mc_matches_exact():
     assert est.contains(0.25)
     assert fixedness_probability(spec, params, seed=5, samples=4000,
                                  force_mc=True, workers=3) == est
-    # chunk-invariant building block
-    total = undetermined_block_count(spec, params, 5, 0, 4000)
-    parts = sum(undetermined_block_count(spec, params, 5, s, c)
-                for s, c in [(0, 999), (999, 2001), (3000, 1000)])
-    assert parts == total
     with pytest.raises(ValidationError):
         fixedness_probability(spec, params, force_mc=True)  # no seed/samples
 
@@ -388,19 +383,19 @@ def test_compare_zeroed_mc_covers_exact():
     assert mc.sd.value <= mc.mismatch_rate + 1e-12
 
 
-def test_zeroed_pair_counts_chunk_invariant():
+def test_sampled_oracles_do_not_depend_on_workers():
+    # 3,001 draws split unevenly over 2, 3 and 7 chunks of the same walk
     params = _maj3_params()
-    spec = _uniform_spec(6, [1], ParityOfGood())
-    ca, cb, mm = zeroed_pair_counts(spec, params, 7, 0, 3000)
-    ca2 = np.zeros_like(ca)
-    cb2 = np.zeros_like(cb)
-    mm2 = 0
-    for s, c in [(0, 1000), (1000, 1000), (2000, 1000)]:
-        a, b, m = zeroed_pair_counts(spec, params, 7, s, c)
-        ca2 += a
-        cb2 += b
-        mm2 += m
-    assert np.array_equal(ca, ca2) and np.array_equal(cb, cb2) and mm == mm2
+    spec = _uniform_spec(6, [1, 5], ParityOfGood())
+    runs = [(fixedness_probability(spec, params, seed=7, samples=3001,
+                                   force_mc=True, workers=w),
+             compare_zeroed(spec, params, seed=7, samples=3001, force_mc=True,
+                            workers=w),
+             influence_mc(Majority(5), [0, 3], UniformBits(3), samples=3001,
+                          seed=7, workers=w))
+            for w in (1, 2, 3, 7)]
+    assert not runs[0][0].is_exact and not runs[0][1].exact
+    assert all(run == runs[0] for run in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +487,7 @@ def _coupled_batches(draw):
 
 
 def _two_passes(spec, params, goods, weights):
-    """`_coupled_counts` from two independent extract_batch passes."""
+    """`zeroed_pair_counts` from two independent extract_batch passes."""
     bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
     za = extract_batch(spec.compose_batch(goods, bads), params).astype(np.int64)
     zb = extract_batch(spec.compose_batch(goods, np.zeros_like(goods)),
@@ -519,7 +514,7 @@ def _two_passes(spec, params, goods, weights):
     np.arange(8, dtype=np.uint64), None))
 def test_coupled_counts_equal_two_extract_passes(batch):
     spec, params, goods, weights = batch
-    got = _coupled_counts(spec, params, goods, weights)
+    got = zeroed_pair_counts(spec, params, goods, weights)
     want = _two_passes(spec, params, goods, weights)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2] == want[2]

@@ -19,7 +19,7 @@ from oracles import extract_trace
 
 from nobfext.bfext import explicit_params, extract, trace_columns
 from nobfext.bitops import hex_from_words, words_from_ints
-from nobfext.cli import _run_block, canonical_json, main, report_json
+from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError
 from nobfext.gf2 import BitMatrix, BitVector
@@ -716,18 +716,20 @@ def test_exit_3_on_work_cap(tmp_path):
                 "--out", str(tmp_path / "o.json")) == 3
 
 
-def test_max_enum_tightens_cap_without_leaking(tmp_path):
+def test_max_enum_tightens_cap_without_leaking(tmp_path, monkeypatch):
     cfg = _write(tmp_path / "cfg.json", {
         "analysis": "influence",
         "f": {"kind": "majority", "arity": 7},
         "coalition": [0],
     })
     out = tmp_path / "r.json"
+    # the cap is an argument: a cap variable in the environment is not read
+    monkeypatch.setenv("NOBF_WORK_CAP", "1")
+    environ = dict(os.environ)
     assert _run("analyze", "--config", cfg, "--out", str(out)) == 0
-    before = os.environ.get("NOBF_WORK_CAP")
     assert _run("analyze", "--config", cfg, "--out", str(out),
                 "--max-enum", "5") == 3
-    assert os.environ.get("NOBF_WORK_CAP") == before  # restored after the run
+    assert dict(os.environ) == environ
     assert _run("analyze", "--config", cfg, "--out", str(out)) == 0
 
 
@@ -803,8 +805,8 @@ def test_report_writer_matches_dict_traces_byte_for_byte(batch):
     count = len(words)
     doc = {"format": "extraction-report", "version": 1, "n": params.n, "count": count,
            "traces": [], "run": _run_block("extract", 1, config, count)}
-    assert (report_json(doc, params, trace_columns(words, params))
-            == oracles.report_json(doc, words, params))
+    chunks = report_chunks(doc, params, trace_columns(words, params))
+    assert b"".join(chunks).decode("ascii") == oracles.report_json(doc, words, params)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +826,7 @@ print(json.dumps({"rc": rc, "heavy": heavy}))
 def _modules_loaded_by(cwd, *argv):
     """Run cli.main in a fresh interpreter on the checkout's src/; return its
     exit code and the scipy, mpmath and jsonschema modules it loaded."""
-    env = {k: v for k, v in os.environ.items() if k != "NOBF_WORK_CAP"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,

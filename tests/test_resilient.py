@@ -15,8 +15,7 @@ from nobfext.resilient import (Majority, RecursiveMajority3, ResilientFunction,
                                TableFunction, Tribes, _undetermined_mask,
                                bias_under, default_block_function,
                                function_from_descriptor, influence_exact,
-                               influence_max_exact, influence_mc, is_monotone,
-                               undetermined_count)
+                               influence_max_exact, influence_mc, is_monotone)
 from nobfext.sources import Distribution, ExplicitTable, UniformBits
 
 
@@ -333,18 +332,20 @@ def test_influence_max_exact():
     assert val == pytest.approx(3 / 8)
 
 
-def test_influence_work_caps(monkeypatch):
-    monkeypatch.setenv("NOBF_WORK_CAP", "64")
+def test_influence_work_caps():
     with pytest.raises(WorkCapExceeded):
-        influence_exact(Majority(7), [0], UniformBits(6))
-    monkeypatch.delenv("NOBF_WORK_CAP")
+        influence_exact(Majority(7), [0], UniformBits(6), cap=64)
+    # the cap bounds all 21 coalition walks together (21 x 2^5 x 2 units),
+    # not each one on its own
+    with pytest.raises(WorkCapExceeded):
+        influence_max_exact(Majority(7), 2, UniformBits(5), cap=1000)
+    assert influence_max_exact(Majority(7), 2, UniformBits(5), cap=1344)[0] == 0.625
     # the 2^|Q| scan of a non-monotone function is capped at 20 coordinates;
     # a monotone one takes two evaluations, so its coalition is not capped
     with pytest.raises(WorkCapExceeded):
-        undetermined_count(_Parity(21), list(range(21)),
-                           UniformBits(0), 0, 0, 10)
-    assert undetermined_count(Majority(21), list(range(21)),
-                              UniformBits(0), 0, 0, 10) == 10
+        influence_mc(_Parity(21), list(range(21)), UniformBits(0), samples=10, seed=0)
+    assert influence_mc(Majority(21), list(range(21)), UniformBits(0),
+                        samples=10, seed=0).value == 1.0
     # a 65-bit block does not fit one packed value; the truth here is
     # C(64, 32) / 2^64, which a truncating scan would report as 0
     with pytest.raises(WorkCapExceeded):
@@ -357,11 +358,6 @@ def test_influence_mc_interval_and_chunking():
     assert influence_mc(Majority(3), [0], UniformBits(2), samples=4000, seed=2,
                         workers=3) == est
     assert est.method == "clopper-pearson"
-    # the counter-addressed counter is chunking-invariant
-    total = undetermined_count(Majority(3), [0], UniformBits(2), 2, 0, 4000)
-    split = sum(undetermined_count(Majority(3), [0], UniformBits(2), 2, s, c)
-                for s, c in [(0, 1000), (1000, 1500), (2500, 1500)])
-    assert split == total
     # empty coalition: exact zero, no sampling error
     empty = influence_mc(Majority(3), [], UniformBits(3), samples=10, seed=0)
     assert empty.value == 0.0 and empty.width == 0.0

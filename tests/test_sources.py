@@ -21,7 +21,7 @@ from nobfext.sources import (SUPPORT_CHUNK, ConstantAdversary, Distribution,
                              UniformBits, _poly_mod, adversary_from_descriptor,
                              enumerate_nobf, gf2e_times, gf2e_times_columns,
                              good_dist_from_descriptor, irreducible_poly,
-                             read_sample_batch, sample_nobf,
+                             mass, read_sample_batch, sample_nobf,
                              sample_nobf_batch, verify_twise,
                              write_sample_batch, zeroed_counterpart)
 
@@ -150,7 +150,8 @@ def test_support_walk_chunks_and_weights():
     table = ExplicitTable([0.25, 0.0, 0.75, 0.0])
     [(rows, weights)] = list(table.support())
     assert rows.tolist() == [0, 2] and weights.tolist() == [0.25, 0.75]
-    assert table.probability(lambda g: g == 2) == 0.75
+    hits, total = table.walk(lambda goods, weights: mass(goods == 2, weights), True)
+    assert sum(hits) / total == 0.75
 
 
 def test_exact_twise_eventually_fails_higher_t():
@@ -340,10 +341,9 @@ def test_good_dist_descriptor_round_trip():
             assert np.array_equal(back.exact_table(), gen.exact_table())
 
 
-def test_verify_twise_work_cap(monkeypatch):
-    monkeypatch.setenv("NOBF_WORK_CAP", "100")
+def test_verify_twise_work_cap():
     with pytest.raises(WorkCapExceeded):
-        verify_twise(UniformBits(10), 10, 5)
+        verify_twise(UniformBits(10), 10, 5, cap=100)
 
 
 # ---------------------------------------------------------------------------
