@@ -315,7 +315,7 @@ def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distributi
         return _tally(extract_batch(xs, params), xs, weights, params.m)
 
     counts, total = spec.good_dist.walk(tally, True)
-    return Distribution.exact(params.m, sum(counts) / total)
+    return Distribution.exact(params.m, counts / total)
 
 
 def _block_layout(spec: NobfSourceSpec, params: BfextParams):
@@ -336,11 +336,7 @@ def _block_layout(spec: NobfSourceSpec, params: BfextParams):
         if not local_bads:
             continue
         goods = [p for p in range(lo, hi) if p not in badset]
-        layout.append((
-            [good_index[p] for p in goods],
-            [p - lo for p in goods],
-            local_bads,
-        ))
+        layout.append(([good_index[p] for p in goods], [p - lo for p in goods], local_bads))
     return layout
 
 
@@ -393,8 +389,8 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
                                     weights),
         exact, seed, samples, workers)
     if exact:
-        return Estimate.exact_value(1.0 - sum(undetermined) / total)
-    return binomial_estimate(samples - sum(undetermined), samples, confidence=0.99)
+        return Estimate.exact_value(1.0 - undetermined / total)
+    return binomial_estimate(samples - undetermined, samples, confidence=0.99)
 
 
 @dataclass(frozen=True)
@@ -428,10 +424,9 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
     if not exact and params.m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << params.m, cap=1 << EMPIRICAL_M_CAP,
                               what="empirical output width")
-    parts, total = spec.good_dist.walk(
+    (ca, cb, mismatches), total = spec.good_dist.walk(
         lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
         exact, seed, samples, workers)
-    ca, cb, mismatches = map(sum, zip(*parts))
     sd = sd_of_tables(ca / total, cb / total)
     if exact:
         return CompareZeroedReport(sd=Estimate.exact_value(sd), exact=True, m=params.m)
@@ -546,7 +541,6 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                               what="adversary ascent sweep")
     entries = [0] * gcount
     diff = np.zeros_like(target)  # running P_T - P', updated entry by entry
-    sd = 0.0
     swept = 0
     for swept in range(1, sweeps + 1):
         changed = False
@@ -571,7 +565,6 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                 diff[zcur] -= w
                 diff[z_choice[best_b, g]] += w
                 entries[g] = best_b
-                sd += best_gain
                 changed = True
         if not changed:
             break

@@ -338,32 +338,29 @@ def cmd_build_code(config: dict, out: str, seed: int, samples: int | None,
                    workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     if "preset" in config:
         code = preset_code(config["preset"])
-        doc = code.to_json()
-        doc["run"] = _run_block("build-code", seed, config)
-        write_document(out, doc)
-        return 0
-    m = _cfg(config, "m", required=True, cast=int)
-    r = _cfg(config, "r", required=True, cast=int)
-    target_d = _cfg(config, "target_d", required=True, cast=int)
-    attempts = _cfg(config, "attempts", 4096, cast=int)
-    try:
-        code = build_good_code(m, r, target_d, seed=seed, attempts=attempts)
-    except SearchBudgetExceeded as exc:
-        doc = {
-            "format": "code-search-failure",
-            "version": 1,
-            "m": m,
-            "r": r,
-            "target_d": target_d,
-            "attempts": attempts,
-            "best_distance": int(exc.best_distance or 0),
-            "best": exc.best.to_json() if exc.best is not None else None,
-            "run": _run_block("build-code", seed, config),
-        }
-        write_document(out, doc)
-        print(f"search exhausted: best distance {exc.best_distance}",
-              file=sys.stderr)
-        return 4
+    else:
+        m = _cfg(config, "m", required=True, cast=int)
+        r = _cfg(config, "r", required=True, cast=int)
+        target_d = _cfg(config, "target_d", required=True, cast=int)
+        attempts = _cfg(config, "attempts", 4096, cast=int)
+        try:
+            code = build_good_code(m, r, target_d, seed=seed, attempts=attempts)
+        except SearchBudgetExceeded as exc:
+            doc = {
+                "format": "code-search-failure",
+                "version": 1,
+                "m": m,
+                "r": r,
+                "target_d": target_d,
+                "attempts": attempts,
+                "best_distance": int(exc.best_distance or 0),
+                "best": exc.best.to_json() if exc.best is not None else None,
+                "run": _run_block("build-code", seed, config),
+            }
+            write_document(out, doc)
+            print(f"search exhausted: best distance {exc.best_distance}",
+                  file=sys.stderr)
+            return 4
     doc = code.to_json()
     doc["run"] = _run_block("build-code", seed, config)
     write_document(out, doc)

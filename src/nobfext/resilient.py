@@ -307,7 +307,7 @@ def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
         raise WorkCapExceeded(required=units, cap=cap,
                               what="influence enumeration")
     hits, total = d_good.walk(_undetermined_mass(f, qpos, rest), True)
-    return sum(hits) / total
+    return hits / total
 
 
 def influence_max_exact(f: ResilientFunction, q: int,
@@ -328,6 +328,7 @@ def influence_max_exact(f: ResilientFunction, q: int,
     if n_subsets > SUBSET_ENUM_CAP:
         raise WorkCapExceeded(required=n_subsets, cap=SUBSET_ENUM_CAP,
                               what="coalition enumeration (use influence_mc)")
+    _coalition(f, range(q), d_good_family)
     units = n_subsets * d_good_family.support_size * _scan_evals(f, q)
     if units > cap:
         raise WorkCapExceeded(required=units, cap=cap,
@@ -352,7 +353,7 @@ def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,
                         confidence=1.0, method="exact")
     hits, _ = d_good.walk(_undetermined_mass(f, qpos, rest), False, seed, samples, workers)
-    return binomial_estimate(sum(hits), samples, confidence=0.99)
+    return binomial_estimate(hits, samples, confidence=0.99)
 
 
 def default_block_function(arity: int) -> ResilientFunction:

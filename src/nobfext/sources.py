@@ -264,20 +264,16 @@ class GoodBitDistribution:
 
     def outcome_for_seed(self, seed: int) -> int:
         """Outcome for one seed: a length-1 view of `outcomes_for_seeds`."""
-        self._check_seed(seed)
+        if self.seed_bits is None:
+            raise ValidationError(f"{self.kind} distribution has no seed space")
+        if not 0 <= seed < (1 << self.seed_bits):
+            raise ValidationError(
+                f"seed {seed} outside the {2 ** self.seed_bits}-element seed space")
         check_packed(self.n_good, "packed good-bit width")
         return int(self.outcomes_for_seeds(np.array([seed], dtype=np.uint64))[0])
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check_seed(self, seed: int) -> None:
-        if self.seed_bits is None:
-            raise ValidationError(f"{self.kind} distribution has no seed space")
-        if not 0 <= seed < (1 << self.seed_bits):
-            raise ValidationError(
-                f"seed {seed} outside the {2 ** self.seed_bits}-element seed space"
-            )
 
     def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Walk the support as chunks of (packed outcomes, weights).
@@ -310,25 +306,29 @@ class GoodBitDistribution:
         return 1 << (self.n_good if self.seed_bits is None else self.seed_bits)
 
     def walk(self, kernel: Callable, exact: bool, seed: int | None = None,
-             samples: int | None = None, workers: int = 1) -> tuple[list, float | int]:
-        """The results of kernel(goods, weights) over the good bits, and the
-        total weight to divide their sum by.
-
-        Exact walks run the kernel on each chunk of `support()` and return
-        `support_total`.  Otherwise the kernel sees the draws at counters
-        0..samples-1 of (seed, stream 0) with weights None, one
-        `prng.run_chunked` chunk per worker, and the total is `samples`;
-        draws are counter-addressed, so the sum does not depend on
-        `workers`."""
+             samples: int | None = None, workers: int = 1):
+        """The sum of kernel(goods, weights) over the good bits, and the
+        total weight to divide it by.  Exact walks run the kernel on each
+        chunk of `support()`, total `support_total`; sampled ones on the
+        draws at counters 0..samples-1 of (seed, stream 0) with weights
+        None, one `prng.run_chunked` chunk per worker (so the sum does not
+        depend on `workers`), total `samples`.  Results are added in order
+        into one running total (`_add`)."""
         if exact:
-            return [kernel(*chunk) for chunk in self.support()], self.support_total
-        if samples is None or seed is None:
-            raise ValidationError("exact enumeration infeasible; provide seed and samples")
-        if samples < 1:
-            raise ValidationError("need at least one sample")
-        return prng.run_chunked(
-            lambda start, count: kernel(self.sample_batch(seed, 0, start, count), None),
-            samples, workers), samples
+            parts, total = (kernel(*chunk) for chunk in self.support()), self.support_total
+        else:
+            if samples is None or seed is None:
+                raise ValidationError("exact enumeration infeasible; provide seed and samples")
+            if samples < 1:
+                raise ValidationError("need at least one sample")
+            parts, total = prng.run_chunked(
+                lambda start, count: kernel(self.sample_batch(seed, 0, start, count), None),
+                samples, workers), samples
+        acc = None
+        for part in parts:
+            acc = _add(acc, part)
+            del part  # free this chunk's result before the next kernel runs
+        return acc, total
 
     def table_of(self, key: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
         """Probability table over 0..size-1 of `key(goods)`, binned over the
@@ -336,7 +336,7 @@ class GoodBitDistribution:
         counts, total = self.walk(
             lambda goods, weights: np.bincount(key(goods).astype(np.int64),
                                                weights=weights, minlength=size), True)
-        return sum(counts) / total
+        return counts / total
 
     def exact_table(self) -> np.ndarray:
         """Exact probability table over 2^n_good outcomes (desk scale only)."""
@@ -357,6 +357,17 @@ class GoodBitDistribution:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+
+def _add(acc, part):
+    """acc + part, element by element for tuples; acc None is the empty sum.
+    Later parts are added in place into a copy of the first."""
+    if isinstance(part, tuple):
+        return tuple(map(_add, acc or (None,) * len(part), part))
+    if acc is None:
+        return part + 0
+    acc += part
+    return acc
 
 
 def mass(hit: np.ndarray, weights: np.ndarray | None):

@@ -340,6 +340,9 @@ def test_influence_work_caps():
     with pytest.raises(WorkCapExceeded):
         influence_max_exact(Majority(7), 2, UniformBits(5), cap=1000)
     assert influence_max_exact(Majority(7), 2, UniformBits(5), cap=1344)[0] == 0.625
+    # a fixing of the wrong width is a dimension error, whatever its size
+    with pytest.raises(DimensionError, match="covers 24 coordinates, need 5"):
+        influence_max_exact(Majority(7), 2, UniformBits(24))
     # the 2^|Q| scan of a non-monotone function is capped at 20 coordinates;
     # a monotone one takes two evaluations, so its coalition is not capped
     with pytest.raises(WorkCapExceeded):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -151,7 +152,24 @@ def test_support_walk_chunks_and_weights():
     [(rows, weights)] = list(table.support())
     assert rows.tolist() == [0, 2] and weights.tolist() == [0.25, 0.75]
     hits, total = table.walk(lambda goods, weights: mass(goods == 2, weights), True)
-    assert sum(hits) / total == 0.75
+    assert hits / total == 0.75
+
+
+def test_exact_walk_keeps_one_running_total(monkeypatch):
+    # sixteen chunks of four seeds; no chunk's result may still be alive
+    # when the kernel runs on the next chunk
+    monkeypatch.setattr("nobfext.sources.SUPPORT_CHUNK", 4)
+    results, live = [], []
+
+    def kernel(goods, weights):
+        live.append(sum(ref() is not None for ref in results))
+        counts = np.bincount(goods.astype(np.int64), minlength=64)
+        results.append(weakref.ref(counts))
+        return counts, int(goods.size)
+
+    (counts, seen), total = UniformBits(6).walk(kernel, True)
+    assert len(results) == 16 and max(live) == 0
+    assert counts.tolist() == [1] * 64 and seen == total == 64
 
 
 def test_exact_twise_eventually_fails_higher_t():
