@@ -144,18 +144,16 @@ def _default_code_builder(m: int, ell: int) -> LinearCode:
         return exc.best
 
 
-def derive_params(n: int, delta: float, t: int,
-                  code_builder=None, f_builder=None,
-                  beta: float = 1.0) -> BfextParams:
+def derive_params(n: int, delta: float, t: int, beta: float = 1.0) -> BfextParams:
     """Parameters from (n, delta, t): alpha = delta/4, ell = floor(n^alpha),
     block_len = floor(n/ell), m = max(1, floor(min(n^{0.9 alpha},
     beta t^{1/21}))).
 
     At desk scale the m formula almost always gives 1 (the t^{1/21} term
     needs astronomically large t to exceed 2); explicit parameters exist
-    for exactly that reason.  The builders receive (m, ell) and
-    (block_len) and must return a code with r <= ell and a function of
-    matching arity.
+    for exactly that reason.  The block function is
+    `default_block_function(block_len)`, the code
+    `_default_code_builder(m, ell)`.
     """
     if not 0 < delta < 1:
         raise ValidationError("need 0 < delta < 1")
@@ -176,16 +174,8 @@ def derive_params(n: int, delta: float, t: int,
         cand = min(mpmath.power(n, 0.9 * alpha),
                    mpmath.mpf(beta) * mpmath.power(t, mpmath.mpf(1) / 21))
         m = max(1, int(mpmath.floor(cand + mpmath.mpf("1e-30"))))
-    f = (f_builder or default_block_function)(block_len)
-    if f.arity != block_len:
-        raise DimensionError("f_builder returned wrong arity")
-    code = (code_builder or _default_code_builder)(m, ell)
-    if code.m != m:
-        raise ValidationError(f"code builder returned m = {code.m}, wanted {m}")
-    if code.r > ell:
-        raise ValidationError(
-            f"code builder returned r = {code.r} > ell = {ell}")
-    return BfextParams(n=n, ell=ell, block_len=block_len, code=code, f=f,
+    return BfextParams(n=n, ell=ell, block_len=block_len,
+                       f=default_block_function(block_len), code=_default_code_builder(m, ell),
                        mode="derived", delta=delta, alpha=alpha, beta=beta, t=t)
 
 
@@ -300,11 +290,13 @@ def _tally(zs: np.ndarray, xs: np.ndarray, weights: np.ndarray | None,
     return counts
 
 
-def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distribution:
+def output_distribution(spec: NobfSourceSpec, params: BfextParams,
+                        cap: int = DEFAULT_WORK_CAP) -> Distribution:
     """Exact distribution of z under the source: the outputs of the
     good-bit support walk, binned chunk by chunk.  No table of 2^n inputs
     is built; the walk bounds the seed space (at most 2^24 seeds) and the
-    packed width (n <= 64)."""
+    packed width (n <= 64), and its ell block evaluations per outcome are
+    checked against `cap`."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     check_packed(spec.n, "packed source width")
@@ -314,7 +306,8 @@ def output_distribution(spec: NobfSourceSpec, params: BfextParams) -> Distributi
             goods, spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q))
         return _tally(extract_batch(xs, params), xs, weights, params.m)
 
-    counts, total = spec.good_dist.walk(tally, True)
+    counts, total = spec.good_dist.walk(tally, True, units=params.ell, cap=cap,
+                                        what="output distribution enumeration")
     return Distribution.exact(params.m, counts / total)
 
 
@@ -355,8 +348,8 @@ def _exact_good_enumeration_ok(spec: NobfSourceSpec) -> bool:
     """True when the exact oracles can walk the good-bit support: at most
     2^ENUM_SEED_BITS_CAP seeds (explicit tables always qualify) and inputs
     that fit one packed word."""
-    space = spec.good_dist.seed_space_size
-    return spec.n <= PACKED_WIDTH and (space is None or space <= 1 << ENUM_SEED_BITS_CAP)
+    bits = spec.good_dist.seed_bits
+    return spec.n <= PACKED_WIDTH and (bits is None or bits <= ENUM_SEED_BITS_CAP)
 
 
 def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
@@ -369,25 +362,23 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     bits alone, i.e. no assignment of the bad bits can change any Y_i.
 
     Exact over the good-bit support walk when it is feasible (see
-    `_exact_good_enumeration_ok`) and fits the work cap, otherwise Monte
-    Carlo over good-bit samples with a 99% binomial interval, drawn on
-    `workers` threads (the result does not depend on the count).
+    `_exact_good_enumeration_ok`), otherwise Monte Carlo over good-bit
+    samples with a 99% binomial interval, drawn on `workers` threads (the
+    result does not depend on the count).  An exact walk whose block scans
+    exceed `cap` raises WorkCapExceeded.
     """
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     layout = _block_layout(spec, params)
     if not layout:
         return Estimate.exact_value(1.0)
-    dist = spec.good_dist
     exact = not force_mc and _exact_good_enumeration_ok(spec)
-    if exact:
-        units = dist.support_size * sum(_scan_evals(params.f, len(b[2])) for b in layout)
-        if units > cap:
-            raise WorkCapExceeded(required=units, cap=cap, what="fixedness enumeration")
-    undetermined, total = dist.walk(
+    undetermined, total = spec.good_dist.walk(
         lambda goods, weights: mass(_some_block_undetermined(goods, layout, params.f),
                                     weights),
-        exact, seed, samples, workers)
+        exact, seed, samples, workers,
+        units=sum(_scan_evals(params.f, len(b[2])) for b in layout), cap=cap,
+        what="fixedness enumeration")
     if exact:
         return Estimate.exact_value(1.0 - undetermined / total)
     return binomial_estimate(samples - undetermined, samples, confidence=0.99)
@@ -412,12 +403,14 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    seed: int | None = None,
                    samples: int | None = None,
                    force_mc: bool = False,
-                   workers: int = 1) -> CompareZeroedReport:
+                   workers: int = 1,
+                   cap: int = DEFAULT_WORK_CAP) -> CompareZeroedReport:
     """SD(Z, Z') for the zeroed counterpart from one coupled pass of
     `zeroed_pair_counts`: over the good-bit support walk when it is
     feasible (see `_exact_good_enumeration_ok`; two 2^m tables, none of
-    2^n), else a plug-in estimate over good bits sampled on `workers`
-    threads (the result does not depend on the count)."""
+    2^n, and the kernel's block evaluations checked against `cap`), else
+    a plug-in estimate over good bits sampled on `workers` threads (the
+    result does not depend on the count)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     exact = not force_mc and _exact_good_enumeration_ok(spec)
@@ -426,7 +419,8 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                               what="empirical output width")
     (ca, cb, mismatches), total = spec.good_dist.walk(
         lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
-        exact, seed, samples, workers)
+        exact, seed, samples, workers, units=params.r + len(_bad_blocks(spec, params)),
+        cap=cap, what="zeroed comparison enumeration")
     sd = sd_of_tables(ca / total, cb / total)
     if exact:
         return CompareZeroedReport(sd=Estimate.exact_value(sd), exact=True, m=params.m)
@@ -434,6 +428,12 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
     return CompareZeroedReport(
         sd=plugin_sd_estimate(sd, samples, params.m, 0.01, 0.99, tables=2),
         exact=False, m=params.m, mismatch_rate=mismatches / samples)
+
+
+def _bad_blocks(spec: NobfSourceSpec, params: BfextParams) -> list[int]:
+    """The blocks among the first r that hold a bad bit."""
+    return sorted({p // params.block_len for p in spec.bad_positions
+                   if p // params.block_len < params.r})
 
 
 def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
@@ -449,8 +449,7 @@ def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
     its output is the same on both sides.  Sources wider than one packed
     word raise WorkCapExceeded, as `extract_batch` does."""
     check_packed(spec.n, "packed batch source length")
-    bl, r = params.block_len, params.r
-    bad_blocks = sorted({p // bl for p in spec.bad_positions if p // bl < r})
+    r, bad_blocks = params.r, _bad_blocks(spec, params)
     x0 = scatter_bits_vec(goods, spec.good_positions)
     xa = x0 | scatter_bits_vec(
         spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q),

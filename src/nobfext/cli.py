@@ -188,10 +188,12 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
                    workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     spec = NobfSourceSpec.from_descriptor(config)
     n_samples = _sample_count(config, samples, 0)
+    samples_out = _cfg(config, "samples_out", out + ".samples", cast=os.fspath)
+    if n_samples > 0 and os.path.realpath(samples_out) == os.path.realpath(out):
+        raise ValidationError(f"samples_out {samples_out!r} names the --out path")
     drawn = _draw(spec, seed, n_samples, workers) if n_samples > 0 else None
     doc = spec.to_descriptor()
     doc["run"] = _run_block("gen-source", seed, config, n_samples)
-    samples_out = _cfg(config, "samples_out", out + ".samples", cast=os.fspath)
     # the descriptor and the samples appear together or not at all
     with staged_outputs() as stage:
         write_document(stage(out), doc)
@@ -252,16 +254,16 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
                         workers: int, cap: int) -> dict:
     f = function_from_descriptor(_cfg(config, "f", required=True))
     if "max_size" in config:
-        q = _cfg(config, "max_size", cast=int)
-        fixing = (good_dist_from_descriptor(config["fixing"])
-                  if "fixing" in config else UniformBits(f.arity - q))
+        coalition, q = None, _cfg(config, "max_size", cast=int)
+    else:
+        coalition = _cfg(config, "coalition", required=True,
+                         cast=lambda v: [int(i) for i in v])
+        q = len(set(coalition))
+    fixing = (good_dist_from_descriptor(config["fixing"])
+              if "fixing" in config else UniformBits(f.arity - q))
+    if coalition is None:
         value, witness = influence_max_exact(f, q, fixing, cap)
         return {"influence": value, "witness": list(witness), "exact": True}
-    coalition = _cfg(config, "coalition", required=True,
-                     cast=lambda v: [int(i) for i in v])
-    fixing = (good_dist_from_descriptor(config["fixing"])
-              if "fixing" in config
-              else UniformBits(f.arity - len(set(coalition))))
     mode = _cfg(config, "mode", "exact")
     if mode == "exact":
         return {"influence": influence_exact(f, coalition, fixing, cap),
@@ -301,7 +303,7 @@ def _analysis_compare_zeroed(config: dict, seed: int, samples: int | None,
         _load_spec(_cfg(config, "spec", required=True)),
         _load_params(_cfg(config, "params", required=True)),
         seed=seed, samples=_sample_count(config, samples),
-        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers)
+        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
     return rep.to_json()
 
 

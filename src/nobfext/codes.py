@@ -163,9 +163,10 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
     """Seeded random search for a full-rank generator with verified
     distance >= target_d.
 
-    Attempt a draws row i as ``prng.bits(seed, a, i, r)``, all m rows from
-    one `prng.words` call.  One reduced echelon elimination both skips a
-    rank-deficient attempt and gives the rows whose XORs of at most
+    Attempt a draws row i as words i*W .. i*W+W-1 of
+    ``prng.words(seed, a, 0, m*W)``, masked to r bits (W = ceil(r/64)).
+    One reduced echelon elimination both skips a rank-deficient attempt
+    and gives the rows whose XORs of at most
     WITNESS_ROWS are tried first: once a best distance b exists, such a
     codeword of weight <= b proves the attempt no better, and it is
     dropped unscanned (the information-set step of the Brouwer-Zimmermann

@@ -5,8 +5,10 @@ Every empirical sample in this package is addressed by a
 SplitMix64-style mix of that triple.  Because there is no hidden generator
 state, a batch of draws is identical no matter how it is chunked across
 workers, which is the reproducibility contract the samplers advertise.
-``run_chunked`` is the one place that splits a counter range across
-worker threads.
+``chunk_ranges`` is the one chunk plan: a counter range or seed space goes
+in pieces of at most CHUNK = 2^18, and at least one per worker, so a
+kernel's temporaries do not grow with the sample count.  ``run_chunked``
+runs those pieces on worker threads.
 """
 
 from __future__ import annotations
@@ -20,40 +22,7 @@ _PHI1 = 0x9E3779B97F4A7C15
 _PHI2 = 0xD1B54A32D192ED03
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
-
-
-def _finalize(z: int) -> int:
-    z &= _M64
-    z ^= z >> 30
-    z = (z * _MUL1) & _M64
-    z ^= z >> 27
-    z = (z * _MUL2) & _M64
-    z ^= z >> 31
-    return z
-
-
-def word64(seed: int, stream: int, counter: int) -> int:
-    """One 64-bit word for the (seed, stream, counter) triple."""
-    h = _finalize((seed + _PHI1) & _M64)
-    h = _finalize(h ^ _finalize((stream + _PHI2) & _M64))
-    h = _finalize(h ^ _finalize((counter + _PHI1) & _M64))
-    return h
-
-
-def bits(seed: int, stream: int, counter: int, nbits: int) -> int:
-    """nbits deterministic bits; wide draws consume consecutive sub-words.
-
-    A draw of more than 64 bits folds ceil(nbits/64) words addressed at
-    counters ``counter * nwords + j``, so callers may still use one counter
-    per draw.
-    """
-    if nbits <= 0:
-        raise ValueError("nbits must be positive")
-    nwords = -(-nbits // 64)
-    value = 0
-    for j in range(nwords):
-        value |= word64(seed, stream, counter * nwords + j) << (64 * j)
-    return value & ((1 << nbits) - 1)
+CHUNK = 1 << 18  # the most counters or seeds any kernel call is given at once
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
@@ -67,11 +36,13 @@ def _finalize_array(z: np.ndarray) -> np.ndarray:
 
 
 def words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """count consecutive words as a uint64 array, matching word64 exactly."""
+    """count consecutive words as a uint64 array: the word at counter c
+    mixes the seed, then the stream, then c."""
     out = np.empty(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h1 = _finalize((seed + _PHI1) & _M64)
-        h2 = _finalize(h1 ^ _finalize((stream + _PHI2) & _M64))
+        keys = np.array([(seed + _PHI1) & _M64, (stream + _PHI2) & _M64], dtype=np.uint64)
+        h1, hs = _finalize_array(keys)
+        h2 = _finalize_array(h1 ^ hs)
         ctr = np.arange(start, start + count, dtype=np.uint64)
         inner = _finalize_array(ctr + np.uint64(_PHI1))
         out[:] = _finalize_array(np.uint64(h2) ^ inner)
@@ -95,16 +66,12 @@ def low_bits(seed: int, stream: int, start: int, count: int, nbits: int) -> np.n
 
 
 def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, total) into one (start, count) per worker, in order."""
-    workers = max(1, min(workers, total)) if total else 1
-    base, extra = divmod(total, workers)
-    out = []
-    start = 0
-    for i in range(workers):
-        count = base + (1 if i < extra else 0)
-        out.append((start, count))
-        start += count
-    return out
+    """Split [0, total) into near-equal (start, count) pieces, in order:
+    one per worker, or as many more as keep each piece within CHUNK."""
+    pieces = max(min(workers, total), -(-total // CHUNK)) if total else 1
+    base, extra = divmod(total, pieces)
+    starts = [i * base + min(i, extra) for i in range(pieces + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(starts, starts[1:])]
 
 
 def run_chunked(fn, total: int, workers: int) -> list:

@@ -302,11 +302,9 @@ def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
     qpos, rest = _coalition(f, q_set, d_good)
     if not qpos:
         return 0.0
-    units = d_good.support_size * _scan_evals(f, len(qpos))
-    if units > cap:
-        raise WorkCapExceeded(required=units, cap=cap,
+    hits, total = d_good.walk(_undetermined_mass(f, qpos, rest), True,
+                              units=_scan_evals(f, len(qpos)), cap=cap,
                               what="influence enumeration")
-    hits, total = d_good.walk(_undetermined_mass(f, qpos, rest), True)
     return hits / total
 
 
@@ -329,10 +327,8 @@ def influence_max_exact(f: ResilientFunction, q: int,
         raise WorkCapExceeded(required=n_subsets, cap=SUBSET_ENUM_CAP,
                               what="coalition enumeration (use influence_mc)")
     _coalition(f, range(q), d_good_family)
-    units = n_subsets * d_good_family.support_size * _scan_evals(f, q)
-    if units > cap:
-        raise WorkCapExceeded(required=units, cap=cap,
-                              what="coalition influence enumeration")
+    d_good_family.check_work(n_subsets * _scan_evals(f, q), cap,
+                             "coalition influence enumeration")
     best = -1.0
     witness: tuple[int, ...] = ()
     for subset in itertools.combinations(range(f.arity), q):

@@ -32,8 +32,11 @@ so exactness is bounded by the seed space (at most 2^24 seeds) and the
 packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
 results are tables of 2^n_good and 2^n entries, keep n <= 24.  Every
 oracle, exact or sampled, runs its per-chunk kernel through
-`GoodBitDistribution.walk`.  The general work-unit budget is the `cap`
-argument of each oracle that checks one (default DEFAULT_WORK_CAP = 2^28).
+`GoodBitDistribution.walk`, in the pieces of `prng.chunk_ranges` (at most
+2^18 seeds or draws each).  The work cap is the `cap` argument of each
+exact oracle (default DEFAULT_WORK_CAP = 2^28 units), checked by
+`GoodBitDistribution.check_work` against the support size times the
+oracle's units per walked outcome before the first chunk.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .schemas import validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
-SUPPORT_CHUNK = 1 << 18   # seeds per chunk of the support walk
 DEFAULT_WORK_CAP = 1 << 28  # work units an exact oracle may spend by default
 
 
@@ -254,10 +256,6 @@ class GoodBitDistribution:
     n_good: int
     seed_bits: int | None  # log2 of the seed space; None for explicit tables
 
-    @property
-    def seed_space_size(self) -> int | None:
-        return None if self.seed_bits is None else 1 << self.seed_bits
-
     def claimed_twise(self) -> int | None:
         """Independence parameter this generator guarantees, if derivable."""
         return None
@@ -278,44 +276,53 @@ class GoodBitDistribution:
     def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Walk the support as chunks of (packed outcomes, weights).
 
-        Generator-backed kinds yield the outcomes of at most SUPPORT_CHUNK
-        seeds at a time with weights None: each seed weighs one, and sums
-        are divided by `support_total` (the seed-space size) once, so they
-        stay exact.  Explicit tables yield their nonzero rows with their
-        probabilities.  Seed spaces above 2^ENUM_SEED_BITS_CAP and outcomes
-        wider than PACKED_WIDTH raise WorkCapExceeded before any chunk.
+        Generator-backed kinds yield the outcomes of each seed piece of
+        `prng.chunk_ranges` (at most 2^18 seeds) with weights None: each
+        seed weighs one, and sums are divided by `support_total` (the
+        seed-space size) once, so they stay exact.  Explicit tables yield
+        their nonzero rows with their probabilities.  Seed spaces above
+        2^ENUM_SEED_BITS_CAP and outcomes wider than PACKED_WIDTH raise
+        WorkCapExceeded when this is called, before any chunk.
         """
         check_packed(self.n_good, "packed good-bit width")
         if self.seed_bits > ENUM_SEED_BITS_CAP:
             raise WorkCapExceeded(
                 "seed space too large to enumerate", 2 ** self.seed_bits, 2 ** ENUM_SEED_BITS_CAP
             )
-        space = 1 << self.seed_bits
-        return ((self.outcomes_for_seeds(
-                    np.arange(lo, min(lo + SUPPORT_CHUNK, space), dtype=np.uint64)), None)
-                for lo in range(0, space, SUPPORT_CHUNK))
+        return ((self.outcomes_for_seeds(np.arange(lo, lo + count, dtype=np.uint64)), None)
+                for lo, count in prng.chunk_ranges(1 << self.seed_bits, 1))
 
     @property
     def support_total(self) -> float:
         """Total weight of the support walk."""
-        return float(self.seed_space_size)
+        return float(self.support_size)
 
     @property
     def support_size(self) -> int:
-        """Outcomes the support walk visits at most (its work units)."""
+        """Outcomes the support walk visits at most."""
         return 1 << (self.n_good if self.seed_bits is None else self.seed_bits)
 
+    def check_work(self, units: int, cap: int, what: str) -> None:
+        """Raise WorkCapExceeded when `units` of work for each walked
+        outcome, over the whole support, exceed `cap`."""
+        if self.support_size * units > cap:
+            raise WorkCapExceeded(what, self.support_size * units, cap)
+
     def walk(self, kernel: Callable, exact: bool, seed: int | None = None,
-             samples: int | None = None, workers: int = 1):
+             samples: int | None = None, workers: int = 1, units: int = 1,
+             cap: int = DEFAULT_WORK_CAP, what: str = "support walk"):
         """The sum of kernel(goods, weights) over the good bits, and the
         total weight to divide it by.  Exact walks run the kernel on each
-        chunk of `support()`, total `support_total`; sampled ones on the
-        draws at counters 0..samples-1 of (seed, stream 0) with weights
-        None, one `prng.run_chunked` chunk per worker (so the sum does not
-        depend on `workers`), total `samples`.  Results are added in order
-        into one running total (`_add`)."""
+        chunk of `support()`, total `support_total`, once its own refusals
+        and then `units` per outcome against `cap` (`check_work`) have
+        passed; sampled ones on the draws at counters 0..samples-1 of
+        (seed, stream 0) with weights None, in the pieces of
+        `prng.run_chunked` (so the sum does not depend on `workers`), total
+        `samples`.  Results are added in order into one running total
+        (`_add`)."""
         if exact:
-            parts, total = (kernel(*chunk) for chunk in self.support()), self.support_total
+            parts, total = itertools.starmap(kernel, self.support()), self.support_total
+            self.check_work(units, cap, what)
         else:
             if samples is None or seed is None:
                 raise ValidationError("exact enumeration infeasible; provide seed and samples")
@@ -599,18 +606,19 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int,
 
     Exhaustive over all C(n, t) subsets, each marginal binned over the
     support walk (so n may reach PACKED_WIDTH when the seed space is
-    small); rejected when C(n, t) * 2^t exceeds the work cap.  The report
-    carries the worst subset (0-based) and its statistical distance from
-    uniform.
+    small); rejected when the C(n, t) marginal tables of 2^t entries, or
+    C(n, t) gathers per walked outcome (`check_work`), exceed the work
+    cap.  The report carries the worst subset (0-based) and its
+    statistical distance from uniform.
     """
     if n != dist.n_good:
         raise DimensionError(f"distribution is over {dist.n_good} bits, not {n}")
     if not 1 <= t <= n:
         raise ValidationError(f"t={t} outside 1..{n}")
-    units = math.comb(n, t) * (1 << t)
-    if units > cap:
-        raise WorkCapExceeded("t-wise verification too large; shrink n or t", units, cap)
-
+    what = "t-wise verification too large; shrink n or t"
+    if math.comb(n, t) << t > cap:
+        raise WorkCapExceeded(what, math.comb(n, t) << t, cap)
+    dist.check_work(math.comb(n, t), cap, what)
     chunks = list(dist.support())
     worst_sd = 0.0
     worst_subset: tuple[int, ...] | None = None

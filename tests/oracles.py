@@ -6,10 +6,12 @@ sharing no code with the numpy kernels they are compared against.
 `clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, where
 `nobfext.stats` inverts its own float64 incomplete beta function.
 `countdown_code` searches once per target distance where
-`bfext._default_code_builder` searches once in all.  `reference_search`
-is the code search drawing each row with `prng.bits`, checking rank with
-`gf2_rank` and scanning every full-rank attempt in full, where
-`build_good_code` rejects most attempts by a low-weight witness.
+`bfext._default_code_builder` searches once in all.  `word64` is one
+counter-addressed word mixed with Python integers, where `prng.words`
+mixes arrays.  `reference_search` is the code search drawing each row
+from `word64`, checking rank with `gf2_rank` and scanning every full-rank
+attempt in full, where `build_good_code` rejects most attempts by a
+low-weight witness.
 `scatter_bits` and `gather_bits` move one bit at a time where
 `nobfext.bitops` moves runs; `tribes_value` tests one tribe at a time.
 
@@ -40,7 +42,6 @@ import numpy as np
 from scipy.stats import beta
 
 from nobfext.bfext import extract_batch, trace_batch
-from nobfext import prng
 from nobfext.bitops import words_from_ints
 from nobfext.cli import canonical_json
 from nobfext.errors import ValidationError
@@ -51,6 +52,24 @@ from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribe
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              ExplicitTable, MajorityOfGood, ParityOfGood,
                              TableAdversary, UniformBits, zeroed_counterpart)
+
+
+_M64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 finalizer on one Python int."""
+    z &= _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def word64(seed: int, stream: int, counter: int) -> int:
+    """One 64-bit word for the (seed, stream, counter) triple."""
+    h = _mix64(seed + 0x9E3779B97F4A7C15)
+    h = _mix64(h ^ _mix64(stream + 0xD1B54A32D192ED03))
+    return _mix64(h ^ _mix64(counter + 0x9E3779B97F4A7C15))
 
 
 def scatter_bits(values, positions) -> list[int]:
@@ -162,8 +181,11 @@ def reference_search(m: int, r: int, target_d: int, seed: int, attempts: int):
     one, SearchBudgetExceeded carries the first attempt of the greatest
     distance."""
     best = None
+    w = -(-r // 64)  # words per row
     for attempt in range(attempts):
-        g = BitMatrix(cols=r, rows=tuple(prng.bits(seed, attempt, i, r) for i in range(m)))
+        g = BitMatrix(cols=r, rows=tuple(
+            sum(word64(seed, attempt, i * w + j) << (64 * j) for j in range(w)) & ((1 << r) - 1)
+            for i in range(m)))
         if gf2_rank(g) != m:
             continue
         d = _min_weight(words_from_ints(g.rows, r))

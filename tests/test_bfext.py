@@ -368,6 +368,25 @@ def test_compare_zeroed_parity_adversary_exact_value():
     b = output_distribution(_uniform_spec(6, [1], ConstantAdversary(0)), params)
     assert rep.sd.value == pytest.approx(statistical_distance(a, b))
     assert rep.sd.value > 0.0
+    # the cap counts block evaluations per walked outcome: 2^5 outcomes,
+    # 3 evaluations for the comparison (block 0 twice) and ell = 2 for z
+    assert compare_zeroed(spec, params, cap=96) == rep
+    assert np.array_equal(output_distribution(spec, params, cap=64).as_table(), a.as_table())
+    with pytest.raises(WorkCapExceeded):
+        compare_zeroed(spec, params, cap=95)
+    with pytest.raises(WorkCapExceeded):
+        output_distribution(spec, params, cap=63)
+
+
+def test_seed_space_refusal_comes_before_the_work_cap():
+    # 2^32 seeds are refused as a seed space, against its own cap of 2^24,
+    # before a walk weighs its units against the work cap
+    gen = ExactTwise(5, 8, field_bits=4)
+    spec = NobfSourceSpec(6, [1], gen, ParityOfGood(), t=5)
+    for run in (gen.exact_table, lambda: output_distribution(spec, _maj3_params())):
+        with pytest.raises(WorkCapExceeded, match="seed space too large to enumerate") as exc:
+            run()
+        assert (exc.value.required, exc.value.cap) == (2 ** 32, 2 ** 24)
 
 
 def test_compare_zeroed_mc_covers_exact():
@@ -396,6 +415,30 @@ def test_sampled_oracles_do_not_depend_on_workers():
             for w in (1, 2, 3, 7)]
     assert not runs[0][0].is_exact and not runs[0][1].exact
     assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("oracle", ["fixedness", "compare-zeroed", "influence"])
+def test_sampled_walks_hold_one_chunk_per_worker(oracle):
+    # millions of draws on 2 workers run in pieces of at most 2^18, so the
+    # traced peak stays far below one worker-sized piece's temporaries
+    bad = [0, 3, 6, 30, 46, 50]
+    spec = NobfSourceSpec(63, bad, UniformBits(57), MajorityOfGood())
+    params = explicit_params(63, 7, 9, preset_code("simplex-k3"), RecursiveMajority3(2))
+    run = {
+        "fixedness": lambda: fixedness_probability(spec, params, seed=1, samples=1 << 22,
+                                                   force_mc=True, workers=2),
+        "compare-zeroed": lambda: compare_zeroed(spec, params, seed=1, samples=1 << 21,
+                                                 force_mc=True, workers=2),
+        "influence": lambda: influence_mc(Majority(9), [0, 4], UniformBits(7),
+                                          samples=1 << 22, seed=1, workers=2),
+    }[oracle]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------

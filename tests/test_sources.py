@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 import tracemalloc
 import weakref
 
@@ -16,7 +17,7 @@ from nobfext import prng
 from nobfext.bitops import gather_bits_vec, scatter_bits_vec
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
-from nobfext.sources import (SUPPORT_CHUNK, ConstantAdversary, Distribution,
+from nobfext.sources import (ConstantAdversary, Distribution,
                              EpsBiased, ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
                              UniformBits, _poly_mod, adversary_from_descriptor,
@@ -143,7 +144,7 @@ def test_verify_twise_walks_seeds_beyond_table_width():
 def test_support_walk_chunks_and_weights():
     gen = ExactTwise(20, 4)  # 2^20 seeds: four chunks
     chunks = list(gen.support())
-    assert [g.size for g, _ in chunks] == [SUPPORT_CHUNK] * 4
+    assert [g.size for g, _ in chunks] == [prng.CHUNK] * 4
     assert all(w is None for _, w in chunks) and gen.support_total == 1 << 20
     seeds = np.arange(1 << 20, dtype=np.uint64)
     assert np.array_equal(np.concatenate([g for g, _ in chunks]),
@@ -158,7 +159,7 @@ def test_support_walk_chunks_and_weights():
 def test_exact_walk_keeps_one_running_total(monkeypatch):
     # sixteen chunks of four seeds; no chunk's result may still be alive
     # when the kernel runs on the next chunk
-    monkeypatch.setattr("nobfext.sources.SUPPORT_CHUNK", 4)
+    monkeypatch.setattr("nobfext.prng.CHUNK", 4)
     results, live = [], []
 
     def kernel(goods, weights):
@@ -362,6 +363,15 @@ def test_good_dist_descriptor_round_trip():
 def test_verify_twise_work_cap():
     with pytest.raises(WorkCapExceeded):
         verify_twise(UniformBits(10), 10, 5, cap=100)
+    # C(20, 3) gathers for each of 2^20 outcomes: refused before any walk
+    start = time.perf_counter()
+    with pytest.raises(WorkCapExceeded):
+        verify_twise(UniformBits(20), 20, 3, cap=2 ** 16)
+    assert time.perf_counter() - start < 1.0
+    # one subset over a few thousand seeds, but a marginal table of 2^40
+    with pytest.raises(WorkCapExceeded, match="t-wise verification") as exc:
+        verify_twise(ExactTwise(40, 2), 40, 40)
+    assert exc.value.required == 2 ** 40
 
 
 # ---------------------------------------------------------------------------
