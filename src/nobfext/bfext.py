@@ -40,14 +40,26 @@ EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
 DEFAULT_SWEEPS = 64
 
 
-def _floor_pow(base: int, expo: float) -> int:
-    """floor(base**expo) with a guard against float-pow landing a hair
-    under an exact integer; evaluated at 60 digits and nudged by 1e-30."""
-    import mpmath
+def _floor_nudged(formula) -> int:
+    """floor(formula(ctx, Decimal) + 1e-30), the formula evaluated in a
+    60-digit context: a hair under an integer counts as the integer.  decimal
+    loads here, so only derived parameters pay for it."""
+    from decimal import ROUND_FLOOR, Context, Decimal
 
-    with mpmath.workdps(60):
-        v = mpmath.power(base, expo) + mpmath.mpf("1e-30")
-        return int(mpmath.floor(v))
+    ctx = Context(prec=60)
+    return int(ctx.add(formula(ctx, Decimal), Decimal("1e-30")).to_integral_value(ROUND_FLOOR))
+
+
+def _floor_pow(base: int, expo: float) -> int:
+    """floor(base**expo), as `_floor_nudged`; a float converts to Decimal exactly."""
+    return _floor_nudged(lambda ctx, D: ctx.power(D(base), D(expo)))
+
+
+def _derived_m(n: int, alpha: float, t: int, beta: float) -> int:
+    """max(1, floor(min(n^{0.9 alpha}, beta t^{1/21}))), as `_floor_pow`."""
+    return max(1, _floor_nudged(lambda ctx, D: min(
+        ctx.power(D(n), D(0.9 * alpha)),
+        ctx.multiply(D(beta), ctx.power(D(t), ctx.divide(1, 21))))))
 
 
 @dataclass
@@ -168,14 +180,8 @@ def derive_params(n: int, delta: float, t: int, beta: float = 1.0) -> BfextParam
     if ell < 1:
         raise ValidationError("block count came out below 1")
     block_len = n // ell
-    import mpmath
-
-    with mpmath.workdps(60):
-        cand = min(mpmath.power(n, 0.9 * alpha),
-                   mpmath.mpf(beta) * mpmath.power(t, mpmath.mpf(1) / 21))
-        m = max(1, int(mpmath.floor(cand + mpmath.mpf("1e-30"))))
-    return BfextParams(n=n, ell=ell, block_len=block_len,
-                       f=default_block_function(block_len), code=_default_code_builder(m, ell),
+    return BfextParams(n=n, ell=ell, block_len=block_len, f=default_block_function(block_len),
+                       code=_default_code_builder(_derived_m(n, alpha, t, beta), ell),
                        mode="derived", delta=delta, alpha=alpha, beta=beta, t=t)
 
 

@@ -159,16 +159,11 @@ def _run_block(command: str, seed: int, config: dict,
     return block
 
 
-def _load_spec(path: str) -> NobfSourceSpec:
-    obj = load_json(path)
+def _load_document(config: dict, key: str) -> dict:
+    """The document at the path config[key], schema-checked."""
+    obj = load_json(_cfg(config, key, required=True))
     validate_document(obj)
-    return NobfSourceSpec.from_descriptor(obj)
-
-
-def _load_params(path: str) -> BfextParams:
-    obj = load_json(path)
-    validate_document(obj)
-    return BfextParams.from_json(obj)
+    return obj
 
 
 @parse_errors("distribution")
@@ -204,7 +199,7 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
 
 def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
                 workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
-    params = _load_params(_cfg(config, "params", required=True))
+    params = BfextParams.from_json(_load_document(config, "params"))
     if "samples" in config and isinstance(config["samples"], str):
         header, xs = read_sample_batch(config["samples"])
         if int(header["n"]) != params.n:
@@ -216,7 +211,7 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
             raise ValidationError("config key 'inputs' must be a list of hex strings")
         xs = words_from_hex(hexes, params.n)
     elif "spec" in config:
-        spec = _load_spec(config["spec"])
+        spec = NobfSourceSpec.from_descriptor(_load_document(config, "spec"))
         if spec.n != params.n:
             raise ValidationError("spec and params disagree on n")
         count = samples if samples is not None else _cfg(config, "count", 1, cast=int)
@@ -275,43 +270,37 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
     return {"influence": est.to_json(), "exact": est.is_exact}
 
 
-def _analysis_spectrum(config: dict, seed: int, samples: int | None,
-                       workers: int, cap: int) -> dict:
-    dist = _distribution_from_config(_cfg(config, "distribution", required=True))
-    return linear_test_bias(dist).to_json()
+def _on_distribution(stat):
+    """The analysis reporting stat of the config's distribution."""
+    return lambda config, *_: stat(_distribution_from_config(
+        _cfg(config, "distribution", required=True))).to_json()
 
 
-def _analysis_vazirani(config: dict, seed: int, samples: int | None,
-                       workers: int, cap: int) -> dict:
-    dist = _distribution_from_config(_cfg(config, "distribution", required=True))
-    return vazirani_check(dist).to_json()
+def _on_source(oracle, config: dict, seed: int, samples: int | None,
+               workers: int, cap: int):
+    """oracle run on the config's spec and params documents."""
+    return oracle(NobfSourceSpec.from_descriptor(_load_document(config, "spec")),
+                  BfextParams.from_json(_load_document(config, "params")),
+                  seed=seed, samples=_sample_count(config, samples),
+                  force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
 
 
 def _analysis_fixedness(config: dict, seed: int, samples: int | None,
                         workers: int, cap: int) -> dict:
-    est = fixedness_probability(
-        _load_spec(_cfg(config, "spec", required=True)),
-        _load_params(_cfg(config, "params", required=True)),
-        seed=seed, samples=_sample_count(config, samples),
-        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
+    est = _on_source(fixedness_probability, config, seed, samples, workers, cap)
     return {"probability": est.to_json(), "exact": est.is_exact}
 
 
 def _analysis_compare_zeroed(config: dict, seed: int, samples: int | None,
                              workers: int, cap: int) -> dict:
-    rep = compare_zeroed(
-        _load_spec(_cfg(config, "spec", required=True)),
-        _load_params(_cfg(config, "params", required=True)),
-        seed=seed, samples=_sample_count(config, samples),
-        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
-    return rep.to_json()
+    return _on_source(compare_zeroed, config, seed, samples, workers, cap).to_json()
 
 
 _ANALYSES = {
     "bias": _analysis_bias,
     "influence": _analysis_influence,
-    "spectrum": _analysis_spectrum,
-    "vazirani": _analysis_vazirani,
+    "spectrum": _on_distribution(linear_test_bias),
+    "vazirani": _on_distribution(vazirani_check),
     "fixedness": _analysis_fixedness,
     "compare-zeroed": _analysis_compare_zeroed,
 }

@@ -2,14 +2,16 @@
 
 Each document carries a `format` tag; `validate_document` dispatches on
 it.  The schemas pin structure, not semantics: loaded objects are still
-re-validated by the constructors they feed.  jsonschema is imported by the
-first call, so a command that reads no document never loads it, and each
-format's validator is built once per process.
+re-validated by the constructors they feed.  The schemas are JSON Schema
+(Draft 2020-12) of 11 keywords, checked by a small recursive checker of
+those keywords alone (`_failure`); the tests hold its decisions to
+jsonschema's.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import re
+import reprlib
 
 from .errors import ValidationError
 
@@ -208,27 +210,66 @@ SCHEMAS_BY_FORMAT = {
 }
 
 
-@lru_cache(maxsize=None)
-def _validator(fmt: str):
-    """The jsonschema validator of one format's schema, built once: the
-    schemas are constants, so they are not re-checked against the
-    metaschema per document (`check_schema` runs on them in the tests)."""
-    from jsonschema.validators import validator_for
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": (int, float)}
 
-    schema = SCHEMAS_BY_FORMAT[fmt]
-    return validator_for(schema)(schema)
+
+def _is_type(value, name: str) -> bool:
+    """Draft 2020-12 types: a bool is no number, and 1.0 is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _TYPES[name]) and (
+        name != "integer" or isinstance(value, int) or value.is_integer())
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: a bool equals only a bool, and 1 equals 1.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _failure(schema: dict, value, path: str) -> str | None:
+    """The first keyword of schema that value fails, as "at PATH: why", or
+    None; each keyword applies only to values of its own type."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    missing = [key for key in schema.get("required", ())
+               if isinstance(value, dict) and key not in value]
+    if types and not any(_is_type(value, name) for name in types):
+        return f"at {path}: {reprlib.repr(value)} is not of type {', '.join(map(repr, types))}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return f"at {path}: {schema['const']!r} was expected"
+    if "enum" in schema and not any(_equal(value, opt) for opt in schema["enum"]):
+        return f"at {path}: {reprlib.repr(value)} is not one of {schema['enum']!r}"
+    if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
+        return f"at {path}: {value!r} is less than the minimum of {schema['minimum']!r}"
+    if "pattern" in schema and isinstance(value, str) and not re.search(
+            schema["pattern"], value):
+        return f"at {path}: {reprlib.repr(value)} does not match {schema['pattern']!r}"
+    if missing:
+        return f"at {path}: {missing[0]!r} is a required property"
+    if isinstance(value, list) and len(value) < schema.get("minItems", 0):
+        return f"at {path}: has {len(value)} items, fewer than {schema['minItems']}"
+    parts = [(sub, value[key], f"{path}.{key}") for key, sub in
+             schema.get("properties", {}).items() if isinstance(value, dict) and key in value]
+    if isinstance(value, list) and "items" in schema:
+        parts += [(schema["items"], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    parts += [(sub, value, path) for sub in schema.get("allOf", ())]
+    if "if" in schema and "then" in schema and _failure(schema["if"], value, path) is None:
+        parts.append((schema["then"], value, path))
+    return next(filter(None, (_failure(*part) for part in parts)), None)
 
 
 def validate_document(obj: dict) -> None:
-    """Schema-check a document by its `format` tag; the error reported is
-    jsonschema's `best_match`, as `jsonschema.validate` would raise."""
-    from jsonschema.exceptions import best_match
-
+    """Schema-check a document by its `format` tag; an error names the path."""
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
     fmt = obj.get("format")
     if not isinstance(fmt, str) or fmt not in SCHEMAS_BY_FORMAT:
         raise ValidationError(f"unknown document format {fmt!r}")
-    error = best_match(_validator(fmt).iter_errors(obj))
-    if error is not None:
-        raise ValidationError(f"document failed schema check: {error.message}")
+    failure = _failure(SCHEMAS_BY_FORMAT[fmt], obj, "$")
+    if failure is not None:
+        raise ValidationError(f"document failed schema check {failure}")

@@ -5,6 +5,8 @@ kernel with Python integers straight from the construction's definition,
 sharing no code with the numpy kernels they are compared against.
 `clopper_pearson` computes the interval with `scipy.stats.beta.ppf`, where
 `nobfext.stats` inverts its own float64 incomplete beta function.
+`floor_pow` and `derived_m` evaluate the derived-parameter formulas with
+mpmath at 60 digits, where `nobfext.bfext` uses the stdlib `decimal`.
 `countdown_code` searches once per target distance where
 `bfext._default_code_builder` searches once in all.  `word64` is one
 counter-addressed word mixed with Python integers, where `prng.words`
@@ -38,6 +40,7 @@ library's results must reproduce bit for bit.
 
 import re
 
+import mpmath
 import numpy as np
 from scipy.stats import beta
 
@@ -161,6 +164,20 @@ def clopper_pearson(k, n, confidence: float = 0.99):
     lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2, k, n - k + 1))
     hi = np.where(k == n, 1.0, beta.ppf(1 - alpha / 2, k + 1, n - k))
     return lo, hi
+
+
+def floor_pow(base: int, expo: float) -> int:
+    """floor(base^expo + 1e-30) at 60 digits."""
+    with mpmath.workdps(60):
+        return int(mpmath.floor(mpmath.power(base, expo) + mpmath.mpf("1e-30")))
+
+
+def derived_m(n: int, alpha: float, t: int, beta: float) -> int:
+    """max(1, floor(min(n^{0.9 alpha}, beta t^{1/21}) + 1e-30)) at 60 digits."""
+    with mpmath.workdps(60):
+        cand = min(mpmath.power(n, 0.9 * alpha),
+                   mpmath.mpf(beta) * mpmath.power(t, mpmath.mpf(1) / 21))
+        return max(1, int(mpmath.floor(cand + mpmath.mpf("1e-30"))))
 
 
 def countdown_code(m: int, ell: int):

@@ -1,6 +1,7 @@
 """The block extractor pipeline and its diagnostics."""
 
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
 from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
-                           _default_code_builder, _floor_pow, compare_zeroed,
+                           _default_code_builder, _derived_m, _floor_pow, compare_zeroed,
                            derive_params, explicit_params, extract, extract_batch,
                            fixedness_probability, output_distribution, trace_batch,
                            worst_case_adversary, zeroed_pair_counts)
@@ -52,6 +54,31 @@ def test_floor_pow_hits_exact_integers():
     # the exponent is honored as the double the caller stored: double(1/3)
     # undershoots, so the cube root of 10^9 lands a hair under 1000
     assert _floor_pow(10 ** 9, 1 / 3) == 999
+
+
+def test_parameter_formulas_match_mpmath():
+    # ell = floor(n^alpha) and m against mpmath at the same 60 digits and
+    # 1e-30 nudge, over a fixed grid (exact powers k^p and, for every tenth
+    # k, their neighbours k^p - 1 and k^p + 1, whose roots lie within 1e-17
+    # of an integer) and seeded random tuples
+    rng = random.Random(20)
+    cases = [(n, delta / 4) for n in range(1, 300) for delta in (0.1, 0.5, 0.8)]
+    cases += [(b ** e, delta / 4) for b in (2, 3) for e in range(63) if b ** e <= 1 << 62
+              for delta in (0.2, 0.5, 0.8)]
+    cases += [(k ** p + d, 1 / p) for p, top in ((2, 1000), (4, 1000), (8, 216))
+              for k in range(2, top) for d in ((-1, 0, 1) if k % 10 == 0 else (0,))]
+    cases += [(rng.randrange(1, 1 << rng.randrange(1, 63)), rng.uniform(0.0, 0.25))
+              for _ in range(600)]
+    for n, alpha in cases:
+        assert _floor_pow(n, alpha) == oracles.floor_pow(n, alpha), (n, alpha)
+    tbetas = [(1, 1.0), (4, 2.5), ((1 << 21) - 1, 1.0), (1 << 21, 1.0), (1 << 21, 0.5),
+              (10 ** 9, 1.7), (1 << 62, 3.0)]
+    tbetas += [(rng.randrange(1, 1 << rng.randrange(1, 63)), rng.uniform(0.05, 8.0))
+               for _ in range(5)]
+    for n, alpha in cases[::40]:
+        for t, beta in tbetas:
+            assert _derived_m(n, alpha, t, beta) == oracles.derived_m(n, alpha, t, beta), \
+                (n, alpha, t, beta)
 
 
 def test_derive_params_large_instance():

@@ -1,8 +1,10 @@
 """Command-line front end: documents, determinism, exit codes."""
 
+import copy
 import errno
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import extract_trace
 
-from nobfext.bfext import explicit_params, extract, trace_columns
+from nobfext.bfext import derive_params, explicit_params, extract, trace_columns
 from nobfext.bitops import hex_from_words, words_from_ints
 from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
@@ -26,7 +28,7 @@ from nobfext.gf2 import BitMatrix, BitVector
 from nobfext.prng import CHUNK, chunk_ranges
 from nobfext.resilient import (Majority, RecursiveMajority3, Tribes,
                                default_block_function)
-from nobfext.schemas import SCHEMAS_BY_FORMAT, validate_document
+from nobfext.schemas import SCHEMAS_BY_FORMAT, _failure, validate_document
 from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
                              read_sample_batch)
 
@@ -127,16 +129,143 @@ def test_every_schema_is_valid_against_its_metaschema(fmt):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_schema_errors_match_jsonschema_validate():
-    code_doc = preset_code("hamming-7-4").to_json()
-    for broken in ({k: v for k, v in code_doc.items() if k != "rows"},
-                   {**code_doc, "m": 0, "rows": "1"},
-                   {**code_doc, "rows": ["zz", 3], "construction": []}):
-        with pytest.raises(jsonschema.exceptions.ValidationError) as want:
-            jsonschema.validate(broken, SCHEMAS_BY_FORMAT["linear-code"])
-        with pytest.raises(ValidationError) as got:
-            validate_document(broken)
-        assert str(got.value).endswith(want.value.message)
+def _documents_of_every_format(tmp_path):
+    """One valid document of each format, written by the commands that
+    write them (extraction-trace: a report's first trace)."""
+    ppath, _ = _params_file(tmp_path)
+    spath = _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()))
+    derived = tmp_path / "derived.json"
+    derived.write_text(canonical_json(derive_params(n=64, delta=0.8, t=4).to_json()))
+    commands = [
+        ("gen-source", {**_source_config(), "samples": 5}),
+        ("build-code", {"preset": "hamming-7-4"}),
+        ("build-code", {"m": 4, "r": 7, "target_d": 4, "attempts": 3}),
+        ("extract", {"params": ppath, "samples": str(tmp_path / "out0.json.samples")}),
+        ("analyze", {"analysis": "bias", "f": {"kind": "majority", "arity": 3}}),
+        ("analyze", {"analysis": "fixedness", "spec": spath, "params": ppath}),
+        ("analyze", {"analysis": "compare-zeroed", "spec": spath, "params": ppath,
+                     "force_mc": True, "samples": 200}),
+    ]
+    docs = [json.loads(Path(path).read_text()) for path in (ppath, spath, derived)]
+    for k, (command, config) in enumerate(commands):
+        cfg = _write(tmp_path / f"cfg{k}.json", config)
+        out = tmp_path / f"out{k}.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) in (0, 4)
+        docs.append(json.loads(out.read_text()))
+    docs.append(json.loads((tmp_path / "out0.json.samples").read_text().partition("\n")[0]))
+    docs += [doc["traces"][0] for doc in docs if doc["format"] == "extraction-report"]
+    return docs
+
+
+_POOL = [True, False, 0, 1, -1, 1.0, 2.5, -0.5, None, "", "zz", "0f", "a1B", "derived",
+         "bias", "fixedness", "compare-zeroed", "exact", "linear-code", "nobf-samples",
+         [], [1], ["0f"], [True], {}, {"kind": "majority"}, {"value": 0.5}]
+_KEYS = ["format", "version", "analysis", "result", "probability", "exact", "sd", "m",
+         "rows", "kind", "value", "lo", "hi", "method", "run", "traces", "count"]
+
+
+def _nodes(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutate(doc: dict, rng) -> dict:
+    """doc with one to three random edits: a value replaced, an entry
+    removed, a key added or a list item appended."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_nodes(doc)))
+        node = doc
+        for key in path:
+            node = node[key]
+        op = rng.randrange(4) if path else 2
+        if op < 2:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == 0:
+                parent[path[-1]] = copy.deepcopy(rng.choice(_POOL))
+            else:
+                del parent[path[-1]]
+        elif op == 2 and isinstance(node, dict):
+            node[rng.choice(_KEYS)] = copy.deepcopy(rng.choice(_POOL))
+        elif op == 3 and isinstance(node, list):
+            node.append(copy.deepcopy(rng.choice(_POOL)))
+    return doc
+
+
+def test_schema_checker_agrees_with_jsonschema(tmp_path):
+    # seeded mutations of one valid document of every format, the
+    # analysis-report's if/then result shapes included: the same accept or
+    # reject decision as jsonschema on the schema the format tag selects
+    docs = _documents_of_every_format(tmp_path)
+    assert {doc["format"] for doc in docs} == set(SCHEMAS_BY_FORMAT)
+    assert {doc.get("analysis") for doc in docs} >= {"bias", "fixedness", "compare-zeroed"}
+    validators = {fmt: jsonschema.validators.validator_for(schema)(schema)
+                  for fmt, schema in SCHEMAS_BY_FORMAT.items()}
+    rng = random.Random(16)
+    disagreements, decisions = [], {}
+    for doc in docs:
+        validate_document(doc)
+        for _ in range(300):
+            broken = _mutate(doc, rng)
+            fmt = broken.get("format")
+            want = isinstance(fmt, str) and fmt in validators and validators[fmt].is_valid(broken)
+            try:
+                validate_document(broken)
+                got = True
+            except ValidationError as exc:
+                got = False
+                if isinstance(fmt, str) and fmt in validators:
+                    assert str(exc).startswith("document failed schema check at $"), exc
+            if got != want:
+                disagreements.append(broken)
+            decisions.setdefault(doc["format"], set()).add(got)
+    assert disagreements == []
+    assert all(seen == {True, False} for seen in decisions.values()), decisions
+
+
+@pytest.mark.parametrize("schema,value", [
+    ({"type": "integer"}, True),
+    ({"type": "integer"}, 1.0),
+    ({"type": "integer"}, 1.5),
+    ({"type": "number"}, False),
+    ({"type": ["number", "null"]}, None),
+    ({"const": 1}, True),
+    ({"const": True}, 1),
+    ({"const": 1}, 1.0),
+    ({"enum": [1, "a"]}, True),
+    ({"enum": [[1], {"a": True}]}, {"a": 1}),
+    ({"minimum": 1}, "0"),
+    ({"minimum": 1}, False),
+    ({"minimum": 1}, 0.5),
+    ({"pattern": "^[0-9]+$"}, 5),
+    ({"pattern": "b"}, "abc"),
+    ({"items": {"type": "string"}, "minItems": 2}, "xy"),
+    ({"items": {"type": "string"}, "minItems": 2}, ["x"]),
+    ({"properties": {"a": {"type": "string"}}, "required": ["a"]}, ["a"]),
+    ({"properties": {"a": {"type": "string"}}, "required": ["b"]}, {"a": "x"}),
+    ({"if": {"properties": {"k": {"const": 1}}}, "then": {"required": ["v"]}}, {}),
+    ({"if": {"properties": {"k": {"const": 1}}}, "then": {"required": ["v"]}}, {"k": 2}),
+    ({"allOf": [{"type": "number"}, {"minimum": 3}]}, 2),
+])
+def test_schema_checker_keeps_draft_2020_12_semantics(schema, value):
+    # a bool is no integer or number, 1.0 is an integer, const and enum
+    # tell True from 1, pattern searches, keywords apply to their own types
+    want = jsonschema.validators.validator_for(schema)(schema).is_valid(value)
+    assert (_failure(schema, value, "$") is None) == want
+
+
+def test_schema_error_names_the_path_and_keyword():
+    doc = explicit_params(6, 2, 3, preset_code("identity-2"), Majority(3)).to_json()
+    doc["code"]["rows"][1] = "zz"
+    with pytest.raises(ValidationError) as err:
+        validate_document(doc)
+    assert str(err.value) == ("document failed schema check at $.code.rows[1]: "
+                              "'zz' does not match '^[0-9a-fA-F]+$'")
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +682,23 @@ def test_exit_2_on_broken_inputs(tmp_path):
                 "--out", str(tmp_path / "o.json")) == 2
 
 
+def test_schema_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    spec = {**NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()).to_descriptor(),
+            "n": True}
+    ppath, _ = _params_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "spec.json", spec)
+    cfg = _write(tmp_path / "cfg.json", {"analysis": "fixedness", "spec": "spec.json",
+                                         "params": ppath})
+    before = sorted(os.listdir(tmp_path))
+    assert main(["analyze", "--config", cfg, "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == ("invalid input: document failed schema check at $.n: "
+                   "True is not of type 'integer'\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 _WIDE_GOOD = {"kind": "uniform", "n_good": 70}
 
 
@@ -877,38 +1023,37 @@ def test_exact_command_loads_neither_scipy_nor_mpmath(tmp_path):
     assert heavy == set()
 
 
-def test_jsonschema_loads_only_to_read_a_document(tmp_path):
+def test_no_command_loads_jsonschema_or_mpmath(tmp_path):
+    # documents are checked by schemas' own checker and derived parameters
+    # are evaluated with decimal: both libraries are test oracles only
+    ppath, _ = _params_file(tmp_path)
+    spath = _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()))
+    derived = tmp_path / "derived-params.json"
+    derived.write_text(canonical_json(derive_params(n=64, delta=0.8, t=4).to_json()))
     commands = {
-        "bias": ("analyze", {"analysis": "bias",
-                             "f": {"kind": "majority", "arity": 3}}),
+        "bias": ("analyze", {"analysis": "bias", "f": {"kind": "majority", "arity": 3}}),
         "source": ("gen-source", {**_source_config(), "samples": 5}),
         "code": ("build-code", {"preset": "hamming-7-4"}),
+        "ext": ("extract", {"params": ppath, "samples": "source-out.json.samples"}),
+        "fix": ("analyze", {"analysis": "fixedness", "spec": spath, "params": ppath}),
+        "derived": ("extract", {"params": str(derived), "inputs": ["0f" * 8]}),
     }
     for name, (command, config) in commands.items():
         cfg = _write(tmp_path / f"{name}.json", config)
         rc, heavy = _modules_loaded_by(tmp_path, command, "--config", cfg,
                                        "--out", f"{name}-out.json")
-        assert rc == 0
-        assert not any(m.startswith("jsonschema") for m in heavy), command
-    # extract reads a params document and a sample file: both are checked
-    ppath, _ = _params_file(tmp_path)
-    cfg = _write(tmp_path / "ext.json",
-                 {"params": ppath, "samples": "source-out.json.samples"})
-    rc, heavy = _modules_loaded_by(tmp_path, "extract", "--config", cfg,
-                                   "--out", "ext-out.json")
-    assert rc == 0
-    assert "jsonschema" in heavy
+        assert rc == 0, name
+        assert heavy == set(), name
 
 
-def test_runtime_dependencies_are_numpy_mpmath_jsonschema():
-    # scipy is a test-only oracle; jsonschema leaves once schemas have their
-    # own checker
+def test_runtime_dependencies_are_numpy_only():
+    # scipy, jsonschema and mpmath are test-only oracles
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
              for dep in project["dependencies"]}
-    assert names == {"numpy", "mpmath", "jsonschema"}
+    assert names == {"numpy"}
 
 
 _EMPIRICAL_BIAS = """

@@ -1,0 +1,113 @@
+"""Committed output digests: the bytes of a fixed set of small commands.
+
+Each command runs in-process through `cli.main` in a temporary directory,
+at --workers 1 and 2, and the sha256 of every output must equal the one in
+`golden_digests.json`, next to the document's `format` and `version`.  A
+change that alters bytes on purpose bumps the document's `version` and
+regenerates the file in the same diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nobfext.bfext import derive_params, explicit_params
+from nobfext.cli import canonical_json, main, write_document
+from nobfext.codes import preset_code
+from nobfext.resilient import Majority
+from nobfext.sources import ExactTwise, MajorityOfGood, NobfSourceSpec, UniformBits
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+N, BAD = 21, [1, 4, 10, 20]
+INPUTS = {
+    "spec.json": NobfSourceSpec(N, BAD, UniformBits(N - len(BAD)),
+                                MajorityOfGood()).to_descriptor(),
+    "params.json": explicit_params(N, 7, 3, preset_code("hamming-7-4"),
+                                   Majority(3)).to_json(),
+    "source.json": {**NobfSourceSpec(N, BAD, ExactTwise(N - len(BAD), 3),
+                                     MajorityOfGood()).to_descriptor(),
+                    "samples_out": "stream.samples"},
+    "extract.json": {"params": "params.json", "samples": "stream.samples"},
+    "fix-exact.json": {"analysis": "fixedness", "spec": "spec.json",
+                       "params": "params.json"},
+    "fix-mc.json": {"analysis": "fixedness", "spec": "spec.json",
+                    "params": "params.json", "force_mc": True, "samples": 20000},
+    "cz-exact.json": {"analysis": "compare-zeroed", "spec": "spec.json",
+                      "params": "params.json"},
+    "cz-mc.json": {"analysis": "compare-zeroed", "spec": "spec.json",
+                   "params": "params.json", "force_mc": True, "samples": 10000},
+    # derived parameters whose m formula gives 2 (beta t^(1/21) = 2.67)
+    "derived-extract.json": {"params": "derived.json",
+                             "inputs": ["f" * 1024, "0123456789abcdef" * 64]},
+}
+COMMANDS = [  # (subcommand, config, out, extra outputs)
+    ("gen-source", "source.json", "source.out.json", ["stream.samples"]),
+    ("extract", "extract.json", "extract.out.json", []),
+    ("analyze", "fix-exact.json", "fix-exact.out.json", []),
+    ("analyze", "fix-mc.json", "fix-mc.out.json", []),
+    ("analyze", "cz-exact.json", "cz-exact.out.json", []),
+    ("analyze", "cz-mc.json", "cz-mc.out.json", []),
+    ("extract", "derived-extract.json", "derived-extract.out.json", []),
+]
+SAMPLES = 400
+
+
+def _document(path: Path) -> dict:
+    """The document of an output, or a sample file's header line."""
+    return json.loads(path.read_text().partition("\n")[0] if path.suffix == ".samples"
+                      else path.read_text())
+
+
+def run_commands(workdir: Path, workers: int) -> dict:
+    """{output name: {sha256, format, version}} of the golden set, run in
+    workdir."""
+    for name, doc in INPUTS.items():
+        (workdir / name).write_text(canonical_json(doc))
+    write_document(str(workdir / "derived.json"),
+                   derive_params(n=4096, delta=0.8, t=4, beta=2.5).to_json())
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for command, config, out, _ in COMMANDS:
+            argv = [command, "--config", config, "--out", out, "--seed", "7",
+                    "--workers", str(workers)]
+            if command == "gen-source":
+                argv += ["--samples", str(SAMPLES)]
+            assert main(argv) == 0, (command, config)
+    finally:
+        os.chdir(cwd)
+    names = ["derived.json"] + [name for *_, out, extra in COMMANDS
+                                for name in (out, *extra)]
+    digests = {}
+    for name in names:
+        doc = _document(workdir / name)
+        digests[name] = {
+            "sha256": hashlib.sha256((workdir / name).read_bytes()).hexdigest(),
+            "format": doc["format"],
+            "version": doc.get("version"),
+        }
+    return digests
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outputs_match_committed_digests(tmp_path, workers):
+    golden = json.loads(GOLDEN.read_text())
+    assert run_commands(tmp_path, workers) == golden["outputs"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_commands(Path(tmp), 1)
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "outputs": outputs},
+                                 indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(outputs)} digests to {GOLDEN}", file=sys.stderr)
