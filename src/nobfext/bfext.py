@@ -41,13 +41,17 @@ DEFAULT_SWEEPS = 64
 
 
 def _floor_nudged(formula) -> int:
-    """floor(formula(ctx, Decimal) + 1e-30), the formula evaluated in a
-    60-digit context: a hair under an integer counts as the integer.  decimal
-    loads here, so only derived parameters pay for it."""
+    """floor(formula(ctx, Decimal) + 1e-30) at 60 digits, or 60 after the point
+    for a value of 30 or more integer digits: a hair under an integer counts
+    as the integer.  decimal loads here, so only derived parameters pay for it."""
     from decimal import ROUND_FLOOR, Context, Decimal
 
     ctx = Context(prec=60)
-    return int(ctx.add(formula(ctx, Decimal), Decimal("1e-30")).to_integral_value(ROUND_FLOOR))
+    value = formula(ctx, Decimal)
+    if value.adjusted() >= 29:
+        ctx = Context(prec=value.adjusted() + 61)
+        value = formula(ctx, Decimal)
+    return int(ctx.add(value, Decimal("1e-30")).to_integral_value(ROUND_FLOOR))
 
 
 def _floor_pow(base: int, expo: float) -> int:

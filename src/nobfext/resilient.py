@@ -16,6 +16,8 @@ majority are monotone (Ben-Or and Linial 1985), marked by the class
 attribute `monotone`; for them a coalition is undetermined exactly when f
 differs between the coalition all 0 and all 1, two evaluations whatever
 its size.  Other functions are scanned over all 2^|Q| coalition patterns.
+A batch of more than 2^|rest| fixings is read from one scan over every fixing;
+`_scan_evals` keeps the direct scan's units, so `--max-enum` refusals stay.
 """
 
 from __future__ import annotations
@@ -270,8 +272,13 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
     A monotone f takes its least value with the coalition all 0 and its
     greatest with it all 1, so two evaluations decide; any other f is
     evaluated on all 2^|Q| patterns (WorkCapExceeded above SCAN_BITS_CAP
-    coordinates)."""
+    coordinates).  A batch of more than the 2^|rest| distinct fixings is
+    read from one scan over all of them, so f is evaluated no more often;
+    `_scan_evals` still counts the direct scan, so refusals stay the same."""
     check_packed(f.arity, "packed block arity")
+    if len(fixings) > 1 << len(rest):
+        table = _undetermined_mask(f, qpos, rest, np.arange(1 << len(rest), dtype=np.uint64))
+        return table[fixings.astype(np.intp)]
     base = scatter_bits_vec(fixings, rest)
     if f.monotone:
         ones = np.uint64(sum(1 << p for p in qpos))

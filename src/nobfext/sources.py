@@ -604,12 +604,11 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int,
                  cap: int = DEFAULT_WORK_CAP) -> TwiseReport:
     """Check that every t-coordinate marginal is exactly uniform.
 
-    Exhaustive over all C(n, t) subsets, each marginal binned over the
-    support walk (so n may reach PACKED_WIDTH when the seed space is
-    small); rejected when the C(n, t) marginal tables of 2^t entries, or
-    C(n, t) gathers per walked outcome (`check_work`), exceed the work
-    cap.  The report carries the worst subset (0-based) and its
-    statistical distance from uniform.
+    All C(n, t) marginals are binned into one (C(n, t), 2^t) table per
+    chunk of the support walk (so n may reach PACKED_WIDTH when the seed
+    space is small); rejected when that table, or C(n, t) gathers per walked
+    outcome (`check_work`), exceed the work cap.  The report carries the
+    worst subset (0-based) and its statistical distance from uniform.
     """
     if n != dist.n_good:
         raise DimensionError(f"distribution is over {dist.n_good} bits, not {n}")
@@ -618,15 +617,15 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int,
     what = "t-wise verification too large; shrink n or t"
     if math.comb(n, t) << t > cap:
         raise WorkCapExceeded(what, math.comb(n, t) << t, cap)
-    dist.check_work(math.comb(n, t), cap, what)
-    chunks = list(dist.support())
+    counts, total = dist.walk(lambda goods, weights: np.fromiter(
+        (np.bincount(gather_bits_vec(goods, subset).astype(np.int64), weights=weights,
+                     minlength=1 << t) for subset in combinations(range(n), t)),
+        (np.int64 if weights is None else np.float64, 1 << t), math.comb(n, t)),
+        True, units=math.comb(n, t), cap=cap, what=what)
     worst_sd = 0.0
     worst_subset: tuple[int, ...] | None = None
     target = 1.0 / (1 << t)
-    for subset in combinations(range(n), t):
-        marg = sum(np.bincount(gather_bits_vec(goods, subset).astype(np.int64),
-                               weights=weights, minlength=1 << t)
-                   for goods, weights in chunks) / dist.support_total
+    for subset, marg in zip(combinations(range(n), t), counts / total):
         sd = 0.5 * float(np.abs(marg - target).sum())
         if sd > worst_sd:
             worst_sd = sd

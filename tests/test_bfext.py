@@ -1,6 +1,7 @@
 """The block extractor pipeline and its diagnostics."""
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -71,6 +72,10 @@ def test_parameter_formulas_match_mpmath():
               for _ in range(600)]
     for n, alpha in cases:
         assert _floor_pow(n, alpha) == oracles.floor_pow(n, alpha), (n, alpha)
+    # a 30-digit root 1.3e-30 below an integer: 60 digits would leave only
+    # 30 after the point, and the nudge would round it up
+    for n in ((7 ** 35) ** 2 - 1, (7 ** 35) ** 2, (7 ** 35) ** 2 + 1):
+        assert _floor_pow(n, 0.5) == oracles.floor_pow(n, 0.5) == math.isqrt(n), n
     tbetas = [(1, 1.0), (4, 2.5), ((1 << 21) - 1, 1.0), (1 << 21, 1.0), (1 << 21, 0.5),
               (10 ** 9, 1.7), (1 << 62, 3.0)]
     tbetas += [(rng.randrange(1, 1 << rng.randrange(1, 63)), rng.uniform(0.05, 8.0))

@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 import oracles
 from oracles import extract_trace
 
-from nobfext.bfext import derive_params, explicit_params, extract, trace_columns
+from nobfext.bfext import (derive_params, explicit_params, extract, fixedness_probability,
+                           trace_columns)
 from nobfext.bitops import hex_from_words, words_from_ints
 from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
-from nobfext.errors import ValidationError
+from nobfext.errors import ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix, BitVector
 from nobfext.prng import CHUNK, chunk_ranges
-from nobfext.resilient import (Majority, RecursiveMajority3, Tribes,
+from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                default_block_function)
 from nobfext.schemas import SCHEMAS_BY_FORMAT, _failure, validate_document
 from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
@@ -909,6 +910,29 @@ def test_max_enum_bounds_every_exact_walk(tmp_path, capsys, monkeypatch, analysi
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "work cap exceeded" in err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("f,bits", [(Majority(3), 10),
+                                    (TableFunction(3, [0, 1, 1, 0, 1, 1, 0, 1]), 11)],
+                         ids=["monotone", "non-monotone"])
+def test_max_enum_refusal_counts_direct_scan_evaluations(tmp_path, monkeypatch, f, bits):
+    # 2^8 good outcomes and two blocks with two bad bits each: 2 (monotone)
+    # or 2^2 evaluations per block and outcome, as the direct scan makes,
+    # although each block's scan runs once over its 2 distinct fixings
+    monkeypatch.chdir(tmp_path)
+    _, params = _params_file(tmp_path, explicit_params(12, 4, 3, preset_code("identity-2"), f))
+    spec = NobfSourceSpec(12, [0, 1, 3, 4], UniformBits(8), ParityOfGood())
+    _spec_file(tmp_path, spec)
+    cfg = _write(tmp_path / "cfg.json", {"analysis": "fixedness", "spec": "spec.json",
+                                         "params": "params.json"})
+    assert _run("analyze", "--config", cfg, "--out", "out.json",
+                "--max-enum", str(bits)) == 0
+    assert _run("analyze", "--config", cfg, "--out", "out.json",
+                "--max-enum", str(bits - 1)) == 3
+    assert fixedness_probability(spec, params, cap=1 << bits).is_exact
+    with pytest.raises(WorkCapExceeded) as exc:
+        fixedness_probability(spec, params, cap=(1 << bits) - 1)
+    assert exc.value.required == 1 << bits
 
 
 def test_workers_must_be_positive(tmp_path):

@@ -21,7 +21,7 @@ import pytest
 from nobfext.bfext import derive_params, explicit_params
 from nobfext.cli import canonical_json, main, write_document
 from nobfext.codes import preset_code
-from nobfext.resilient import Majority
+from nobfext.resilient import Majority, TableFunction, Tribes
 from nobfext.sources import ExactTwise, MajorityOfGood, NobfSourceSpec, UniformBits
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -32,6 +32,10 @@ INPUTS = {
                                 MajorityOfGood()).to_descriptor(),
     "params.json": explicit_params(N, 7, 3, preset_code("hamming-7-4"),
                                    Majority(3)).to_json(),
+    # a non-monotone block function: every coalition pattern is scanned
+    "params-table.json": explicit_params(
+        N, 7, 3, preset_code("hamming-7-4"),
+        TableFunction(3, [0, 1, 1, 0, 1, 1, 0, 1])).to_json(),
     "source.json": {**NobfSourceSpec(N, BAD, ExactTwise(N - len(BAD), 3),
                                      MajorityOfGood()).to_descriptor(),
                     "samples_out": "stream.samples"},
@@ -40,6 +44,14 @@ INPUTS = {
                        "params": "params.json"},
     "fix-mc.json": {"analysis": "fixedness", "spec": "spec.json",
                     "params": "params.json", "force_mc": True, "samples": 20000},
+    "fix-table-mc.json": {"analysis": "fixedness", "spec": "spec.json",
+                          "params": "params-table.json", "force_mc": True,
+                          "samples": 20000},
+    # 2^9 fixing seeds over 2^5 fixings, every pair of Majority(7)
+    "inf-max.json": {"analysis": "influence", "f": Majority(7).descriptor(),
+                     "max_size": 2, "fixing": ExactTwise(5, 3).descriptor()},
+    "inf-mc.json": {"analysis": "influence", "f": Tribes(2, 4).descriptor(),
+                    "coalition": [1, 6], "mode": "mc", "samples": 5000},
     "cz-exact.json": {"analysis": "compare-zeroed", "spec": "spec.json",
                       "params": "params.json"},
     "cz-mc.json": {"analysis": "compare-zeroed", "spec": "spec.json",
@@ -53,6 +65,9 @@ COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("extract", "extract.json", "extract.out.json", []),
     ("analyze", "fix-exact.json", "fix-exact.out.json", []),
     ("analyze", "fix-mc.json", "fix-mc.out.json", []),
+    ("analyze", "fix-table-mc.json", "fix-table-mc.out.json", []),
+    ("analyze", "inf-max.json", "inf-max.out.json", []),
+    ("analyze", "inf-mc.json", "inf-mc.out.json", []),
     ("analyze", "cz-exact.json", "cz-exact.out.json", []),
     ("analyze", "cz-mc.json", "cz-mc.out.json", []),
     ("extract", "derived-extract.json", "derived-extract.out.json", []),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_value, tribes_value
+from oracles import block_value, scatter_bits, tribes_value
 
 from nobfext.bitops import popcount, words_from_ints
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
@@ -235,6 +235,71 @@ def test_two_point_mask_equals_full_scan(f, data):
     assert f.monotone and not scanned.monotone
     assert np.array_equal(_undetermined_mask(f, qpos, rest, fixings),
                           _undetermined_mask(scanned, qpos, rest, fixings))
+
+
+def _brute_mask(f, qpos, rest, fixings) -> list[bool]:
+    """Per fixing: whether both outputs occur over the 2^|Q| coalition
+    patterns, f evaluated one input at a time."""
+    value = ((lambda x: x.bit_count() & 1) if isinstance(f, _Parity)
+             else lambda x: block_value(f, x))
+    patterns = scatter_bits(range(1 << len(qpos)), qpos)
+    fixings = [int(v) for v in fixings]
+    both = {v: len({value(base | p) for p in patterns}) == 2
+            for v, base in zip(fixings, scatter_bits(fixings, rest))}
+    return [both[v] for v in fixings]
+
+
+_RANDOM_TABLES = st.builds(lambda bits: TableFunction(5, [(bits >> i) & 1 for i in range(32)]),
+                           st.integers(0, (1 << 32) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from([Majority(5), Majority(7), Tribes(2, 3), Tribes(3, 2),
+                                  RecursiveMajority3(2), _Parity(6)]), _RANDOM_TABLES),
+       st.data())
+def test_mask_over_repeated_fixings_matches_brute_force(f, data):
+    # batches longer than the 2^|rest| distinct fixings, so with repeats:
+    # the mask is read from one scan over every fixing
+    qpos = sorted(data.draw(st.sets(st.integers(0, f.arity - 1), min_size=1)))
+    rest = [i for i in range(f.arity) if i not in qpos]
+    rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1)))
+    size = (1 << len(rest)) + data.draw(st.integers(1, 40))
+    fixings = rng.integers(0, 1 << len(rest), size=size, dtype=np.uint64)
+    assert _undetermined_mask(f, qpos, rest, fixings).tolist() == \
+        _brute_mask(f, qpos, rest, fixings)
+
+
+class _Recorded(ResilientFunction):
+    """f, keeping a copy of every batch it is evaluated on."""
+
+    def __init__(self, f: ResilientFunction):
+        self.f, self.arity, self.monotone, self.batches = f, f.arity, f.monotone, []
+
+    def eval_batch(self, xs):
+        self.batches.append(np.array(xs))
+        return self.f.eval_batch(xs)
+
+
+@pytest.mark.parametrize("f", [Majority(5), _Parity(5)], ids=repr)
+def test_mask_table_branch_edges(f):
+    qpos, rest = [1, 3], [0, 2, 4]
+    rec = _Recorded(f)
+    assert _undetermined_mask(rec, qpos, rest, np.zeros(0, dtype=np.uint64)).size == 0
+    # exactly 2^|rest| fixings: the direct scan, on the batch's own inputs
+    rec.batches.clear()
+    zeros = np.zeros(8, dtype=np.uint64)
+    assert _undetermined_mask(rec, qpos, rest, zeros).tolist() == \
+        _brute_mask(f, qpos, rest, zeros)
+    assert all(np.all(batch == batch[0]) for batch in rec.batches)
+    # one more: the same number of evaluations, over the 8 distinct fixings
+    rec.batches.clear()
+    fixings = np.array([5, 5, 0, 7, 5, 1, 2, 3, 7], dtype=np.uint64)
+    assert _undetermined_mask(rec, qpos, rest, fixings).tolist() == \
+        _brute_mask(f, qpos, rest, fixings)
+    assert [len(np.unique(batch)) for batch in rec.batches] == [8] * (2 if f.monotone else 4)
+    # rest == []: the coalition is every coordinate, one fixing repeated
+    assert _undetermined_mask(f, list(range(5)), [], np.zeros(3, dtype=np.uint64)).tolist() \
+        == _brute_mask(f, list(range(5)), [], [0, 0, 0]) == [True] * 3
 
 
 def test_monotone_matches_brute_force_on_random_tables():

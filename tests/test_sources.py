@@ -360,6 +360,20 @@ def test_good_dist_descriptor_round_trip():
             assert np.array_equal(back.exact_table(), gen.exact_table())
 
 
+def test_verify_twise_peak_does_not_grow_with_the_seed_space():
+    # 2^18 and 2^20 seeds walked one chunk at a time: holding the four
+    # chunks of 2^20 packed outcomes would add 6 MiB
+    peaks = []
+    for bits in (18, 20):
+        tracemalloc.start()
+        try:
+            assert verify_twise(UniformBits(bits), bits, 1).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 ** 20
+
+
 def test_verify_twise_work_cap():
     with pytest.raises(WorkCapExceeded):
         verify_twise(UniformBits(10), 10, 5, cap=100)
