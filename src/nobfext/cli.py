@@ -40,7 +40,7 @@ from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
 from .prng import run_chunked
 from .resilient import (function_from_descriptor, influence_exact,
                         influence_max_exact, influence_mc, bias_under)
-from .schemas import validate_document
+from .schemas import integer, validate_document
 from .sources import (DEFAULT_WORK_CAP, Distribution, NobfSourceSpec, UniformBits,
                       good_dist_from_descriptor, parse_json, read_sample_batch,
                       read_text, sample_nobf_batch, staged_outputs,
@@ -135,7 +135,7 @@ def _sample_count(config: dict, samples: int | None, default=None):
         return samples
     if config.get("samples") is None:
         return default
-    count = _cfg(config, "samples", cast=int)
+    count = _cfg(config, "samples", cast=integer)
     if count < 0:
         raise ValidationError(f"config key 'samples' must be >= 0, got {count}")
     return count
@@ -173,7 +173,7 @@ def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribu
         m = d.get("m", default_m)
         if m is None:
             raise ValidationError("uniform distribution needs a width m")
-        return Distribution.uniform(int(m))
+        return Distribution.uniform(integer(m))
     if kind == "table":
         return Distribution.from_table(d["probs"])
     raise ValidationError(f"unknown distribution kind {kind!r}")
@@ -214,7 +214,7 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
         spec = NobfSourceSpec.from_descriptor(_load_document(config, "spec"))
         if spec.n != params.n:
             raise ValidationError("spec and params disagree on n")
-        count = samples if samples is not None else _cfg(config, "count", 1, cast=int)
+        count = samples if samples is not None else _cfg(config, "count", 1, cast=integer)
         xs = _draw(spec, seed, count, workers)
     else:
         raise ValidationError(
@@ -248,23 +248,26 @@ def _analysis_bias(config: dict, seed: int, samples: int | None,
 def _analysis_influence(config: dict, seed: int, samples: int | None,
                         workers: int, cap: int) -> dict:
     f = function_from_descriptor(_cfg(config, "f", required=True))
+    mode = _cfg(config, "mode", "exact")
+    if mode not in ("exact", "mc"):
+        raise ValidationError("influence mode must be 'exact' or 'mc'")
     if "max_size" in config:
-        coalition, q = None, _cfg(config, "max_size", cast=int)
+        if "coalition" in config or mode == "mc":
+            raise ValidationError("max_size asks for the exact maximum over coalitions; "
+                                  "it takes neither coalition nor mode 'mc'")
+        coalition, q = None, _cfg(config, "max_size", cast=integer)
     else:
         coalition = _cfg(config, "coalition", required=True,
-                         cast=lambda v: [int(i) for i in v])
+                         cast=lambda v: [integer(i) for i in v])
         q = len(set(coalition))
     fixing = (good_dist_from_descriptor(config["fixing"])
               if "fixing" in config else UniformBits(f.arity - q))
     if coalition is None:
         value, witness = influence_max_exact(f, q, fixing, cap)
         return {"influence": value, "witness": list(witness), "exact": True}
-    mode = _cfg(config, "mode", "exact")
     if mode == "exact":
         return {"influence": influence_exact(f, coalition, fixing, cap),
                 "exact": True}
-    if mode != "mc":
-        raise ValidationError("influence mode must be 'exact' or 'mc'")
     est = influence_mc(f, coalition, fixing, _sample_count(config, samples, 0),
                        seed, workers=workers)
     return {"influence": est.to_json(), "exact": est.is_exact}
@@ -330,10 +333,10 @@ def cmd_build_code(config: dict, out: str, seed: int, samples: int | None,
     if "preset" in config:
         code = preset_code(config["preset"])
     else:
-        m = _cfg(config, "m", required=True, cast=int)
-        r = _cfg(config, "r", required=True, cast=int)
-        target_d = _cfg(config, "target_d", required=True, cast=int)
-        attempts = _cfg(config, "attempts", 4096, cast=int)
+        m = _cfg(config, "m", required=True, cast=integer)
+        r = _cfg(config, "r", required=True, cast=integer)
+        target_d = _cfg(config, "target_d", required=True, cast=integer)
+        attempts = _cfg(config, "attempts", 4096, cast=integer)
         try:
             code = build_good_code(m, r, target_d, seed=seed, attempts=attempts)
         except SearchBudgetExceeded as exc:
@@ -400,7 +403,7 @@ def main(argv=None) -> int:
             cap = 1 << args.max_enum
         config = load_json(args.config)
         seed = args.seed if args.seed is not None else _cfg(
-            config, "seed", DEFAULT_SEED, cast=int)
+            config, "seed", DEFAULT_SEED, cast=integer)
         return _COMMANDS[args.command](config, args.out, seed, args.samples,
                                        args.workers, cap)
     except WorkCapExceeded as exc:

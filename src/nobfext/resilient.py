@@ -18,6 +18,10 @@ differs between the coalition all 0 and all 1, two evaluations whatever
 its size.  Other functions are scanned over all 2^|Q| coalition patterns.
 A batch of more than 2^|rest| fixings is read from one scan over every fixing;
 `_scan_evals` keeps the direct scan's units, so `--max-enum` refusals stay.
+`influence_max_exact` reads every coalition of a monotone f on uniform
+fixings from two subset-sum tables of its truth table, when the table's
+2^arity evaluations are within the walks' units; those units are checked
+either way, so refusals stay.  Other fixings and functions walk.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_r
                      words_from_ints)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
-from .sources import DEFAULT_WORK_CAP, Distribution, GoodBitDistribution, mass
+from .schemas import integer
+from .sources import (DEFAULT_WORK_CAP, Distribution, GoodBitDistribution, UniformBits,
+                      mass)
 from .stats import Estimate, binomial_estimate
 
 TABLE_ARITY_CAP = 20
@@ -205,13 +211,13 @@ class TableFunction(ResilientFunction):
 def function_from_descriptor(d: dict) -> ResilientFunction:
     kind = d.get("kind")
     if kind == "majority":
-        return Majority(int(d["arity"]))
+        return Majority(integer(d["arity"]))
     if kind == "tribes":
-        return Tribes(int(d["w"]), int(d["s"]))
+        return Tribes(integer(d["w"]), integer(d["s"]))
     if kind == "recursive-majority-3":
-        return RecursiveMajority3(int(d["depth"]))
+        return RecursiveMajority3(integer(d["depth"]))
     if kind == "explicit-table":
-        return TableFunction.from_values_hex(int(d["arity"]), d["table_hex"])
+        return TableFunction.from_values_hex(integer(d["arity"]), d["table_hex"])
     raise ValidationError(f"unknown function kind {kind!r}")
 
 
@@ -323,7 +329,9 @@ def influence_max_exact(f: ResilientFunction, q: int,
     The same fixing distribution is reused for every coalition, its
     coordinates mapped onto the non-coalition positions in increasing
     order.  The work of all C(arity, q) coalition walks together is
-    checked against the cap before the first one.
+    checked against the cap before the first one.  Uniform fixings of a
+    monotone f leave Q undetermined on up[Q] - down[~Q] of them, where up
+    and down sum f's truth table over supersets and subsets (Yates 1937).
     """
     if not 0 <= q <= f.arity:
         raise ValidationError("coalition size outside 0..arity")
@@ -334,12 +342,28 @@ def influence_max_exact(f: ResilientFunction, q: int,
         raise WorkCapExceeded(required=n_subsets, cap=SUBSET_ENUM_CAP,
                               what="coalition enumeration (use influence_mc)")
     _coalition(f, range(q), d_good_family)
-    d_good_family.check_work(n_subsets * _scan_evals(f, q), cap,
-                             "coalition influence enumeration")
+    units = n_subsets * _scan_evals(f, q)
+    d_good_family.check_work(units, cap, "coalition influence enumeration")
+    if (f.monotone and isinstance(d_good_family, UniformBits)
+            and f.arity <= TABLE_ARITY_CAP
+            and 1 << f.arity <= units * d_good_family.support_size):
+        up = f.truth_table().astype(np.int64)
+        down = up.copy()
+        for j in range(f.arity):  # zeta transforms: sums over supersets, subsets
+            up.reshape(-1, 2, 1 << j)[:, 0] += up.reshape(-1, 2, 1 << j)[:, 1]
+            down.reshape(-1, 2, 1 << j)[:, 1] += down.reshape(-1, 2, 1 << j)[:, 0]
+        full = (1 << f.arity) - 1
+
+        def influence(subset):
+            ones = sum(1 << i for i in subset)
+            return int(up[ones] - down[full ^ ones]) / d_good_family.support_total
+    else:
+        def influence(subset):
+            return influence_exact(f, subset, d_good_family, cap)
     best = -1.0
     witness: tuple[int, ...] = ()
     for subset in itertools.combinations(range(f.arity), q):
-        val = influence_exact(f, subset, d_good_family, cap)
+        val = influence(subset)
         if val > best:
             best, witness = val, subset
             if best >= 1.0:

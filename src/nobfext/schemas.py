@@ -222,6 +222,14 @@ def _is_type(value, name: str) -> bool:
         name != "integer" or isinstance(value, int) or value.is_integer())
 
 
+def integer(value) -> int:
+    """value as an int when the schemas call it an integer (3 or 3.0, not
+    True, 3.5 or "3"); a ValueError otherwise, so that no reader truncates."""
+    if not _is_type(value, "integer"):
+        raise ValueError(f"{reprlib.repr(value)} is not an integer")
+    return int(value)
+
+
 def _equal(a, b) -> bool:
     """JSON equality: a bool equals only a bool, and 1 equals 1.0."""
     if isinstance(a, list) and isinstance(b, list):

@@ -58,7 +58,7 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_v
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
 from .gf2 import BitVector
-from .schemas import validate_document
+from .schemas import integer, validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
@@ -583,11 +583,12 @@ class ExplicitTable(GoodBitDistribution):
 def good_dist_from_descriptor(d: dict) -> GoodBitDistribution:
     kind = d.get("kind")
     if kind == "uniform":
-        return UniformBits(int(d["n_good"]))
+        return UniformBits(integer(d["n_good"]))
+    field_bits = None if d.get("field_bits") is None else integer(d["field_bits"])
     if kind == "exact-twise":
-        return ExactTwise(int(d["n_good"]), int(d["t"]), d.get("field_bits"))
+        return ExactTwise(integer(d["n_good"]), integer(d["t"]), field_bits)
     if kind == "eps-biased":
-        return EpsBiased(int(d["n_good"]), float(d["epsilon"]), d.get("field_bits"))
+        return EpsBiased(integer(d["n_good"]), float(d["epsilon"]), field_bits)
     if kind == "explicit-table":
         return ExplicitTable(d["probs"])
     raise ValidationError(f"unknown good-bit distribution kind {kind!r}")
@@ -762,14 +763,14 @@ class TableAdversary(AdversaryStrategy):
 def adversary_from_descriptor(d: dict) -> AdversaryStrategy:
     kind = d.get("kind")
     if kind == "constant":
-        return ConstantAdversary(int(d.get("pattern", 0)))
+        return ConstantAdversary(integer(d.get("pattern", 0)))
     if kind == "parity-of-good":
         return ParityOfGood()
     if kind == "majority-of-good":
         return MajorityOfGood()
     if kind in ("explicit-function-table", "brute-force-worst"):
         return TableAdversary(
-            int(d["n_good"]), d["table"], label=kind, provenance=d.get("provenance")
+            integer(d["n_good"]), d["table"], label=kind, provenance=d.get("provenance")
         )
     raise ValidationError(f"unknown adversary kind {kind!r}")
 
@@ -845,11 +846,11 @@ class NobfSourceSpec:
         if d.get("format") not in (None, "nobf-source-spec"):
             raise ValidationError(f"not a source spec: format={d.get('format')!r}")
         return cls(
-            n=int(d["n"]),
+            n=integer(d["n"]),
             bad_positions=d.get("bad_positions", []),
             good_dist=good_dist_from_descriptor(d["good_dist"]),
             adversary=adversary_from_descriptor(d["adversary"]) if "adversary" in d else None,
-            t=int(d["t"]) if "t" in d else None,
+            t=integer(d["t"]) if "t" in d else None,
             gamma=float(d.get("gamma", 0.0)),
         )
 

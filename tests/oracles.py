@@ -19,7 +19,9 @@ low-weight witness.
 
 The extractor oracles work on one Python int per value, where the library
 runs packed-word kernels: `block_value` evaluates each block function from
-its definition, `matvec` is G y row by row, `extract_trace` is the whole
+its definition, `influence_max_brute` tries every input of every
+coalition's cube where `influence_max_exact` walks fixings or reads
+subset-sum tables, `matvec` is G y row by row, `extract_trace` is the whole
 pipeline on one input, and `gray_min_distance` walks every codeword in
 Gray-code order.  `row_combinations_within` and `xor_distance_brute`
 enumerate what `min_distance_exact` and `stats.xor_bias_product` compute.
@@ -38,6 +40,7 @@ increasing order of the input, 2^20 inputs at a time, the order the
 library's results must reproduce bit for bit.
 """
 
+import itertools
 import re
 
 import mpmath
@@ -231,6 +234,22 @@ def block_value(f, bits: int) -> int:
     if isinstance(f, TableFunction):
         return int(f.truth_table()[bits])
     raise TypeError(f"no oracle for {type(f).__name__}")
+
+
+def influence_max_brute(f, q: int) -> tuple[float, tuple[int, ...]]:
+    """The largest share of uniform fixings on which f still takes both
+    values over a size-q coalition's cube, and the first coalition (in
+    combinations order) that attains it; f is evaluated on every input of
+    every cube."""
+    best, witness = -1.0, ()
+    for subset in itertools.combinations(range(f.arity), q):
+        rest = [i for i in range(f.arity) if i not in subset]
+        cube = scatter_bits(range(1 << q), subset)
+        hits = sum(len({block_value(f, base | c) for c in cube}) == 2
+                   for base in scatter_bits(range(1 << len(rest)), rest))
+        if hits / (1 << len(rest)) > best:
+            best, witness = hits / (1 << len(rest)), subset
+    return best, witness
 
 
 def matvec(g: BitMatrix, y: int) -> int:

@@ -683,6 +683,68 @@ def test_exit_2_on_broken_inputs(tmp_path):
                 "--out", str(tmp_path / "o.json")) == 2
 
 
+_MAJ3 = {"kind": "majority", "arity": 3}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("analyze", {"analysis": "influence", "f": {"kind": "majority", "arity": 5.9},
+                 "coalition": [0]}),
+    ("analyze", {"analysis": "influence", "f": {"kind": "majority", "arity": 5},
+                 "coalition": [0], "fixing": {"kind": "uniform", "n_good": 3.7}}),
+    ("analyze", {"analysis": "influence", "f": _MAJ3, "coalition": [0.9, 1]}),
+    ("analyze", {"analysis": "bias", "f": _MAJ3, "seed": 2.5}),
+    ("analyze", {"analysis": "influence", "f": _MAJ3, "max_size": True}),
+    ("analyze", {"analysis": "influence", "f": _MAJ3, "coalition": [0], "mode": "mc",
+                 "samples": 100.5}),
+    ("analyze", {"analysis": "bias", "f": {"kind": "tribes", "w": "2", "s": 2}}),
+    ("analyze", {"analysis": "spectrum", "distribution": {"kind": "uniform", "m": 2.5}}),
+    ("gen-source", {**_source_config(), "n": 6.5}),
+    ("gen-source", {**_source_config(),
+                    "good_dist": {"kind": "exact-twise", "n_good": 5, "t": 2.2}}),
+    ("extract", {"params": "params.json", "spec": "spec.json", "count": 1.5}),
+    ("build-code", {"m": 4.5, "r": 8, "target_d": 3}),
+    ("build-code", {"m": 4, "r": 8, "target_d": 3, "attempts": False}),
+], ids=["f-arity", "fixing-n_good", "coalition-entry", "seed", "max_size-bool",
+        "samples", "tribes-w-string", "distribution-m", "spec-n", "exact-twise-t",
+        "extract-count", "code-m", "code-attempts-bool"])
+def test_non_integer_config_values_exit_2(tmp_path, capsys, monkeypatch, command, config):
+    # each used to be truncated by int() and run with exit 0
+    _params_file(tmp_path)
+    _spec_file(tmp_path, NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()))
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", "cfg.json", "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not an integer" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_integral_floats_are_integers(tmp_path):
+    # 5.0 is an integer to the schemas, so it reads as 5, as before
+    outs = []
+    for arity, coalition, seed in [(5, [0, 2], 2), (5.0, [0.0, 2], 2.0)]:
+        cfg = _write(tmp_path / "cfg.json", {"analysis": "influence", "coalition": coalition,
+                                             "f": {"kind": "majority", "arity": arity},
+                                             "seed": seed})
+        out = tmp_path / f"r{len(outs)}.json"
+        assert _run("analyze", "--config", cfg, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        outs.append((doc["result"], doc["run"]["seed"]))
+    assert outs[0] == outs[1] == ({"influence": 0.75, "exact": True}, 2)
+
+
+@pytest.mark.parametrize("extra", [{"coalition": [0, 1]}, {"mode": "mc", "samples": 10}],
+                         ids=["coalition", "mode-mc"])
+def test_influence_max_size_refuses_conflicting_keys(tmp_path, capsys, extra):
+    # max_size is the exact maximum over all coalitions; it used to drop these
+    cfg = _write(tmp_path / "cfg.json", {"analysis": "influence", "f": _MAJ3,
+                                         "max_size": 2, **extra})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_size" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_schema_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     spec = {**NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()).to_descriptor(),
             "n": True}

@@ -27,6 +27,7 @@ from nobfext.sources import ExactTwise, MajorityOfGood, NobfSourceSpec, UniformB
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 N, BAD = 21, [1, 4, 10, 20]
+PROBS = [0.25, 0.125, 0.125, 0.0, 0.0625, 0.1875, 0.125, 0.125]
 INPUTS = {
     "spec.json": NobfSourceSpec(N, BAD, UniformBits(N - len(BAD)),
                                 MajorityOfGood()).to_descriptor(),
@@ -59,6 +60,23 @@ INPUTS = {
     # derived parameters whose m formula gives 2 (beta t^(1/21) = 2.67)
     "derived-extract.json": {"params": "derived.json",
                              "inputs": ["f" * 1024, "0123456789abcdef" * 64]},
+    # no samples_out: the samples go to the --out path plus ".samples"
+    "gen-default.json": NobfSourceSpec(N, BAD, UniformBits(N - len(BAD)),
+                                       MajorityOfGood()).to_descriptor(),
+    "extract-spec.json": {"params": "params.json", "spec": "spec.json", "count": 300},
+    "code-preset.json": {"preset": "hamming-7-4"},
+    "code-search.json": {"m": 8, "r": 24, "target_d": 7},
+    "bias.json": {"analysis": "bias", "f": Majority(3).descriptor(),
+                  "distribution": {"kind": "table", "probs": PROBS}},
+    "inf-exact.json": {"analysis": "influence", "f": Tribes(2, 4).descriptor(),
+                       "coalition": [1, 6]},
+    # uniform fixings of a monotone f: every triple of Majority(9)
+    "inf-max-uniform.json": {"analysis": "influence", "f": Majority(9).descriptor(),
+                             "max_size": 3},
+    "spectrum.json": {"analysis": "spectrum",
+                      "distribution": {"kind": "table", "probs": PROBS}},
+    "vazirani.json": {"analysis": "vazirani",
+                      "distribution": {"kind": "table", "probs": PROBS}},
 }
 COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("gen-source", "source.json", "source.out.json", ["stream.samples"]),
@@ -71,6 +89,16 @@ COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("analyze", "cz-exact.json", "cz-exact.out.json", []),
     ("analyze", "cz-mc.json", "cz-mc.out.json", []),
     ("extract", "derived-extract.json", "derived-extract.out.json", []),
+    ("gen-source", "gen-default.json", "gen-default.out.json",
+     ["gen-default.out.json.samples"]),
+    ("extract", "extract-spec.json", "extract-spec.out.json", []),
+    ("build-code", "code-preset.json", "code-preset.out.json", []),
+    ("build-code", "code-search.json", "code-search.out.json", []),
+    ("analyze", "bias.json", "bias.out.json", []),
+    ("analyze", "inf-exact.json", "inf-exact.out.json", []),
+    ("analyze", "inf-max-uniform.json", "inf-max-uniform.out.json", []),
+    ("analyze", "spectrum.json", "spectrum.out.json", []),
+    ("analyze", "vazirani.json", "vazirani.out.json", []),
 ]
 SAMPLES = 400
 

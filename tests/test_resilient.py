@@ -1,22 +1,23 @@
 """Block functions and coalition influence."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_value, scatter_bits, tribes_value
+from oracles import block_value, influence_max_brute, scatter_bits, tribes_value
 
 from nobfext.bitops import popcount, words_from_ints
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
 from nobfext.resilient import (Majority, RecursiveMajority3, ResilientFunction,
-                               TableFunction, Tribes, _undetermined_mask,
+                               TableFunction, Tribes, _scan_evals, _undetermined_mask,
                                bias_under, default_block_function,
                                function_from_descriptor, influence_exact,
                                influence_max_exact, influence_mc, is_monotone)
-from nobfext.sources import Distribution, ExplicitTable, UniformBits
+from nobfext.sources import Distribution, ExactTwise, ExplicitTable, UniformBits
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,70 @@ def test_influence_work_caps():
     # C(64, 32) / 2^64, which a truncating scan would report as 0
     with pytest.raises(WorkCapExceeded):
         influence_mc(Majority(65), [64], UniformBits(64), samples=100, seed=0)
+
+
+class _MonotoneTable(TableFunction):
+    """An explicit table that is monotone by construction, so that it takes
+    the monotone paths."""
+
+    monotone = True
+
+
+def _up_closure(arity: int, generators) -> _MonotoneTable:
+    """1 exactly on the inputs that contain one of `generators`."""
+    idx = np.arange(1 << arity)
+    table = np.zeros(1 << arity, dtype=np.uint8)
+    for g in generators:
+        table[idx & g == g] = 1
+    return _MonotoneTable(arity, table)
+
+
+_MONOTONE_TABLES = st.integers(1, 6).flatmap(lambda arity: st.builds(
+    _up_closure, st.just(arity), st.lists(st.integers(0, (1 << arity) - 1), max_size=4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from([Majority(1), Majority(3), Majority(5), Majority(7),
+                                  Tribes(2, 2), Tribes(2, 3), Tribes(3, 2), Tribes(1, 4),
+                                  RecursiveMajority3(1), RecursiveMajority3(2)]),
+                 _MONOTONE_TABLES),
+       st.data())
+def test_influence_max_matches_each_walk_and_brute_force(f, data):
+    # the subset-sum tables for uniform fixings of a monotone f against the
+    # per-coalition walk and every coalition cube; ties keep the first
+    # coalition in combinations order, as the walk does
+    q = data.draw(st.integers(1, f.arity), label="q")
+    fixing = UniformBits(f.arity - q)
+    subsets = list(itertools.combinations(range(f.arity), q))
+    walked = [influence_exact(f, s, fixing) for s in subsets]
+    best = max(walked)
+    expected = (best, subsets[walked.index(best)])
+    assert influence_max_exact(f, q, fixing) == expected == influence_max_brute(f, q)
+
+
+@pytest.mark.parametrize("f,q,table", [
+    (Majority(9), 3, True),         # every coalition ties
+    (Majority(1), 1, True),         # 2^1 evaluations, as many as the walk's units
+    (Tribes(2, 3), 1, True),
+    (_up_closure(5, [0b00011, 0b11100]), 2, True),
+    (Majority(5), 5, False),        # q = arity: 2^5 table > 2 units
+    (RecursiveMajority3(2), 8, False),
+    (TableFunction(3, [0, 1, 1, 0, 1, 1, 0, 1]), 1, False),  # not monotone
+], ids=repr)
+def test_influence_max_reads_tables_only_within_the_walks_units(f, q, table):
+    rec = _Recorded(f)
+    fixing = UniformBits(f.arity - q)
+    units = math.comb(f.arity, q) * _scan_evals(f, q) * fixing.support_size
+    assert influence_max_exact(rec, q, fixing, cap=units) == influence_max_brute(f, q)
+    assert sum(map(len, rec.batches)) <= units
+    assert ([len(batch) for batch in rec.batches] == [1 << f.arity]) == table
+    with pytest.raises(WorkCapExceeded):
+        influence_max_exact(f, q, fixing, cap=units - 1)
+    # any other fixing distribution walks the coalitions, never the table
+    if q < f.arity:
+        rec.batches.clear()
+        influence_max_exact(rec, q, ExactTwise(f.arity - q, 1))
+        assert rec.batches and all(len(batch) < 1 << f.arity for batch in rec.batches)
 
 
 def test_influence_mc_interval_and_chunking():
