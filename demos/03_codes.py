@@ -6,9 +6,25 @@ The m x r generator matrix G turns r block bits into m output bits via
 z = G y.  Large minimum distance of the row span is what makes linear
 tests on z reduce to heavy parities on y.
 """
-from nobfext import (BitVector, SearchBudgetExceeded, build_good_code,
-                     compress, encode_message, min_distance_exact,
-                     preset_code, row_combination)
+import numpy as np
+
+from nobfext import (SearchBudgetExceeded, build_good_code, compress_batch,
+                     min_distance_exact, preset_code)
+
+
+def coords(value: int, width: int) -> str:
+    """The bits of a packed value, coordinate 0 first."""
+    return format(value, f"0{width}b")[::-1]
+
+
+def codeword(code, v: int) -> int:
+    """vG: the XOR of the rows of G that the message v selects."""
+    cw = 0
+    for i, row in enumerate(code.g.rows):
+        if v >> i & 1:
+            cw ^= row
+    return cw
+
 
 ###############################################################################
 # Preset codes, distances re-verified by brute force
@@ -17,7 +33,7 @@ from nobfext import (BitVector, SearchBudgetExceeded, build_good_code,
 for name in ["identity-3", "repetition-5", "hamming-7-4", "simplex-k3"]:
     c = preset_code(name)
     d = min_distance_exact(c)
-    weights = [encode_message(c, BitVector(c.m, v)).weight() for v in range(1, 1 << c.m)]
+    weights = [codeword(c, v).bit_count() for v in range(1, 1 << c.m)]
     print(f"{name:14s} [r={c.r}, m={c.m}, d={c.verified_d}] "
           f"brute-force distance {d}, "
           f"all 2^m-1 row combinations in [d, r]: {all(d <= w <= c.r for w in weights)}")
@@ -27,17 +43,16 @@ for name in ["identity-3", "repetition-5", "hamming-7-4", "simplex-k3"]:
 ###############################################################################
 
 c = preset_code("hamming-7-4")
-msg = BitVector.from_bits([1, 0, 1, 1])
-cw = encode_message(c, msg)
-print(f"\nmessage {msg.to01()} -> codeword {cw.to01()} "
-      f"(weight {cw.weight()})")
+msg = 0b1101  # coordinates 0, 2 and 3
+cw = codeword(c, msg)
+print(f"\nmessage {coords(msg, c.m)} -> codeword {coords(cw, c.r)} "
+      f"(weight {cw.bit_count()})")
 
-y = BitVector.from_bits([1, 1, 0, 1, 0, 0, 0])
-z = compress(c, y)
-print(f"block bits {y.to01()} -> output {z.to01()}")
-for i in range(c.m):
-    row = row_combination(c.g, [i])
-    print(f"  z_{i} = <row {i} of G, y> = {row.dot(y)}")
+y = 0b0001011  # coordinates 0, 1 and 3
+z = int(compress_batch(c, np.array([y], dtype=np.uint64))[0])
+print(f"block bits {coords(y, c.r)} -> output {coords(z, c.m)}")
+for i, row in enumerate(c.g.rows):
+    print(f"  z_{i} = <row {i} of G, y> = {(row & y).bit_count() & 1}")
 
 ###############################################################################
 # Seeded search for an [r, m] code of target distance

@@ -6,8 +6,7 @@ and compress through an [r, m, d] generator matrix: z = G y_used.  Each
 step is one batch kernel on packed words of any width (`bitops.bit_field`,
 `f.eval_batch`, `codes.compress_batch`); `extract_batch` and
 `trace_columns` (every step's hex characters, as matrices) run them over a
-batch; `trace_batch` gives those as `trace_document`s, and `extract` is
-the length-1 view.
+batch, and `trace_batch` gives those as `trace_document`s.
 
 The diagnostics quantify the two steps the analysis rests on: the
 probability that every block's output is already determined by the good
@@ -23,11 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
-                     hex_chars, n_words, scatter_bits_vec, words_from_ints)
+                     hex_chars, n_words, scatter_bits_vec)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitVector
 from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
                         default_block_function, function_from_descriptor)
 from .sources import (DEFAULT_WORK_CAP, ENUM_SEED_BITS_CAP, Distribution,
@@ -189,30 +187,6 @@ def derive_params(n: int, delta: float, t: int, beta: float = 1.0) -> BfextParam
                        mode="derived", delta=delta, alpha=alpha, beta=beta, t=t)
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
-    blocks: tuple[BitVector, ...]
-    y: BitVector
-    y_used: BitVector
-    z: BitVector
-
-    def to_json(self) -> dict:
-        return trace_document(len(self.blocks[0]) if self.blocks else 0, len(self.y),
-                              len(self.y_used), len(self.z),
-                              [v.to_hex() for v in (*self.blocks, self.y, self.y_used, self.z)])
-
-    @classmethod
-    @parse_errors("extraction trace")
-    def from_json(cls, obj: dict) -> "ExtractionTrace":
-        if obj.get("format") != "extraction-trace":
-            raise ValidationError("not an extraction-trace object")
-        bl = int(obj["block_len"])
-        return cls(blocks=tuple(BitVector.from_hex(bl, h) for h in obj["blocks"]),
-                   y=BitVector.from_hex(int(obj["ell"]), obj["y"]),
-                   y_used=BitVector.from_hex(int(obj["r"]), obj["y_used"]),
-                   z=BitVector.from_hex(int(obj["m"]), obj["z"]))
-
-
 def _block_bits(x: np.ndarray, params: BfextParams, blocks) -> np.ndarray:
     """(N, n_words(ell)) words of (N, W) input words holding f of each
     block in `blocks` at its index, every other bit zero."""
@@ -263,20 +237,11 @@ def trace_columns(xs: np.ndarray, params: BfextParams) -> list[np.ndarray]:
 
 
 def trace_batch(xs: np.ndarray, params: BfextParams) -> list[dict]:
-    """The `ExtractionTrace.to_json` document of each packed input (1-D or
-    (N, W) words)."""
+    """The `trace_document` of each packed input (1-D or (N, W) words)."""
     columns = [[row.tobytes().decode("ascii") for row in c]
                for c in trace_columns(xs, params)]
     return [trace_document(params.block_len, params.ell, params.r, params.m, fields)
             for fields in zip(*columns)]
-
-
-def extract(x: BitVector, params: BfextParams) -> ExtractionTrace:
-    """The full pipeline on one input, with every intermediate recorded."""
-    if len(x) != params.n:
-        raise DimensionError(f"input has {len(x)} bits, expected {params.n}")
-    return ExtractionTrace.from_json(
-        trace_batch(words_from_ints([x.bits], params.n), params)[0])
 
 
 def _tally(zs: np.ndarray, xs: np.ndarray, weights: np.ndarray | None,

@@ -312,7 +312,7 @@ _ANALYSES = {
 def cmd_analyze(config: dict, out: str, seed: int, samples: int | None,
                 workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
     name = _cfg(config, "analysis", required=True)
-    handler = _ANALYSES.get(name)
+    handler = _ANALYSES.get(name) if isinstance(name, str) else None
     if handler is None:
         raise ValidationError(
             f"unknown analysis {name!r}; choose from {sorted(_ANALYSES)}")

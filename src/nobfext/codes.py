@@ -1,15 +1,14 @@
 """Binary linear [r, m, d] codes with verified minimum distance.
 
-The extractor uses a generator matrix both ways: a message v encodes to
-the codeword vG (`gf2.row_combination`), and an r-bit vector y compresses
-to Gy by `compress_batch`, the `bitops` linear map of G's columns, for any
-r and m.  Distance is established only by exhaustive enumeration of
-`bitops.xor_table`s, also for the distance a loaded document claims;
-`verified_d = 0` means unverified and such codes are rejected downstream.
-The code search keeps only exhaustively verified codes; it rejects most
-attempts before any scan, by a codeword of weight at most the best
-distance so far among a few XORs of the attempt's echelon rows, which is
-a proof that the attempt's distance is no better.
+The extractor compresses an r-bit vector y to Gy by `compress_batch`, the
+`bitops` linear map of G's columns, for any r and m; the codewords vG are
+the XORs of G's rows.  Distance is established only by exhaustive
+enumeration of `bitops.xor_table`s, also for the distance a loaded
+document claims; `verified_d = 0` means unverified and such codes are
+rejected downstream.  The code search keeps only exhaustively verified
+codes; it rejects most attempts before any scan, by a codeword of weight
+at most the best distance so far among a few XORs of the attempt's echelon
+rows, which is a proof that the attempt's distance is no better.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, as_words, bit_field,
                      words_from_ints, xor_table)
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, BitVector, gf2_echelon, gf2_rank, row_combination
+from .gf2 import BitMatrix, gf2_echelon, gf2_rank
 
 DISTANCE_M_CAP = 24
 BUILD_M_CAP = 20
@@ -84,14 +83,6 @@ class LinearCode:
         return f"LinearCode[{self.r},{self.m},{self.verified_d or '?'}]"
 
 
-def encode_message(code: LinearCode, v: BitVector) -> BitVector:
-    """vG: the row combination of the message's set bits (0 for v = 0)."""
-    if len(v) != code.m:
-        raise DimensionError(f"message has {len(v)} bits, m = {code.m}")
-    rows = [i for i in range(code.m) if v[i]]
-    return row_combination(code.g, rows) if rows else BitVector.zeros(code.r)
-
-
 def compress_batch(code: LinearCode, ys) -> np.ndarray:
     """G y for packed r-bit values (1-D or (N, W) words, see `bitops`):
     one `apply_linear_map` whose input bit j maps to column j of G.
@@ -100,14 +91,6 @@ def compress_batch(code: LinearCode, ys) -> np.ndarray:
     columns = words_from_ints(code.g.transpose().rows, code.m)
     z = apply_linear_map(linear_map_tables(columns), y)
     return z if np.ndim(ys) == 2 else z[:, 0]
-
-
-def compress(code: LinearCode, y: BitVector) -> BitVector:
-    """Gy: one output bit per generator row."""
-    if len(y) != code.r:
-        raise DimensionError(f"input has {len(y)} bits, r = {code.r}")
-    z = compress_batch(code, words_from_ints([y.bits], code.r))
-    return BitVector(code.m, ints_from_words(z)[0])
 
 
 def _min_weight(rows: np.ndarray, stop_at: int = 0) -> int:
@@ -225,6 +208,8 @@ def preset_code(name: str) -> LinearCode:
     hamming-7-4     [7, 4, 3]
     simplex-k<k>    [2^k - 1, k, 2^(k-1)]
     """
+    if not isinstance(name, str):
+        raise ValidationError(f"preset name must be a string, got {name!r}")
     m = _PRESET_RE["identity"].match(name)
     if m:
         k = int(m.group(1))
@@ -237,12 +222,8 @@ def preset_code(name: str) -> LinearCode:
                           construction={"kind": "preset", "name": name})
         expect = r
     elif name == "hamming-7-4":
-        g = BitMatrix.from01([
-            "1000011",
-            "0100101",
-            "0010110",
-            "0001111",
-        ])
+        # bit j of a row is coordinate j: rows 1000011, 0100101, 0010110, 0001111
+        g = BitMatrix(cols=7, rows=(0b1100001, 0b1010010, 0b0110100, 0b1111000))
         code = LinearCode(m=4, r=7, g=g,
                           construction={"kind": "preset", "name": name})
         expect = 3

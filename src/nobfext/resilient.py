@@ -9,7 +9,7 @@ enumerate; an explicit-table function lets anything else plug in.
 
 Each function has one evaluator, `eval_batch`, on packed inputs of any
 arity in the word layout of `nobfext.bitops` ((N, W) uint64 words, or a
-1-D array when the arity is at most 64); `eval` is its length-1 view.
+1-D array when the arity is at most 64).
 The influence and undetermination scans pack their inputs one word each,
 so they take arities up to PACKED_WIDTH.  Majority, tribes and recursive
 majority are monotone (Ben-Or and Linial 1985), marked by the class
@@ -38,7 +38,7 @@ from .gf2 import BitVector
 from .schemas import integer
 from .sources import (DEFAULT_WORK_CAP, Distribution, GoodBitDistribution, UniformBits,
                       mass)
-from .stats import Estimate, binomial_estimate
+from .stats import Estimate, _count, binomial_estimate
 
 TABLE_ARITY_CAP = 20
 SCAN_BITS_CAP = 20  # coalition size of the 2^|Q| scan of a non-monotone f
@@ -51,11 +51,6 @@ class ResilientFunction:
     arity: int
     kind: str
     monotone: bool = False  # True only where monotone for every instance
-
-    def eval(self, x: BitVector) -> int:
-        if len(x) != self.arity:
-            raise DimensionError(f"input has {len(x)} bits, arity is {self.arity}")
-        return int(self.eval_batch(words_from_ints([x.bits], self.arity))[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """One uint8 value per packed input: (N, W) words, W = ceil(arity/64),
@@ -253,7 +248,7 @@ def _coalition(f: ResilientFunction, q_set,
                d_good: GoodBitDistribution) -> tuple[list[int], list[int]]:
     """The sorted coalition positions and the rest, checked against f's
     arity and, for a nonempty coalition, against the fixing width."""
-    qpos = sorted(set(int(i) for i in q_set))
+    qpos = sorted(set(_count(i, "coalition position") for i in q_set))
     if qpos and (qpos[0] < 0 or qpos[-1] >= f.arity):
         raise ValidationError("coalition positions outside 0..arity-1")
     rest = [i for i in range(f.arity) if i not in set(qpos)]
@@ -333,6 +328,7 @@ def influence_max_exact(f: ResilientFunction, q: int,
     monotone f leave Q undetermined on up[Q] - down[~Q] of them, where up
     and down sum f's truth table over supersets and subsets (Yates 1937).
     """
+    q = _count(q, "coalition size")
     if not 0 <= q <= f.arity:
         raise ValidationError("coalition size outside 0..arity")
     if q == 0:

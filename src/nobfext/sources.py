@@ -10,11 +10,9 @@ adversaries, seeded sampling, and exact enumeration of the full source
 distribution at desk scale.
 
 Every source concept has one batch kernel over packed uint64 values:
-`outcomes_for_seeds`, `bad_bits_batch` and `compose_batch`.  The scalar
-entry points `outcome_for_seed`, `bad_bits` and `sample_nobf` are
-length-1 views of those kernels, so they accept only values of at most
-PACKED_WIDTH bits and raise WorkCapExceeded beyond that, as do
-`sample_batch`, `sample_nobf_batch` and `read_sample_batch`.
+`outcomes_for_seeds`, `bad_bits_batch` and `compose_batch`.  Values
+wider than PACKED_WIDTH bits raise WorkCapExceeded in `sample_batch`,
+`sample_nobf_batch`, `read_sample_batch` and the support walk.
 
 The generator kernels work on whole words.  ExactTwise is a GF(2)-linear
 map of its seed, evaluated through byte tables (at most 8 lookups per
@@ -57,7 +55,6 @@ from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
-from .gf2 import BitVector
 from .schemas import integer, validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
@@ -207,6 +204,8 @@ class Distribution:
 
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
+        if m > ENUM_N_CAP:  # refused before the table is allocated
+            raise WorkCapExceeded("uniform table too wide", 2 ** m, 2 ** ENUM_N_CAP)
         return cls.exact(m, np.full(1 << m, 1.0 / (1 << m)))
 
     @classmethod
@@ -259,16 +258,6 @@ class GoodBitDistribution:
     def claimed_twise(self) -> int | None:
         """Independence parameter this generator guarantees, if derivable."""
         return None
-
-    def outcome_for_seed(self, seed: int) -> int:
-        """Outcome for one seed: a length-1 view of `outcomes_for_seeds`."""
-        if self.seed_bits is None:
-            raise ValidationError(f"{self.kind} distribution has no seed space")
-        if not 0 <= seed < (1 << self.seed_bits):
-            raise ValidationError(
-                f"seed {seed} outside the {2 ** self.seed_bits}-element seed space")
-        check_packed(self.n_good, "packed good-bit width")
-        return int(self.outcomes_for_seeds(np.array([seed], dtype=np.uint64))[0])
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -570,11 +559,6 @@ class ExplicitTable(GoodBitDistribution):
         idx = np.searchsorted(self._cdf, u, side="right")
         return np.minimum(idx, self._last).astype(np.uint64)
 
-    def outcome_for_seed(self, seed: int) -> int:
-        # No generator seed space; one deterministic inverse-CDF draw keyed
-        # by the given integer so sample_nobf stays total for this kind.
-        return int(self.sample_batch(seed, 0, 0, 1)[0])
-
     def descriptor(self) -> dict:
         return {"kind": "explicit-table", "probs": [float(p) for p in self.probs]}
 
@@ -649,11 +633,6 @@ class AdversaryStrategy:
 
     kind: str = "abstract"
     description: str = ""
-
-    def bad_bits(self, good: int, n_good: int, q: int) -> int:
-        """Bad bits for one good outcome: a length-1 view of `bad_bits_batch`."""
-        check_packed(max(n_good, q), "packed adversary width")
-        return int(self.bad_bits_batch(np.array([good], dtype=np.uint64), n_good, q)[0])
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         raise NotImplementedError
@@ -853,16 +832,6 @@ class NobfSourceSpec:
             t=integer(d["t"]) if "t" in d else None,
             gamma=float(d.get("gamma", 0.0)),
         )
-
-
-def sample_nobf(spec: NobfSourceSpec, seed: int) -> BitVector:
-    """One n-bit sample: good bits from the generator seed, bad bits from
-    the adversary applied to the realized good bits (a length-1 view of
-    the batch kernels)."""
-    check_packed(spec.n, "packed sampling width")
-    goods = np.array([spec.good_dist.outcome_for_seed(seed)], dtype=np.uint64)
-    bads = spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q)
-    return BitVector(spec.n, int(spec.compose_batch(goods, bads)[0]))
 
 
 def sample_nobf_batch(spec: NobfSourceSpec, seed: int, count: int,

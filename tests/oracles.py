@@ -53,7 +53,7 @@ from nobfext.cli import canonical_json
 from nobfext.errors import ValidationError
 from nobfext.codes import LinearCode, _min_weight, build_good_code
 from nobfext.errors import SearchBudgetExceeded
-from nobfext.gf2 import BitMatrix, gf2_rank, row_combination
+from nobfext.gf2 import BitMatrix, gf2_rank
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              ExplicitTable, MajorityOfGood, ParityOfGood,
@@ -313,8 +313,11 @@ def gray_min_distance(code) -> int:
 def row_combinations_within(code) -> bool:
     """Every nonempty row combination has weight in [verified_d, r]."""
     for s in range(1, 1 << code.m):
-        members = [i for i in range(code.m) if (s >> i) & 1]
-        if not code.verified_d <= row_combination(code.g, members).weight() <= code.r:
+        cw = 0
+        for i in range(code.m):
+            if (s >> i) & 1:
+                cw ^= code.g.rows[i]
+        if not code.verified_d <= cw.bit_count() <= code.r:
             return False
     return True
 

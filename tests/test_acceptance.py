@@ -5,8 +5,10 @@ Every criterion prints "[criterion N] PASS/FAIL - ..." on the real stdout
 share one exactly-enumerable fixture corpus built once per module.
 """
 
+import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from nobfext.bfext import (compare_zeroed, explicit_params,
                            worst_case_adversary)
 from nobfext.cli import main as cli_main
 from nobfext.codes import preset_code
-from nobfext.gf2 import row_combination
 from nobfext.resilient import (Majority, Tribes, bias_under, influence_exact,
                                influence_mc)
 from nobfext.sources import (ConstantAdversary, Distribution, ExactTwise,
@@ -95,7 +96,8 @@ def test_criterion_01_preset_codes(capsys):
         ok &= code.verified_d == d
         for size in range(1, code.m + 1):
             for members in itertools.combinations(range(code.m), size):
-                w = row_combination(code.g, members).weight()
+                cw = functools.reduce(operator.xor, (code.g.rows[i] for i in members))
+                w = cw.bit_count()
                 ok &= d <= w <= code.r
     _report(capsys, 1, ok, "preset distances 1/5/3/4; all row-combination weights in [d, r]")
 

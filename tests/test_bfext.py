@@ -14,17 +14,18 @@ import oracles
 from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
-from nobfext.bfext import (BfextParams, CompareZeroedReport, ExtractionTrace,
+from nobfext.bfext import (BfextParams, CompareZeroedReport,
                            _default_code_builder, _derived_m, _floor_pow, compare_zeroed,
-                           derive_params, explicit_params, extract, extract_batch,
+                           derive_params, explicit_params, extract_batch,
                            fixedness_probability, output_distribution, trace_batch,
                            worst_case_adversary, zeroed_pair_counts)
 from nobfext.bitops import ints_from_words, words_from_ints
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
-from nobfext.gf2 import BitMatrix, BitVector, row_combination
+from nobfext.gf2 import BitMatrix
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                influence_mc)
+from nobfext.schemas import validate_document
 from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
@@ -175,11 +176,25 @@ def test_params_json_round_trip():
 # the pipeline itself
 
 
+def _b(coords: str) -> int:
+    """The packed value of a coordinate string, coordinate 0 first."""
+    return int(coords[::-1], 2)
+
+
+def _trace(x: int, params) -> dict:
+    """The `trace_batch` document of one input, its hex fields read as ints."""
+    doc = trace_batch(words_from_ints([x], params.n), params)[0]
+
+    def value(h):  # least significant nibble first
+        return int(h[::-1], 16)
+    return {"blocks": [value(h) for h in doc["blocks"]],
+            **{k: value(doc[k]) for k in ("y", "y_used", "z")}}
+
+
 def test_partition_blocks_and_truncation():
-    x = BitVector.from01("1101001110")
     params = explicit_params(10, 3, 3, preset_code("identity-3"), Majority(3))
-    blocks = extract(x, params).blocks
-    assert [b.to01() for b in blocks] == ["110", "100", "111"]  # bit 9 dropped
+    blocks = _trace(_b("1101001110"), params)["blocks"]
+    assert blocks == [_b("110"), _b("100"), _b("111")]  # bit 9 dropped
     with pytest.raises(ValidationError):
         explicit_params(10, 4, 3, preset_code("identity-3"), Majority(3))
 
@@ -187,36 +202,37 @@ def test_partition_blocks_and_truncation():
 def test_extract_hand_example():
     # blocks 110, 100, 111, 010 -> majorities 1, 0, 1, 0 -> y = 1010;
     # G = [1100; 0011] on y_used = y gives z = (1^0, 1^0) = 11
-    code = LinearCode(m=2, r=4, g=BitMatrix.from01(["1100", "0011"]), verified_d=2)
+    code = LinearCode(m=2, r=4, g=BitMatrix(cols=4, rows=(_b("1100"), _b("0011"))),
+                      verified_d=2)
     params = explicit_params(n=12, ell=4, block_len=3, code=code, f=Majority(3))
-    trace = extract(BitVector.from01("110100111010"), params)
-    assert [b.to01() for b in trace.blocks] == ["110", "100", "111", "010"]
-    assert trace.y.to01() == "1010"
-    assert trace.y_used == trace.y
-    assert trace.z.to01() == "11"
+    trace = _trace(_b("110100111010"), params)
+    assert trace["blocks"] == [_b("110"), _b("100"), _b("111"), _b("010")]
+    assert trace["y"] == _b("1010")
+    assert trace["y_used"] == trace["y"]
+    assert trace["z"] == _b("11")
 
 
 def test_extract_uses_first_r_coordinates():
     code = preset_code("repetition-3")  # r = 3 < ell = 4
     params = explicit_params(n=8, ell=4, block_len=2, code=code, f=Tribes(2, 1))
-    x = BitVector.from01("11000011")  # blocks 11,00,00,11 -> y = 1001
-    trace = extract(x, params)
-    assert trace.y.to01() == "1001"
-    assert trace.y_used.to01() == "100"
-    assert trace.z.to01() == "1"  # parity of y_used
+    trace = _trace(_b("11000011"), params)  # blocks 11,00,00,11 -> y = 1001
+    assert trace["y"] == _b("1001")
+    assert trace["y_used"] == _b("100")
+    assert trace["z"] == _b("1")  # parity of y_used
     with pytest.raises(DimensionError):
-        extract(BitVector.from01("110"), params)
+        trace_batch(np.zeros((1, 2), dtype=np.uint64), params)  # two words for 8 bits
 
 
 def test_extract_batch_matches_scalar():
-    code = LinearCode(m=2, r=4, g=BitMatrix.from01(["1011", "0111"]), verified_d=2)
+    code = LinearCode(m=2, r=4, g=BitMatrix(cols=4, rows=(_b("1011"), _b("0111"))),
+                      verified_d=2)
     params = explicit_params(n=13, ell=4, block_len=3, code=code, f=Majority(3))
     rng = np.random.default_rng(10)
     xs = rng.integers(0, 1 << 13, size=200, dtype=np.uint64)
     zs = extract_batch(xs, params)
     assert zs.shape == xs.shape  # one word in, one word out
-    for x, z in zip(xs, zs):
-        assert int(z) == extract(BitVector(13, int(x)), params).z.bits
+    for x, z in zip(xs.tolist(), zs.tolist()):
+        assert z == int(extract_trace(x, params)["z"][::-1], 16)
 
 
 def _random_code(m, r, seed):
@@ -242,7 +258,6 @@ def test_wide_inputs_match_scalar_oracle(params):
     want = [extract_trace(x, params) for x in xs]
     words = words_from_ints(xs, 250)
     assert trace_batch(words, params) == want
-    assert [extract(BitVector(250, x), params).to_json() for x in xs] == want
     z = extract_batch(words, params)
     assert z.shape == (len(xs), 1)
     assert ints_from_words(z) == [int(w["z"][::-1], 16) for w in want]
@@ -257,27 +272,31 @@ def test_extract_batch_width_cap():
 def test_linear_test_decomposition():
     # the parity of z over any nonempty S equals the parity of y_used
     # against the XOR of the S rows of G
-    code = LinearCode(m=3, r=5, g=BitMatrix.from01(["10110", "01011", "11100"]),
-                      verified_d=1)
+    rows = (_b("10110"), _b("01011"), _b("11100"))
+    code = LinearCode(m=3, r=5, g=BitMatrix(cols=5, rows=rows), verified_d=1)
     params = explicit_params(n=10, ell=5, block_len=2, code=code, f=Tribes(2, 1))
     rng = np.random.default_rng(11)
-    for x in rng.integers(0, 1 << 10, size=100, dtype=np.uint64):
-        trace = extract(BitVector(10, int(x)), params)
+    for x in rng.integers(0, 1 << 10, size=100, dtype=np.uint64).tolist():
+        trace = _trace(x, params)
         for s in range(1, 8):
-            members = [i for i in range(3) if (s >> i) & 1]
-            lhs = sum(trace.z[i] for i in members) & 1
-            assert lhs == row_combination(code.g, members).dot(trace.y_used)
+            combined = 0
+            for i in range(3):
+                if (s >> i) & 1:
+                    combined ^= rows[i]
+            lhs = (trace["z"] & s).bit_count() & 1
+            assert lhs == (combined & trace["y_used"]).bit_count() & 1
 
 
 def test_trace_json_round_trip():
     params = _maj3_params()
-    trace = extract(BitVector.from01("110100"), params)
-    back = ExtractionTrace.from_json(json.loads(json.dumps(trace.to_json())))
-    assert back == trace
+    trace = trace_batch(np.array([_b("110100")], dtype=np.uint64), params)[0]
+    assert json.loads(json.dumps(trace)) == trace
+    assert trace == extract_trace(_b("110100"), params)
+    validate_document(trace)
     # a malformed document is a ValidationError, not a bare KeyError or TypeError
-    for bad in [{"format": "extraction-trace"}, dict(trace.to_json(), blocks=[5, 6])]:
+    for bad in [{"format": "extraction-trace"}, dict(trace, blocks=[5, 6])]:
         with pytest.raises(ValidationError):
-            ExtractionTrace.from_json(bad)
+            validate_document(bad)
 
 
 # ---------------------------------------------------------------------------

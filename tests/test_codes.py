@@ -1,7 +1,9 @@
 """Linear codes over GF(2): presets, distance, seeded search."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 
 import numpy as np
@@ -12,21 +14,23 @@ from oracles import gray_min_distance, matvec, reference_search, row_combination
 
 from nobfext import codes
 from nobfext.bitops import PACKED_WIDTH, ints_from_words, n_words, words_from_ints
-from nobfext.codes import (LinearCode, build_good_code, compress, compress_batch,
-                           encode_message, min_distance_exact, preset_code)
+from nobfext.codes import (LinearCode, build_good_code, compress_batch,
+                           min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
                             ValidationError, WorkCapExceeded)
-from nobfext.gf2 import BitMatrix, BitVector
+from nobfext.gf2 import BitMatrix
+
+
+def _codeword(code, v: int) -> int:
+    """vG: the XOR of the generator rows that the message v selects."""
+    return functools.reduce(operator.xor,
+                            (row for i, row in enumerate(code.g.rows) if v >> i & 1), 0)
 
 
 def _distance_brute(code):
     """Distance oracle: encode every nonzero message and take the minimum
-    weight, via the public encoder only."""
-    best = code.r + 1
-    for v in range(1, 1 << code.m):
-        w = encode_message(code, BitVector(code.m, v)).weight()
-        best = min(best, w)
-    return best
+    weight."""
+    return min(_codeword(code, v).bit_count() for v in range(1, 1 << code.m))
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +39,11 @@ def _distance_brute(code):
 
 def test_linear_code_validation():
     with pytest.raises(ValidationError):
-        LinearCode(m=2, r=3, g=BitMatrix.from01(["110", "110"]))  # rank 1
+        LinearCode(m=2, r=3, g=BitMatrix(cols=3, rows=(0b011, 0b011)))  # rank 1
     with pytest.raises(DimensionError):
-        LinearCode(m=2, r=4, g=BitMatrix.from01(["110", "011"]))
+        LinearCode(m=2, r=4, g=BitMatrix(cols=3, rows=(0b011, 0b110)))
     with pytest.raises(ValidationError):
-        LinearCode(m=1, r=3, g=BitMatrix.from01(["111"]), verified_d=4)
+        LinearCode(m=1, r=3, g=BitMatrix(cols=3, rows=(0b111,)), verified_d=4)
 
 
 @pytest.mark.parametrize("name,m,r,d", [
@@ -68,8 +72,7 @@ def test_simplex_constant_weight():
     # every nonzero simplex codeword has weight 2^(k-1)
     for k in [2, 3, 4]:
         code = preset_code(f"simplex-k{k}")
-        weights = {encode_message(code, BitVector(code.m, v)).weight()
-                   for v in range(1, 1 << code.m)}
+        weights = {_codeword(code, v).bit_count() for v in range(1, 1 << code.m)}
         assert weights == {1 << (k - 1)}
 
 
@@ -79,26 +82,23 @@ def test_simplex_constant_weight():
 
 def test_encode_message_examples():
     ham = preset_code("hamming-7-4")
-    assert encode_message(ham, BitVector.from01("0000")).weight() == 0
-    assert encode_message(ham, BitVector.from01("1000")) == BitVector.from01("1000011")
-    # linearity
-    a, b = BitVector(4, 0b0101), BitVector(4, 0b0011)
-    assert encode_message(ham, a ^ b) == \
-        encode_message(ham, a) ^ encode_message(ham, b)
-    assert encode_message(ham, BitVector(4, 0)) == BitVector.zeros(7)
-    with pytest.raises(DimensionError):
-        encode_message(ham, BitVector(7, 0))
+    # row i, written coordinate 0 first, is message e_i's codeword
+    assert [format(row, "07b")[::-1] for row in ham.g.rows] == [
+        "1000011", "0100101", "0010110", "0001111"]
+    assert _codeword(ham, 0b0001) == 0b1100001
+    assert _codeword(ham, 0) == 0
+    assert ham.g.to_hex_rows() == ["16", "25", "43", "87"]
 
 
 def test_compress_is_matvec():
     ham = preset_code("hamming-7-4")
-    y = BitVector.from01("1010101")
-    z = compress(ham, y)
-    assert len(z) == 4
+    y = 0b1010101
+    z = int(compress_batch(ham, np.array([y], dtype=np.uint64))[0])
+    assert z >> 4 == 0
     for i in range(4):
-        assert z[i] == ham.g.row(i).dot(y)
+        assert z >> i & 1 == (ham.g.rows[i] & y).bit_count() & 1
     with pytest.raises(DimensionError):
-        compress(ham, BitVector(4, 0))
+        compress_batch(ham, np.zeros((1, 2), dtype=np.uint64))  # two words for 7 bits
 
 
 def _full_rank_rows(rng, m: int, r: int) -> tuple[int, ...]:
@@ -201,8 +201,7 @@ def test_row_combination_weights_bounded():
         code = preset_code(name)
         for size in range(1, code.m + 1):
             for members in itertools.combinations(range(code.m), size):
-                from nobfext.gf2 import row_combination
-                w = row_combination(code.g, members).weight()
+                w = _codeword(code, sum(1 << i for i in members)).bit_count()
                 assert code.verified_d <= w <= code.r
 
 

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script, and the README's quick start, runs to completion
+without writing to stderr."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +17,21 @@ def test_demos_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs_clean(demo, tmp_path):
+def _run_clean(args, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_clean(demo, tmp_path):
+    _run_clean([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs_clean(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    _run_clean(["-c", block], tmp_path)

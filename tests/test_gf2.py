@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,19 +10,18 @@ from hypothesis import strategies as st
 import oracles
 from oracles import matvec
 
-from nobfext.bitops import hex_from_words, words_from_hex
-from nobfext.codes import LinearCode, compress
+from nobfext.bitops import hex_from_words, ints_from_words, words_from_hex, words_from_ints
+from nobfext.codes import LinearCode, compress_batch
 from nobfext.errors import DimensionError, ValidationError
-from nobfext.gf2 import BitMatrix, BitVector, gf2_rank, row_combination
+from nobfext.gf2 import BitMatrix, BitVector, gf2_rank
 
 
 def test_bitvector_basic_construction():
-    v = BitVector.from01("110100")
-    assert len(v) == 6
-    assert v.bits == 0b001011
-    assert v.to01() == "110100"
-    assert [v[i] for i in range(6)] == [1, 1, 0, 1, 0, 0]
-    assert list(v) == [1, 1, 0, 1, 0, 0]
+    v = BitVector(6, 0b001011)
+    assert (v.n, v.bits) == (6, 0b001011)
+    assert repr(v) == "BitVector(6, 0b001011)"
+    with pytest.raises(ValidationError):
+        BitVector(-1, 0)
 
 
 def test_bitvector_rejects_stray_bits():
@@ -29,14 +29,9 @@ def test_bitvector_rejects_stray_bits():
         BitVector(3, 0b1000)
 
 
-def test_bitvector_zeros_ones_from_bits():
-    assert BitVector.zeros(5).bits == 0
-    assert BitVector.from_bits([1, 0, 1, 0, 1]).bits == 0b10101
-
-
 def test_hex_round_trip_bit_order():
     # Least-significant nibble first: 110100 packs to 0x0b, rendered "b0".
-    v = BitVector.from01("110100")
+    v = BitVector(6, 0b001011)
     assert v.to_hex() == "b0"
     assert BitVector.from_hex(6, "b0") == v
     for n in [1, 3, 4, 7, 8, 13, 64, 65, 130]:
@@ -107,45 +102,30 @@ def test_hex_codec_matches_per_string_oracle(batch):
             s.lower() for s in strings]
 
 
-def test_xor_and_dimension_checks():
-    a = BitVector.from01("1100")
-    b = BitVector.from01("1010")
-    assert (a ^ b).to01() == "0110"
-    assert (a & b).to01() == "1000"
-    with pytest.raises(DimensionError):
-        _ = a ^ BitVector.from01("110")
-    with pytest.raises(DimensionError):
-        _ = a & BitVector.from01("11010")
-
-
-def test_weight_dot_slice():
-    v = BitVector.from01("1101001")
-    assert v.weight() == 4
-    assert v.dot(BitVector.from01("1000001")) == 0  # bits 0 and 6: 1+1
-    assert v.dot(BitVector.from01("1000000")) == 1
-
-
 def test_matrix_construction_and_shape_checks():
-    g = BitMatrix.from01(["110", "011"])
+    g = BitMatrix.from_rows([BitVector(3, 0b011), BitVector(3, 0b110)])
     assert g.nrows == 2 and g.cols == 3
-    assert g.row(0).to01() == "110"
+    assert g.rows == (0b011, 0b110)
+    with pytest.raises(DimensionError):
+        BitMatrix.from_rows([BitVector(3, 0), BitVector(2, 0)])
+    with pytest.raises(ValidationError):
+        BitMatrix.from_rows([])
     with pytest.raises(ValidationError):
         BitMatrix(cols=2, rows=(0b100,))
     assert BitMatrix.identity(3).rows == (1, 2, 4)
 
 
-def _matvec(g: BitMatrix, y: BitVector) -> BitVector:
+def _matvec(g: BitMatrix, y: int) -> int:
     """G y through the compression kernel (a code needs full row rank)."""
-    return compress(LinearCode(m=g.nrows, r=g.cols, g=g), y)
+    code = LinearCode(m=g.nrows, r=g.cols, g=g)
+    return int(compress_batch(code, np.array([y], dtype=np.uint64))[0])
 
 
 def test_matvec_examples():
-    assert _matvec(BitMatrix.identity(3), BitVector.from01("101")).to01() == "101"
-    g = BitMatrix.from01(["110", "011"])
-    assert _matvec(g, BitVector.from01("111")).to01() == "00"
-    assert _matvec(g, BitVector.from01("100")).to01() == "10"
-    with pytest.raises(DimensionError):
-        _matvec(g, BitVector.from01("1111"))
+    assert _matvec(BitMatrix.identity(3), 0b101) == 0b101
+    g = BitMatrix(cols=3, rows=(0b011, 0b110))  # rows 110 and 011, coordinate 0 first
+    assert _matvec(g, 0b111) == 0b00
+    assert _matvec(g, 0b001) == 0b01
 
 
 def test_matvec_linearity_random():
@@ -158,21 +138,11 @@ def test_matvec_linearity_random():
                       rows=tuple(rng.getrandbits(cols) for _ in range(nrows)))
         if gf2_rank(g) != nrows:
             continue
-        x = BitVector(cols, rng.getrandbits(cols))
-        y = BitVector(cols, rng.getrandbits(cols))
-        assert _matvec(g, x ^ y) == _matvec(g, x) ^ _matvec(g, y)
-        assert _matvec(g, x).bits == matvec(g, x.bits)
-
-
-def test_row_combination_dedupe_and_errors():
-    g = BitMatrix.from01(["110", "011"])
-    assert row_combination(g, [0, 1]).to01() == "101"
-    assert row_combination(g, [0, 0, 1]).to01() == "101"  # set semantics
-    assert row_combination(g, [1]).to01() == "011"
-    with pytest.raises(ValidationError):
-        row_combination(g, [])
-    with pytest.raises(ValidationError):
-        row_combination(g, [2])
+        code = LinearCode(m=nrows, r=cols, g=g)
+        x, y = rng.getrandbits(cols), rng.getrandbits(cols)
+        z = ints_from_words(compress_batch(code, words_from_ints([x ^ y, x, y], cols)))
+        assert z[0] == z[1] ^ z[2]
+        assert z[1] == matvec(g, x)
 
 
 def test_transpose_involution():
@@ -186,12 +156,12 @@ def test_transpose_involution():
         t = g.transpose()
         for i in range(nrows):
             for j in range(cols):
-                assert g.row(i)[j] == t.row(j)[i]
+                assert g.rows[i] >> j & 1 == t.rows[j] >> i & 1
 
 
 def test_rank():
     assert gf2_rank(BitMatrix.identity(4)) == 4
-    assert gf2_rank(BitMatrix.from01(["11", "11"])) == 1
+    assert gf2_rank(BitMatrix(2, (0b11, 0b11))) == 1
     assert gf2_rank(BitMatrix(3, (0, 0, 0))) == 0
     # rank is invariant under row swaps and row additions
     rng = random.Random(11)
@@ -208,5 +178,5 @@ def test_rank():
 
 
 def test_hex_rows_round_trip():
-    g = BitMatrix.from01(["1100110", "0011001", "1111111"])
+    g = BitMatrix(7, (0b0110011, 0b1001100, 0b1111111))
     assert BitMatrix.from_hex_rows(7, g.to_hex_rows()) == g

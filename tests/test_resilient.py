@@ -11,7 +11,6 @@ from oracles import block_value, influence_max_brute, scatter_bits, tribes_value
 
 from nobfext.bitops import popcount, words_from_ints
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
-from nobfext.gf2 import BitVector
 from nobfext.resilient import (Majority, RecursiveMajority3, ResilientFunction,
                                TableFunction, Tribes, _scan_evals, _undetermined_mask,
                                bias_under, default_block_function,
@@ -26,13 +25,10 @@ from nobfext.sources import Distribution, ExactTwise, ExplicitTable, UniformBits
 
 def test_majority_values():
     maj3 = Majority(3)
-    assert maj3.eval(BitVector.from01("110")) == 1
-    assert maj3.eval(BitVector.from01("100")) == 0
-    assert [maj3.eval(BitVector(3, x)) for x in range(8)] == [0, 0, 0, 1, 0, 1, 1, 1]
+    assert maj3.eval_batch(np.array([0b011, 0b001], dtype=np.uint64)).tolist() == [1, 0]
+    assert maj3.truth_table().tolist() == [0, 0, 0, 1, 0, 1, 1, 1]
     with pytest.raises(ValidationError):
         Majority(4)
-    with pytest.raises(DimensionError):
-        maj3.eval(BitVector.from01("1101"))
 
 
 def test_majority_batch_matches_scalar():
@@ -45,10 +41,8 @@ def test_majority_batch_matches_scalar():
 def test_tribes_values():
     f = Tribes(2, 2)  # (x0 and x1) or (x2 and x3)
     assert f.arity == 4
-    assert f.eval(BitVector(4, 0b0011)) == 1
-    assert f.eval(BitVector(4, 0b1100)) == 1
-    assert f.eval(BitVector(4, 0b0110)) == 0
-    assert f.eval(BitVector(4, 0)) == 0
+    xs = np.array([0b0011, 0b1100, 0b0110, 0], dtype=np.uint64)
+    assert f.eval_batch(xs).tolist() == [1, 1, 0, 0]
     # exactly 7 of 16 inputs satisfy it: 1 - (3/4)^2 = 7/16
     assert int(f.truth_table().sum()) == 7
     xs = np.arange(16, dtype=np.uint64)
@@ -63,7 +57,6 @@ def test_tribes_batch_scalar_and_truth_table_agree(w, s):
     want = [tribes_value(w, s, x) for x in range(1 << f.arity)]
     assert f.eval_batch(xs).tolist() == want
     assert f.truth_table().tolist() == want
-    assert [f.eval(BitVector(f.arity, x)) for x in range(1 << f.arity)] == want
 
 
 def test_tribes_wide_inputs_match_oracle():
@@ -77,7 +70,6 @@ def test_tribes_wide_inputs_match_oracle():
             x &= ~int.from_bytes(rng.bytes(-(-f.arity // 8)), "little")  # sparser
             cases += [x, x | full << (w * int(rng.integers(s)))]
         want = [tribes_value(w, s, x) for x in cases]
-        assert [f.eval(BitVector(f.arity, x)) for x in cases] == want
         assert f.eval_batch(words_from_ints(cases, f.arity)).tolist() == want
         if f.arity <= 64:
             assert f.eval_batch(np.array(cases, dtype=np.uint64)).tolist() == want
@@ -102,7 +94,7 @@ def test_recursive_majority_values():
         blocks = [(x >> (3 * i)) & 7 for i in range(3)]
         expect = block_value(maj3, sum(block_value(maj3, b) << i
                                        for i, b in enumerate(blocks)))
-        assert r2.eval(BitVector(9, x)) == expect
+        assert r2.eval_batch(np.array([x], dtype=np.uint64))[0] == expect
     xs = np.arange(512, dtype=np.uint64)
     assert np.array_equal(r2.eval_batch(xs), [block_value(r2, x) for x in range(512)])
 
@@ -134,7 +126,6 @@ def test_eval_batch_matches_oracle_on_one_to_three_words(f, data):
     xs = data.draw(st.lists(_block_inputs(f), min_size=1, max_size=16))
     want = [block_value(f, x) for x in xs]
     assert f.eval_batch(words_from_ints(xs, f.arity)).tolist() == want
-    assert [f.eval(BitVector(f.arity, x)) for x in xs] == want
     if f.arity <= 64:
         assert f.eval_batch(np.array(xs, dtype=np.uint64)).tolist() == want
     if f.arity <= 20:
@@ -164,7 +155,7 @@ def test_table_function_hex_round_trip_at_arity_cap():
 
 def test_table_function_and_hex():
     f = TableFunction(2, [0, 1, 1, 0])  # XOR
-    assert [f.eval(BitVector(2, x)) for x in range(4)] == [0, 1, 1, 0]
+    assert f.eval_batch(np.arange(4, dtype=np.uint64)).tolist() == [0, 1, 1, 0]
     g = TableFunction.from_values_hex(2, f.descriptor()["table_hex"])
     assert np.array_equal(g.truth_table(), f.truth_table())
     c = TableFunction.constant(3, 1)
@@ -419,6 +410,24 @@ def test_influence_work_caps():
     # C(64, 32) / 2^64, which a truncating scan would report as 0
     with pytest.raises(WorkCapExceeded):
         influence_mc(Majority(65), [64], UniformBits(64), samples=100, seed=0)
+
+
+@pytest.mark.parametrize("position", [0.9, 1.0, True, np.bool_(True), "1", None])
+def test_coalition_positions_and_size_must_be_integers(position):
+    # int() would read 0.9 as coalition [0] and True as [1]
+    with pytest.raises(ValidationError, match="coalition position must be an integer"):
+        influence_exact(Majority(3), [position], UniformBits(2))
+    with pytest.raises(ValidationError, match="coalition position must be an integer"):
+        influence_mc(Majority(3), [0, position], UniformBits(1), samples=10, seed=0)
+    with pytest.raises(ValidationError, match="coalition size must be an integer"):
+        influence_max_exact(Majority(5), position, UniformBits(4))
+
+
+def test_coalition_reader_takes_numpy_integers():
+    assert influence_exact(Majority(3), np.array([0]), UniformBits(2)) == 0.5
+    assert influence_mc(Majority(3), [np.int32(0), np.uint8(1)], UniformBits(1),
+                        samples=10, seed=0).value == 1.0
+    assert influence_max_exact(Majority(5), np.int64(2), UniformBits(3)) == (0.75, (0, 1))
 
 
 class _MonotoneTable(TableFunction):

@@ -23,7 +23,7 @@ from nobfext.sources import (ConstantAdversary, Distribution,
                              UniformBits, _poly_mod, adversary_from_descriptor,
                              enumerate_nobf, gf2e_times, gf2e_times_columns,
                              good_dist_from_descriptor, irreducible_poly,
-                             mass, read_sample_batch, sample_nobf,
+                             mass, read_sample_batch,
                              sample_nobf_batch, verify_twise,
                              write_sample_batch, zeroed_counterpart)
 
@@ -95,6 +95,13 @@ def test_distribution_uniform_point_mass_marginal():
     assert p.as_table()[0b101] == 1.0
     assert np.array_equal(p.marginal([2]).as_table(), [0.0, 1.0])
     assert np.array_equal(p.marginal([1]).as_table(), [1.0, 0.0])
+
+
+def test_uniform_table_width_refused_before_allocation():
+    # 2^40 float64 entries would need 8 TiB; the refusal comes first
+    with pytest.raises(WorkCapExceeded, match="uniform table too wide"):
+        Distribution.uniform(40)
+    assert Distribution.uniform(0).as_table().tolist() == [1.0]
 
 
 def test_distribution_empirical_table():
@@ -203,7 +210,6 @@ def test_explicit_table_never_draws_zero_probability_outcome(monkeypatch):
     monkeypatch.setattr("nobfext.prng.uniform01",
                         lambda seed, stream, start, count: np.full(count, 1 - 2 ** -53))
     assert d.sample_batch(0, 0, 0, 3).tolist() == [1, 1, 1]
-    assert d.outcome_for_seed(0) == 1
 
 
 def test_eps_biased_all_linear_tests_within_bound():
@@ -227,7 +233,6 @@ def test_eps_biased_scalar_vector_agree():
     outs = gen.outcomes_for_seeds(seeds)
     for seed in range(1 << gen.seed_bits):
         assert generator_outcome(gen, seed) == int(outs[seed])
-        assert gen.outcome_for_seed(seed) == int(outs[seed])
 
 
 def test_exact_twise_scalar_vector_agree():
@@ -236,7 +241,6 @@ def test_exact_twise_scalar_vector_agree():
     outs = gen.outcomes_for_seeds(seeds)
     for i, seed in enumerate(seeds):
         assert generator_outcome(gen, int(seed)) == int(outs[i])
-        assert gen.outcome_for_seed(int(seed)) == int(outs[i])
 
 
 @st.composite
@@ -272,7 +276,6 @@ def test_generator_kernels_match_oracle_and_views(gen, data):
              for s in data.draw(st.lists(st.integers(0, top), min_size=1, max_size=64))]
     outs = gen.outcomes_for_seeds(np.array(seeds, dtype=np.uint64))
     assert [int(o) for o in outs] == [generator_outcome(gen, s) for s in seeds]
-    assert [gen.outcome_for_seed(s) for s in seeds] == [int(o) for o in outs]
 
 
 @pytest.mark.parametrize("gen", [EpsBiased(57, 0.01), ExactTwise(60, 4), ExactTwise(20, 3)],
@@ -329,7 +332,6 @@ def test_adversary_kernels_match_oracle_and_views(n_good, q, data):
     batch = adv.bad_bits_batch(np.array(goods, dtype=np.uint64), n_good, q)
     assert [int(b) for b in batch] == [adversary_bad_bits(adv, g, n_good, q)
                                        for g in goods]
-    assert [adv.bad_bits(g, n_good, q) for g in goods] == [int(b) for b in batch]
 
 
 def test_generator_validation():
@@ -394,21 +396,20 @@ def test_verify_twise_work_cap():
 
 def test_constant_adversary():
     adv = ConstantAdversary(0b101)
-    assert adv.bad_bits(0, 4, 3) == 0b101
     assert np.array_equal(
         adv.bad_bits_batch(np.arange(4, dtype=np.uint64), 4, 3), [5, 5, 5, 5]
     )
     with pytest.raises(ValidationError):
-        adv.bad_bits(0, 4, 2)  # pattern wider than q
+        adv.bad_bits_batch(np.zeros(1, dtype=np.uint64), 4, 2)  # pattern wider than q
 
 
 def test_parity_and_majority_adversaries():
     par = ParityOfGood()
-    assert par.bad_bits(0b1011, 4, 2) == 0b11
-    assert par.bad_bits(0b1001, 4, 2) == 0
+    assert par.bad_bits_batch(np.array([0b1011, 0b1001], dtype=np.uint64),
+                              4, 2).tolist() == [0b11, 0]
     maj = MajorityOfGood()
-    assert maj.bad_bits(0b1011, 4, 2) == 0b11
-    assert maj.bad_bits(0b0011, 4, 2) == 0  # tie -> 0
+    assert maj.bad_bits_batch(np.array([0b1011, 0b0011], dtype=np.uint64),
+                              4, 2).tolist() == [0b11, 0]  # tie -> 0
     goods = np.arange(16, dtype=np.uint64)
     for adv in (par, maj):
         batch = adv.bad_bits_batch(goods, 4, 2)
@@ -418,20 +419,18 @@ def test_parity_and_majority_adversaries():
 
 def test_table_adversary_and_missing_entries():
     adv = TableAdversary(2, {0: 1, 3: 0})
-    assert adv.bad_bits(0, 2, 1) == 1
+    assert adv.bad_bits_batch(np.array([0, 3], dtype=np.uint64), 2, 1).tolist() == [1, 0]
     with pytest.raises(ValidationError):
-        adv.bad_bits(1, 2, 1)  # no entry
+        adv.bad_bits_batch(np.array([0, 1], dtype=np.uint64), 2, 1)  # no entry for 1
     with pytest.raises(DimensionError):
-        adv.bad_bits(0, 3, 1)
+        adv.bad_bits_batch(np.array([0], dtype=np.uint64), 3, 1)
     full = TableAdversary(2, [0, 1, 1, 0])
-    assert [full.bad_bits(g, 2, 1) for g in range(4)] == [0, 1, 1, 0]
+    assert full.bad_bits_batch(np.arange(4, dtype=np.uint64), 2, 1).tolist() == [0, 1, 1, 0]
 
 
 def test_table_adversary_entry_wider_than_q_rejected_on_every_path():
     # entry 5 = 0b101 does not fit q = 2 bad bits; no path may truncate it
     spec = NobfSourceSpec(4, [2, 3], UniformBits(2), TableAdversary(2, [5, 0, 1, 2]))
-    with pytest.raises(ValidationError):
-        sample_nobf(spec, 0)
     with pytest.raises(ValidationError):
         sample_nobf_batch(spec, 0, 16)
     with pytest.raises(ValidationError):
@@ -502,11 +501,9 @@ def test_sampling_chunk_invariance_and_determinism():
 def test_adversary_constraint_holds_on_samples():
     spec = _parity_spec()
     xs = sample_nobf_batch(spec, 3, 500)
-    for x in xs:
-        v = BitVector(6, int(x))
-        good = [v[p] for p in spec.good_positions]
-        expect = sum(good) & 1
-        assert v[1] == expect and v[4] == expect
+    for x in xs.tolist():
+        expect = sum(x >> p & 1 for p in spec.good_positions) & 1
+        assert x >> 1 & 1 == expect and x >> 4 & 1 == expect
 
 
 def test_enumerate_matches_empirical():
@@ -521,10 +518,9 @@ def test_enumerate_matches_empirical():
 def test_enumerate_support_respects_adversary():
     spec = _parity_spec()
     table = enumerate_nobf(spec).as_table()
-    for x in np.nonzero(table)[0]:
-        v = BitVector(6, int(x))
-        expect = sum(v[p] for p in spec.good_positions) & 1
-        assert v[1] == expect and v[4] == expect
+    for x in np.nonzero(table)[0].tolist():
+        expect = sum(x >> p & 1 for p in spec.good_positions) & 1
+        assert x >> 1 & 1 == expect and x >> 4 & 1 == expect
 
 
 def test_zeroed_counterpart_good_marginal_unchanged():
@@ -535,9 +531,8 @@ def test_zeroed_counterpart_good_marginal_unchanged():
     assert np.allclose(a, b)
     # and the zeroed source really pins the bad coordinates
     zt = enumerate_nobf(zero).as_table()
-    for x in np.nonzero(zt)[0]:
-        v = BitVector(6, int(x))
-        assert v[1] == 0 and v[4] == 0
+    for x in np.nonzero(zt)[0].tolist():
+        assert x >> 1 & 1 == 0 and x >> 4 & 1 == 0
 
 
 def test_spec_descriptor_round_trip():
@@ -556,28 +551,23 @@ def test_packed_width_enforced_on_views_and_batches():
     # one packed value is one uint64; wider values raise instead of truncating
     wide = NobfSourceSpec(70, [0], UniformBits(69), ParityOfGood())
     with pytest.raises(WorkCapExceeded):
-        sample_nobf(wide, 0)
-    with pytest.raises(WorkCapExceeded):
         sample_nobf_batch(wide, 0, 4)
     with pytest.raises(WorkCapExceeded):
-        UniformBits(65).outcome_for_seed(0)
+        UniformBits(65).sample_batch(1, 0, 0, 4)
     with pytest.raises(WorkCapExceeded):
         ExactTwise(71, 8).sample_batch(1, 0, 0, 4)
-    with pytest.raises(WorkCapExceeded):
-        ParityOfGood().bad_bits(0, 70, 2)
-    with pytest.raises(WorkCapExceeded):
-        MajorityOfGood().bad_bits(0, 4, 65)
     # 64 bits still fit
-    assert UniformBits(64).outcome_for_seed(2 ** 64 - 1) == 2 ** 64 - 1
-    assert ParityOfGood().bad_bits(1, 1, 64) == 2 ** 64 - 1
+    top = np.array([2 ** 64 - 1], dtype=np.uint64)
+    assert UniformBits(64).outcomes_for_seeds(top).tolist() == [2 ** 64 - 1]
+    assert ParityOfGood().bad_bits_batch(np.ones(1, dtype=np.uint64), 1,
+                                         64).tolist() == [2 ** 64 - 1]
 
 
 def test_sample_nobf_scalar():
     spec = _parity_spec()
-    x = sample_nobf(spec, 9)
-    assert len(x) == 6
-    good = [x[p] for p in spec.good_positions]
-    assert x[1] == sum(good) & 1
+    x = int(sample_nobf_batch(spec, 9, 1)[0])
+    assert x >> 6 == 0
+    assert x >> 1 & 1 == sum(x >> p & 1 for p in spec.good_positions) & 1
 
 
 # ---------------------------------------------------------------------------
