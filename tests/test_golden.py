@@ -57,6 +57,12 @@ INPUTS = {
                       "params": "params.json"},
     "cz-mc.json": {"analysis": "compare-zeroed", "spec": "spec.json",
                    "params": "params.json", "force_mc": True, "samples": 10000},
+    # the exact walk over a t-wise generator's seed space, and over a
+    # non-monotone block function
+    "cz-twise.json": {"analysis": "compare-zeroed", "spec": "source.json",
+                      "params": "params.json"},
+    "cz-table.json": {"analysis": "compare-zeroed", "spec": "spec.json",
+                      "params": "params-table.json"},
     # derived parameters whose m formula gives 2 (beta t^(1/21) = 2.67)
     "derived-extract.json": {"params": "derived.json",
                              "inputs": ["f" * 1024, "0123456789abcdef" * 64]},
@@ -66,6 +72,8 @@ INPUTS = {
     "extract-spec.json": {"params": "params.json", "spec": "spec.json", "count": 300},
     "code-preset.json": {"preset": "hamming-7-4"},
     "code-search.json": {"m": 8, "r": 24, "target_d": 7},
+    # two words per row; kept at attempt 663
+    "code-search-wide.json": {"m": 10, "r": 70, "target_d": 25},
     "bias.json": {"analysis": "bias", "f": Majority(3).descriptor(),
                   "distribution": {"kind": "table", "probs": PROBS}},
     "inf-exact.json": {"analysis": "influence", "f": Tribes(2, 4).descriptor(),
@@ -88,12 +96,15 @@ COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("analyze", "inf-mc.json", "inf-mc.out.json", []),
     ("analyze", "cz-exact.json", "cz-exact.out.json", []),
     ("analyze", "cz-mc.json", "cz-mc.out.json", []),
+    ("analyze", "cz-twise.json", "cz-twise.out.json", []),
+    ("analyze", "cz-table.json", "cz-table.out.json", []),
     ("extract", "derived-extract.json", "derived-extract.out.json", []),
     ("gen-source", "gen-default.json", "gen-default.out.json",
      ["gen-default.out.json.samples"]),
     ("extract", "extract-spec.json", "extract-spec.out.json", []),
     ("build-code", "code-preset.json", "code-preset.out.json", []),
     ("build-code", "code-search.json", "code-search.out.json", []),
+    ("build-code", "code-search-wide.json", "code-search-wide.out.json", []),
     ("analyze", "bias.json", "bias.out.json", []),
     ("analyze", "inf-exact.json", "inf-exact.out.json", []),
     ("analyze", "inf-max-uniform.json", "inf-max-uniform.out.json", []),
