@@ -12,11 +12,18 @@ The diagnostics quantify the two steps the analysis rests on: the
 probability that every block's output is already determined by the good
 bits alone (fixedness), and the statistical distance between the output
 and the output of the same source with its bad bits pinned to zero.
+
+Exact compare-zeroed and output-distribution walks over a GF(2)-linear
+generator (UniformBits, ExactTwise) run on bit planes of 64 seeds a word
+(`plane_pair_counts`).  Sampled walks, other generators, m > 6 and block
+arities above PLANE_ARITY_CAP (at 9 the planes lost to the packed kernel
+for Majority and a random table) keep `zeroed_pair_counts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +41,7 @@ from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_esti
                     sd_of_tables)
 
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
+PLANE_ARITY_CAP = 8         # block arity above which exact walks stay packed
 EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
 DEFAULT_SWEEPS = 64
 
@@ -267,22 +275,16 @@ def _tally(zs: np.ndarray, xs: np.ndarray, weights: np.ndarray | None,
 
 def output_distribution(spec: NobfSourceSpec, params: BfextParams,
                         cap: int = DEFAULT_WORK_CAP) -> Distribution:
-    """Exact distribution of z under the source: the outputs of the
-    good-bit support walk, binned chunk by chunk.  No table of 2^n inputs
-    is built; the walk bounds the seed space (at most 2^24 seeds) and the
-    packed width (n <= 64), and its ell block evaluations per outcome are
-    checked against `cap`."""
+    """Exact distribution of z under the source: the adversary's table of
+    the coupled counts (`_pair_walk`) over the good-bit support walk.  No
+    table of 2^n inputs is built; the walk bounds the seed space (at most
+    2^24 seeds) and the packed width (n <= 64), and its ell block
+    evaluations per outcome are checked against `cap`."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     check_packed(spec.n, "packed source width")
-
-    def tally(goods, weights):
-        xs = spec.compose_batch(
-            goods, spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q))
-        return _tally(extract_batch(xs, params), xs, weights, params.m)
-
-    counts, total = spec.good_dist.walk(tally, True, units=params.ell, cap=cap,
-                                        what="output distribution enumeration")
+    (counts, _, _), total = _pair_walk(spec, params, True, units=params.ell, cap=cap,
+                                       what="output distribution enumeration")
     return Distribution.exact(params.m, counts / total)
 
 
@@ -370,8 +372,7 @@ class CompareZeroedReport:
     mismatch_rate: float | None = None
 
     def to_json(self) -> dict:
-        return {"sd": self.sd.to_json(), "exact": self.exact, "m": self.m,
-                "mismatch_rate": self.mismatch_rate}
+        return asdict(self)
 
 
 def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
@@ -380,22 +381,22 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    force_mc: bool = False,
                    workers: int = 1,
                    cap: int = DEFAULT_WORK_CAP) -> CompareZeroedReport:
-    """SD(Z, Z') for the zeroed counterpart from one coupled pass of
-    `zeroed_pair_counts`: over the good-bit support walk when it is
-    feasible (see `_exact_good_enumeration_ok`; two 2^m tables, none of
-    2^n, and the kernel's block evaluations checked against `cap`), else
-    a plug-in estimate over good bits sampled on `workers` threads (the
-    result does not depend on the count)."""
+    """SD(Z, Z') for the zeroed counterpart from one coupled pass
+    (`_pair_walk`): over the good-bit support walk when it is feasible
+    (see `_exact_good_enumeration_ok`; two 2^m tables, none of 2^n, and
+    the kernel's block evaluations checked against `cap`), else a plug-in
+    estimate over good bits sampled on `workers` threads (the result does
+    not depend on the count)."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     exact = not force_mc and _exact_good_enumeration_ok(spec)
     if not exact and params.m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << params.m, cap=1 << EMPIRICAL_M_CAP,
                               what="empirical output width")
-    (ca, cb, mismatches), total = spec.good_dist.walk(
-        lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
-        exact, seed, samples, workers, units=params.r + len(_bad_blocks(spec, params)),
-        cap=cap, what="zeroed comparison enumeration")
+    (ca, cb, mismatches), total = _pair_walk(
+        spec, params, exact, seed=seed, samples=samples, workers=workers,
+        units=params.r + len(_bad_blocks(spec, params)), cap=cap,
+        what="zeroed comparison enumeration")
     sd = sd_of_tables(ca / total, cb / total)
     if exact:
         return CompareZeroedReport(sd=Estimate.exact_value(sd), exact=True, m=params.m)
@@ -403,6 +404,88 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
     return CompareZeroedReport(
         sd=plugin_sd_estimate(sd, samples, params.m, 0.01, 0.99, tables=2),
         exact=False, m=params.m, mismatch_rate=mismatches / samples)
+
+
+def _seed_planes(lo: int, count: int, bits: int) -> np.ndarray:
+    """(bits, ceil(count/64)) words: bit k of word w of plane j is bit j of
+    seed lo + 64w + k, for lo a multiple of 64."""
+    words = np.uint64(lo >> 6) + np.arange(-(-count // PACKED_WIDTH), dtype=np.uint64)
+    planes = np.empty((bits, words.size), dtype=np.uint64)
+    for j in range(bits):  # bit j of k = 0..63 is 0xaaaa... for j = 0
+        planes[j] = (((1 << 64) - 1) // ((1 << (1 << j)) + 1) << (1 << j) if j < 6 else
+                     np.uint64(0) - ((words >> np.uint64(j - 6)) & np.uint64(1)))
+    return planes
+
+
+def _shannon(table: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The plane of the function with 0/1 truth table `table` on (k, W)
+    input planes: k multiplexing rounds, each folding the top input in,
+    the first picking each entry from the planes 0, ~x, x and ~0."""
+    top, half = inputs[-1], len(table) // 2
+    planes = np.stack([np.zeros_like(top), ~top, top, np.full_like(top, ~np.uint64(0))])
+    folded = planes[table[:half] + 2 * table[half:]]
+    for j in reversed(range(len(inputs) - 1)):
+        low = folded[:1 << j]
+        folded = low ^ folded[1 << j:]
+        folded &= inputs[j]
+        folded ^= low
+    return folded[0]
+
+
+def _plane_tally(z: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """int64 counts of the 2^m outputs of (m, W) planes z: the popcounts
+    of the ANDs of each z_k, or of its complement, by bit k of the output."""
+    cells = valid[None]
+    for plane in z:
+        cells = np.concatenate([cells & ~plane, cells & plane])
+    return np.bitwise_count(cells).sum(axis=1, dtype=np.int64)
+
+
+def plane_pair_counts(spec: NobfSourceSpec, params: BfextParams, lo: int, count: int):
+    """`zeroed_pair_counts` over seeds lo..lo+count-1 (lo a multiple of 64)
+    on bit planes of 64 seeds a word (Biham, FSE 1997): good bit i XORs the
+    seed planes whose `unit_columns` have bit i, bad planes are the packed
+    `bad_bits_batch`, each of the first r blocks is `_shannon` of f (once
+    if it has no bad bit), z_k XORs block planes, counts `_plane_tally`."""
+    dist, q, w = spec.good_dist, spec.q, -(-count // PACKED_WIDTH)
+    seeds, columns = _seed_planes(lo, count, dist.seed_bits), dist.unit_columns
+    x0 = np.zeros((spec.n, w), dtype=np.uint64)
+    for i, p in enumerate(spec.good_positions):
+        x0[p] = np.bitwise_xor.reduce(seeds[(columns >> np.uint64(i)) & np.uint64(1) == 1])
+    bads = np.pad(spec.adversary.bad_bits_batch(dist.outcomes_for_seeds(
+        np.arange(lo, lo + count, dtype=np.uint64)), spec.n - q, q), (0, -count % 64))
+    xa = x0.copy()
+    for j, p in enumerate(spec.bad_positions):
+        bits = (bads >> np.uint64(j)).astype(np.uint8) & np.uint8(1)
+        xa[p] = np.packbits(bits, bitorder="little").view("<u8")
+    table, bl = params.f.truth_table().astype(np.intp), params.block_len
+    y0 = np.array([_shannon(table, x0[i * bl:(i + 1) * bl]) for i in range(params.r)])
+    ya = y0.copy()
+    for i in _bad_blocks(spec, params):
+        ya[i] = _shannon(table, xa[i * bl:(i + 1) * bl])
+    used = [[i for i in range(params.r) if row >> i & 1] for row in params.code.g.rows]
+    za, zb = (np.array([np.bitwise_xor.reduce(y[k]) for k in used]) for y in (ya, y0))
+    valid = np.full(w, ~np.uint64(0))
+    valid[-1] >>= np.uint64(-count % 64)
+    mismatches = int(np.bitwise_count(valid & np.bitwise_or.reduce(za ^ zb)).sum())
+    return _plane_tally(za, valid), _plane_tally(zb, valid), mismatches
+
+
+def _on_planes(spec: NobfSourceSpec, params: BfextParams, exact: bool) -> bool:
+    """True for an exact walk over a GF(2)-linear generator, blocks of at
+    most PLANE_ARITY_CAP bits and 2^m <= PACKED_WIDTH output cells."""
+    return (exact and spec.good_dist.unit_columns is not None
+            and params.f.arity <= PLANE_ARITY_CAP and 1 << params.m <= PACKED_WIDTH)
+
+
+def _pair_walk(spec: NobfSourceSpec, params: BfextParams, exact: bool, **walk):
+    """The walk of the coupled counts: `plane_pair_counts` where `_on_planes`
+    allows, else `zeroed_pair_counts`; the same integers either way."""
+    planes = _on_planes(spec, params, exact)
+    return spec.good_dist.walk(
+        partial(plane_pair_counts, spec, params) if planes else
+        lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
+        exact, on_seeds=planes, **walk)
 
 
 def _bad_blocks(spec: NobfSourceSpec, params: BfextParams) -> list[int]:

@@ -18,8 +18,8 @@ a fixed seed regardless of --workers: all sampling is addressed by (seed,
 stream, counter), so splitting a counter range across threads cannot
 change what is drawn.
 
-Exit codes: 0 success, 2 validation error, 3 work-cap exceeded,
-4 search budget exhausted.
+Exit codes: 0 success, 2 validation error (a seed outside 0..2^64-1 is
+one), 3 work-cap exceeded, 4 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .bitops import words_from_hex
 from .codes import build_good_code, preset_code
 from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .prng import run_chunked
+from .prng import check_word, run_chunked
 from .resilient import (function_from_descriptor, influence_exact,
                         influence_max_exact, influence_mc, bias_under)
 from .schemas import integer, validate_document
@@ -91,11 +91,8 @@ def report_chunks(doc: dict, params: BfextParams,
             f"\n  ]{tail}".encode("ascii"))
 
 
-def _canonical_bytes(obj: dict) -> tuple:
-    return (canonical_json(obj).encode("ascii"),)
-
-
-def write_document(path: str, obj: dict, render=_canonical_bytes) -> None:
+def write_document(path: str, obj: dict,
+                   render=lambda obj: (canonical_json(obj).encode("ascii"),)) -> None:
     """Write the byte chunks of render(obj), `canonical_json` unless an
     extraction report brings its own (`report_chunks`), to a binary file
     under a temporary name that is renamed onto path (see
@@ -404,6 +401,7 @@ def main(argv=None) -> int:
         config = load_json(args.config)
         seed = args.seed if args.seed is not None else _cfg(
             config, "seed", DEFAULT_SEED, cast=integer)
+        check_word(seed, "seed")
         return _COMMANDS[args.command](config, args.out, seed, args.samples,
                                        args.workers, cap)
     except WorkCapExceeded as exc:

@@ -1,11 +1,13 @@
-"""Packed GF(2) vectors and matrices, one value at a time.
+"""Packed GF(2) vectors and matrices, and the reduced echelon kernel.
 
 Bit-order convention used everywhere in this package: coordinate 0 is the
 least significant bit of the integer payload.  Hex serialization writes
 ceil(len/4) nibbles with the least significant nibble first, i.e. the most
 significant hex digit comes last; `BitVector` encodes and parses through
 the word codec of `nobfext.bitops`, which the batch paths use too.  G y
-is the batch kernel `codes.compress_batch`.
+is the batch kernel `codes.compress_batch`.  `echelon_batch` reduces a
+stack of matrices in that word layout at once, for the code search;
+`gf2_rank` is its one-matrix view.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -13,7 +15,9 @@ Values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .bitops import hex_from_words, ints_from_words, words_from_hex, words_from_ints
 from .errors import DimensionError, ValidationError
@@ -97,28 +101,30 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.cols})"
 
 
-def gf2_echelon(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form of packed rows over GF(2), zero rows dropped.
+def echelon_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(echelon, ranks) of a stack of (A, m, W) word matrices over GF(2).
 
-    Each returned row's lowest set bit is its pivot, and no other returned
-    row has that bit; the row count is the rank.
-    """
-    basis: list[int] = []
-    pivots: list[int] = []
-    for row in rows:
-        for b, p in zip(basis, pivots):
-            if row & p:
-                row ^= b
-        if row:
-            pivot = row & -row
-            for i, b in enumerate(basis):
-                if b & pivot:
-                    basis[i] = b ^ row
-            basis.append(row)
-            pivots.append(pivot)
-    return basis
+    Row i is XORed with each earlier echelon row whose pivot bit it has
+    (all tested at once: an echelon row is zero at the other pivots); if
+    nonzero, its lowest set bit becomes its pivot and is cleared from the
+    earlier rows.  Row i of `echelon` is that row, zero when it depends on
+    rows 0..i-1; the nonzero rows are the reduced echelon form."""
+    e = np.array(rows, dtype=np.uint64)
+    pivots = np.zeros_like(e)  # each row's pivot bit in its word, zero for a zero row
+    first = np.arange(len(e))
+    for i in range(e.shape[1]):
+        row = e[:, i]
+        has = (pivots[:, :i] & row[:, None]).any(axis=2)
+        row ^= np.bitwise_xor.reduce(np.where(has[:, :, None], e[:, :i], np.uint64(0)),
+                                     axis=1)
+        at = (first, (row != 0).argmax(axis=1))
+        pivot = pivots[:, i]
+        pivot[at] = row[at] & (~row[at] + np.uint64(1))
+        has = (e[:, :i] & pivot[:, None]).any(axis=2)
+        e[:, :i] ^= np.where(has[:, :, None], row[:, None], np.uint64(0))
+    return e, np.count_nonzero(pivots.any(axis=2), axis=1)
 
 
 def gf2_rank(g: BitMatrix) -> int:
-    """Rank over GF(2): the row count of the reduced echelon form."""
-    return len(gf2_echelon(g.rows))
+    """Rank over GF(2): `echelon_batch` of the one matrix g."""
+    return int(echelon_batch(words_from_ints(g.rows, g.cols)[None])[1][0])

@@ -5,6 +5,8 @@ Every empirical sample in this package is addressed by a
 SplitMix64-style mix of that triple.  Because there is no hidden generator
 state, a batch of draws is identical no matter how it is chunked across
 workers, which is the reproducibility contract the samplers advertise.
+Seeds and streams outside 0..2^64-1 are refused (`check_word`), never
+reduced onto another value's stream; `words` takes a vector of streams too.
 ``chunk_ranges`` is the one chunk plan: a counter range or seed space goes
 in pieces of at most CHUNK = 2^18, and at least one per worker, so a
 kernel's temporaries do not grow with the sample count.  ``run_chunked``
@@ -16,6 +18,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import ValidationError
 
 _M64 = (1 << 64) - 1
 _PHI1 = 0x9E3779B97F4A7C15
@@ -35,18 +39,29 @@ def _finalize_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def check_word(value, what: str) -> np.ndarray:
+    """An int or integer array of values in 0..2^64-1 as uint64; anything
+    else (a bool, a float, a negative or wider int) is a ValidationError."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "iu" or (v.dtype.kind == "i" and v.size and v.min() < 0):
+        raise ValidationError(f"{what} must be in 0..2^64-1, got {value!r}")
+    return v.astype(np.uint64)
+
+
+def words(seed: int, stream, start: int, count: int) -> np.ndarray:
     """count consecutive words as a uint64 array: the word at counter c
-    mixes the seed, then the stream, then c."""
-    out = np.empty(count, dtype=np.uint64)
+    mixes the seed, then the stream, then c.  A vector of S streams gives
+    an (S, count) array, row k equal to the words of stream k."""
+    s = check_word(seed, "seed")
+    if s.ndim:
+        raise ValidationError("seed must be one integer")
     with np.errstate(over="ignore"):
-        keys = np.array([(seed + _PHI1) & _M64, (stream + _PHI2) & _M64], dtype=np.uint64)
-        h1, hs = _finalize_array(keys)
+        h1 = _finalize_array(s + np.uint64(_PHI1))
+        hs = _finalize_array(check_word(stream, "stream") + np.uint64(_PHI2))
         h2 = _finalize_array(h1 ^ hs)
         ctr = np.arange(start, start + count, dtype=np.uint64)
         inner = _finalize_array(ctr + np.uint64(_PHI1))
-        out[:] = _finalize_array(np.uint64(h2) ^ inner)
-    return out
+        return _finalize_array(h2[..., None] ^ inner)
 
 
 def uniform01(seed: int, stream: int, start: int, count: int) -> np.ndarray:

@@ -12,7 +12,7 @@ distribution at desk scale.
 Every source concept has one batch kernel over packed uint64 values:
 `outcomes_for_seeds`, `bad_bits_batch` and `compose_batch`.  Values
 wider than PACKED_WIDTH bits raise WorkCapExceeded in `sample_batch`,
-`sample_nobf_batch`, `read_sample_batch` and the support walk.
+`sample_nobf_batch`, `read_sample_batch`, `bad_bits_batch` and the walk.
 
 The generator kernels work on whole words.  ExactTwise is a GF(2)-linear
 map of its seed, evaluated through byte tables (at most 8 lookups per
@@ -21,20 +21,13 @@ each bit as a parity; compose scatters the good and bad bits in runs of
 consecutive positions (see `bitops`).  No kernel builds a table that
 grows with the field size 2^e.
 
-Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
-numbers); output files are written through `staged_outputs`: under a
-temporary name, renamed into place once complete, removed on failure.
-
-Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
-so exactness is bounded by the seed space (at most 2^24 seeds) and the
-packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
-results are tables of 2^n_good and 2^n entries, keep n <= 24.  Every
-oracle, exact or sampled, runs its per-chunk kernel through
-`GoodBitDistribution.walk`, in the pieces of `prng.chunk_ranges` (at most
-2^18 seeds or draws each).  The work cap is the `cap` argument of each
-exact oracle (default DEFAULT_WORK_CAP = 2^28 units), checked by
-`GoodBitDistribution.check_work` against the support size times the
-oracle's units per walked outcome before the first chunk.
+Every oracle, exact or sampled, runs its per-chunk kernel through
+`GoodBitDistribution.walk`.  Exact walks are bounded by the seed space (at
+most 2^24 seeds) and the packed width, not by n (only the 2^n_good and 2^n
+tables of `exact_table` and `enumerate_nobf` keep n <= 24), and by the
+`cap` argument of each oracle (default DEFAULT_WORK_CAP = 2^28 units).
+Input files are read by `read_text` and `parse_json`; output files are
+written through `staged_outputs`.
 """
 
 from __future__ import annotations
@@ -254,6 +247,8 @@ class GoodBitDistribution:
     kind: str = "abstract"
     n_good: int
     seed_bits: int | None  # log2 of the seed space; None for explicit tables
+    # a GF(2)-linear generator's outcomes of the unit seeds 1 << j; else None
+    unit_columns: np.ndarray | None = None
 
     def claimed_twise(self) -> int | None:
         """Independence parameter this generator guarantees, if derivable."""
@@ -262,24 +257,28 @@ class GoodBitDistribution:
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-        """Walk the support as chunks of (packed outcomes, weights).
-
-        Generator-backed kinds yield the outcomes of each seed piece of
-        `prng.chunk_ranges` (at most 2^18 seeds) with weights None: each
-        seed weighs one, and sums are divided by `support_total` (the
-        seed-space size) once, so they stay exact.  Explicit tables yield
-        their nonzero rows with their probabilities.  Seed spaces above
-        2^ENUM_SEED_BITS_CAP and outcomes wider than PACKED_WIDTH raise
-        WorkCapExceeded when this is called, before any chunk.
-        """
+    def seed_ranges(self) -> list[tuple[int, int]]:
+        """The (first seed, count) pieces of `prng.chunk_ranges` over the seed
+        space, each at a multiple of 64; WorkCapExceeded above
+        2^ENUM_SEED_BITS_CAP seeds or PACKED_WIDTH outcome bits."""
         check_packed(self.n_good, "packed good-bit width")
         if self.seed_bits > ENUM_SEED_BITS_CAP:
             raise WorkCapExceeded(
                 "seed space too large to enumerate", 2 ** self.seed_bits, 2 ** ENUM_SEED_BITS_CAP
             )
+        return prng.chunk_ranges(1 << self.seed_bits, 1)
+
+    def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Walk the support as chunks of (packed outcomes, weights).
+
+        Generator-backed kinds yield the outcomes of each piece of
+        `seed_ranges` (refused when this is called, before any chunk) with
+        weights None: each seed weighs one, and sums are divided by
+        `support_total` (the seed-space size) once, so they stay exact.
+        Explicit tables yield their nonzero rows with their probabilities.
+        """
         return ((self.outcomes_for_seeds(np.arange(lo, lo + count, dtype=np.uint64)), None)
-                for lo, count in prng.chunk_ranges(1 << self.seed_bits, 1))
+                for lo, count in self.seed_ranges())
 
     @property
     def support_total(self) -> float:
@@ -299,10 +298,12 @@ class GoodBitDistribution:
 
     def walk(self, kernel: Callable, exact: bool, seed: int | None = None,
              samples: int | None = None, workers: int = 1, units: int = 1,
-             cap: int = DEFAULT_WORK_CAP, what: str = "support walk"):
+             cap: int = DEFAULT_WORK_CAP, what: str = "support walk",
+             on_seeds: bool = False):
         """The sum of kernel(goods, weights) over the good bits, and the
         total weight to divide it by.  Exact walks run the kernel on each
-        chunk of `support()`, total `support_total`, once its own refusals
+        chunk of `support()` (with `on_seeds`, as kernel(lo, count) on each
+        of `seed_ranges()`), total `support_total`, once its own refusals
         and then `units` per outcome against `cap` (`check_work`) have
         passed; sampled ones on the draws at counters 0..samples-1 of
         (seed, stream 0) with weights None, in the pieces of
@@ -310,7 +311,8 @@ class GoodBitDistribution:
         `samples`.  Results are added in order into one running total
         (`_add`)."""
         if exact:
-            parts, total = itertools.starmap(kernel, self.support()), self.support_total
+            chunks = self.seed_ranges() if on_seeds else self.support()
+            parts, total = itertools.starmap(kernel, chunks), self.support_total
             self.check_work(units, cap, what)
         else:
             if samples is None or seed is None:
@@ -386,6 +388,10 @@ class UniformBits(GoodBitDistribution):
     def claimed_twise(self) -> int | None:
         return self.n_good
 
+    @property
+    def unit_columns(self) -> np.ndarray:
+        return np.uint64(1) << np.arange(self.n_good, dtype=np.uint64)
+
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return seeds.astype(np.uint64, copy=False)
 
@@ -403,7 +409,7 @@ class ExactTwise(GoodBitDistribution):
     exactly uniform.  Requires 2^e >= n_good distinct points.
 
     The outcome is GF(2)-linear in the seed: one `bitops.apply_linear_map`
-    whose (seed_bits, 1) columns are the outcomes of the unit seeds, built
+    whose columns are `unit_columns`, the outcomes of the unit seeds, built
     once per instance (tables of at most 16 KB, at most 8 lookups a seed).
     """
 
@@ -436,7 +442,7 @@ class ExactTwise(GoodBitDistribution):
         return self.t
 
     @cached_property
-    def _tables(self) -> np.ndarray:
+    def unit_columns(self) -> np.ndarray:
         # seed bit j*e + c is bit c of coefficient j, i.e. the coefficient
         # X^c; at point i it contributes X^c * i^j, whose low bit is bit i
         # of that seed bit's outcome word
@@ -450,7 +456,11 @@ class ExactTwise(GoodBitDistribution):
             low = gf2e_times_columns(power, e, poly) & np.uint64(1)
             columns.extend(np.bitwise_or.reduce(low * weights, axis=1))
             power = gf2e_times(times_points, power)
-        return linear_map_tables(np.array(columns, dtype=np.uint64)[:, None])
+        return np.array(columns, dtype=np.uint64)
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        return linear_map_tables(self.unit_columns[:, None])
 
     def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return apply_linear_map(self._tables, seeds)[:, 0]
@@ -474,12 +484,10 @@ class EpsBiased(GoodBitDistribution):
     at most n_good-1 roots, so every linear test has bias at most
     (n_good - 1) / 2^e <= epsilon.
 
-    The kernel computes the powers x^i once per distinct x in a batch,
-    multiplying by x through its e columns x * X^c (e words per distinct
-    x, built in e passes), and then takes bit i as the parity of
-    x^i & y for every seed.  A batch of N seeds with U distinct x costs a
-    sort of N plus n_good * e passes over U values and n_good passes over
-    N; no table grows with the field, so every e up to 31 takes this path.
+    The kernel computes the powers x^i once per distinct x in a batch
+    (through the e columns x * X^c) and takes bit i as the parity of
+    x^i & y: a sort of N seeds, n_good * e passes over the U distinct x and
+    n_good passes over N; no table grows with the field.
     """
 
     kind = "eps-biased"
@@ -635,6 +643,13 @@ class AdversaryStrategy:
     description: str = ""
 
     def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
+        """The packed q bad bits for each packed n_good-bit good outcome;
+        either width above PACKED_WIDTH raises WorkCapExceeded."""
+        check_packed(n_good, "packed good-bit width")
+        check_packed(q, "packed bad-bit width")
+        return self._bad_bits(goods, n_good, q)
+
+    def _bad_bits(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -650,7 +665,7 @@ class ConstantAdversary(AdversaryStrategy):
         self.pattern = pattern
         self.description = f"constant bad-bit pattern 0b{pattern:b}"
 
-    def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
+    def _bad_bits(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         if self.pattern >> q:
             raise ValidationError(f"constant pattern 0b{self.pattern:b} wider than q={q}")
         return np.full(goods.shape, self.pattern, dtype=np.uint64)
@@ -665,7 +680,7 @@ class ParityOfGood(AdversaryStrategy):
     kind = "parity-of-good"
     description = "all bad bits = XOR of the good bits"
 
-    def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
+    def _bad_bits(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         par = np.bitwise_count(goods.astype(np.uint64)).astype(np.uint64) & np.uint64(1)
         return par * np.uint64((1 << q) - 1)
 
@@ -679,7 +694,7 @@ class MajorityOfGood(AdversaryStrategy):
     kind = "majority-of-good"
     description = "all bad bits = strict majority of the good bits"
 
-    def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
+    def _bad_bits(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         maj = (2 * np.bitwise_count(goods.astype(np.uint64)) > n_good).astype(np.uint64)
         return maj * np.uint64((1 << q) - 1)
 
@@ -715,7 +730,7 @@ class TableAdversary(AdversaryStrategy):
         self.provenance = provenance or {}
         self.description = label
 
-    def bad_bits_batch(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
+    def _bad_bits(self, goods: np.ndarray, n_good: int, q: int) -> np.ndarray:
         if n_good != self.n_good:
             raise DimensionError(f"table is over {self.n_good} good bits, not {n_good}")
         vals = self.table[goods.astype(np.int64)]

@@ -10,10 +10,12 @@ mpmath at 60 digits, where `nobfext.bfext` uses the stdlib `decimal`.
 `countdown_code` searches once per target distance where
 `bfext._default_code_builder` searches once in all.  `word64` is one
 counter-addressed word mixed with Python integers, where `prng.words`
-mixes arrays.  `reference_search` is the code search drawing each row
-from `word64`, checking rank with `gf2_rank` and scanning every full-rank
-attempt in full, where `build_good_code` rejects most attempts by a
-low-weight witness.
+mixes arrays.  `gf2_echelon` reduces one int row at a time, where
+`gf2.echelon_batch` reduces a stack of word matrices at once.
+`reference_search` is the code search drawing each row from `word64`,
+checking rank with `gf2_echelon` and scanning every full-rank attempt in
+full, attempt by attempt, where `build_good_code` draws and reduces blocks
+of attempts and rejects most of them by a low-weight witness.
 `scatter_bits` and `gather_bits` move one bit at a time where
 `nobfext.bitops` moves runs; `tribes_value` tests one tribe at a time.
 
@@ -53,7 +55,7 @@ from nobfext.cli import canonical_json
 from nobfext.errors import ValidationError
 from nobfext.codes import LinearCode, _min_weight, build_good_code
 from nobfext.errors import SearchBudgetExceeded
-from nobfext.gf2 import BitMatrix, gf2_rank
+from nobfext.gf2 import BitMatrix
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              ExplicitTable, MajorityOfGood, ParityOfGood,
@@ -195,6 +197,27 @@ def countdown_code(m: int, ell: int):
     raise AssertionError(f"no [{ell},{m}] code reaches distance 1")
 
 
+def gf2_echelon(rows) -> list[int]:
+    """Reduced row echelon form of packed int rows over GF(2), zero rows
+    dropped, one row at a time: each returned row's lowest set bit is its
+    pivot, and no other returned row has that bit; the row count is the
+    rank."""
+    basis: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if row & p:
+                row ^= b
+        if row:
+            pivot = row & -row
+            for i, b in enumerate(basis):
+                if b & pivot:
+                    basis[i] = b ^ row
+            basis.append(row)
+            pivots.append(pivot)
+    return basis
+
+
 def reference_search(m: int, r: int, target_d: int, seed: int, attempts: int):
     """`build_good_code` attempt by attempt: every full-rank attempt is
     scanned in full, and the first to reach target_d is returned; without
@@ -206,7 +229,7 @@ def reference_search(m: int, r: int, target_d: int, seed: int, attempts: int):
         g = BitMatrix(cols=r, rows=tuple(
             sum(word64(seed, attempt, i * w + j) << (64 * j) for j in range(w)) & ((1 << r) - 1)
             for i in range(m)))
-        if gf2_rank(g) != m:
+        if len(gf2_echelon(g.rows)) != m:
             continue
         d = _min_weight(words_from_ints(g.rows, r))
         code = LinearCode(m=m, r=r, g=g, verified_d=d,

@@ -14,13 +14,14 @@ import oracles
 from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
-from nobfext.bfext import (BfextParams, CompareZeroedReport,
-                           _default_code_builder, _derived_m, _floor_pow, compare_zeroed,
-                           derive_params, explicit_params, extract_batch,
-                           fixedness_probability, output_distribution, trace_batch,
-                           worst_case_adversary, zeroed_pair_counts)
+from nobfext.bfext import (PLANE_ARITY_CAP, BfextParams, CompareZeroedReport,
+                           _default_code_builder, _derived_m, _floor_pow, _on_planes,
+                           compare_zeroed, derive_params, explicit_params, extract_batch,
+                           fixedness_probability, output_distribution,
+                           plane_pair_counts, trace_batch, worst_case_adversary,
+                           zeroed_pair_counts)
 from nobfext.bitops import ints_from_words, words_from_ints
-from nobfext.codes import LinearCode, min_distance_exact, preset_code
+from nobfext.codes import LinearCode, build_good_code, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitMatrix
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
@@ -612,6 +613,90 @@ def test_coupled_counts_equal_two_extract_passes(batch):
     want = _two_passes(spec, params, goods, weights)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+@st.composite
+def _plane_systems(draw):
+    """A source over a GF(2)-linear generator (seed spaces from 1 to 2^12
+    seeds, so the last word is often partial) with params of m <= 6 and
+    blocks on both sides of PLANE_ARITY_CAP; bad bits may fall in blocks
+    that z reads, in blocks after the first r, or after the last block."""
+    block_len = draw(st.integers(1, PLANE_ARITY_CAP + 1))
+    ell = draw(st.integers(1, max(1, 13 // block_len)))
+    n = ell * block_len + draw(st.integers(0, 2))
+    bad = sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(4, n - 1))))
+    n_good, q = n - len(bad), len(bad)
+    if draw(st.booleans()):
+        good = UniformBits(n_good)
+    else:
+        e = max(1, (n_good - 1).bit_length())
+        good = ExactTwise(n_good, draw(st.integers(1, min(n_good, 12 // e))))
+    kinds = ["constant", "parity", "majority"] + (["table"] if n_good <= 10 else [])
+    adversary = {"constant": lambda: ConstantAdversary(draw(st.integers(0, (1 << q) - 1))),
+                 "parity": ParityOfGood, "majority": MajorityOfGood,
+                 "table": lambda: TableAdversary(n_good, draw(st.lists(
+                     st.integers(0, (1 << q) - 1), min_size=1 << n_good,
+                     max_size=1 << n_good)))}[draw(st.sampled_from(kinds))]()
+    fs = [TableFunction(block_len, draw(st.lists(st.integers(0, 1), min_size=1 << block_len,
+                                                 max_size=1 << block_len))),
+          Majority(block_len) if block_len % 2 else Tribes(2, block_len // 2)]
+    fs += [RecursiveMajority3(d) for d in (1, 2) if 3 ** d == block_len]
+    r = draw(st.integers(1, ell))
+    m = draw(st.integers(1, min(6, r)))
+    code = build_good_code(m, r, 1, seed=draw(st.integers(0, 2 ** 64 - 1)))
+    return (NobfSourceSpec(n, bad, good, adversary),
+            explicit_params(n, ell, block_len, code, draw(st.sampled_from(fs))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_plane_systems())
+@example((  # bad bits in blocks 0 and 2 read by z, and in block 3 and bit 13 beyond it
+    NobfSourceSpec(14, [0, 7, 11, 13], UniformBits(10), MajorityOfGood()),
+    explicit_params(14, 4, 3, preset_code("identity-3"), RecursiveMajority3(1))))
+@example((  # 2^5 seeds: half a word; m = 6 over six blocks of a 2x2 table
+    NobfSourceSpec(12, [0, 3, 6, 9, 10, 11, 1], ExactTwise(5, 1), ParityOfGood()),
+    explicit_params(12, 6, 2, preset_code("identity-6"), TableFunction(2, [1, 0, 0, 1]))))
+@example((  # one seed, and blocks above the crossover
+    NobfSourceSpec(10, [1], UniformBits(9), ConstantAdversary(1)),
+    explicit_params(10, 1, 9, preset_code("identity-1"), RecursiveMajority3(2))))
+def test_plane_path_equals_dense_oracles_and_packed_kernel(system):
+    spec, params = system
+    assert _on_planes(spec, params, True) == (params.f.arity <= PLANE_ARITY_CAP
+                                              and params.m <= 6)
+    assert not _on_planes(spec, params, False)
+    for lo, count in spec.good_dist.seed_ranges():
+        goods = spec.good_dist.outcomes_for_seeds(np.arange(lo, lo + count, dtype=np.uint64))
+        planes = plane_pair_counts(spec, params, lo, count)
+        packed = zeroed_pair_counts(spec, params, goods, None)
+        assert all(a.dtype == np.int64 for a in planes[:2])
+        assert np.array_equal(planes[0], packed[0]) and np.array_equal(planes[1], packed[1])
+        assert planes[2] == packed[2]
+    assert np.array_equal(output_distribution(spec, params).probs,
+                          dense_output_distribution(spec, params))
+    rep = compare_zeroed(spec, params)
+    assert rep.exact and rep.sd.value == dense_compare_zeroed(spec, params)
+
+
+def test_plane_counts_pin_the_bench_spec():
+    # the exact compare of the benchmark: 2^20 seeds in four walk chunks
+    spec = NobfSourceSpec(24, [1, 4, 10, 20], UniformBits(20), MajorityOfGood())
+    params = explicit_params(24, 8, 3, preset_code("hamming-7-4"), Majority(3))
+    assert _on_planes(spec, params, True)
+    sums = []
+    for kernel in (plane_pair_counts, None):
+        total = [0, 0, 0]
+        for lo, count in spec.good_dist.seed_ranges():
+            if kernel:
+                part = kernel(spec, params, lo, count)
+            else:
+                part = zeroed_pair_counts(spec, params, np.arange(lo, lo + count,
+                                                                  dtype=np.uint64), None)
+            total = [t + p for t, p in zip(total, part)]
+        sums.append(total)
+    (ca, cb, mismatches), (pa, pb, packed) = sums
+    assert np.array_equal(ca, pa) and np.array_equal(cb, pb)
+    assert mismatches == packed == 378_584
+    assert ca.sum() == cb.sum() == 1 << 20
 
 
 def test_explicit_table_sums_in_input_order_across_windows():

@@ -715,6 +715,33 @@ def test_non_integer_config_values_exit_2(tmp_path, capsys, monkeypatch, command
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command,config", [
+    ("gen-source", _source_config()),
+    ("analyze", {"analysis": "bias", "f": _MAJ3}),
+    ("build-code", {"m": 4, "r": 7, "target_d": 3}),
+], ids=["gen-source", "analyze", "build-code"])
+def test_seed_outside_one_word_exits_2(tmp_path, capsys, monkeypatch, command, config,
+                                      where, seed):
+    # such a seed used to be reduced mod 2^64: -1 drew the stream of 2^64 - 1
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "cfg.json", {**config, "seed": seed} if where == "config" else config)
+    argv = [command, "--config", "cfg.json", "--out", "out.json"]
+    assert main(argv + (["--seed", str(seed)] if where == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: seed must be in 0..2^64-1, got {seed}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_seed_range_ends_run(tmp_path):
+    for seed in [0, 2 ** 64 - 1]:
+        out = tmp_path / f"s{seed}.json"
+        cfg = _write(tmp_path / "cfg.json", {**_source_config(), "seed": seed})
+        assert _run("gen-source", "--config", cfg, "--out", str(out), "--samples", "3") == 0
+        assert json.loads(out.read_text())["run"]["seed"] == seed
+
+
 def test_integral_floats_are_integers(tmp_path):
     # 5.0 is an integer to the schemas, so it reads as 5, as before
     outs = []

@@ -13,7 +13,7 @@ from oracles import matvec
 from nobfext.bitops import hex_from_words, ints_from_words, words_from_hex, words_from_ints
 from nobfext.codes import LinearCode, compress_batch
 from nobfext.errors import DimensionError, ValidationError
-from nobfext.gf2 import BitMatrix, BitVector, gf2_rank
+from nobfext.gf2 import BitMatrix, BitVector, echelon_batch, gf2_rank
 
 
 def test_bitvector_basic_construction():
@@ -175,6 +175,53 @@ def test_rank():
         if i != j:
             mixed[i] ^= mixed[j]
         assert gf2_rank(BitMatrix(cols=cols, rows=tuple(mixed))) == gf2_rank(g)
+
+
+def _random_rows(rng, nrows, cols):
+    """nrows random rows of cols bits, some zero, repeated or sums of two
+    earlier rows, some of them sparse."""
+    rows = []
+    for i in range(nrows):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append(0)
+        elif kind == 1 and i:
+            rows.append(rows[rng.randrange(i)])
+        elif kind == 2 and i > 1:
+            rows.append(rows[rng.randrange(i)] ^ rows[rng.randrange(i)])
+        elif kind == 3:
+            rows.append(1 << rng.randrange(cols))
+        else:
+            rows.append(rng.getrandbits(cols))
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 2, 9])
+def test_echelon_batch_equals_oracle_echelon(count):
+    # a stack of matrices, reduced at once, gives each one's echelon form
+    # in the order the row-by-row oracle builds it, and its rank; rows
+    # beyond the column count, zero rows, and one to four words per row
+    rng = random.Random(29 + count)
+    for _ in range(60):
+        cols = rng.choice([1, 3, 8, 63, 64, 65, 130, 200, 256])
+        nrows = rng.randrange(0, 24)
+        mats = [_random_rows(rng, nrows, cols) for _ in range(count)]
+        stack = np.array([words_from_ints(rows, cols) for rows in mats], dtype=np.uint64)
+        echelon, ranks = echelon_batch(stack)
+        assert echelon.shape == stack.shape and ranks.shape == (count,)
+        for rows, got, rank in zip(mats, echelon, ranks):
+            want = oracles.gf2_echelon(rows)
+            assert [v for v in ints_from_words(got) if v] == want
+            assert rank == len(want) == gf2_rank(BitMatrix(cols=cols, rows=tuple(rows)))
+        assert np.array_equal(stack, np.array([words_from_ints(rows, cols) for rows in mats],
+                                              dtype=np.uint64))  # input untouched
+
+
+def test_gf2_rank_is_the_one_matrix_view():
+    assert gf2_rank(BitMatrix(5, ())) == 0
+    wide = BitMatrix(cols=300, rows=(1 << 299, (1 << 299) | 1, 1))
+    assert gf2_rank(wide) == 2
+    assert gf2_rank(BitMatrix(cols=2, rows=(1, 2, 3, 1, 2))) == 2
 
 
 def test_hex_rows_round_trip():

@@ -1,10 +1,12 @@
 """Counter-addressed pseudo-random words."""
 
 import numpy as np
+import pytest
 
 from oracles import word64
 
-from nobfext.prng import low_bits, uniform01, words
+from nobfext.errors import ValidationError
+from nobfext.prng import check_word, low_bits, uniform01, words
 
 
 def test_word64_deterministic_and_stream_separated():
@@ -57,3 +59,35 @@ def test_word_bit_balance():
 def test_no_short_cycles():
     w = words(0, 0, 0, 1 << 12)
     assert len(np.unique(w)) == w.size
+
+
+def test_words_over_a_stream_vector_equal_one_call_per_stream():
+    streams = np.array([0, 1, 7, 544, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    block = words(5, streams, 3, 20)
+    assert block.shape == (len(streams), 20) and block.dtype == np.uint64
+    for row, stream in zip(block, streams):
+        assert np.array_equal(row, words(5, int(stream), 3, 20))
+        assert [int(v) for v in row] == [word64(5, int(stream), 3 + c) for c in range(20)]
+    # int64 streams that are in range give the same words
+    assert np.array_equal(words(5, streams[:4].astype(np.int64), 3, 20), block[:4])
+    assert words(5, np.arange(0, dtype=np.uint64), 0, 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (0, np.array([0, -1])),
+    (0, np.array([0, 2 ** 64], dtype=object)), (True, 0), (1.0, 0), (0, 0.5),
+    (np.array([1, 2]), 0),
+])
+def test_words_refuse_seeds_and_streams_outside_one_word(seed, stream):
+    # no value is reduced mod 2^64 onto another value's stream
+    with pytest.raises(ValidationError, match="must be"):
+        words(seed, stream, 0, 4)
+
+
+def test_word_range_ends_are_distinct_streams():
+    assert words(2 ** 64 - 1, 0, 0, 4).tolist() == [word64(2 ** 64 - 1, 0, c)
+                                                   for c in range(4)]
+    assert not np.array_equal(words(2 ** 64 - 1, 0, 0, 4), words(0, 0, 0, 4))
+    assert check_word(2 ** 64 - 1, "seed") == np.uint64(2 ** 64 - 1)
+    with pytest.raises(ValidationError, match="seed must be in 0..2\\^64-1, got -1"):
+        check_word(-1, "seed")

@@ -563,6 +563,18 @@ def test_packed_width_enforced_on_views_and_batches():
                                          64).tolist() == [2 ** 64 - 1]
 
 
+@pytest.mark.parametrize("adversary", [
+    ConstantAdversary(1), ParityOfGood(), MajorityOfGood(), TableAdversary(2, [0, 1, 1, 0])])
+def test_adversary_kernels_refuse_widths_beyond_one_word(adversary):
+    # every strategy's kernel checks both widths before it runs, so no
+    # width is truncated and no bare OverflowError escapes
+    goods = np.arange(4, dtype=np.uint64)
+    for n_good, q in [(4, 65), (70, 2), (65, 65)]:
+        with pytest.raises(WorkCapExceeded, match="packed (good|bad)-bit width"):
+            adversary.bad_bits_batch(goods, n_good, q)
+    assert adversary.bad_bits_batch(goods, 2, 64).shape == goods.shape
+
+
 def test_sample_nobf_scalar():
     spec = _parity_spec()
     x = int(sample_nobf_batch(spec, 9, 1)[0])
