@@ -275,16 +275,26 @@ def _tally(zs: np.ndarray, xs: np.ndarray, weights: np.ndarray | None,
 
 def output_distribution(spec: NobfSourceSpec, params: BfextParams,
                         cap: int = DEFAULT_WORK_CAP) -> Distribution:
-    """Exact distribution of z under the source: the adversary's table of
-    the coupled counts (`_pair_walk`) over the good-bit support walk.  No
-    table of 2^n inputs is built; the walk bounds the seed space (at most
-    2^24 seeds) and the packed width (n <= 64), and its ell block
-    evaluations per outcome are checked against `cap`."""
+    """Exact distribution of z under the source: the outputs of the
+    good-bit support walk, binned chunk by chunk (the adversary's table of
+    `plane_pair_counts` where `_on_planes` allows).  No table of 2^n inputs
+    is built; the walk bounds the seed space (at most 2^24 seeds) and the
+    packed width (n <= 64), and its ell block evaluations per outcome are
+    checked against `cap`."""
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     check_packed(spec.n, "packed source width")
-    (counts, _, _), total = _pair_walk(spec, params, True, units=params.ell, cap=cap,
-                                       what="output distribution enumeration")
+
+    def tally(goods, weights):
+        xs = spec.compose_batch(
+            goods, spec.adversary.bad_bits_batch(goods, spec.n - spec.q, spec.q))
+        return _tally(extract_batch(xs, params), xs, weights, params.m)
+
+    planes = _on_planes(spec, params, True)
+    counts, total = spec.good_dist.walk(
+        (lambda lo, count: plane_pair_counts(spec, params, lo, count)[0]) if planes else tally,
+        True, units=params.ell, cap=cap, what="output distribution enumeration",
+        on_seeds=planes)
     return Distribution.exact(params.m, counts / total)
 
 
@@ -381,8 +391,9 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
                    force_mc: bool = False,
                    workers: int = 1,
                    cap: int = DEFAULT_WORK_CAP) -> CompareZeroedReport:
-    """SD(Z, Z') for the zeroed counterpart from one coupled pass
-    (`_pair_walk`): over the good-bit support walk when it is feasible
+    """SD(Z, Z') for the zeroed counterpart from one coupled pass of
+    `zeroed_pair_counts` (`plane_pair_counts` where `_on_planes` allows):
+    over the good-bit support walk when it is feasible
     (see `_exact_good_enumeration_ok`; two 2^m tables, none of 2^n, and
     the kernel's block evaluations checked against `cap`), else a plug-in
     estimate over good bits sampled on `workers` threads (the result does
@@ -393,10 +404,12 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
     if not exact and params.m > EMPIRICAL_M_CAP:
         raise WorkCapExceeded(required=1 << params.m, cap=1 << EMPIRICAL_M_CAP,
                               what="empirical output width")
-    (ca, cb, mismatches), total = _pair_walk(
-        spec, params, exact, seed=seed, samples=samples, workers=workers,
-        units=params.r + len(_bad_blocks(spec, params)), cap=cap,
-        what="zeroed comparison enumeration")
+    planes = _on_planes(spec, params, exact)
+    (ca, cb, mismatches), total = spec.good_dist.walk(
+        partial(plane_pair_counts, spec, params) if planes else
+        lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
+        exact, seed, samples, workers, units=params.r + len(_bad_blocks(spec, params)),
+        cap=cap, what="zeroed comparison enumeration", on_seeds=planes)
     sd = sd_of_tables(ca / total, cb / total)
     if exact:
         return CompareZeroedReport(sd=Estimate.exact_value(sd), exact=True, m=params.m)
@@ -472,20 +485,9 @@ def plane_pair_counts(spec: NobfSourceSpec, params: BfextParams, lo: int, count:
 
 
 def _on_planes(spec: NobfSourceSpec, params: BfextParams, exact: bool) -> bool:
-    """True for an exact walk over a GF(2)-linear generator, blocks of at
-    most PLANE_ARITY_CAP bits and 2^m <= PACKED_WIDTH output cells."""
+    """An exact walk over a GF(2)-linear generator, narrow blocks, m <= 6."""
     return (exact and spec.good_dist.unit_columns is not None
             and params.f.arity <= PLANE_ARITY_CAP and 1 << params.m <= PACKED_WIDTH)
-
-
-def _pair_walk(spec: NobfSourceSpec, params: BfextParams, exact: bool, **walk):
-    """The walk of the coupled counts: `plane_pair_counts` where `_on_planes`
-    allows, else `zeroed_pair_counts`; the same integers either way."""
-    planes = _on_planes(spec, params, exact)
-    return spec.good_dist.walk(
-        partial(plane_pair_counts, spec, params) if planes else
-        lambda goods, weights: zeroed_pair_counts(spec, params, goods, weights),
-        exact, on_seeds=planes, **walk)
 
 
 def _bad_blocks(spec: NobfSourceSpec, params: BfextParams) -> list[int]:
