@@ -653,11 +653,11 @@ def _plane_systems(draw):
 @example((  # bad bits in blocks 0 and 2 read by z, and in block 3 and bit 13 beyond it
     NobfSourceSpec(14, [0, 7, 11, 13], UniformBits(10), MajorityOfGood()),
     explicit_params(14, 4, 3, preset_code("identity-3"), RecursiveMajority3(1))))
-@example((  # 2^5 seeds: half a word; m = 6 over six blocks of a 2x2 table
+@example((  # 2^3 seeds, an eighth of a word; m = 6 over six blocks of a 2-input table
     NobfSourceSpec(12, [0, 3, 6, 9, 10, 11, 1], ExactTwise(5, 1), ParityOfGood()),
     explicit_params(12, 6, 2, preset_code("identity-6"), TableFunction(2, [1, 0, 0, 1]))))
-@example((  # one seed, and blocks above the crossover
-    NobfSourceSpec(10, [1], UniformBits(9), ConstantAdversary(1)),
+@example((  # one seed (no good bits), and a block above the crossover
+    NobfSourceSpec(10, range(10), UniformBits(0), ConstantAdversary(0b1011001110)),
     explicit_params(10, 1, 9, preset_code("identity-1"), RecursiveMajority3(2))))
 def test_plane_path_equals_dense_oracles_and_packed_kernel(system):
     spec, params = system
