@@ -7,11 +7,14 @@ of one width is a uint64 array of shape (N, W), W = `n_words(width)`, with
 word 0 least significant; a 1-D (N,) array is the W = 1 layout, so it
 holds at most PACKED_WIDTH bits per value.  `as_words` turns either form
 into (N, W) words and, like `check_packed`, raises WorkCapExceeded for a
-1-D array of wider values instead of dropping the high bits.  `shift_right`,
-`bit_field` and `popcount` work across words, so the extractor's steps run
-on any width.  Hex strings carry ceil(width/4) digits (at least one), least
-significant nibble first, in the one codec of (N, digits) byte matrices:
-`hex_chars`, `words_from_hex` and its string view `hex_from_words`.
+1-D array of wider values instead of dropping the high bits.  The word
+count always comes from the value width.  `shift_right` and `bit_field`
+move bits across word boundaries and `popcount` sums the per-word counts,
+so the extractor's steps run on any width.  Hex strings carry ceil(width/4)
+digits (at least one), least significant nibble first.  The package's one
+codec for them works on (N, digits) byte matrices: `hex_chars` writes one,
+`words_from_hex` reads one through a 256-entry table of nibble values, and
+`hex_from_words` is the string view of `hex_chars`.
 
 Scatter and gather move bits in runs: consecutive indices j whose
 positions p advance with them (p - j constant) move with one

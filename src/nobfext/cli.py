@@ -91,8 +91,11 @@ def report_chunks(doc: dict, params: BfextParams,
             f"\n  ]{tail}".encode("ascii"))
 
 
-def write_document(path: str, obj: dict,
-                   render=lambda obj: (canonical_json(obj).encode("ascii"),)) -> None:
+def _canonical_bytes(obj: dict) -> tuple:
+    return (canonical_json(obj).encode("ascii"),)
+
+
+def write_document(path: str, obj: dict, render=_canonical_bytes) -> None:
     """Write the byte chunks of render(obj), `canonical_json` unless an
     extraction report brings its own (`report_chunks`), to a binary file
     under a temporary name that is renamed onto path (see

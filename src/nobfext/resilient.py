@@ -9,14 +9,19 @@ enumerate; an explicit-table function lets anything else plug in.
 
 Each function has one evaluator, `eval_batch`, on packed inputs of any
 arity in the word layout of `nobfext.bitops` ((N, W) uint64 words, or a
-1-D array when the arity is at most 64); the influence and
-undetermination scans take arities up to PACKED_WIDTH.  Majority, tribes
-and recursive majority are monotone (Ben-Or and Linial 1985, the class
-attribute `monotone`): a coalition is undetermined exactly when f differs
-between the coalition all 0 and all 1.  Other functions are scanned over
-all 2^|Q| coalition patterns (`_undetermined_mask`), and
-`influence_max_exact` reads a monotone f on uniform fixings from two
-subset-sum tables.  Work units are those of the direct scans either way.
+1-D array when the arity is at most 64).
+The influence and undetermination scans pack their inputs one word each,
+so they take arities up to PACKED_WIDTH.  Majority, tribes and recursive
+majority are monotone (Ben-Or and Linial 1985), marked by the class
+attribute `monotone`; for them a coalition is undetermined exactly when f
+differs between the coalition all 0 and all 1, two evaluations whatever
+its size.  Other functions are scanned over all 2^|Q| coalition patterns.
+A batch of more than 2^|rest| fixings is read from one scan over every fixing;
+`_scan_evals` keeps the direct scan's units, so `--max-enum` refusals stay.
+`influence_max_exact` reads every coalition of a monotone f on uniform
+fixings from two subset-sum tables of its truth table, when the table's
+2^arity evaluations are within the walks' units; those units are checked
+either way, so refusals stay.  Other fixings and functions walk.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ distribution at desk scale.
 Every source concept has one batch kernel over packed uint64 values:
 `outcomes_for_seeds`, `bad_bits_batch` and `compose_batch`.  Values
 wider than PACKED_WIDTH bits raise WorkCapExceeded in `sample_batch`,
-`sample_nobf_batch`, `read_sample_batch`, `bad_bits_batch` and the walk.
+`sample_nobf_batch`, `read_sample_batch`, `bad_bits_batch` and the support
+walk.
 
 The generator kernels work on whole words.  ExactTwise is a GF(2)-linear
 map of its seed, evaluated through byte tables (at most 8 lookups per
@@ -21,13 +22,20 @@ each bit as a parity; compose scatters the good and bad bits in runs of
 consecutive positions (see `bitops`).  No kernel builds a table that
 grows with the field size 2^e.
 
-Every oracle, exact or sampled, runs its per-chunk kernel through
-`GoodBitDistribution.walk`.  Exact walks are bounded by the seed space (at
-most 2^24 seeds) and the packed width, not by n (only the 2^n_good and 2^n
-tables of `exact_table` and `enumerate_nobf` keep n <= 24), and by the
-`cap` argument of each oracle (default DEFAULT_WORK_CAP = 2^28 units).
-Input files are read by `read_text` and `parse_json`; output files are
-written through `staged_outputs`.
+Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
+numbers); output files are written through `staged_outputs`: under a
+temporary name, renamed into place once complete, removed on failure.
+
+Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
+so exactness is bounded by the seed space (at most 2^24 seeds) and the
+packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
+results are tables of 2^n_good and 2^n entries, keep n <= 24.  Every
+oracle, exact or sampled, runs its per-chunk kernel through
+`GoodBitDistribution.walk`, in the pieces of `prng.chunk_ranges` (at most
+2^18 seeds or draws each).  The work cap is the `cap` argument of each
+exact oracle (default DEFAULT_WORK_CAP = 2^28 units), checked by
+`GoodBitDistribution.check_work` against the support size times the
+oracle's units per walked outcome before the first chunk.
 """
 
 from __future__ import annotations
@@ -259,8 +267,9 @@ class GoodBitDistribution:
 
     def seed_ranges(self) -> list[tuple[int, int]]:
         """The (first seed, count) pieces of `prng.chunk_ranges` over the seed
-        space, each at a multiple of 64; WorkCapExceeded above
-        2^ENUM_SEED_BITS_CAP seeds or PACKED_WIDTH outcome bits."""
+        space (at most 2^18 seeds each, each starting at a multiple of 64).
+        Seed spaces above 2^ENUM_SEED_BITS_CAP and outcomes wider than
+        PACKED_WIDTH raise WorkCapExceeded."""
         check_packed(self.n_good, "packed good-bit width")
         if self.seed_bits > ENUM_SEED_BITS_CAP:
             raise WorkCapExceeded(
@@ -271,11 +280,13 @@ class GoodBitDistribution:
     def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Walk the support as chunks of (packed outcomes, weights).
 
-        Generator-backed kinds yield the outcomes of each piece of
-        `seed_ranges` (refused when this is called, before any chunk) with
-        weights None: each seed weighs one, and sums are divided by
-        `support_total` (the seed-space size) once, so they stay exact.
-        Explicit tables yield their nonzero rows with their probabilities.
+        Generator-backed kinds yield the outcomes of each seed piece of
+        `seed_ranges` (at most 2^18 seeds) with weights None: each
+        seed weighs one, and sums are divided by `support_total` (the
+        seed-space size) once, so they stay exact.  Explicit tables yield
+        their nonzero rows with their probabilities.  Seed spaces above
+        2^ENUM_SEED_BITS_CAP and outcomes wider than PACKED_WIDTH raise
+        WorkCapExceeded when this is called, before any chunk.
         """
         return ((self.outcomes_for_seeds(np.arange(lo, lo + count, dtype=np.uint64)), None)
                 for lo, count in self.seed_ranges())
@@ -484,10 +495,12 @@ class EpsBiased(GoodBitDistribution):
     at most n_good-1 roots, so every linear test has bias at most
     (n_good - 1) / 2^e <= epsilon.
 
-    The kernel computes the powers x^i once per distinct x in a batch
-    (through the e columns x * X^c) and takes bit i as the parity of
-    x^i & y: a sort of N seeds, n_good * e passes over the U distinct x and
-    n_good passes over N; no table grows with the field.
+    The kernel computes the powers x^i once per distinct x in a batch,
+    multiplying by x through its e columns x * X^c (e words per distinct
+    x, built in e passes), and then takes bit i as the parity of
+    x^i & y for every seed.  A batch of N seeds with U distinct x costs a
+    sort of N plus n_good * e passes over U values and n_good passes over
+    N; no table grows with the field, so every e up to 31 takes this path.
     """
 
     kind = "eps-biased"

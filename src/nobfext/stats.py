@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,14 @@ class Estimate:
         return self.lo <= x <= self.hi
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "value": self.value,
+            "lo": self.lo,
+            "hi": self.hi,
+            "samples": self.samples,
+            "confidence": self.confidence,
+            "method": self.method,
+        }
 
 
 # Stirling series of lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)): the
@@ -321,7 +328,8 @@ class VaziraniReport:
     holds: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"max_bias": self.max_bias, "sd": self.sd,
+                "bound": self.bound, "holds": self.holds}
 
 
 def vazirani_check(d: Distribution, tol: float = 1e-12) -> VaziraniReport:
@@ -348,10 +356,13 @@ def parseval_bound(d: Distribution) -> float:
 class XorBiasReport:
     """Exact distance from uniform of the XOR of independent bits.
 
-    `distance` is (1/2) * prod(2 e_i) over the per-bit distances e_i.  With
-    one common distance e the literal bound e^t is evaluated too; it is
-    below the exact value for t >= 2 and 0 < e < 1/2 (`literal_holds`
-    False), which is reported, not enforced.
+    `distance` is the statistical distance of the XOR bit from uniform,
+    computed by the product identity (1/2) * prod(2 e_i) where e_i are the
+    per-bit distances.  When all inputs share a common distance e, the
+    report also evaluates the literal bound e^t; that bound is strictly
+    smaller than the exact value for t >= 2 and 0 < e < 1/2, so
+    `literal_holds` is then False.  The discrepancy is reported, not
+    enforced.
     """
 
     distance: float
@@ -360,7 +371,12 @@ class XorBiasReport:
     literal_holds: bool | None
 
     def to_json(self) -> dict:
-        return {**asdict(self), "factors": list(self.factors)}
+        return {
+            "distance": self.distance,
+            "factors": list(self.factors),
+            "literal_bound": self.literal_bound,
+            "literal_holds": self.literal_holds,
+        }
 
 
 def xor_bias_product(distances) -> XorBiasReport:
@@ -376,10 +392,17 @@ def xor_bias_product(distances) -> XorBiasReport:
     for e in ds:
         if not 0.0 <= e <= 0.5:
             raise ValidationError(f"per-bit distance {e} outside [0, 1/2]")
-    distance = 0.5 * math.prod(2.0 * e for e in ds)
-    literal = ds[0] ** len(ds) if len(set(ds)) == 1 else None
-    return XorBiasReport(distance=distance, factors=tuple(ds), literal_bound=literal,
-                         literal_holds=None if literal is None else distance <= literal + 1e-15)
+    prod = 1.0
+    for e in ds:
+        prod *= 2.0 * e
+    distance = 0.5 * prod
+    literal = None
+    literal_holds = None
+    if len(set(ds)) == 1:
+        literal = ds[0] ** len(ds)
+        literal_holds = distance <= literal + 1e-15
+    return XorBiasReport(distance=distance, factors=tuple(ds),
+                         literal_bound=literal, literal_holds=literal_holds)
 
 
 def required_samples(m: int) -> int:
