@@ -146,19 +146,24 @@ def _witness_weights(echelon: np.ndarray) -> np.ndarray:
 def build_good_code(m: int, r: int, target_d: int, seed: int,
                     attempts: int = DEFAULT_ATTEMPTS) -> LinearCode:
     """Seeded random search for a full-rank generator with verified
-    distance >= target_d.  Attempt a draws row i as words i*W .. i*W+W-1 of
+    distance >= target_d.
+
+    Attempt a draws row i as words i*W .. i*W+W-1 of
     ``prng.words(seed, a, 0, m*W)``, masked to r bits (W = ceil(r/64)).
-    Its reduced echelon form both skips a rank-deficient attempt and gives
-    the rows whose XORs of at most WITNESS_ROWS are tried first: once a
-    best distance b exists, such a codeword of weight <= b proves the
-    attempt no better, and it is dropped unscanned (the information-set
-    step of the Brouwer-Zimmermann method).  Only the rest get the
-    exhaustive `_min_weight` scan, which stops as soon as it goes <= b; a
-    kept code's verified_d is therefore always its exact distance.  Draws,
-    echelon forms (`gf2.echelon_batch`) and witnesses come a block of
-    attempts at a time (at most `prng.CHUNK` witness words); decisions and
-    scans run attempt by attempt, so no result depends on the block.
-    Exhausting the budget raises SearchBudgetExceeded with the best code.
+    One reduced echelon elimination both skips a rank-deficient attempt
+    and gives the rows whose XORs of at most
+    WITNESS_ROWS are tried first: once a best distance b exists, such a
+    codeword of weight <= b proves the attempt no better, and it is
+    dropped unscanned (the information-set step of the Brouwer-Zimmermann
+    method).  Only the rest get the exhaustive `_min_weight` scan, which
+    stops as soon as it goes <= b; a kept code's verified_d is therefore
+    always its exact distance.  Draws, echelon forms (`gf2.echelon_batch`)
+    and witness weights come a block of attempts at a time: one attempt,
+    then twice as many per block up to `prng.CHUNK` witness words, so an
+    early success does little extra work.  Decisions and scans run attempt
+    by attempt, so no result depends on the blocks.  Deterministic per
+    seed.  Exhausting the attempt budget raises SearchBudgetExceeded
+    carrying the best code found.
     """
     if m > BUILD_M_CAP:
         raise WorkCapExceeded(required=m, cap=BUILD_M_CAP, what="code search m")
@@ -170,9 +175,10 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
     if attempts < 1:
         raise ValidationError("need at least one attempt")
     w = n_words(r)
-    block = max(1, prng.CHUNK // (_witness_index(m).size * w))
+    cap = max(1, prng.CHUNK // (_witness_index(m).size * w))
     best: LinearCode | None = None
-    for first in range(0, attempts, block):
+    first, block = 0, 1
+    while first < attempts:
         streams = np.arange(first, min(first + block, attempts), dtype=np.uint64)
         draws = prng.words(seed, streams, 0, m * w).reshape(-1, w)
         rows = bit_field(draws, 0, r).reshape(len(streams), m, w)
@@ -192,12 +198,17 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
                                             "attempt": first + int(k)})
             if d >= target_d:
                 return best
+        first, block = first + block, min(2 * block, cap)
     raise SearchBudgetExceeded(
         f"no [{r},{m}] code with distance >= {target_d} in {attempts} attempts",
         best=best, best_distance=best.verified_d if best else 0)
 
 
-_PRESET_RE = re.compile(r"^(?:identity-(\d+)|repetition-(\d+)|hamming-7-4|simplex-k(\d+))$")
+_PRESET_RE = {
+    "identity": re.compile(r"^identity-(\d+)$"),
+    "repetition": re.compile(r"^repetition-(\d+)$"),
+    "simplex": re.compile(r"^simplex-k(\d+)$"),
+}
 
 
 def preset_code(name: str) -> LinearCode:
@@ -210,22 +221,35 @@ def preset_code(name: str) -> LinearCode:
     """
     if not isinstance(name, str):
         raise ValidationError(f"preset name must be a string, got {name!r}")
-    match = _PRESET_RE.match(name)
-    if match is None:
-        raise ValidationError(f"unknown preset code {name!r}")
-    k, r, s = (None if v is None else int(v) for v in match.groups())
-    if k is not None:
-        g, expect = BitMatrix.identity(k), 1
-    elif r is not None:
-        g, expect = BitMatrix(cols=r, rows=((1 << r) - 1,)), r
-    elif s is None:
+    m = _PRESET_RE["identity"].match(name)
+    if m:
+        k = int(m.group(1))
+        code = LinearCode(m=k, r=k, g=BitMatrix.identity(k),
+                          construction={"kind": "preset", "name": name})
+        expect = 1
+    elif _PRESET_RE["repetition"].match(name):
+        r = int(_PRESET_RE["repetition"].match(name).group(1))
+        code = LinearCode(m=1, r=r, g=BitMatrix(cols=r, rows=((1 << r) - 1,)),
+                          construction={"kind": "preset", "name": name})
+        expect = r
+    elif name == "hamming-7-4":
         # bit j of a row is coordinate j: rows 1000011, 0100101, 0010110, 0001111
-        g, expect = BitMatrix(cols=7, rows=(0b1100001, 0b1010010, 0b0110100, 0b1111000)), 3
-    elif s < 1:
-        raise ValidationError("simplex needs k >= 1")
-    else:  # the columns of G are the 2^k - 1 nonzero k-bit vectors
-        g, expect = BitMatrix(cols=s, rows=tuple(range(1, 1 << s))).transpose(), 1 << (s - 1)
-    code = LinearCode(m=g.nrows, r=g.cols, g=g, construction={"kind": "preset", "name": name})
+        g = BitMatrix(cols=7, rows=(0b1100001, 0b1010010, 0b0110100, 0b1111000))
+        code = LinearCode(m=4, r=7, g=g,
+                          construction={"kind": "preset", "name": name})
+        expect = 3
+    elif _PRESET_RE["simplex"].match(name):
+        k = int(_PRESET_RE["simplex"].match(name).group(1))
+        if k < 1:
+            raise ValidationError("simplex needs k >= 1")
+        r = (1 << k) - 1
+        # the columns of G are the 2^k - 1 nonzero k-bit vectors
+        g = BitMatrix(cols=k, rows=tuple(range(1, r + 1))).transpose()
+        code = LinearCode(m=k, r=r, g=g,
+                          construction={"kind": "preset", "name": name})
+        expect = 1 << (k - 1)
+    else:
+        raise ValidationError(f"unknown preset code {name!r}")
     d = min_distance_exact(code)
     if d != expect:
         raise ValidationError(

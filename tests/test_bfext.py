@@ -618,8 +618,8 @@ def test_coupled_counts_equal_two_extract_passes(batch):
 @st.composite
 def _plane_systems(draw):
     """A source over a GF(2)-linear generator (seed spaces from 1 to 2^12
-    seeds, so the last word is often partial) with params of m <= 6 and
-    blocks on both sides of PLANE_ARITY_CAP; bad bits may fall in blocks
+    seeds, so the last word is often partial) with params of m <= 8 (both
+    tally routes) and blocks on both sides of PLANE_ARITY_CAP; bad bits may fall in blocks
     that z reads, in blocks after the first r, or after the last block."""
     block_len = draw(st.integers(1, PLANE_ARITY_CAP + 1))
     ell = draw(st.integers(1, max(1, 13 // block_len)))
@@ -642,7 +642,7 @@ def _plane_systems(draw):
           Majority(block_len) if block_len % 2 else Tribes(2, block_len // 2)]
     fs += [RecursiveMajority3(d) for d in (1, 2) if 3 ** d == block_len]
     r = draw(st.integers(1, ell))
-    m = draw(st.integers(1, min(6, r)))
+    m = draw(st.integers(1, min(8, r)))
     code = build_good_code(m, r, 1, seed=draw(st.integers(0, 2 ** 64 - 1)))
     return (NobfSourceSpec(n, bad, good, adversary),
             explicit_params(n, ell, block_len, code, draw(st.sampled_from(fs))))
@@ -656,13 +656,15 @@ def _plane_systems(draw):
 @example((  # 2^3 seeds, an eighth of a word; m = 6 over six blocks of a 2-input table
     NobfSourceSpec(12, [0, 3, 6, 9, 10, 11, 1], ExactTwise(5, 1), ParityOfGood()),
     explicit_params(12, 6, 2, preset_code("identity-6"), TableFunction(2, [1, 0, 0, 1]))))
+@example((  # m = 8 over 2^11 seeds: the bincount tally
+    NobfSourceSpec(13, [2, 5, 12], UniformBits(10), MajorityOfGood()),
+    explicit_params(13, 12, 1, preset_code("identity-8"), TableFunction(1, [1, 0]))))
 @example((  # one seed (no good bits), and a block above the crossover
     NobfSourceSpec(10, range(10), UniformBits(0), ConstantAdversary(0b1011001110)),
     explicit_params(10, 1, 9, preset_code("identity-1"), RecursiveMajority3(2))))
 def test_plane_path_equals_dense_oracles_and_packed_kernel(system):
     spec, params = system
-    assert _on_planes(spec, params, True) == (params.f.arity <= PLANE_ARITY_CAP
-                                              and params.m <= 6)
+    assert _on_planes(spec, params, True) == (params.f.arity <= PLANE_ARITY_CAP)
     assert not _on_planes(spec, params, False)
     for lo, count in spec.good_dist.seed_ranges():
         goods = spec.good_dist.outcomes_for_seeds(np.arange(lo, lo + count, dtype=np.uint64))
