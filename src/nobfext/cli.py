@@ -28,24 +28,20 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bfext import (BfextParams, compare_zeroed, fixedness_probability,
-                    trace_columns, trace_document)
 from .bitops import words_from_hex
-from .codes import build_good_code, preset_code
-from .errors import (NobfError, SearchBudgetExceeded, ValidationError,
+from .errors import (DEFAULT_WORK_CAP, NobfError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .prng import check_word, run_chunked
-from .resilient import (function_from_descriptor, influence_exact,
-                        influence_max_exact, influence_mc, bias_under)
-from .schemas import integer, validate_document
-from .sources import (DEFAULT_WORK_CAP, Distribution, NobfSourceSpec, UniformBits,
-                      good_dist_from_descriptor, parse_json, read_sample_batch,
-                      read_text, sample_nobf_batch, staged_outputs,
-                      write_sample_batch)
-from .stats import linear_test_bias, vazirani_check
+from .schemas import (integer, parse_json, read_text, staged_outputs,
+                      validate_document)
+
+if TYPE_CHECKING:  # the kernels load in the commands that run them
+    from .bfext import BfextParams
+    from .sources import Distribution, NobfSourceSpec
 
 DEFAULT_SEED = 0
 
@@ -71,6 +67,7 @@ def report_chunks(doc: dict, params: BfextParams,
     the top-level traces line: run.config, which sorts before it, is user
     content and may hold a traces key of its own, but only at a deeper
     indent."""
+    from .bfext import trace_document
     text = canonical_json(doc)
     count = len(columns[-1])
     if not count:
@@ -144,6 +141,7 @@ def _sample_count(config: dict, samples: int | None, default=None):
 def _draw(spec: NobfSourceSpec, seed: int, count: int,
           workers: int) -> np.ndarray:
     """count packed samples of spec (stream 0, counters 0..count-1)."""
+    from .sources import sample_nobf_batch
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
     return np.concatenate(run_chunked(
@@ -168,6 +166,7 @@ def _load_document(config: dict, key: str) -> dict:
 
 @parse_errors("distribution")
 def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribution:
+    from .sources import Distribution
     kind = d.get("kind", "uniform")
     if kind == "uniform":
         m = d.get("m", default_m)
@@ -181,6 +180,7 @@ def _distribution_from_config(d: dict, default_m: int | None = None) -> Distribu
 
 def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
                    workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
+    from .sources import NobfSourceSpec, write_sample_batch
     spec = NobfSourceSpec.from_descriptor(config)
     n_samples = _sample_count(config, samples, 0)
     samples_out = _cfg(config, "samples_out", out + ".samples", cast=os.fspath)
@@ -199,6 +199,8 @@ def cmd_gen_source(config: dict, out: str, seed: int, samples: int | None,
 
 def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
                 workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
+    from .bfext import BfextParams, trace_columns
+    from .sources import NobfSourceSpec, read_sample_batch
     params = BfextParams.from_json(_load_document(config, "params"))
     if "samples" in config and isinstance(config["samples"], str):
         header, xs = read_sample_batch(config["samples"])
@@ -235,6 +237,7 @@ def cmd_extract(config: dict, out: str, seed: int, samples: int | None,
 
 def _analysis_bias(config: dict, seed: int, samples: int | None,
                    workers: int, cap: int) -> dict:
+    from .resilient import bias_under, function_from_descriptor
     f = function_from_descriptor(_cfg(config, "f", required=True))
     dist = _distribution_from_config(_cfg(config, "distribution",
                                           default={"kind": "uniform"}),
@@ -247,6 +250,9 @@ def _analysis_bias(config: dict, seed: int, samples: int | None,
 
 def _analysis_influence(config: dict, seed: int, samples: int | None,
                         workers: int, cap: int) -> dict:
+    from .resilient import (function_from_descriptor, influence_exact, influence_max_exact,
+                            influence_mc)
+    from .sources import UniformBits, good_dist_from_descriptor
     f = function_from_descriptor(_cfg(config, "f", required=True))
     mode = _cfg(config, "mode", "exact")
     if mode not in ("exact", "mc"):
@@ -273,37 +279,42 @@ def _analysis_influence(config: dict, seed: int, samples: int | None,
     return {"influence": est.to_json(), "exact": est.is_exact}
 
 
-def _on_distribution(stat):
-    """The analysis reporting stat of the config's distribution."""
-    return lambda config, *_: stat(_distribution_from_config(
-        _cfg(config, "distribution", required=True))).to_json()
+def _on_distribution(stat: str):
+    """The analysis reporting `stats.<stat>` of the config's distribution."""
+    def analysis(config: dict, *_) -> dict:
+        from . import stats
+        return getattr(stats, stat)(_distribution_from_config(
+            _cfg(config, "distribution", required=True))).to_json()
+    return analysis
 
 
-def _on_source(oracle, config: dict, seed: int, samples: int | None,
+def _on_source(oracle: str, config: dict, seed: int, samples: int | None,
                workers: int, cap: int):
-    """oracle run on the config's spec and params documents."""
-    return oracle(NobfSourceSpec.from_descriptor(_load_document(config, "spec")),
-                  BfextParams.from_json(_load_document(config, "params")),
-                  seed=seed, samples=_sample_count(config, samples),
-                  force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
+    """`bfext.<oracle>` run on the config's spec and params documents."""
+    from . import bfext, sources
+    return getattr(bfext, oracle)(
+        sources.NobfSourceSpec.from_descriptor(_load_document(config, "spec")),
+        bfext.BfextParams.from_json(_load_document(config, "params")),
+        seed=seed, samples=_sample_count(config, samples),
+        force_mc=bool(_cfg(config, "force_mc", False)), workers=workers, cap=cap)
 
 
 def _analysis_fixedness(config: dict, seed: int, samples: int | None,
                         workers: int, cap: int) -> dict:
-    est = _on_source(fixedness_probability, config, seed, samples, workers, cap)
+    est = _on_source("fixedness_probability", config, seed, samples, workers, cap)
     return {"probability": est.to_json(), "exact": est.is_exact}
 
 
 def _analysis_compare_zeroed(config: dict, seed: int, samples: int | None,
                              workers: int, cap: int) -> dict:
-    return _on_source(compare_zeroed, config, seed, samples, workers, cap).to_json()
+    return _on_source("compare_zeroed", config, seed, samples, workers, cap).to_json()
 
 
 _ANALYSES = {
     "bias": _analysis_bias,
     "influence": _analysis_influence,
-    "spectrum": _on_distribution(linear_test_bias),
-    "vazirani": _on_distribution(vazirani_check),
+    "spectrum": _on_distribution("linear_test_bias"),
+    "vazirani": _on_distribution("vazirani_check"),
     "fixedness": _analysis_fixedness,
     "compare-zeroed": _analysis_compare_zeroed,
 }
@@ -330,6 +341,7 @@ def cmd_analyze(config: dict, out: str, seed: int, samples: int | None,
 
 def cmd_build_code(config: dict, out: str, seed: int, samples: int | None,
                    workers: int, cap: int = DEFAULT_WORK_CAP) -> int:
+    from .codes import build_good_code, preset_code
     if "preset" in config:
         code = preset_code(config["preset"])
     else:

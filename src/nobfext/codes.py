@@ -27,6 +27,7 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, as_words, bit_field,
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .gf2 import BitMatrix, echelon_batch, gf2_rank
+from .schemas import integer
 
 DISTANCE_M_CAP = 24
 BUILD_M_CAP = 20
@@ -165,6 +166,7 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
     seed.  Exhausting the attempt budget raises SearchBudgetExceeded
     carrying the best code found.
     """
+    m, r, target_d, attempts = map(integer, (m, r, target_d, attempts))
     if m > BUILD_M_CAP:
         raise WorkCapExceeded(required=m, cap=BUILD_M_CAP, what="code search m")
     if not 1 <= m <= r:

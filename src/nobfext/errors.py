@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 
+DEFAULT_WORK_CAP = 1 << 28  # work units an exact oracle may spend by default
+
 
 class NobfError(Exception):
     """Base class for every error raised by this package."""

@@ -5,8 +5,8 @@ Every empirical sample in this package is addressed by a
 SplitMix64-style mix of that triple.  Because there is no hidden generator
 state, a batch of draws is identical no matter how it is chunked across
 workers, which is the reproducibility contract the samplers advertise.
-Seeds and streams outside 0..2^64-1 are refused (`check_word`), never
-reduced onto another value's stream; `words` takes a vector of streams too.
+Seeds, streams and counters outside 0..2^64-1 are refused (`check_word`),
+never reduced onto another value; `words` takes a vector of streams too.
 ``chunk_ranges`` is the one chunk plan: a counter range or seed space goes
 in pieces of at most CHUNK = 2^18, and at least one per worker, so a
 kernel's temporaries do not grow with the sample count.  ``run_chunked``
@@ -14,8 +14,6 @@ runs those pieces on worker threads.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,6 +53,7 @@ def words(seed: int, stream, start: int, count: int) -> np.ndarray:
     s = check_word(seed, "seed")
     if s.ndim:
         raise ValidationError("seed must be one integer")
+    check_word([start, count], "counter start and count")
     with np.errstate(over="ignore"):
         h1 = _finalize_array(s + np.uint64(_PHI1))
         hs = _finalize_array(check_word(stream, "stream") + np.uint64(_PHI2))
@@ -98,5 +97,6 @@ def run_chunked(fn, total: int, workers: int) -> list:
     chunks = chunk_ranges(total, workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(s, c) for s, c in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda sc: fn(*sc), chunks))

@@ -81,6 +81,7 @@ class Majority(ResilientFunction):
     monotone = True
 
     def __init__(self, arity: int):
+        arity = integer(arity)
         if arity < 1 or arity % 2 == 0:
             raise ValidationError("majority needs odd arity >= 1")
         self.arity = arity
@@ -105,6 +106,7 @@ class Tribes(ResilientFunction):
     monotone = True
 
     def __init__(self, w: int, s: int):
+        w, s = integer(w), integer(s)
         if w < 1 or s < 1:
             raise ValidationError("tribes needs w >= 1 and s >= 1")
         self.w = w
@@ -136,6 +138,7 @@ class RecursiveMajority3(ResilientFunction):
     monotone = True
 
     def __init__(self, depth: int):
+        depth = integer(depth)
         if depth < 1:
             raise ValidationError("depth must be >= 1")
         self.depth = depth
@@ -169,6 +172,7 @@ class TableFunction(ResilientFunction):
     kind = "explicit-table"
 
     def __init__(self, arity: int, table):
+        arity = integer(arity)
         if not 0 <= arity <= TABLE_ARITY_CAP:
             raise ValidationError(f"explicit table arity capped at {TABLE_ARITY_CAP}")
         tab = np.asarray(table, dtype=np.uint8)
@@ -181,7 +185,7 @@ class TableFunction(ResilientFunction):
 
     @classmethod
     def from_values_hex(cls, arity: int, s: str) -> "TableFunction":
-        v = BitVector.from_hex(1 << arity, s)
+        v = BitVector.from_hex(1 << integer(arity), s)
         raw = np.frombuffer(v.bits.to_bytes(-(-v.n // 8), "little"), dtype=np.uint8)
         return cls(arity, np.unpackbits(raw, count=v.n, bitorder="little"))
 
@@ -206,13 +210,13 @@ class TableFunction(ResilientFunction):
 def function_from_descriptor(d: dict) -> ResilientFunction:
     kind = d.get("kind")
     if kind == "majority":
-        return Majority(integer(d["arity"]))
+        return Majority(d["arity"])
     if kind == "tribes":
-        return Tribes(integer(d["w"]), integer(d["s"]))
+        return Tribes(d["w"], d["s"])
     if kind == "recursive-majority-3":
-        return RecursiveMajority3(integer(d["depth"]))
+        return RecursiveMajority3(d["depth"])
     if kind == "explicit-table":
-        return TableFunction.from_values_hex(integer(d["arity"]), d["table_hex"])
+        return TableFunction.from_values_hex(d["arity"], d["table_hex"])
     raise ValidationError(f"unknown function kind {kind!r}")
 
 

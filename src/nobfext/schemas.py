@@ -1,4 +1,5 @@
-"""JSON schemas for every file format the command line reads or writes.
+"""JSON schemas for every file format the command line reads or writes,
+and the file handling those formats share.
 
 Each document carries a `format` tag; `validate_document` dispatches on
 it.  The schemas pin structure, not semantics: loaded objects are still
@@ -10,8 +11,15 @@ jsonschema's.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import json
+import math
+import os
 import re
 import reprlib
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -224,9 +232,10 @@ def _is_type(value, name: str) -> bool:
 
 def integer(value) -> int:
     """value as an int when the schemas call it an integer (3 or 3.0, not
-    True, 3.5 or "3"); a ValueError otherwise, so that no reader truncates."""
-    if not _is_type(value, "integer"):
-        raise ValueError(f"{reprlib.repr(value)} is not an integer")
+    True, 3.5 or "3") or when it is a numpy integer; a ValidationError
+    otherwise, so that no reader or constructor truncates."""
+    if not (_is_type(value, "integer") or isinstance(value, np.integer)):
+        raise ValidationError(f"{reprlib.repr(value)} is not an integer")
     return int(value)
 
 
@@ -281,3 +290,82 @@ def validate_document(obj: dict) -> None:
     failure = _failure(SCHEMAS_BY_FORMAT[fmt], obj, "$")
     if failure is not None:
         raise ValidationError(f"document failed schema check {failure}")
+
+
+# ---------------------------------------------------------------------------
+# Files: inputs are UTF-8 JSON with finite numbers; outputs are staged
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; any failure is a ValidationError."""
+    try:
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            return fh.read()
+    except TypeError as exc:
+        raise ValidationError(f"input path must be a string, got {path!r}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def parse_json(text: str, what: str):
+    """Parse JSON, refusing NaN, Infinity and 1e999 (inf): not JSON numbers."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+_STAGED: dict[str, str] = {}  # temporary path -> final path, for open blocks
+_STAGE_IDS = itertools.count()
+
+
+@contextlib.contextmanager
+def staged_outputs():
+    """Publish output files all together or not at all.
+
+    `stage(path)` returns a temporary path in path's directory to write
+    instead of path.  When the block ends normally every staged file is
+    renamed onto its path with `os.replace`; when the block or a rename
+    fails, the staged and already renamed files are removed, so no final
+    or temporary file remains.  A path that an enclosing block staged is
+    returned as is: the enclosing block publishes it.  An OSError becomes
+    a ValidationError naming the output.
+    """
+    mine: list[str] = []
+
+    def stage(path) -> str:
+        path = os.fspath(path)
+        if path in _STAGED:
+            return path
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_STAGE_IDS)}.tmp")
+        _STAGED[tmp] = path
+        mine.append(tmp)
+        return tmp
+
+    published: list[str] = []
+    try:
+        yield stage
+        for tmp in mine:
+            os.replace(tmp, _STAGED[tmp])
+            published.append(_STAGED[tmp])
+    except BaseException as exc:
+        for path in mine + published:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError) and mine:
+            name = _STAGED.get(exc.filename) or ", ".join(_STAGED[t] for t in mine)
+            raise ValidationError(f"cannot write {name}: {exc.strerror or exc}") from exc
+        raise
+    finally:
+        for tmp in mine:
+            del _STAGED[tmp]

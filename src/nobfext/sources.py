@@ -22,10 +22,6 @@ each bit as a parity; compose scatters the good and bad bits in runs of
 consecutive positions (see `bitops`).  No kernel builds a table that
 grows with the field size 2^e.
 
-Input files are read by `read_text` and `parse_json` (UTF-8, finite JSON
-numbers); output files are written through `staged_outputs`: under a
-temporary name, renamed into place once complete, removed on failure.
-
 Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
 so exactness is bounded by the seed space (at most 2^24 seeds) and the
 packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
@@ -40,11 +36,9 @@ oracle's units per walked outcome before the first chunk.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -55,12 +49,12 @@ import numpy as np
 from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
-from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
-from .schemas import integer, validate_document
+from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
+                     parse_errors)
+from .schemas import integer, parse_json, read_text, staged_outputs, validate_document
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
-DEFAULT_WORK_CAP = 1 << 28  # work units an exact oracle may spend by default
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +199,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
+        m = integer(m)
         if m > ENUM_N_CAP:  # refused before the table is allocated
             raise WorkCapExceeded("uniform table too wide", 2 ** m, 2 ** ENUM_N_CAP)
         return cls.exact(m, np.full(1 << m, 1.0 / (1 << m)))
@@ -391,6 +386,7 @@ class UniformBits(GoodBitDistribution):
     kind = "uniform"
 
     def __init__(self, n_good: int):
+        n_good = integer(n_good)
         if n_good < 0:
             raise ValidationError("negative bit count")
         self.n_good = n_good
@@ -427,12 +423,13 @@ class ExactTwise(GoodBitDistribution):
     kind = "exact-twise"
 
     def __init__(self, n_good: int, t: int, field_bits: int | None = None):
+        n_good, t = integer(n_good), integer(t)
         if t < 1:
             raise ValidationError("t must be >= 1")
         if n_good < 1:
             raise ValidationError("need at least one good bit")
         e_min = max(1, (n_good - 1).bit_length())
-        e = e_min if field_bits is None else field_bits
+        e = e_min if field_bits is None else integer(field_bits)
         if (1 << e) < n_good:
             raise ValidationError(
                 f"field of 2^{e} elements has fewer than n_good={n_good} points; "
@@ -506,6 +503,7 @@ class EpsBiased(GoodBitDistribution):
     kind = "eps-biased"
 
     def __init__(self, n_good: int, epsilon: float, field_bits: int | None = None):
+        n_good = integer(n_good)
         if n_good < 1:
             raise ValidationError("need at least one good bit")
         if not 0 < epsilon <= 1:
@@ -515,7 +513,7 @@ class EpsBiased(GoodBitDistribution):
             while (n_good - 1) / (1 << e) > epsilon:
                 e += 1
         else:
-            e = field_bits
+            e = integer(field_bits)
             if (n_good - 1) / (1 << e) > epsilon:
                 raise ValidationError(
                     f"field_bits={e} gives bias bound {(n_good - 1) / (1 << e):g} > epsilon"
@@ -588,12 +586,12 @@ class ExplicitTable(GoodBitDistribution):
 def good_dist_from_descriptor(d: dict) -> GoodBitDistribution:
     kind = d.get("kind")
     if kind == "uniform":
-        return UniformBits(integer(d["n_good"]))
-    field_bits = None if d.get("field_bits") is None else integer(d["field_bits"])
+        return UniformBits(d["n_good"])
+    field_bits = d.get("field_bits")
     if kind == "exact-twise":
-        return ExactTwise(integer(d["n_good"]), integer(d["t"]), field_bits)
+        return ExactTwise(d["n_good"], d["t"], field_bits)
     if kind == "eps-biased":
-        return EpsBiased(integer(d["n_good"]), float(d["epsilon"]), field_bits)
+        return EpsBiased(d["n_good"], float(d["epsilon"]), field_bits)
     if kind == "explicit-table":
         return ExplicitTable(d["probs"])
     raise ValidationError(f"unknown good-bit distribution kind {kind!r}")
@@ -616,6 +614,7 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int,
     outcome (`check_work`), exceed the work cap.  The report carries the
     worst subset (0-based) and its statistical distance from uniform.
     """
+    n, t = integer(n), integer(t)
     if n != dist.n_good:
         raise DimensionError(f"distribution is over {dist.n_good} bits, not {n}")
     if not 1 <= t <= n:
@@ -900,85 +899,6 @@ def zeroed_counterpart(spec: NobfSourceSpec) -> NobfSourceSpec:
         t=spec.t,
         gamma=spec.gamma,
     )
-
-
-# ---------------------------------------------------------------------------
-# Files: inputs are UTF-8 JSON with finite numbers; outputs are staged
-
-
-def read_text(path) -> str:
-    """The UTF-8 text of an input file; any failure is a ValidationError."""
-    try:
-        with open(os.fspath(path), encoding="utf-8") as fh:
-            return fh.read()
-    except TypeError as exc:
-        raise ValidationError(f"input path must be a string, got {path!r}") from exc
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-def parse_json(text: str, what: str):
-    """Parse JSON, refusing NaN, Infinity and 1e999 (inf): not JSON numbers."""
-    try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:
-        raise ValidationError(f"malformed {what}: {exc}") from exc
-
-
-_STAGED: dict[str, str] = {}  # temporary path -> final path, for open blocks
-_STAGE_IDS = itertools.count()
-
-
-@contextlib.contextmanager
-def staged_outputs():
-    """Publish output files all together or not at all.
-
-    `stage(path)` returns a temporary path in path's directory to write
-    instead of path.  When the block ends normally every staged file is
-    renamed onto its path with `os.replace`; when the block or a rename
-    fails, the staged and already renamed files are removed, so no final
-    or temporary file remains.  A path that an enclosing block staged is
-    returned as is: the enclosing block publishes it.  An OSError becomes
-    a ValidationError naming the output.
-    """
-    mine: list[str] = []
-
-    def stage(path) -> str:
-        path = os.fspath(path)
-        if path in _STAGED:
-            return path
-        head, tail = os.path.split(path)
-        tmp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_STAGE_IDS)}.tmp")
-        _STAGED[tmp] = path
-        mine.append(tmp)
-        return tmp
-
-    published: list[str] = []
-    try:
-        yield stage
-        for tmp in mine:
-            os.replace(tmp, _STAGED[tmp])
-            published.append(_STAGED[tmp])
-    except BaseException as exc:
-        for path in mine + published:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        if isinstance(exc, OSError) and mine:
-            name = _STAGED.get(exc.filename) or ", ".join(_STAGED[t] for t in mine)
-            raise ValidationError(f"cannot write {name}: {exc.strerror or exc}") from exc
-        raise
-    finally:
-        for tmp in mine:
-            del _STAGED[tmp]
 
 
 # ---------------------------------------------------------------------------

@@ -899,7 +899,7 @@ def test_gen_source_failed_samples_write_leaves_no_file(tmp_path, capsys,
             fh.write("partial")
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr("nobfext.cli.write_sample_batch", write_then_fail)
+    monkeypatch.setattr("nobfext.sources.write_sample_batch", write_then_fail)
     cfg = _write(tmp_path / "cfg.json", _source_config())
     assert _run("gen-source", "--config", cfg, "--out", str(tmp_path / "OUT.json"),
                 "--samples", "5") == 2
@@ -1097,30 +1097,29 @@ def test_report_writer_matches_dict_traces_byte_for_byte(batch):
 
 
 # ---------------------------------------------------------------------------
-# start-up: heavy dependencies load only where a command needs them
+# start-up: a command loads only the modules and dependencies it needs
 
 
 _LOADED_AFTER_MAIN = """
 import json, sys
 from nobfext import cli
-rc = cli.main(sys.argv[1:])
-heavy = sorted(m for m in sys.modules
-               if m.split(".")[0] in ("scipy", "mpmath", "jsonschema"))
-print(json.dumps({"rc": rc, "heavy": heavy}))
+rc = cli.main(sys.argv[2:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in sys.argv[1].split(","))
+print(json.dumps({"rc": rc, "loaded": loaded}))
 """
 
 
-def _modules_loaded_by(cwd, *argv):
+def _modules_loaded_by(cwd, *argv, packages=("scipy", "mpmath", "jsonschema")):
     """Run cli.main in a fresh interpreter on the checkout's src/; return its
-    exit code and the scipy, mpmath and jsonschema modules it loaded."""
+    exit code and the modules of `packages` it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, ",".join(packages),
+                           *argv], cwd=cwd, env=env, capture_output=True, text=True,
                           check=True)
     res = json.loads(proc.stdout.splitlines()[-1])
     _check_outputs(Path(cwd) / argv[argv.index("--out") + 1], res["rc"])
-    return res["rc"], set(res["heavy"])
+    return res["rc"], set(res["loaded"])
 
 
 def test_exact_command_loads_neither_scipy_nor_mpmath(tmp_path):
@@ -1153,6 +1152,52 @@ def test_no_command_loads_jsonschema_or_mpmath(tmp_path):
                                        "--out", f"{name}-out.json")
         assert rc == 0, name
         assert heavy == set(), name
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # `import nobfext` resolves its public names on first use and each
+    # command imports the kernels it runs, so no command compiles the rest
+    ppath, _ = _params_file(tmp_path)
+    commands = {
+        "source": ("gen-source", {**_source_config(), "samples": 5},
+                   {"bfext", "codes", "resilient", "stats", "gf2"}),
+        "preset": ("build-code", {"preset": "hamming-7-4"},
+                   {"sources", "resilient", "stats", "bfext"}),
+        "search": ("build-code", {"m": 3, "r": 9, "target_d": 4},
+                   {"sources", "resilient", "stats", "bfext"}),
+        "bias": ("analyze", {"analysis": "bias", "f": {"kind": "majority", "arity": 3}},
+                 {"bfext", "codes"}),
+        "influence": ("analyze", {"analysis": "influence", "max_size": 2,
+                                  "f": {"kind": "majority", "arity": 5}}, {"bfext", "codes"}),
+        "extract": ("extract", {"params": ppath, "inputs": ["f3"]}, set()),
+    }
+    for name, (command, config, skipped) in commands.items():
+        cfg = _write(tmp_path / f"{name}.json", config)
+        rc, loaded = _modules_loaded_by(tmp_path, command, "--config", cfg, "--out",
+                                        f"{name}-out.json", packages=("nobfext", "concurrent"))
+        assert rc == 0, name
+        assert "nobfext.cli" in loaded and not loaded & {f"nobfext.{m}" for m in skipped}, name
+        assert "concurrent.futures" not in loaded, name  # --workers 1 starts no pool
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", "import sys, nobfext; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert {m for m in proc.stdout.split() if m.split(".")[0] == "nobfext"} == {"nobfext"}
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import nobfext
+    for name in nobfext.__all__:
+        obj = getattr(nobfext, name)
+        assert obj.__module__.startswith("nobfext.") and name in dir(nobfext), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert nobfext.UniformBits is sys.modules["nobfext.sources"].UniformBits
+    star = {}
+    exec("from nobfext import *", star)
+    assert star.keys() - {"__builtins__"} == set(nobfext.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nobfext.no_such_name
+    with pytest.raises(ImportError):
+        exec("from nobfext import no_such_name", {})
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -15,8 +15,10 @@ from oracles import (adversary_bad_bits, gather_bits, generator_outcome, gf2e_mu
 
 from nobfext import prng
 from nobfext.bitops import gather_bits_vec, scatter_bits_vec
+from nobfext.codes import build_good_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
+from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, Distribution,
                              EpsBiased, ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
@@ -345,6 +347,40 @@ def test_generator_validation():
         EpsBiased(100, 0.25, field_bits=4)
     with pytest.raises(ValidationError):
         ExplicitTable([0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Majority(2.5), lambda: Majority(True), lambda: Tribes(2, 1.5),
+    lambda: RecursiveMajority3(1.5), lambda: TableFunction(1.5, [0, 1]),
+    lambda: UniformBits(2.5), lambda: ExactTwise(5, True),
+    lambda: ExactTwise(5, 2, field_bits=3.5), lambda: EpsBiased(5.5, 0.1),
+    lambda: EpsBiased(5, 0.1, field_bits=True),
+], ids=["majority-float", "majority-bool", "tribes", "recursive-majority",
+        "table-function", "uniform", "exact-twise-t", "exact-twise-field",
+        "eps-biased", "eps-biased-field"])
+def test_constructors_refuse_non_integer_sizes(build):
+    # each was accepted, or failed with a bare TypeError, instead of refused
+    with pytest.raises(ValidationError, match="is not an integer"):
+        build()
+
+
+def test_constructors_take_integral_floats_and_numpy_integers():
+    # sizes are kept as ints, so descriptors are JSON integers
+    assert type(Majority(3.0).arity) is type(Majority(np.int64(3)).arity) is int
+    assert json.dumps(UniformBits(np.uint8(4)).descriptor()) == '{"kind": "uniform", "n_good": 4}'
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Distribution.uniform(2.5),
+    lambda: UniformBits(4).sample_batch(1, 0, -3, 4),
+    lambda: UniformBits(4).sample_batch(1, 0, 0, -3),
+    lambda: verify_twise(ExactTwise(8, 2), 8, 2.5),
+    lambda: build_good_code(True, 9, 4, seed=1),
+], ids=["uniform-width", "negative-counter", "negative-count", "twise-t", "code-m"])
+def test_bad_sizes_raise_validation_error(call):
+    # each raised a bare TypeError or OverflowError, or returned nothing
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_good_dist_descriptor_round_trip():
