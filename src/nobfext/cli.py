@@ -36,8 +36,7 @@ from .bitops import words_from_hex
 from .errors import (DEFAULT_WORK_CAP, NobfError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .prng import check_word, run_chunked
-from .schemas import (integer, parse_json, read_text, staged_outputs,
-                      validate_document)
+from .schemas import integer, parse_json, read_text, staged_outputs, validate_document
 
 if TYPE_CHECKING:  # the kernels load in the commands that run them
     from .bfext import BfextParams

@@ -53,7 +53,8 @@ def words(seed: int, stream, start: int, count: int) -> np.ndarray:
     s = check_word(seed, "seed")
     if s.ndim:
         raise ValidationError("seed must be one integer")
-    check_word([start, count], "counter start and count")
+    check_word(start, "counter start")
+    check_word(count, "count")
     with np.errstate(over="ignore"):
         h1 = _finalize_array(s + np.uint64(_PHI1))
         hs = _finalize_array(check_word(stream, "stream") + np.uint64(_PHI2))

@@ -35,6 +35,11 @@ def test_words_chunking_invariance():
         assert np.array_equal(np.concatenate([a, b]), whole)
 
 
+def test_words_take_counters_up_to_the_last_word():
+    top = words(9, 4, 2 ** 64 - 8, 8)
+    assert top.tolist() == [word64(9, 4, c) for c in range(2 ** 64 - 8, 2 ** 64)]
+
+
 def test_low_bits_range_and_uniformity():
     draws = low_bits(11, 0, 0, 1 << 14, 3)
     assert draws.max() <= 7
