@@ -31,12 +31,12 @@ import numpy as np
 from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
                      hex_chars, n_words, scatter_bits_vec)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
-from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
-                     WorkCapExceeded, parse_errors)
+from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
+                     ValidationError, WorkCapExceeded, parse_errors)
 from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
                         default_block_function, function_from_descriptor)
-from .sources import (DEFAULT_WORK_CAP, ENUM_SEED_BITS_CAP, Distribution,
-                      NobfSourceSpec, TableAdversary, mass)
+from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary,
+                      mass)
 from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
                     sd_of_tables)
 

@@ -33,11 +33,11 @@ import numpy as np
 
 from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_right,
                      words_from_ints)
-from .errors import DimensionError, ValidationError, WorkCapExceeded, parse_errors
+from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
+                     parse_errors)
 from .gf2 import BitVector
 from .schemas import integer
-from .sources import (DEFAULT_WORK_CAP, Distribution, GoodBitDistribution, UniformBits,
-                      mass)
+from .sources import Distribution, GoodBitDistribution, UniformBits, mass
 from .stats import Estimate, _count, binomial_estimate
 
 TABLE_ARITY_CAP = 20
