@@ -21,12 +21,15 @@ import pytest
 from nobfext.bfext import derive_params, explicit_params
 from nobfext.cli import canonical_json, main, write_document
 from nobfext.codes import preset_code
-from nobfext.resilient import Majority, TableFunction, Tribes
-from nobfext.sources import ExactTwise, MajorityOfGood, NobfSourceSpec, UniformBits
+from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
+from nobfext.sources import (EpsBiased, ExactTwise, MajorityOfGood, NobfSourceSpec,
+                             UniformBits)
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 N, BAD = 21, [1, 4, 10, 20]
+# the Monte-Carlo benchmark's shape: 2^13 field elements x, 9-bit blocks
+WIDE_N, WIDE_BAD = 63, [0, 3, 6, 30, 46, 50]
 PROBS = [0.25, 0.125, 0.125, 0.0, 0.0625, 0.1875, 0.125, 0.125]
 INPUTS = {
     "spec.json": NobfSourceSpec(N, BAD, UniformBits(N - len(BAD)),
@@ -85,6 +88,26 @@ INPUTS = {
                       "distribution": {"kind": "table", "probs": PROBS}},
     "vazirani.json": {"analysis": "vazirani",
                       "distribution": {"kind": "table", "probs": PROBS}},
+    "spec-eps.json": NobfSourceSpec(WIDE_N, WIDE_BAD, EpsBiased(57, 0.01),
+                                    MajorityOfGood()).to_descriptor(),
+    "params-rm.json": explicit_params(WIDE_N, 7, 9, preset_code("simplex-k3"),
+                                      RecursiveMajority3(2)).to_json(),
+    "params-tribes.json": explicit_params(WIDE_N, 7, 9, preset_code("simplex-k3"),
+                                          Tribes(3, 3)).to_json(),
+    # 10,000 draws are one piece at --workers 1 and two of 5,000 at 2: above
+    # and below the 2^13 elements x of the field
+    "cz-eps-mc.json": {"analysis": "compare-zeroed", "spec": "spec-eps.json",
+                       "params": "params-rm.json", "force_mc": True, "samples": 10000},
+    "fix-eps-mc.json": {"analysis": "fixedness", "spec": "spec-eps.json",
+                        "params": "params-rm.json", "force_mc": True, "samples": 10000},
+    "cz-eps-tribes.json": {"analysis": "compare-zeroed", "spec": "spec-eps.json",
+                           "params": "params-tribes.json", "force_mc": True,
+                           "samples": 10000},
+    # the exact walk over an eps-biased seed space of 2^18 (field of 2^9)
+    "spec-eps-small.json": NobfSourceSpec(N, BAD, EpsBiased(N - len(BAD), 0.05),
+                                          MajorityOfGood()).to_descriptor(),
+    "cz-eps-exact.json": {"analysis": "compare-zeroed", "spec": "spec-eps-small.json",
+                          "params": "params.json"},
 }
 COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("gen-source", "source.json", "source.out.json", ["stream.samples"]),
@@ -110,6 +133,10 @@ COMMANDS = [  # (subcommand, config, out, extra outputs)
     ("analyze", "inf-max-uniform.json", "inf-max-uniform.out.json", []),
     ("analyze", "spectrum.json", "spectrum.out.json", []),
     ("analyze", "vazirani.json", "vazirani.out.json", []),
+    ("analyze", "cz-eps-mc.json", "cz-eps-mc.out.json", []),
+    ("analyze", "fix-eps-mc.json", "fix-eps-mc.out.json", []),
+    ("analyze", "cz-eps-tribes.json", "cz-eps-tribes.out.json", []),
+    ("analyze", "cz-eps-exact.json", "cz-eps-exact.out.json", []),
 ]
 SAMPLES = 400
 
