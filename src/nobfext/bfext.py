@@ -22,7 +22,7 @@ table) keep `zeroed_pair_counts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
 
@@ -33,8 +33,9 @@ from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bit
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded, parse_errors)
-from .resilient import (ResilientFunction, _scan_evals, _undetermined_mask,
-                        default_block_function, function_from_descriptor)
+from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _scan_evals,
+                        _undetermined_mask, default_block_function,
+                        function_from_descriptor)
 from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary,
                       mass)
 from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
@@ -197,12 +198,17 @@ def derive_params(n: int, delta: float, t: int, beta: float = 1.0) -> BfextParam
 
 def _block_bits(x: np.ndarray, params: BfextParams, blocks) -> np.ndarray:
     """(N, n_words(ell)) words of (N, W) input words holding f of each
-    block in `blocks` at its index, every other bit zero."""
-    bl = params.block_len
+    block in `blocks` at its index, every other bit zero; read from f's
+    truth table when it has no more entries than the batch has inputs."""
+    bl, f = params.block_len, params.f
+    table = f._values if bl <= TABLE_ARITY_CAP and 1 << bl <= len(x) else None
     y = np.zeros((len(x), n_words(params.ell)), dtype=np.uint64)
-    for i in blocks:
-        bit = params.f.eval_batch(bit_field(x, i * bl, bl)).astype(np.uint64)
-        y[:, i // PACKED_WIDTH] |= bit << np.uint64(i % PACKED_WIDTH)
+    for i in blocks:  # one name, so that no block's arrays outlive the next read
+        values = bit_field(x, i * bl, bl)
+        values = (f.eval_batch(values).astype(np.uint64) if table is None
+                  else table.take(values[:, 0].view(np.intp)))
+        values <<= np.uint64(i % PACKED_WIDTH)
+        y[:, i // PACKED_WIDTH] |= values
     return y
 
 
@@ -378,8 +384,7 @@ class CompareZeroedReport:
     mismatch_rate: float | None = None
 
     def to_json(self) -> dict:
-        return {"sd": self.sd.to_json(), "exact": self.exact, "m": self.m,
-                "mismatch_rate": self.mismatch_rate}
+        return asdict(self)  # sd as Estimate.to_json gives it
 
 
 def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
@@ -481,7 +486,7 @@ def plane_pair_counts(spec: NobfSourceSpec, params: BfextParams, lo: int, count:
     for j, p in enumerate(spec.bad_positions):
         bits = (bads >> np.uint64(j)).astype(np.uint8) & np.uint8(1)
         xa[p] = np.packbits(bits, bitorder="little").view("<u8")
-    table, bl = params.f.truth_table().astype(np.intp), params.block_len
+    table, bl = params.f._values.astype(np.intp), params.block_len
     y0 = np.array([_shannon(table, x0[i * bl:(i + 1) * bl]) for i in range(params.r)])
     ya = y0.copy()
     for i in _bad_blocks(spec, params):

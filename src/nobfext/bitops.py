@@ -181,27 +181,31 @@ def _runs(positions: Sequence[int]) -> list[tuple[int, int, np.uint64]]:
     return runs
 
 
+def _move_runs(values: np.ndarray, positions: Sequence[int], gather: bool) -> np.ndarray:
+    """Bit j of each value to positions[j] (bit positions[j] to bit j when
+    gathering), one shift-and-mask per run into one scratch array; the
+    first run's array is the output."""
+    v, out, part = values.astype(np.uint64, copy=False), None, None
+    for j0, p0, mask in _runs(positions):
+        part = np.right_shift(v, np.uint64(p0 if gather else j0), out=part)
+        part &= mask
+        part <<= np.uint64(j0 if gather else p0)
+        if out is None:
+            out, part = part, None
+        else:
+            out |= part
+    return np.zeros(v.shape, dtype=np.uint64) if out is None else out
+
+
 def scatter_bits_vec(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """Deposit bit j of each value at positions[j]; one pass per run."""
-    out = np.zeros(values.shape, dtype=np.uint64)
-    v = values.astype(np.uint64, copy=False)
-    for j0, p0, mask in _runs(positions):
-        part = (v >> np.uint64(j0)) & mask
-        part <<= np.uint64(p0)
-        out |= part
-    return out
+    return _move_runs(values, positions, gather=False)
 
 
 def gather_bits_vec(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """Collect the bits at positions into compact values, positions[j] -> bit j;
     one pass per run."""
-    out = np.zeros(values.shape, dtype=np.uint64)
-    v = values.astype(np.uint64, copy=False)
-    for j0, p0, mask in _runs(positions):
-        part = (v >> np.uint64(p0)) & mask
-        part <<= np.uint64(j0)
-        out |= part
-    return out
+    return _move_runs(values, positions, gather=True)
 
 
 def xor_table(rows: np.ndarray) -> np.ndarray:
@@ -229,7 +233,8 @@ def apply_linear_map(tables: np.ndarray, values: np.ndarray) -> np.ndarray:
     raw = (v if v.ndim == 2 else v[:, None]).view(np.uint8)
     out = np.zeros((len(v), tables.shape[2]), dtype=np.uint64)
     idx = np.empty(len(v), dtype=np.intp)  # take is several times slower on uint8
+    rows = np.empty_like(out)
     for k, table in enumerate(tables):
         idx[:] = raw[:, k]
-        out ^= table.take(idx, axis=0)
+        out ^= table.take(idx, axis=0, out=rows, mode="clip")  # mode "raise" would buffer out
     return out

@@ -28,12 +28,13 @@ CHUNK = 1 << 18  # the most counters or seeds any kernel call is given at once
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    """SplitMix64's finalizer, in place on a fresh uint64 array or scalar."""
+    z, t = np.asarray(z), np.empty(np.shape(z), dtype=np.uint64)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -75,9 +76,9 @@ def low_bits(seed: int, stream: int, start: int, count: int, nbits: int) -> np.n
     if not 1 <= nbits <= 64:
         raise ValueError("nbits must be in 1..64")
     w = words(seed, stream, start, count)
-    if nbits == 64:
-        return w
-    return w & np.uint64((1 << nbits) - 1)
+    if nbits < 64:
+        w &= np.uint64((1 << nbits) - 1)
+    return w
 
 
 def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:

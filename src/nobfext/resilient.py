@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_r
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
 from .gf2 import BitVector
-from .schemas import integer
+from .schemas import check_count, integer
 from .sources import Distribution, GoodBitDistribution, UniformBits, mass
-from .stats import Estimate, _count, binomial_estimate
+from .stats import Estimate, binomial_estimate
 
 TABLE_ARITY_CAP = 20
 SCAN_BITS_CAP = 20  # coalition size of the 2^|Q| scan of a non-monotone f
@@ -66,6 +67,11 @@ class ResilientFunction:
                                   cap=1 << TABLE_ARITY_CAP,
                                   what="truth table size")
         return self.eval_batch(np.arange(1 << self.arity, dtype=np.uint64))
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """`truth_table()` as uint64, built once per instance."""
+        return self.truth_table().astype(np.uint64)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -191,7 +197,9 @@ class TableFunction(ResilientFunction):
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "TableFunction":
-        return cls(arity, np.full(1 << arity, value & 1, dtype=np.uint8))
+        arity = integer(arity)  # clamped below, so that __init__ refuses it, not the shift
+        return cls(arity, np.full(1 << min(max(arity, 0), TABLE_ARITY_CAP), value & 1,
+                                  dtype=np.uint8))
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         return self._table[self._words(xs)[:, 0].astype(np.int64)]
@@ -252,7 +260,7 @@ def _coalition(f: ResilientFunction, q_set,
                d_good: GoodBitDistribution) -> tuple[list[int], list[int]]:
     """The sorted coalition positions and the rest, checked against f's
     arity and, for a nonempty coalition, against the fixing width."""
-    qpos = sorted(set(_count(i, "coalition position") for i in q_set))
+    qpos = sorted(set(check_count(i, "coalition position") for i in q_set))
     if qpos and (qpos[0] < 0 or qpos[-1] >= f.arity):
         raise ValidationError("coalition positions outside 0..arity-1")
     rest = [i for i in range(f.arity) if i not in set(qpos)]
@@ -332,7 +340,7 @@ def influence_max_exact(f: ResilientFunction, q: int,
     monotone f leave Q undetermined on up[Q] - down[~Q] of them, where up
     and down sum f's truth table over supersets and subsets (Yates 1937).
     """
-    q = _count(q, "coalition size")
+    q = check_count(q, "coalition size")
     if not 0 <= q <= f.arity:
         raise ValidationError("coalition size outside 0..arity")
     if q == 0:

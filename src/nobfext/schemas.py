@@ -15,6 +15,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import reprlib
@@ -237,6 +238,16 @@ def integer(value) -> int:
     if not (_is_type(value, "integer") or isinstance(value, np.integer)):
         raise ValidationError(f"{reprlib.repr(value)} is not an integer")
     return int(value)
+
+
+def check_count(value, name: str) -> int:
+    """value as an int: numpy integers pass, bools and floats do not."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _equal(a, b) -> bool:

@@ -17,10 +17,10 @@ walk.
 
 The generator kernels work on whole words.  ExactTwise is a GF(2)-linear
 map of its seed, evaluated through byte tables (at most 8 lookups per
-seed); EpsBiased computes x^i once per distinct x in a batch and takes
-each bit as a parity; compose scatters the good and bad bits in runs of
-consecutive positions (see `bitops`).  No kernel builds a table that
-grows with the field size 2^e.
+seed); EpsBiased takes parities of x^i & y, or, for batches of at least
+2^e seeds, XORs column words of x from a table of the whole field, so no
+table outgrows its batch; compose scatters the good and bad bits in runs
+of consecutive positions.
 
 Exact oracles walk the good-bit support (`GoodBitDistribution.support`),
 so exactness is bounded by the seed space (at most 2^24 seeds) and the
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -51,7 +52,8 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_v
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
-from .schemas import integer, parse_json, read_text, staged_outputs, validate_document
+from .schemas import (check_count, integer, parse_json, read_text, staged_outputs,
+                      validate_document)
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
@@ -144,6 +146,13 @@ def gf2e_times(cols: np.ndarray, a: np.ndarray) -> np.ndarray:
 PROB_SUM_TOL = 1e-12
 
 
+def _table_width(m) -> int:
+    """m as the width of a table of 2^m entries: a nonnegative integer."""
+    if (m := integer(m)) < 0:
+        raise ValidationError(f"table width must be >= 0, got {m}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Exact probability table or seeded sample batch over m-bit strings.
@@ -168,7 +177,7 @@ class Distribution:
 
     @classmethod
     def exact(cls, m: int, probs) -> "Distribution":
-        table = np.asarray(probs, dtype=np.float64)
+        m, table = _table_width(m), np.asarray(probs, dtype=np.float64)
         if table.shape != (1 << m,):
             raise DimensionError(f"table of length {table.size} for width {m}")
         if np.any(table < 0):
@@ -199,14 +208,14 @@ class Distribution:
 
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
-        m = integer(m)
+        m = _table_width(m)
         if m > ENUM_N_CAP:  # refused before the table is allocated
             raise WorkCapExceeded("uniform table too wide", 2 ** m, 2 ** ENUM_N_CAP)
         return cls.exact(m, np.full(1 << m, 1.0 / (1 << m)))
 
     @classmethod
     def point_mass(cls, m: int, outcome: int) -> "Distribution":
-        table = np.zeros(1 << m)
+        table = np.zeros(1 << _table_width(m))
         table[outcome] = 1.0
         return cls.exact(m, table)
 
@@ -323,7 +332,7 @@ class GoodBitDistribution:
         else:
             if samples is None or seed is None:
                 raise ValidationError("exact enumeration infeasible; provide seed and samples")
-            if samples < 1:
+            if check_count(samples, "samples") < 1:
                 raise ValidationError("need at least one sample")
             parts, total = prng.run_chunked(
                 lambda start, count: kernel(self.sample_batch(seed, 0, start, count), None),
@@ -483,7 +492,7 @@ class ExactTwise(GoodBitDistribution):
 
 
 class EpsBiased(GoodBitDistribution):
-    """Small-bias bits via the powering construction.
+    """Small-bias bits via the powering construction (Alon et al. 1992).
 
     A seed supplies x, y in GF(2^e); bit i is the GF(2) inner product of
     the bit representations of x^i and y.  The parity over a nonempty
@@ -492,12 +501,14 @@ class EpsBiased(GoodBitDistribution):
     at most n_good-1 roots, so every linear test has bias at most
     (n_good - 1) / 2^e <= epsilon.
 
-    The kernel computes the powers x^i once per distinct x in a batch,
-    multiplying by x through its e columns x * X^c (e words per distinct
-    x, built in e passes), and then takes bit i as the parity of
-    x^i & y for every seed.  A batch of N seeds with U distinct x costs a
-    sort of N plus n_good * e passes over U values and n_good passes over
-    N; no table grows with the field, so every e up to 31 takes this path.
+    The kernel computes the powers x^i of each distinct x in a batch by
+    n_good multiplications by x through its e columns x * X^c (e words per
+    x), and takes bit i as the parity of x^i & y.  The outcome is also
+    linear in y, the XOR of the e column words of x (bit i of column c is
+    coefficient c of x^i) at the set bits of y: a batch of at least 2^e
+    seeds reads those from a table of the whole field, built once per
+    instance (e words per element, at most e per seed of the batch) and
+    shared by every chunk, and makes e passes over the batch.
     """
 
     kind = "eps-biased"
@@ -506,8 +517,9 @@ class EpsBiased(GoodBitDistribution):
         n_good = integer(n_good)
         if n_good < 1:
             raise ValidationError("need at least one good bit")
-        if not 0 < epsilon <= 1:
-            raise ValidationError("epsilon must be in (0, 1]")
+        if (isinstance(epsilon, (bool, np.bool_)) or not isinstance(epsilon, numbers.Real)
+                or not 0 < epsilon <= 1):
+            raise ValidationError(f"epsilon must be a number in (0, 1], got {epsilon!r}")
         if field_bits is None:
             e = 1
             while (n_good - 1) / (1 << e) > epsilon:
@@ -528,18 +540,47 @@ class EpsBiased(GoodBitDistribution):
         self.seed_bits = 2 * e
         self._poly = irreducible_poly(e)
 
-    def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        e = self.field_bits
-        s = seeds.astype(np.uint64, copy=False)
-        xs, which = np.unique(s & np.uint64((1 << e) - 1), return_inverse=True)
-        times_x = gf2e_times_columns(xs, e, self._poly)
-        y = s >> np.uint64(e)
-        out = np.zeros(s.shape, dtype=np.uint64)
-        xi = np.ones(xs.shape, dtype=np.uint64)
+    @cached_property
+    def _field_columns(self) -> np.ndarray:
+        """(e, 2^e) words: bit i of word c is coefficient c of x^i, for every
+        x; worker threads that race here build equal tables.  Each power's
+        coefficient bits also select the columns of x * X^c that multiply
+        it by x, all e at once, on uint32 field elements."""
+        xs = np.arange(1 << self.field_bits, dtype=np.uint64)
+        times_x = gf2e_times_columns(xs, self.field_bits, self._poly).astype(np.uint32)
+        shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
+        bits, wide = np.empty_like(times_x), np.empty(times_x.shape, dtype=np.uint64)
+        cols, xi = np.zeros_like(wide), np.ones(len(xs), dtype=np.uint32)
         for i in range(self.n_good):
-            bit = np.bitwise_count(xi[which] & y).astype(np.uint64) & np.uint64(1)
-            out |= bit << np.uint64(i)
-            xi = gf2e_times(times_x, xi)
+            np.right_shift(xi, shifts, out=bits)
+            bits &= np.uint32(1)  # row c: coefficient c of x^i
+            cols |= np.left_shift(bits, np.uint64(i), out=wide, casting="unsafe")
+            np.negative(bits, out=bits)
+            bits &= times_x
+            xi = np.bitwise_xor.reduce(bits, axis=0)  # x^(i+1)
+        return cols
+
+    def outcomes_for_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        e, one = self.field_bits, np.uint64(1)
+        s = seeds.astype(np.uint64, copy=False)
+        x, y = s & np.uint64((1 << e) - 1), s >> np.uint64(e)
+        out = np.zeros(s.shape, dtype=np.uint64)
+        if 1 << e > len(s):  # bit i is the parity of x^i & y, per distinct x
+            xs, which = np.unique(x, return_inverse=True)
+            times_x = gf2e_times_columns(xs, e, self._poly)
+            xi = np.ones(xs.shape, dtype=np.uint64)
+            for i in range(self.n_good):
+                bit = np.bitwise_count(xi[which] & y).astype(np.uint64) & one
+                out |= bit << np.uint64(i)
+                xi = gf2e_times(times_x, xi)
+            return out
+        x, bit, picked = x.view(np.intp), np.empty_like(y), np.empty_like(y)
+        for col in self._field_columns:  # the columns at the set bits of y
+            np.bitwise_and(y, one, out=bit)
+            np.negative(bit, out=bit)
+            bit &= col.take(x, out=picked, mode="clip")  # mode "raise" would buffer out
+            out ^= bit
+            y >>= one
         return out
 
     def descriptor(self) -> dict:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError, WorkCapExceeded
+from .schemas import check_count
 from .sources import Distribution
 
 SPECTRUM_M_CAP = 20
@@ -69,14 +69,7 @@ class Estimate:
         return self.lo <= x <= self.hi
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "lo": self.lo,
-            "hi": self.hi,
-            "samples": self.samples,
-            "confidence": self.confidence,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 # Stirling series of lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)): the
@@ -195,23 +188,13 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool = False) -> float:
     return x if lo < x < hi else 0.5 * (lo + hi)
 
 
-def _count(value, name: str) -> int:
-    """value as an int: numpy integers pass, bools and floats do not."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Two-sided Clopper-Pearson interval for k successes in n trials: the
     alpha/2 quantile of Beta(k, n-k+1) and the 1-alpha/2 quantile of
     Beta(k+1, n-k), with alpha = 1 - confidence, each rounded outward by
     the relative margin `CP_MARGIN`.  The ends at k = 0 and k = n are 0.0
     and 1.0 exactly.  The result depends on (k, n, confidence) alone."""
-    k, n = _count(k, "k"), _count(n, "n")
+    k, n = check_count(k, "k"), check_count(n, "n")
     if (isinstance(confidence, (bool, np.bool_))
             or not isinstance(confidence, numbers.Real)
             or not 0.0 < confidence < 1.0):

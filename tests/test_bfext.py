@@ -15,7 +15,7 @@ from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
 from nobfext.bfext import (PLANE_ARITY_CAP, BfextParams, CompareZeroedReport,
-                           _default_code_builder, _derived_m, _floor_pow, _on_planes,
+                           _block_bits, _default_code_builder, _derived_m, _floor_pow, _on_planes,
                            compare_zeroed, derive_params, explicit_params, extract_batch,
                            fixedness_probability, output_distribution,
                            plane_pair_counts, trace_batch, worst_case_adversary,
@@ -467,6 +467,26 @@ def test_sampled_oracles_do_not_depend_on_workers():
             for w in (1, 2, 3, 7)]
     assert not runs[0][0].is_exact and not runs[0][1].exact
     assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("f", [
+    Majority(5), Tribes(2, 3), RecursiveMajority3(2),
+    TableFunction(4, [0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1]),
+], ids=["majority", "tribes", "recursive-majority", "table-function"])
+def test_block_values_from_the_truth_table_equal_eval_batch(f):
+    # a batch of at least 2^arity inputs reads f's kept truth table; pieces
+    # of fewer inputs evaluate every block
+    ell = 5
+    params = explicit_params(f.arity * ell + 3, ell, f.arity,
+                             preset_code(f"identity-{ell}"), f)
+    n_inputs = 3 << f.arity
+    xs = words_from_ints(random.Random(f.arity).choices(range(1 << params.n), k=n_inputs),
+                         params.n)
+    piece = (1 << f.arity) - 1
+    evaluated = np.concatenate([_block_bits(xs[lo:lo + piece], params, range(ell))
+                                for lo in range(0, n_inputs, piece)])
+    assert np.array_equal(_block_bits(xs, params, range(ell)), evaluated)
+    assert np.array_equal(f._values, f.eval_batch(np.arange(1 << f.arity, dtype=np.uint64)))
 
 
 @pytest.mark.parametrize("oracle", ["fixedness", "compare-zeroed", "influence"])

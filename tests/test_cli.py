@@ -30,8 +30,8 @@ from nobfext.prng import CHUNK, chunk_ranges
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                default_block_function)
 from nobfext.schemas import SCHEMAS_BY_FORMAT, _failure, validate_document
-from nobfext.sources import (NobfSourceSpec, ParityOfGood, UniformBits,
-                             read_sample_batch)
+from nobfext.sources import (EpsBiased, MajorityOfGood, NobfSourceSpec, ParityOfGood,
+                             UniformBits, read_sample_batch)
 
 
 def _write(path, obj):
@@ -575,6 +575,26 @@ def test_analyze_automatic_mc_fallback_worker_independent(tmp_path):
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
         assert json.loads(blobs[0])["result"]["exact"] is False
+
+
+def test_eps_biased_compare_is_byte_identical_over_workers(tmp_path):
+    # 20,000 draws of a 2^13-element field: one piece reads the whole
+    # field's columns, four pieces of 5,000 build those of their own x
+    spath = _spec_file(tmp_path, NobfSourceSpec(63, [0, 3, 6, 30, 46, 50],
+                                                EpsBiased(57, 0.01), MajorityOfGood()))
+    ppath, _ = _params_file(tmp_path, explicit_params(
+        63, 7, 9, preset_code("simplex-k3"), RecursiveMajority3(2)))
+    acfg = _write(tmp_path / "compare.json",
+                  {"analysis": "compare-zeroed", "spec": spath, "params": ppath,
+                   "force_mc": True, "samples": 20000})
+    blobs = []
+    for workers in ["1", "2", "4"]:
+        out = tmp_path / f"compare-{workers}.json"
+        assert _run("analyze", "--config", acfg, "--out", str(out),
+                    "--seed", "3", "--workers", workers) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert json.loads(blobs[0])["result"]["exact"] is False
 
 
 def test_analyze_sampled_analyses_exact_when_nothing_can_vary(tmp_path):

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (adversary_bad_bits, gather_bits, generator_outcome, gf2e_mul,
-                     scatter_bits)
+from oracles import (adversary_bad_bits, eps_biased_outcome, gather_bits,
+                     generator_outcome, gf2e_mul, scatter_bits)
 
 from nobfext import prng
 from nobfext.bitops import gather_bits_vec, scatter_bits_vec
 from nobfext.codes import build_good_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.gf2 import BitVector
-from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
+from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
+                               influence_mc)
 from nobfext.sources import (ConstantAdversary, Distribution,
                              EpsBiased, ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
@@ -288,6 +289,20 @@ def test_benchmark_generators_match_oracle_on_4096_draws(gen):
     assert [int(d) for d in draws] == [generator_outcome(gen, int(s)) for s in seeds]
 
 
+@pytest.mark.parametrize("counts", [[100], [10_000], [100, 10_000, 100]],
+                         ids=["below-field", "whole-field", "one-instance-small-large"])
+def test_eps_biased_batches_on_both_sides_of_the_whole_field_rule(counts):
+    # 2^13 field elements: 100 draws build the columns of their distinct x,
+    # 10,000 read the whole field's, which the instance keeps once built
+    gen = EpsBiased(57, 0.01)
+    assert gen.field_bits == 13
+    for start, count in zip([0, 100, 20_000], counts):
+        seeds = prng.low_bits(5, 0, start, count, gen.seed_bits)
+        draws = gen.outcomes_for_seeds(seeds)
+        assert [int(d) for d in draws] == [eps_biased_outcome(gen, int(s)) for s in seeds]
+    assert ("_field_columns" in vars(gen)) == (max(counts) >= 1 << 13)
+
+
 @pytest.mark.parametrize("gen", [EpsBiased(40, 1e-6, field_bits=31),
                                  ExactTwise(64, 2, field_bits=31)],
                          ids=["eps-biased-e31", "exact-twise-e31"])
@@ -372,15 +387,40 @@ def test_constructors_take_integral_floats_and_numpy_integers():
 
 @pytest.mark.parametrize("call", [
     lambda: Distribution.uniform(2.5),
+    lambda: Distribution.uniform(-1),
+    lambda: Distribution.exact(-1, [1.0]),
+    lambda: Distribution.point_mass(-1, 0),
+    lambda: TableFunction.constant(2.5, 1),
+    lambda: TableFunction.constant(-1, 1),
+    lambda: EpsBiased(57, True),
+    lambda: EpsBiased(57, "0.5"),
+    lambda: EpsBiased(57, float("nan")),
     lambda: UniformBits(4).sample_batch(1, 0, -3, 4),
     lambda: UniformBits(4).sample_batch(1, 0, 0, -3),
     lambda: verify_twise(ExactTwise(8, 2), 8, 2.5),
     lambda: build_good_code(True, 9, 4, seed=1),
-], ids=["uniform-width", "negative-counter", "negative-count", "twise-t", "code-m"])
+], ids=["uniform-width", "uniform-negative", "exact-negative", "point-mass-negative",
+        "constant-arity", "constant-negative", "epsilon-bool", "epsilon-str", "epsilon-nan",
+        "negative-counter", "negative-count", "twise-t", "code-m"])
 def test_bad_sizes_raise_validation_error(call):
-    # each raised a bare TypeError or OverflowError, or returned nothing
+    # each raised a bare ValueError, TypeError or OverflowError, was accepted
+    # (epsilon True as 1.0), or returned nothing
     with pytest.raises(ValidationError):
         call()
+
+
+def test_epsilon_takes_numpy_floats():
+    assert EpsBiased(57, np.float64(0.01)).field_bits == EpsBiased(57, 0.01).field_bits
+    assert EpsBiased(5, np.float32(0.5)).epsilon == 0.5
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, "3"])
+def test_sampled_walk_refuses_a_sample_count_that_is_not_an_integer(samples):
+    # 2.5 used to reach the chunk plan and fail on its float counters
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        UniformBits(2).walk(lambda goods, weights: 0, False, seed=1, samples=samples)
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        influence_mc(Majority(3), [0], UniformBits(2), samples, 1)
 
 
 def test_good_dist_descriptor_round_trip():
