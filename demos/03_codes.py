@@ -20,7 +20,7 @@ def coords(value: int, width: int) -> str:
 def codeword(code, v: int) -> int:
     """vG: the XOR of the rows of G that the message v selects."""
     cw = 0
-    for i, row in enumerate(code.g.rows):
+    for i, row in enumerate(code.rows):
         if v >> i & 1:
             cw ^= row
     return cw
@@ -51,7 +51,7 @@ print(f"\nmessage {coords(msg, c.m)} -> codeword {coords(cw, c.r)} "
 y = 0b0001011  # coordinates 0, 1 and 3
 z = int(compress_batch(c, np.array([y], dtype=np.uint64))[0])
 print(f"block bits {coords(y, c.r)} -> output {coords(z, c.m)}")
-for i, row in enumerate(c.g.rows):
+for i, row in enumerate(c.rows):
     print(f"  z_{i} = <row {i} of G, y> = {(row & y).bit_count() & 1}")
 
 ###############################################################################
@@ -62,10 +62,10 @@ found = build_good_code(m=3, r=9, target_d=4, seed=5)
 print(f"\nsearch m=3 r=9 d>=4: found d={found.verified_d} "
       f"at attempt {found.construction['attempt']} "
       f"(seed {found.construction['seed']})")
-print("  rows:", [format(r, '09b')[::-1] for r in found.g.rows])
+print("  rows:", [format(r, '09b')[::-1] for r in found.rows])
 
 again = build_good_code(m=3, r=9, target_d=4, seed=5)
-print(f"  deterministic: same matrix on rerun? {again.g.rows == found.g.rows}")
+print(f"  deterministic: same matrix on rerun? {again.rows == found.rows}")
 
 ###############################################################################
 # An honest failure: [7,4] with distance 4 violates the Griesmer bound

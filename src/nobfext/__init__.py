@@ -16,7 +16,6 @@ import importlib
 _HOMES = {
     "errors": "DimensionError NobfError SearchBudgetExceeded ValidationError "
               "WorkCapExceeded",
-    "gf2": "BitMatrix BitVector gf2_rank",
     "sources": "ConstantAdversary Distribution EpsBiased ExactTwise ExplicitTable "
                "MajorityOfGood NobfSourceSpec ParityOfGood TableAdversary UniformBits "
                "enumerate_nobf irreducible_poly read_sample_batch sample_nobf_batch "

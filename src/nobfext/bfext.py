@@ -36,6 +36,7 @@ from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
 from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _scan_evals,
                         _undetermined_mask, default_block_function,
                         function_from_descriptor)
+from .schemas import integer
 from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary,
                       mass)
 from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
@@ -139,8 +140,8 @@ class BfextParams:
     def from_json(cls, obj: dict) -> "BfextParams":
         if obj.get("format") != "bfext-params":
             raise ValidationError("not a bfext-params object")
-        return cls(n=int(obj["n"]), ell=int(obj["ell"]),
-                   block_len=int(obj["block_len"]),
+        return cls(n=integer(obj["n"]), ell=integer(obj["ell"]),
+                   block_len=integer(obj["block_len"]),
                    code=LinearCode.from_json(obj["code"]),
                    f=function_from_descriptor(obj["f"]),
                    mode=obj.get("mode", "explicit"),
@@ -491,7 +492,7 @@ def plane_pair_counts(spec: NobfSourceSpec, params: BfextParams, lo: int, count:
     ya = y0.copy()
     for i in _bad_blocks(spec, params):
         ya[i] = _shannon(table, xa[i * bl:(i + 1) * bl])
-    used = [[i for i in range(params.r) if row >> i & 1] for row in params.code.g.rows]
+    used = [[i for i in range(params.r) if row >> i & 1] for row in params.code.rows]
     za, zb = (np.array([np.bitwise_xor.reduce(y[k]) for k in used]) for y in (ya, y0))
     valid = np.full(w, ~np.uint64(0))
     valid[-1] >>= np.uint64(-count % 64)
@@ -552,14 +553,14 @@ class WorstAdversaryReport:
 
 
 def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
-                         sweeps: int = DEFAULT_SWEEPS,
                          cap: int = DEFAULT_WORK_CAP) -> WorstAdversaryReport:
     """Search for the bad-bit strategy maximizing SD(Z, Z').
 
     Exhaustive over all strategy tables when the table is at most
     EXHAUSTIVE_TABLE_BITS bits and the good-bit count is at most 4;
     otherwise deterministic coordinate ascent over table entries
-    (steepest single-entry improvement, swept in order).  The returned
+    (steepest single-entry improvement, swept in order, at most
+    DEFAULT_SWEEPS sweeps).  The returned
     adversary is labeled brute-force-worst with the search method in its
     provenance.  The incoming spec's own adversary is ignored.
     """
@@ -615,8 +616,7 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                               what="adversary ascent sweep")
     entries = [0] * gcount
     diff = np.zeros_like(target)  # running P_T - P', updated entry by entry
-    swept = 0
-    for swept in range(1, sweeps + 1):
+    for swept in range(1, DEFAULT_SWEEPS + 1):
         changed = False
         for g in range(gcount):
             w = float(weights[g])

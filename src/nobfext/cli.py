@@ -241,10 +241,7 @@ def _analysis_bias(config: dict, seed: int, samples: int | None,
     dist = _distribution_from_config(_cfg(config, "distribution",
                                           default={"kind": "uniform"}),
                                      default_m=f.arity)
-    b = bias_under(f, dist)
-    if isinstance(b, float):
-        return {"bias": b, "exact": True}
-    return {"bias": b.to_json(), "exact": False}
+    return {"bias": bias_under(f, dist), "exact": True}
 
 
 def _analysis_influence(config: dict, seed: int, samples: int | None,

@@ -1,14 +1,18 @@
 """Binary linear [r, m, d] codes with verified minimum distance.
 
-The extractor compresses an r-bit vector y to Gy by `compress_batch`, the
-`bitops` linear map of G's columns, for any r and m; the codewords vG are
-the XORs of G's rows.  Distance is established only by exhaustive
-enumeration of `bitops.xor_table`s, also for the distance a loaded
-document claims; `verified_d = 0` means unverified and such codes are
-rejected downstream.  The code search keeps only exhaustively verified
-codes; it rejects most attempts before any scan, by a codeword of weight
-at most the best distance so far among a few XORs of the attempt's echelon
-rows, which is a proof that the attempt's distance is no better.
+A code holds its m generator rows as r-bit ints (coordinate j is bit j,
+the bit order of `nobfext.bitops`), and the kernels read them in the
+`bitops` word layout.  The extractor compresses an r-bit vector y to Gy
+by `compress_batch`, the `bitops` linear map of G's columns, for any r
+and m; the codewords vG are the XORs of G's rows.  Distance is
+established only by exhaustive enumeration of `bitops.xor_table`s, also
+for the distance a loaded document claims; `verified_d = 0` means
+unverified and such codes are rejected downstream.  The code search keeps
+only exhaustively verified codes; it rejects most attempts before any
+scan, by a codeword of weight at most the best distance so far among a
+few XORs of the attempt's echelon rows (`echelon_batch`, which also
+checks every code's rank), which is a proof that the attempt's distance
+is no better.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ import numpy as np
 
 from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, as_words, bit_field,
-                     ints_from_words, linear_map_tables, n_words, popcount,
-                     words_from_ints, xor_table)
+                     hex_from_words, ints_from_words, linear_map_tables, n_words,
+                     popcount, words_from_hex, words_from_ints, xor_table)
 from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
-from .gf2 import BitMatrix, echelon_batch, gf2_rank
 from .schemas import integer
 
 DISTANCE_M_CAP = 24
@@ -35,23 +38,52 @@ DEFAULT_ATTEMPTS = 4096
 WITNESS_ROWS = 3  # echelon rows XORed, at most, into a search attempt's witnesses
 
 
+def echelon_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(echelon, ranks) of a stack of (A, m, W) word matrices over GF(2).
+
+    Row i is XORed with each earlier echelon row whose pivot bit it has
+    (all tested at once: an echelon row is zero at the other pivots); if
+    nonzero, its lowest set bit becomes its pivot and is cleared from the
+    earlier rows.  Row i of `echelon` is that row, zero when it depends on
+    rows 0..i-1; the nonzero rows are the reduced echelon form."""
+    e = np.array(rows, dtype=np.uint64)
+    pivots = np.zeros_like(e)  # each row's pivot bit in its word, zero for a zero row
+    first = np.arange(len(e))
+    for i in range(e.shape[1]):
+        row = e[:, i]
+        has = (pivots[:, :i] & row[:, None]).any(axis=2)
+        row ^= np.bitwise_xor.reduce(np.where(has[:, :, None], e[:, :i], np.uint64(0)),
+                                     axis=1)
+        at = (first, (row != 0).argmax(axis=1))
+        pivot = pivots[:, i]
+        pivot[at] = row[at] & (~row[at] + np.uint64(1))
+        has = (e[:, :i] & pivot[:, None]).any(axis=2)
+        e[:, :i] ^= np.where(has[:, :, None], row[:, None], np.uint64(0))
+    return e, np.count_nonzero(pivots.any(axis=2), axis=1)
+
+
 @dataclass
 class LinearCode:
-    m: int
     r: int
-    g: BitMatrix
+    rows: tuple[int, ...]
     verified_d: int = 0
     construction: dict = field(default_factory=lambda: {"kind": "explicit"})
 
     def __post_init__(self):
-        if self.m < 1 or self.r < 1:
+        self.r, self.rows = integer(self.r), tuple(map(integer, self.rows))
+        if not self.rows or self.r < 1:
             raise ValidationError("need m >= 1 and r >= 1")
-        if self.g.nrows != self.m or self.g.cols != self.r:
-            raise DimensionError("generator matrix shape does not match (m, r)")
-        if gf2_rank(self.g) != self.m:
+        for i, row in enumerate(self.rows):
+            if row < 0 or row >> self.r:
+                raise DimensionError(f"row {i} has bits set beyond r = {self.r}")
+        if echelon_batch(words_from_ints(self.rows, self.r)[None])[1][0] != self.m:
             raise ValidationError("generator matrix must have full row rank")
         if not 0 <= self.verified_d <= self.r:
             raise ValidationError("verified_d outside 0..r")
+
+    @property
+    def m(self) -> int:
+        return len(self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -59,7 +91,7 @@ class LinearCode:
             "version": 1,
             "m": self.m,
             "r": self.r,
-            "rows": self.g.to_hex_rows(),
+            "rows": hex_from_words(words_from_ints(self.rows, self.r), self.r),
             "verified_d": self.verified_d,
             "construction": dict(self.construction),
         }
@@ -69,11 +101,13 @@ class LinearCode:
     def from_json(cls, obj: dict) -> "LinearCode":
         if obj.get("format") != "linear-code":
             raise ValidationError("not a linear-code object")
-        g = BitMatrix.from_hex_rows(int(obj["r"]), obj["rows"])
-        code = cls(m=int(obj["m"]), r=int(obj["r"]), g=g,
-                   construction=dict(obj.get("construction", {"kind": "explicit"})))
+        r = integer(obj["r"])
+        rows = ints_from_words(words_from_hex(obj["rows"], r))
+        if integer(obj["m"]) != len(rows):
+            raise DimensionError("generator matrix shape does not match (m, r)")
+        code = cls(r, rows, construction=dict(obj.get("construction", {"kind": "explicit"})))
         # a claimed distance is re-derived, never trusted; 0 claims none
-        claimed = int(obj.get("verified_d", 0))
+        claimed = integer(obj.get("verified_d", 0))
         if claimed and min_distance_exact(code) != claimed:
             raise ValidationError(
                 f"code claims verified_d = {claimed}, but its minimum distance "
@@ -89,7 +123,8 @@ def compress_batch(code: LinearCode, ys) -> np.ndarray:
     one `apply_linear_map` whose input bit j maps to column j of G.
     z has the layout of ys: 1-D for 1-D input, else (N, n_words(m))."""
     y = as_words(ys, code.r, "packed code length")
-    columns = words_from_ints(code.g.transpose().rows, code.m)
+    columns = words_from_ints([sum((row >> j & 1) << i for i, row in enumerate(code.rows))
+                               for j in range(code.r)], code.m)
     z = apply_linear_map(linear_map_tables(columns), y)
     return z if np.ndim(ys) == 2 else z[:, 0]
 
@@ -121,7 +156,7 @@ def min_distance_exact(code: LinearCode) -> int:
     if code.m > DISTANCE_M_CAP:
         raise WorkCapExceeded(required=1 << code.m, cap=1 << DISTANCE_M_CAP,
                               what="codeword enumeration")
-    code.verified_d = _min_weight(words_from_ints(code.g.rows, code.r))
+    code.verified_d = _min_weight(words_from_ints(code.rows, code.r))
     return code.verified_d
 
 
@@ -158,7 +193,7 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
     dropped unscanned (the information-set step of the Brouwer-Zimmermann
     method).  Only the rest get the exhaustive `_min_weight` scan, which
     stops as soon as it goes <= b; a kept code's verified_d is therefore
-    always its exact distance.  Draws, echelon forms (`gf2.echelon_batch`)
+    always its exact distance.  Draws, echelon forms (`echelon_batch`)
     and witness weights come a block of attempts at a time: one attempt,
     then twice as many per block up to `prng.CHUNK` witness words, so an
     early success does little extra work.  Decisions and scans run attempt
@@ -193,8 +228,7 @@ def build_good_code(m: int, r: int, target_d: int, seed: int,
             d = _min_weight(rows[k], stop_at=b)
             if d <= b:
                 continue
-            g = BitMatrix(cols=r, rows=tuple(ints_from_words(rows[k])))
-            best = LinearCode(m=m, r=r, g=g, verified_d=d,
+            best = LinearCode(r, ints_from_words(rows[k]), verified_d=d,
                               construction={"kind": "random-search", "seed": seed,
                                             "target_d": target_d,
                                             "attempt": first + int(k)})
@@ -226,32 +260,24 @@ def preset_code(name: str) -> LinearCode:
     m = _PRESET_RE["identity"].match(name)
     if m:
         k = int(m.group(1))
-        code = LinearCode(m=k, r=k, g=BitMatrix.identity(k),
-                          construction={"kind": "preset", "name": name})
-        expect = 1
+        r, rows, expect = k, tuple(1 << i for i in range(k)), 1
     elif _PRESET_RE["repetition"].match(name):
         r = int(_PRESET_RE["repetition"].match(name).group(1))
-        code = LinearCode(m=1, r=r, g=BitMatrix(cols=r, rows=((1 << r) - 1,)),
-                          construction={"kind": "preset", "name": name})
-        expect = r
+        rows, expect = ((1 << r) - 1,), r
     elif name == "hamming-7-4":
         # bit j of a row is coordinate j: rows 1000011, 0100101, 0010110, 0001111
-        g = BitMatrix(cols=7, rows=(0b1100001, 0b1010010, 0b0110100, 0b1111000))
-        code = LinearCode(m=4, r=7, g=g,
-                          construction={"kind": "preset", "name": name})
-        expect = 3
+        r, rows, expect = 7, (0b1100001, 0b1010010, 0b0110100, 0b1111000), 3
     elif _PRESET_RE["simplex"].match(name):
         k = int(_PRESET_RE["simplex"].match(name).group(1))
         if k < 1:
             raise ValidationError("simplex needs k >= 1")
         r = (1 << k) - 1
-        # the columns of G are the 2^k - 1 nonzero k-bit vectors
-        g = BitMatrix(cols=k, rows=tuple(range(1, r + 1))).transpose()
-        code = LinearCode(m=k, r=r, g=g,
-                          construction={"kind": "preset", "name": name})
+        # the columns of G are the 2^k - 1 nonzero k-bit vectors: column c - 1 is c
+        rows = tuple(sum((c >> i & 1) << (c - 1) for c in range(1, r + 1)) for i in range(k))
         expect = 1 << (k - 1)
     else:
         raise ValidationError(f"unknown preset code {name!r}")
+    code = LinearCode(r, rows, construction={"kind": "preset", "name": name})
     d = min_distance_exact(code)
     if d != expect:
         raise ValidationError(

@@ -5,7 +5,8 @@ both output values stay attainable by varying the Q-coordinates; the
 influence of Q is the probability of that event over a random fixing.
 Majority, tribes, and recursive majority are provided as concrete
 functions whose bias and influence are classical and small enough to
-enumerate; an explicit-table function lets anything else plug in.
+enumerate; an explicit-table function lets anything else plug in, its
+truth table written as one 2^arity-bit value in the `bitops` hex codec.
 
 Each function has one evaluator, `eval_batch`, on packed inputs of any
 arity in the word layout of `nobfext.bitops` ((N, W) uint64 words, or a
@@ -32,11 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitops import (as_words, check_packed, popcount, scatter_bits_vec, shift_right,
-                     words_from_ints)
+from .bitops import (as_words, check_packed, hex_from_words, popcount, scatter_bits_vec,
+                     shift_right, words_from_hex, words_from_ints)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
-from .gf2 import BitVector
 from .schemas import check_count, integer
 from .sources import Distribution, GoodBitDistribution, UniformBits, mass
 from .stats import Estimate, binomial_estimate
@@ -191,9 +191,9 @@ class TableFunction(ResilientFunction):
 
     @classmethod
     def from_values_hex(cls, arity: int, s: str) -> "TableFunction":
-        v = BitVector.from_hex(1 << integer(arity), s)
-        raw = np.frombuffer(v.bits.to_bytes(-(-v.n // 8), "little"), dtype=np.uint8)
-        return cls(arity, np.unpackbits(raw, count=v.n, bitorder="little"))
+        n = 1 << integer(arity)
+        raw = words_from_hex([s], n).astype("<u8").view(np.uint8)
+        return cls(arity, np.unpackbits(raw, count=n, bitorder="little"))
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "TableFunction":
@@ -208,10 +208,10 @@ class TableFunction(ResilientFunction):
         return self._table.copy()
 
     def descriptor(self) -> dict:
+        n = 1 << self.arity
         packed = np.packbits(self._table, bitorder="little").tobytes()
-        return {"kind": self.kind, "arity": self.arity,
-                "table_hex": BitVector(1 << self.arity,
-                                       int.from_bytes(packed, "little")).to_hex()}
+        return {"kind": self.kind, "arity": self.arity, "table_hex": hex_from_words(
+            words_from_ints([int.from_bytes(packed, "little")], n), n)[0]}
 
 
 @parse_errors("block function")

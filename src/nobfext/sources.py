@@ -216,6 +216,9 @@ class Distribution:
     @classmethod
     def point_mass(cls, m: int, outcome: int) -> "Distribution":
         table = np.zeros(1 << _table_width(m))
+        outcome = integer(outcome)
+        if not 0 <= outcome < table.size:
+            raise ValidationError(f"outcome {outcome} outside 0..{table.size - 1}")
         table[outcome] = 1.0
         return cls.exact(m, table)
 
@@ -835,7 +838,7 @@ class NobfSourceSpec:
                  t: int | None = None, gamma: float = 0.0):
         if n < 1:
             raise ValidationError(f"a source needs n >= 1 bits, got n={n}")
-        bad = tuple(sorted(set(int(p) for p in bad_positions)))
+        bad = tuple(sorted(set(map(integer, bad_positions))))
         if bad and (bad[0] < 0 or bad[-1] >= n):
             raise ValidationError(f"bad positions outside 0..{n - 1}: {bad}")
         q = len(bad)

@@ -11,7 +11,7 @@ mpmath at 60 digits, where `nobfext.bfext` uses the stdlib `decimal`.
 `bfext._default_code_builder` searches once in all.  `word64` is one
 counter-addressed word mixed with Python integers, where `prng.words`
 mixes arrays.  `gf2_echelon` reduces one int row at a time, where
-`gf2.echelon_batch` reduces a stack of word matrices at once.
+`codes.echelon_batch` reduces a stack of word matrices at once.
 `reference_search` is the code search drawing each row from `word64`,
 checking rank with `gf2_echelon` and scanning every full-rank attempt in
 full, attempt by attempt, where `build_good_code` draws and reduces blocks
@@ -55,7 +55,6 @@ from nobfext.cli import canonical_json
 from nobfext.errors import ValidationError
 from nobfext.codes import LinearCode, _min_weight, build_good_code
 from nobfext.errors import SearchBudgetExceeded
-from nobfext.gf2 import BitMatrix
 from nobfext.resilient import Majority, RecursiveMajority3, TableFunction, Tribes
 from nobfext.sources import (ConstantAdversary, EpsBiased, ExactTwise,
                              ExplicitTable, MajorityOfGood, ParityOfGood,
@@ -226,13 +225,12 @@ def reference_search(m: int, r: int, target_d: int, seed: int, attempts: int):
     best = None
     w = -(-r // 64)  # words per row
     for attempt in range(attempts):
-        g = BitMatrix(cols=r, rows=tuple(
-            sum(word64(seed, attempt, i * w + j) << (64 * j) for j in range(w)) & ((1 << r) - 1)
-            for i in range(m)))
-        if len(gf2_echelon(g.rows)) != m:
+        rows = [sum(word64(seed, attempt, i * w + j) << (64 * j) for j in range(w))
+                & ((1 << r) - 1) for i in range(m)]
+        if len(gf2_echelon(rows)) != m:
             continue
-        d = _min_weight(words_from_ints(g.rows, r))
-        code = LinearCode(m=m, r=r, g=g, verified_d=d,
+        d = _min_weight(words_from_ints(rows, r))
+        code = LinearCode(r, rows, verified_d=d,
                           construction={"kind": "random-search", "seed": seed,
                                         "target_d": target_d, "attempt": attempt})
         if d >= target_d:
@@ -275,9 +273,9 @@ def influence_max_brute(f, q: int) -> tuple[float, tuple[int, ...]]:
     return best, witness
 
 
-def matvec(g: BitMatrix, y: int) -> int:
+def matvec(code, y: int) -> int:
     """G y over GF(2): output bit i is the parity of row i AND y."""
-    return sum(((row & y).bit_count() & 1) << i for i, row in enumerate(g.rows))
+    return sum(((row & y).bit_count() & 1) << i for i, row in enumerate(code.rows))
 
 
 def extract_trace(x: int, params) -> dict:
@@ -289,7 +287,7 @@ def extract_trace(x: int, params) -> dict:
     return {"format": "extraction-trace", "version": 1, "block_len": bl,
             "ell": ell, "r": r, "m": m,
             "blocks": [_hex(b, bl) for b in blocks], "y": _hex(y, ell),
-            "y_used": _hex(y_used, r), "z": _hex(matvec(params.code.g, y_used), m)}
+            "y_used": _hex(y_used, r), "z": _hex(matvec(params.code, y_used), m)}
 
 
 def _hex(value: int, width: int) -> str:
@@ -327,7 +325,7 @@ def gray_min_distance(code) -> int:
     """Minimum nonzero-codeword weight; one row XOR per Gray-code step."""
     cw, best = 0, None
     for i in range(1, 1 << code.m):
-        cw ^= code.g.rows[(i & -i).bit_length() - 1]
+        cw ^= code.rows[(i & -i).bit_length() - 1]
         if best is None or cw.bit_count() < best:
             best = cw.bit_count()
     return best
@@ -339,7 +337,7 @@ def row_combinations_within(code) -> bool:
         cw = 0
         for i in range(code.m):
             if (s >> i) & 1:
-                cw ^= code.g.rows[i]
+                cw ^= code.rows[i]
         if not code.verified_d <= cw.bit_count() <= code.r:
             return False
     return True

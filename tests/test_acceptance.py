@@ -96,7 +96,7 @@ def test_criterion_01_preset_codes(capsys):
         ok &= code.verified_d == d
         for size in range(1, code.m + 1):
             for members in itertools.combinations(range(code.m), size):
-                cw = functools.reduce(operator.xor, (code.g.rows[i] for i in members))
+                cw = functools.reduce(operator.xor, (code.rows[i] for i in members))
                 w = cw.bit_count()
                 ok &= d <= w <= code.r
     _report(capsys, 1, ok, "preset distances 1/5/3/4; all row-combination weights in [d, r]")

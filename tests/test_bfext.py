@@ -23,7 +23,6 @@ from nobfext.bfext import (PLANE_ARITY_CAP, BfextParams, CompareZeroedReport,
 from nobfext.bitops import ints_from_words, words_from_ints
 from nobfext.codes import LinearCode, build_good_code, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
-from nobfext.gf2 import BitMatrix
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                influence_mc)
 from nobfext.schemas import validate_document
@@ -143,7 +142,7 @@ def test_params_validation():
         explicit_params(9, 2, 3, preset_code("identity-3"), Majority(3))  # r > ell
     with pytest.raises(DimensionError):
         explicit_params(6, 2, 3, preset_code("identity-2"), Majority(5))
-    unverified = LinearCode(m=2, r=2, g=BitMatrix.identity(2))
+    unverified = LinearCode(2, (1, 2))
     with pytest.raises(ValidationError):
         explicit_params(6, 2, 3, unverified, Majority(3))
     with pytest.raises(ValidationError):
@@ -166,11 +165,30 @@ def test_params_json_round_trip():
     p = _maj3_params()
     back = BfextParams.from_json(json.loads(json.dumps(p.to_json())))
     assert (back.n, back.ell, back.block_len, back.mode) == (6, 2, 3, "explicit")
-    assert back.code.g == p.code.g
+    assert back.code.rows == p.code.rows
     assert np.array_equal(back.f.truth_table(), p.f.truth_table())
     d = derive_params(n=1 << 20, delta=0.8, t=4)
     d2 = BfextParams.from_json(json.loads(json.dumps(d.to_json())))
     assert d2.mode == "derived" and d2.delta == 0.8 and d2.ell == 16
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 9.7), ("ell", 2.5), ("block_len", 3.5),
+    ("code.m", 2.5), ("code.r", 2.5), ("code.verified_d", 1.9),
+    ("spec.bad_positions", [2.5]),
+])
+def test_document_readers_refuse_fractional_integers(field, value):
+    # each was read with int(): n = 9.7 loaded as 9, verified_d = 1.9 as 1
+    # and bad position 2.5 as 2, and every one of these documents loaded
+    params = _maj3_params().to_json()
+    spec = _uniform_spec(6, [2]).to_descriptor()
+    owner, _, key = field.rpartition(".")
+    {"": params, "code": params["code"], "spec": spec}[owner][key] = value
+    with pytest.raises(ValidationError):
+        if owner == "spec":
+            NobfSourceSpec.from_descriptor(spec)
+        else:
+            BfextParams.from_json(params)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +221,7 @@ def test_partition_blocks_and_truncation():
 def test_extract_hand_example():
     # blocks 110, 100, 111, 010 -> majorities 1, 0, 1, 0 -> y = 1010;
     # G = [1100; 0011] on y_used = y gives z = (1^0, 1^0) = 11
-    code = LinearCode(m=2, r=4, g=BitMatrix(cols=4, rows=(_b("1100"), _b("0011"))),
-                      verified_d=2)
+    code = LinearCode(4, (_b("1100"), _b("0011")), verified_d=2)
     params = explicit_params(n=12, ell=4, block_len=3, code=code, f=Majority(3))
     trace = _trace(_b("110100111010"), params)
     assert trace["blocks"] == [_b("110"), _b("100"), _b("111"), _b("010")]
@@ -225,8 +242,7 @@ def test_extract_uses_first_r_coordinates():
 
 
 def test_extract_batch_matches_scalar():
-    code = LinearCode(m=2, r=4, g=BitMatrix(cols=4, rows=(_b("1011"), _b("0111"))),
-                      verified_d=2)
+    code = LinearCode(4, (_b("1011"), _b("0111")), verified_d=2)
     params = explicit_params(n=13, ell=4, block_len=3, code=code, f=Majority(3))
     rng = np.random.default_rng(10)
     xs = rng.integers(0, 1 << 13, size=200, dtype=np.uint64)
@@ -240,7 +256,7 @@ def _random_code(m, r, seed):
     rng = np.random.default_rng(seed)
     rows = tuple(int.from_bytes(rng.bytes(-(-r // 8)), "little") & ((1 << r) - 1)
                  for _ in range(m))
-    code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
+    code = LinearCode(r, rows)
     min_distance_exact(code)
     return code
 
@@ -274,7 +290,7 @@ def test_linear_test_decomposition():
     # the parity of z over any nonempty S equals the parity of y_used
     # against the XOR of the S rows of G
     rows = (_b("10110"), _b("01011"), _b("11100"))
-    code = LinearCode(m=3, r=5, g=BitMatrix(cols=5, rows=rows), verified_d=1)
+    code = LinearCode(5, rows, verified_d=1)
     params = explicit_params(n=10, ell=5, block_len=2, code=code, f=Tribes(2, 1))
     rng = np.random.default_rng(11)
     for x in rng.integers(0, 1 << 10, size=100, dtype=np.uint64).tolist():

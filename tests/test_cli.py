@@ -25,7 +25,6 @@ from nobfext.bitops import hex_from_words, words_from_ints
 from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError, WorkCapExceeded
-from nobfext.gf2 import BitMatrix, BitVector
 from nobfext.prng import CHUNK, chunk_ranges
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                default_block_function)
@@ -332,7 +331,7 @@ def test_extract_inline_inputs(tmp_path):
     ppath, params = _params_file(tmp_path)
     x = 0b001011  # coordinates 0, 1 and 3
     cfg = _write(tmp_path / "cfg.json", {"params": ppath,
-                                         "inputs": [BitVector(6, x).to_hex()]})
+                                         "inputs": hex_from_words(words_from_ints([x], 6), 6)})
     out = tmp_path / "traces.json"
     assert _run("extract", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -345,13 +344,13 @@ def test_extract_inline_inputs_wider_than_a_word(tmp_path):
     # 250-bit inputs in 125 two-bit blocks; y, y_used and x span several words
     rng = np.random.default_rng(7)
     rows = tuple(int.from_bytes(rng.bytes(13), "little") >> 4 for _ in range(3))
-    code = LinearCode(m=3, r=100, g=BitMatrix(cols=100, rows=rows))
+    code = LinearCode(100, rows)
     min_distance_exact(code)
     ppath, params = _params_file(tmp_path, explicit_params(250, 125, 2, code,
                                                            Tribes(2, 1)))
     xs = [int.from_bytes(rng.bytes(32), "little") >> 6 for _ in range(30)]
     cfg = _write(tmp_path / "cfg.json", {
-        "params": ppath, "inputs": [BitVector(250, x).to_hex() for x in xs]})
+        "params": ppath, "inputs": hex_from_words(words_from_ints(xs, 250), 250)})
     out = tmp_path / "traces.json"
     assert _run("extract", "--config", cfg, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -1082,8 +1081,8 @@ def _report_batches(draw):
     r = draw(st.integers(1, ell))
     m = draw(st.integers(1, r))
     extra = draw(st.lists(st.integers(0, (1 << (r - m)) - 1), min_size=m, max_size=m))
-    code = LinearCode(m=m, r=r, verified_d=1, g=BitMatrix(  # full rank: identity first
-        cols=r, rows=tuple((1 << i) | (e << m) for i, e in enumerate(extra))))
+    # full rank: the low m columns are the identity
+    code = LinearCode(r, [(1 << i) | (e << m) for i, e in enumerate(extra)], verified_d=1)
     params = explicit_params(n, ell, block_len, code, default_block_function(block_len))
     count = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
     xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
@@ -1101,7 +1100,7 @@ def _report_batches(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_report_batches())
-@example((explicit_params(150, 70, 2, LinearCode(70, 70, BitMatrix.identity(70), 1),
+@example((explicit_params(150, 70, 2, LinearCode(70, [1 << i for i in range(70)], 1),
                           Tribes(2, 1)),
           words_from_ints([(1 << 150) - 1, 5 << 64, 1 << 139], 150), {}))  # y, y_used, z: 2 words
 @example((explicit_params(250, 2, 125, preset_code("repetition-2"), Majority(125)),
@@ -1180,7 +1179,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     ppath, _ = _params_file(tmp_path)
     commands = {
         "source": ("gen-source", {**_source_config(), "samples": 5},
-                   {"bfext", "codes", "resilient", "stats", "gf2"}),
+                   {"bfext", "codes", "resilient", "stats"}),
         "preset": ("build-code", {"preset": "hamming-7-4"},
                    {"sources", "resilient", "stats", "bfext"}),
         "search": ("build-code", {"m": 3, "r": 9, "target_d": 4},

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import gray_min_distance, matvec, reference_search, row_combinations_within
+from oracles import (gf2_echelon, gray_min_distance, matvec, reference_search,
+                     row_combinations_within)
 
 from nobfext import codes
 from nobfext.bitops import PACKED_WIDTH, ints_from_words, n_words, words_from_ints
@@ -18,13 +19,12 @@ from nobfext.codes import (LinearCode, build_good_code, compress_batch,
                            min_distance_exact, preset_code)
 from nobfext.errors import (DimensionError, SearchBudgetExceeded,
                             ValidationError, WorkCapExceeded)
-from nobfext.gf2 import BitMatrix
 
 
 def _codeword(code, v: int) -> int:
     """vG: the XOR of the generator rows that the message v selects."""
     return functools.reduce(operator.xor,
-                            (row for i, row in enumerate(code.g.rows) if v >> i & 1), 0)
+                            (row for i, row in enumerate(code.rows) if v >> i & 1), 0)
 
 
 def _distance_brute(code):
@@ -39,11 +39,11 @@ def _distance_brute(code):
 
 def test_linear_code_validation():
     with pytest.raises(ValidationError):
-        LinearCode(m=2, r=3, g=BitMatrix(cols=3, rows=(0b011, 0b011)))  # rank 1
+        LinearCode(3, (0b011, 0b011))  # rank 1
     with pytest.raises(DimensionError):
-        LinearCode(m=2, r=4, g=BitMatrix(cols=3, rows=(0b011, 0b110)))
+        LinearCode(3, (0b011, 0b1110))  # bit 3 beyond r
     with pytest.raises(ValidationError):
-        LinearCode(m=1, r=3, g=BitMatrix(cols=3, rows=(0b111,)), verified_d=4)
+        LinearCode(3, (0b111,), verified_d=4)
 
 
 @pytest.mark.parametrize("name,m,r,d", [
@@ -83,11 +83,11 @@ def test_simplex_constant_weight():
 def test_encode_message_examples():
     ham = preset_code("hamming-7-4")
     # row i, written coordinate 0 first, is message e_i's codeword
-    assert [format(row, "07b")[::-1] for row in ham.g.rows] == [
+    assert [format(row, "07b")[::-1] for row in ham.rows] == [
         "1000011", "0100101", "0010110", "0001111"]
     assert _codeword(ham, 0b0001) == 0b1100001
     assert _codeword(ham, 0) == 0
-    assert ham.g.to_hex_rows() == ["16", "25", "43", "87"]
+    assert ham.to_json()["rows"] == ["16", "25", "43", "87"]
 
 
 def test_compress_is_matvec():
@@ -96,7 +96,7 @@ def test_compress_is_matvec():
     z = int(compress_batch(ham, np.array([y], dtype=np.uint64))[0])
     assert z >> 4 == 0
     for i in range(4):
-        assert z >> i & 1 == (ham.g.rows[i] & y).bit_count() & 1
+        assert z >> i & 1 == (ham.rows[i] & y).bit_count() & 1
     with pytest.raises(DimensionError):
         compress_batch(ham, np.zeros((1, 2), dtype=np.uint64))  # two words for 7 bits
 
@@ -130,8 +130,8 @@ def test_compress_batch_matches_matvec(case):
     """The one linear-map kernel, batch against the row-by-row oracle, on
     (N, W) words and, where r fits one word, on 1-D values."""
     r, m, rows, ys = case
-    code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
-    want = [matvec(code.g, y) for y in ys]
+    code = LinearCode(r, rows)
+    want = [matvec(code, y) for y in ys]
     z = compress_batch(code, words_from_ints(ys, r))
     assert z.shape == (len(ys), n_words(m))
     assert ints_from_words(z) == want
@@ -155,17 +155,15 @@ def test_min_distance_matches_brute_oracle():
         m = int(rng.integers(1, 5))
         r = int(rng.integers(m, 12))
         rows = tuple(int(v) for v in rng.integers(0, 1 << r, size=m, dtype=np.uint64))
-        g = BitMatrix(cols=r, rows=rows)
-        from nobfext.gf2 import gf2_rank
-        if gf2_rank(g) != m:
+        if len(gf2_echelon(rows)) != m:
             continue
-        code = LinearCode(m=m, r=r, g=g)
+        code = LinearCode(r, rows)
         assert min_distance_exact(code) == _distance_brute(code)
         checked += 1
 
 
 def test_min_distance_stores_result():
-    code = LinearCode(m=4, r=7, g=preset_code("hamming-7-4").g)
+    code = LinearCode(7, preset_code("hamming-7-4").rows)
     assert code.verified_d == 0
     assert min_distance_exact(code) == 3
     assert code.verified_d == 3
@@ -174,7 +172,7 @@ def test_min_distance_stores_result():
 def test_min_distance_wide_words():
     # r > 64 spreads each codeword over several words
     rows = tuple((1 << (20 * i)) | (1 << 79) for i in range(3))
-    code = LinearCode(m=3, r=80, g=BitMatrix(cols=80, rows=rows))
+    code = LinearCode(80, rows)
     # single rows have weight 2; row pairs cancel bit 79 leaving weight 2;
     # the triple sum has weight 4 (one 1 << 20i each, bit 79 survives)
     assert min_distance_exact(code) == 2
@@ -186,14 +184,13 @@ def test_min_distance_wide_words():
                  (12, 100000)]:
         rows = tuple(int.from_bytes(rng.bytes(-(-r // 8)), "little") & ((1 << r) - 1)
                      for _ in range(m))
-        code = LinearCode(m=m, r=r, g=BitMatrix(cols=r, rows=rows))
+        code = LinearCode(r, rows)
         assert min_distance_exact(code) == gray_min_distance(code)
 
 
 def test_min_distance_work_cap():
-    g = BitMatrix.identity(25)
     with pytest.raises(WorkCapExceeded):
-        min_distance_exact(LinearCode(m=25, r=25, g=g))
+        min_distance_exact(LinearCode(25, [1 << i for i in range(25)]))
 
 
 def test_row_combination_weights_bounded():
@@ -220,9 +217,9 @@ def test_build_good_code_finds_and_verifies():
 def test_build_good_code_deterministic():
     a = build_good_code(3, 8, 3, seed=5)
     b = build_good_code(3, 8, 3, seed=5)
-    assert a.g == b.g and a.verified_d == b.verified_d
+    assert a.rows == b.rows and a.verified_d == b.verified_d
     c = build_good_code(3, 8, 3, seed=6)
-    assert c.g != a.g  # different seed, different search path
+    assert c.rows != a.rows  # different seed, different search path
 
 
 def test_build_good_code_singleton_precheck():
@@ -340,8 +337,11 @@ def test_code_json_round_trip():
     code = build_good_code(3, 9, 4, seed=2)
     obj = json.loads(json.dumps(code.to_json()))
     back = LinearCode.from_json(obj)
-    assert back.g == code.g
+    assert back.rows == code.rows
     assert back.verified_d == code.verified_d
     assert back.construction == code.construction
     with pytest.raises(ValidationError):
         LinearCode.from_json({"format": "something-else"})
+    for m in (2, 4):  # m is derived from the rows, and a document must agree
+        with pytest.raises(DimensionError, match="does not match"):
+            LinearCode.from_json({**obj, "m": m})

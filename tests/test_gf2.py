@@ -1,4 +1,6 @@
-"""Packed GF(2) vectors and matrices."""
+"""GF(2) rows as the codes keep them: the hex codec of `nobfext.bitops`,
+the echelon kernel, and the row checks and matrix-vector product of
+`LinearCode`."""
 
 import random
 
@@ -11,42 +13,26 @@ import oracles
 from oracles import matvec
 
 from nobfext.bitops import hex_from_words, ints_from_words, words_from_hex, words_from_ints
-from nobfext.codes import LinearCode, compress_batch
+from nobfext.codes import LinearCode, compress_batch, echelon_batch
 from nobfext.errors import DimensionError, ValidationError
-from nobfext.gf2 import BitMatrix, BitVector, echelon_batch, gf2_rank
-
-
-def test_bitvector_basic_construction():
-    v = BitVector(6, 0b001011)
-    assert (v.n, v.bits) == (6, 0b001011)
-    assert repr(v) == "BitVector(6, 0b001011)"
-    with pytest.raises(ValidationError):
-        BitVector(-1, 0)
-
-
-def test_bitvector_rejects_stray_bits():
-    with pytest.raises(ValidationError):
-        BitVector(3, 0b1000)
 
 
 def test_hex_round_trip_bit_order():
     # Least-significant nibble first: 110100 packs to 0x0b, rendered "b0".
-    v = BitVector(6, 0b001011)
-    assert v.to_hex() == "b0"
-    assert BitVector.from_hex(6, "b0") == v
+    assert hex_from_words(words_from_ints([0b001011], 6), 6) == ["b0"]
+    assert ints_from_words(words_from_hex(["b0"], 6)) == [0b001011]
     for n in [1, 3, 4, 7, 8, 13, 64, 65, 130]:
         rng = random.Random(n)
-        for _ in range(20):
-            bits = rng.getrandbits(n)
-            u = BitVector(n, bits)
-            assert BitVector.from_hex(n, u.to_hex()) == u
+        values = [rng.getrandbits(n) for _ in range(20)]
+        hexes = hex_from_words(words_from_ints(values, n), n)
+        assert ints_from_words(words_from_hex(hexes, n)) == values
 
 
 def test_from_hex_rejects_non_hex_characters():
     # each of these would parse as a Python integer literal in base 16
     for s in ["1_2", "21 ", "+12", "fx0", "-1f"]:
         with pytest.raises(ValidationError):
-            BitVector.from_hex(12, s)
+            words_from_hex([s], 12)
 
 
 # characters a hex string must not hold, including ones int(s, 16) takes
@@ -103,29 +89,29 @@ def test_hex_codec_matches_per_string_oracle(batch):
 
 
 def test_matrix_construction_and_shape_checks():
-    g = BitMatrix.from_rows([BitVector(3, 0b011), BitVector(3, 0b110)])
-    assert g.nrows == 2 and g.cols == 3
-    assert g.rows == (0b011, 0b110)
-    with pytest.raises(DimensionError):
-        BitMatrix.from_rows([BitVector(3, 0), BitVector(2, 0)])
+    code = LinearCode(3, [0b011, 0b110])
+    assert (code.m, code.r, code.rows) == (2, 3, (0b011, 0b110))
+    assert LinearCode(3, (1, 2, 4)).m == 3
     with pytest.raises(ValidationError):
-        BitMatrix.from_rows([])
-    with pytest.raises(ValidationError):
-        BitMatrix(cols=2, rows=(0b100,))
-    assert BitMatrix.identity(3).rows == (1, 2, 4)
+        LinearCode(3, ())  # no rows: m = 0
+    for stray in [0b1000, 1 << 64, -1]:  # bits beyond r, within the word or not
+        with pytest.raises(DimensionError):
+            LinearCode(3, (0b001, stray))
+    for r, rows in [(3, (0b001, 2.5)), (2.5, (0b01,))]:
+        with pytest.raises(ValidationError):
+            LinearCode(r, rows)
 
 
-def _matvec(g: BitMatrix, y: int) -> int:
+def _matvec(r: int, rows, y: int) -> int:
     """G y through the compression kernel (a code needs full row rank)."""
-    code = LinearCode(m=g.nrows, r=g.cols, g=g)
-    return int(compress_batch(code, np.array([y], dtype=np.uint64))[0])
+    return int(compress_batch(LinearCode(r, rows), np.array([y], dtype=np.uint64))[0])
 
 
 def test_matvec_examples():
-    assert _matvec(BitMatrix.identity(3), 0b101) == 0b101
-    g = BitMatrix(cols=3, rows=(0b011, 0b110))  # rows 110 and 011, coordinate 0 first
-    assert _matvec(g, 0b111) == 0b00
-    assert _matvec(g, 0b001) == 0b01
+    assert _matvec(3, (1, 2, 4), 0b101) == 0b101
+    rows = (0b011, 0b110)  # rows 110 and 011, coordinate 0 first
+    assert _matvec(3, rows, 0b111) == 0b00
+    assert _matvec(3, rows, 0b001) == 0b01
 
 
 def test_matvec_linearity_random():
@@ -134,47 +120,47 @@ def test_matvec_linearity_random():
     for _ in range(50):
         cols = rng.randrange(1, 200)
         nrows = rng.randrange(1, min(cols, 12) + 1)
-        g = BitMatrix(cols=cols,
-                      rows=tuple(rng.getrandbits(cols) for _ in range(nrows)))
-        if gf2_rank(g) != nrows:
+        rows = [rng.getrandbits(cols) for _ in range(nrows)]
+        if len(oracles.gf2_echelon(rows)) != nrows:
             continue
-        code = LinearCode(m=nrows, r=cols, g=g)
+        code = LinearCode(cols, rows)
         x, y = rng.getrandbits(cols), rng.getrandbits(cols)
         z = ints_from_words(compress_batch(code, words_from_ints([x ^ y, x, y], cols)))
         assert z[0] == z[1] ^ z[2]
-        assert z[1] == matvec(g, x)
+        assert z[1] == matvec(code, x)
 
 
-def test_transpose_involution():
-    rng = random.Random(3)
-    for _ in range(30):
-        cols = rng.randrange(1, 16)
-        nrows = rng.randrange(1, 16)
-        g = BitMatrix(cols=cols,
-                      rows=tuple(rng.getrandbits(cols) for _ in range(nrows)))
-        assert g.transpose().transpose() == g
-        t = g.transpose()
-        for i in range(nrows):
-            for j in range(cols):
-                assert g.rows[i] >> j & 1 == t.rows[j] >> i & 1
+def _full_rank(r: int, rows) -> bool:
+    """Whether LinearCode takes rows as a generator matrix."""
+    try:
+        LinearCode(r, rows)
+    except ValidationError as exc:
+        assert "full row rank" in str(exc)
+        return False
+    return True
 
 
 def test_rank():
-    assert gf2_rank(BitMatrix.identity(4)) == 4
-    assert gf2_rank(BitMatrix(2, (0b11, 0b11))) == 1
-    assert gf2_rank(BitMatrix(3, (0, 0, 0))) == 0
+    assert _full_rank(4, (1, 2, 4, 8))
+    assert not _full_rank(2, (0b11, 0b11))
+    assert not _full_rank(3, (0, 0, 0))
+    assert not _full_rank(2, (1, 2, 3, 1, 2))
+    wide = (1 << 299, (1 << 299) | 1, 1)  # five words a row
+    assert not _full_rank(300, wide) and _full_rank(300, wide[:2])
     # rank is invariant under row swaps and row additions
     rng = random.Random(11)
     for _ in range(30):
         cols = rng.randrange(1, 10)
         nrows = rng.randrange(1, 10)
         rows = [rng.getrandbits(cols) for _ in range(nrows)]
-        g = BitMatrix(cols=cols, rows=tuple(rows))
         i, j = rng.randrange(nrows), rng.randrange(nrows)
         mixed = list(rows)
         if i != j:
             mixed[i] ^= mixed[j]
-        assert gf2_rank(BitMatrix(cols=cols, rows=tuple(mixed))) == gf2_rank(g)
+        full = _full_rank(cols, rows)
+        assert full == (len(oracles.gf2_echelon(rows)) == nrows)
+        assert _full_rank(cols, mixed) == full
+        assert _full_rank(cols, rows[::-1]) == full
 
 
 def _random_rows(rng, nrows, cols):
@@ -212,18 +198,13 @@ def test_echelon_batch_equals_oracle_echelon(count):
         for rows, got, rank in zip(mats, echelon, ranks):
             want = oracles.gf2_echelon(rows)
             assert [v for v in ints_from_words(got) if v] == want
-            assert rank == len(want) == gf2_rank(BitMatrix(cols=cols, rows=tuple(rows)))
+            assert rank == len(want)
         assert np.array_equal(stack, np.array([words_from_ints(rows, cols) for rows in mats],
                                               dtype=np.uint64))  # input untouched
 
 
-def test_gf2_rank_is_the_one_matrix_view():
-    assert gf2_rank(BitMatrix(5, ())) == 0
-    wide = BitMatrix(cols=300, rows=(1 << 299, (1 << 299) | 1, 1))
-    assert gf2_rank(wide) == 2
-    assert gf2_rank(BitMatrix(cols=2, rows=(1, 2, 3, 1, 2))) == 2
-
-
 def test_hex_rows_round_trip():
-    g = BitMatrix(7, (0b0110011, 0b1001100, 0b1111111))
-    assert BitMatrix.from_hex_rows(7, g.to_hex_rows()) == g
+    code = LinearCode(7, (0b0110011, 0b1001100, 0b1010101))
+    doc = code.to_json()
+    assert doc["rows"] == ["33", "c4", "55"]
+    assert LinearCode.from_json(doc).rows == code.rows

@@ -14,10 +14,9 @@ from oracles import (adversary_bad_bits, eps_biased_outcome, gather_bits,
                      generator_outcome, gf2e_mul, scatter_bits)
 
 from nobfext import prng
-from nobfext.bitops import gather_bits_vec, scatter_bits_vec
+from nobfext.bitops import gather_bits_vec, ints_from_words, scatter_bits_vec, words_from_hex
 from nobfext.codes import build_good_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
-from nobfext.gf2 import BitVector
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                influence_mc)
 from nobfext.sources import (ConstantAdversary, Distribution,
@@ -98,6 +97,13 @@ def test_distribution_uniform_point_mass_marginal():
     assert p.as_table()[0b101] == 1.0
     assert np.array_equal(p.marginal([2]).as_table(), [0.0, 1.0])
     assert np.array_equal(p.marginal([1]).as_table(), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("outcome", [-1, 4, 2.5])
+def test_point_mass_refuses_outcomes_outside_the_table(outcome):
+    # -1 gave the point mass at 3 (numpy's last entry), 4 a bare IndexError
+    with pytest.raises(ValidationError):
+        Distribution.point_mass(2, outcome)
 
 
 def test_uniform_table_width_refused_before_allocation():
@@ -679,7 +685,7 @@ def test_sample_batch_hex_lines_are_lsb_nibble_first(tmp_path):
     write_sample_batch(path, spec, np.array([0b001011], dtype=np.uint64), seed=0)
     lines = path.read_text().splitlines()
     assert lines[1] == "b0"
-    assert BitVector.from_hex(6, lines[1]).bits == 0b001011
+    assert ints_from_words(words_from_hex([lines[1]], 6)) == [0b001011]
 
 
 def test_sample_batch_count_mismatch_rejected(tmp_path):
