@@ -94,12 +94,16 @@ def test_matrix_construction_and_shape_checks():
     assert LinearCode(3, (1, 2, 4)).m == 3
     with pytest.raises(ValidationError):
         LinearCode(3, ())  # no rows: m = 0
-    for stray in [0b1000, 1 << 64, -1]:  # bits beyond r, within the word or not
-        with pytest.raises(DimensionError):
-            LinearCode(3, (0b001, stray))
     for r, rows in [(3, (0b001, 2.5)), (2.5, (0b01,))]:
         with pytest.raises(ValidationError):
             LinearCode(r, rows)
+
+
+def test_bitvector_rejects_stray_bits():
+    # a row is an r-bit vector: bits beyond r, within the word or not, are refused
+    for stray in [0b1000, 1 << 64, -1]:
+        with pytest.raises(DimensionError):
+            LinearCode(3, (0b001, stray))
 
 
 def _matvec(r: int, rows, y: int) -> int:
@@ -144,9 +148,6 @@ def test_rank():
     assert _full_rank(4, (1, 2, 4, 8))
     assert not _full_rank(2, (0b11, 0b11))
     assert not _full_rank(3, (0, 0, 0))
-    assert not _full_rank(2, (1, 2, 3, 1, 2))
-    wide = (1 << 299, (1 << 299) | 1, 1)  # five words a row
-    assert not _full_rank(300, wide) and _full_rank(300, wide[:2])
     # rank is invariant under row swaps and row additions
     rng = random.Random(11)
     for _ in range(30):
@@ -201,6 +202,22 @@ def test_echelon_batch_equals_oracle_echelon(count):
             assert rank == len(want)
         assert np.array_equal(stack, np.array([words_from_ints(rows, cols) for rows in mats],
                                               dtype=np.uint64))  # input untouched
+
+
+def test_gf2_rank_is_the_one_matrix_view():
+    # echelon_batch gives the rank of a row list, and LinearCode refuses
+    # rows of lower rank than their count: no rows, rows of five words,
+    # repeated rows
+    def rank(cols, rows):
+        stack = np.array([words_from_ints(rows, cols)], dtype=np.uint64)
+        return int(echelon_batch(stack)[1][0])
+
+    assert rank(5, []) == 0
+    wide = (1 << 299, (1 << 299) | 1, 1)
+    assert rank(300, wide) == 2
+    assert not _full_rank(300, wide) and _full_rank(300, wide[:2])
+    assert rank(2, (1, 2, 3, 1, 2)) == 2
+    assert not _full_rank(2, (1, 2, 3, 1, 2))
 
 
 def test_hex_rows_round_trip():
