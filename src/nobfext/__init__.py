@@ -38,6 +38,13 @@ __version__ = "0.1.0"
 __all__ = sorted(_HOME)
 
 
+def run_cli() -> None:
+    """The `nobfext` script: `nobfext.cli` run as `__main__`, as by
+    `python -m nobfext.cli`, so that both set up the process alike."""
+    import runpy
+    runpy.run_module(f"{__name__}.cli", run_name="__main__", alter_sys=True)
+
+
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -62,8 +62,15 @@ def _top_mask(width: int) -> np.uint64:
 def as_words(values, width: int, what: str) -> np.ndarray:
     """Packed `width`-bit values as (N, W) words: a 1-D array is the W = 1
     layout (WorkCapExceeded when width > PACKED_WIDTH), a 2-D one must
-    have W = n_words(width) columns."""
-    v = np.asarray(values, dtype=np.uint64)
+    have W = n_words(width) columns.  Words must be unsigned, or signed
+    and nonnegative; floats, bools and other kinds are a ValidationError."""
+    v = np.asarray(values)
+    if v.dtype != np.uint64:
+        if v.size and v.dtype.kind not in "iu":
+            raise ValidationError(f"{what}: words must be integers, got {v.dtype} values")
+        if v.size and v.dtype.kind == "i" and v.min() < 0:
+            raise ValidationError(f"{what}: words must be nonnegative, got {v.min()}")
+        v = v.astype(np.uint64)
     if v.ndim == 1:
         check_packed(width, what)
         return v[:, None]

@@ -20,15 +20,26 @@ change what is drawn.
 
 Exit codes: 0 success, 2 validation error (a seed outside 0..2^64-1 is
 one), 3 work-cap exceeded, 4 search budget exhausted.
+
+Run as a program (`python -m nobfext.cli`, or the `nobfext` script, which
+runs this module as `__main__`), the module sets up its process before
+numpy loads: OpenBLAS gets one thread unless OPENBLAS_NUM_THREADS is set
+already, the cyclic garbage collector is off, and the heap is frozen
+before exit.  Importing the module or calling `main` changes neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from typing import TYPE_CHECKING
+
+if __name__ == "__main__":  # the CLI is the whole process: set it up before numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no kernel calls BLAS
+    gc.disable()  # no command makes cyclic garbage that grows with its work
 
 import numpy as np
 
@@ -428,5 +439,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    gc.freeze()  # the collections at interpreter exit then skip the live heap
+    sys.exit(status)

@@ -240,6 +240,28 @@ def integer(value) -> int:
     return int(value)
 
 
+def integers(values) -> np.ndarray:
+    """A sequence or array of values as int64 by `integer`'s rules, checked
+    on the whole array: integral floats pass; bools, fractions, strings and
+    values outside int64 raise ValidationError."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        for t in set(map(type, values)):
+            if t is bool or not issubclass(t, (int, float, np.integer, np.floating)):
+                integer(next(v for v in values if type(v) is t))  # raises
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "f":
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            raise ValidationError(f"{arr[~whole][0].item()!r} is not an integer")
+    elif kind not in "iuO" and arr.size:
+        raise ValidationError(f"{arr.dtype} values are not integers")
+    if arr.size and (arr.max() >= 2 ** 63 or arr.min() < -2 ** 63):
+        raise ValidationError("integers outside the int64 range")
+    return arr.astype(np.int64)
+
+
 def check_count(value, name: str) -> int:
     """value as an int: numpy integers pass, bools and floats do not."""
     if not isinstance(value, (bool, np.bool_)):

@@ -52,7 +52,7 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_v
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
-from .schemas import (check_count, integer, parse_json, read_text, staged_outputs,
+from .schemas import (check_count, integer, integers, parse_json, read_text, staged_outputs,
                       validate_document)
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
@@ -768,18 +768,21 @@ class TableAdversary(AdversaryStrategy):
 
     def __init__(self, n_good: int, entries, label: str = "explicit-function-table",
                  provenance: dict | None = None):
+        n_good = _table_width(n_good)
         size = 1 << n_good
         table = np.full(size, -1, dtype=np.int64)
         if isinstance(entries, dict):
-            for k, v in entries.items():
-                if not 0 <= int(k) < size:
+            # JSON object keys are digit strings
+            keys = [integer(int(k) if isinstance(k, str) and k.isascii() and k.isdigit()
+                            else k) for k in entries]
+            for k in keys:
+                if not 0 <= k < size:
                     raise ValidationError(f"table key {k} outside 0..{size - 1}")
-                table[int(k)] = int(v)
+            table[keys] = integers(list(entries.values()))
         else:
-            arr = np.asarray(entries, dtype=np.int64)
-            if arr.shape != (size,):
-                raise ValidationError(f"table must have 2^{n_good} entries, got {arr.size}")
-            table = arr.copy()
+            table = integers(entries)
+            if table.shape != (size,):
+                raise ValidationError(f"table must have 2^{n_good} entries, got {table.size}")
         self.kind = label
         self.n_good = n_good
         self.table = table
