@@ -244,7 +244,7 @@ def integers(values) -> np.ndarray:
     """A sequence or array of values as int64 by `integer`'s rules, checked
     on the whole array: integral floats pass; bools, fractions, strings and
     values outside int64 raise ValidationError."""
-    if not isinstance(values, np.ndarray):
+    if not isinstance(values, np.ndarray) or values.dtype == object:
         values = list(values)
         for t in set(map(type, values)):
             if t is bool or not issubclass(t, (int, float, np.integer, np.floating)):

@@ -286,6 +286,20 @@ def test_extract_batch_width_cap():
         extract_batch(np.zeros(1, dtype=np.uint64), p)
 
 
+@pytest.mark.parametrize("xs", [[1.5, 2.0 ** 62], np.array([-1]), np.array([True]),
+                                np.array(["1"])], ids=["float", "negative", "bool", "str"])
+def test_extract_batch_refuses_non_integer_words(xs):
+    # the float words extracted as [0, 0] and -1 was accepted
+    with pytest.raises(ValidationError):
+        extract_batch(xs, _maj3_params())
+
+
+def test_extract_batch_reads_any_nonnegative_integer_words():
+    want = extract_batch(np.array([5, 63], dtype=np.uint64), _maj3_params())
+    for xs in ([5, 63], np.array([5, 63]), np.array([5, 63], dtype=np.uint8)):
+        assert np.array_equal(extract_batch(xs, _maj3_params()), want)
+
+
 def test_linear_test_decomposition():
     # the parity of z over any nonempty S equals the parity of y_used
     # against the XOR of the S rows of G

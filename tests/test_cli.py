@@ -719,9 +719,11 @@ _MAJ3 = {"kind": "majority", "arity": 3}
     ("extract", {"params": "params.json", "spec": "spec.json", "count": 1.5}),
     ("build-code", {"m": 4.5, "r": 8, "target_d": 3}),
     ("build-code", {"m": 4, "r": 8, "target_d": 3, "attempts": False}),
+    ("gen-source", {**_source_config(), "adversary": {
+        "kind": "explicit-function-table", "n_good": 5, "table": [0] * 31 + [1.5]}}),
 ], ids=["f-arity", "fixing-n_good", "coalition-entry", "seed", "max_size-bool",
         "samples", "tribes-w-string", "distribution-m", "spec-n", "exact-twise-t",
-        "extract-count", "code-m", "code-attempts-bool"])
+        "extract-count", "code-m", "code-attempts-bool", "adversary-table-entry"])
 def test_non_integer_config_values_exit_2(tmp_path, capsys, monkeypatch, command, config):
     # each used to be truncated by int() and run with exit 0
     _params_file(tmp_path)

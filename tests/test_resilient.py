@@ -140,6 +140,18 @@ def test_eval_batch_word_layout_checks():
         Majority(65).eval_batch(np.zeros((3, 3), dtype=np.uint64))
 
 
+@pytest.mark.parametrize("f", [Majority(3), Tribes(2, 2), RecursiveMajority3(1),
+                               TableFunction(2, [0, 1, 1, 0])], ids=lambda f: f.kind)
+def test_eval_batch_refuses_non_integer_words(f):
+    # Majority(3) read [3.7, 1.2] as [3, 1] and returned [1, 0]
+    for xs in (np.array([3.7, 1.2]), np.array([True, False]), np.array([-1, 2]),
+               np.array([[1.0]])):
+        with pytest.raises(ValidationError):
+            f.eval_batch(xs)
+    assert np.array_equal(f.eval_batch(np.array([3, 1])),
+                          f.eval_batch(np.array([3, 1], dtype=np.uint64)))
+
+
 def test_table_function_hex_round_trip_at_arity_cap():
     rng = np.random.default_rng(20)
     table = rng.integers(0, 2, size=1 << 20, dtype=np.uint8)

@@ -510,6 +510,27 @@ def test_table_adversary_and_missing_entries():
     assert full.bad_bits_batch(np.arange(4, dtype=np.uint64), 2, 1).tolist() == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("n_good, entries", [
+    (3, [1.5] * 8), (3, [True] * 8), (3, np.full(8, 0.5)), (3, {0: 0.7}),
+    (3, {"1.5": 0}), (3, {0.5: 1}), (3, {True: 1}), (2.5, [0] * 4), (True, [0, 0]),
+    (2, [0, 1, float("nan"), 0]), (2, [0, 1, 2 ** 64, 0]), (2, [0, "1", 1, 0]),
+    (2, np.array([0, 1, 1.5, 0], dtype=object)),
+], ids=["float-list", "bool-list", "float-array", "float-value", "fraction-key",
+        "float-key", "bool-key", "float-n_good", "bool-n_good", "nan", "beyond-int64",
+        "string-entry", "object-array"])
+def test_table_adversary_reads_integers_only(n_good, entries):
+    # int() read [1.5] * 8 and [True] * 8 as all ones and {0: 0.7} as 0;
+    # the key "1.5" raised a bare ValueError
+    with pytest.raises(ValidationError):
+        TableAdversary(n_good, entries)
+
+
+def test_table_adversary_keeps_integral_values_and_digit_keys():
+    assert TableAdversary(2, {"0": 1, 3: 2.0}).table.tolist() == [1, -1, -1, 2]
+    for entries in ([0, 1.0, 1, 0], np.array([0, 1, 1, 0], dtype=np.uint8)):
+        assert TableAdversary(2.0, entries).table.tolist() == [0, 1, 1, 0]
+
+
 def test_table_adversary_entry_wider_than_q_rejected_on_every_path():
     # entry 5 = 0b101 does not fit q = 2 bad bits; no path may truncate it
     spec = NobfSourceSpec(4, [2, 3], UniformBits(2), TableAdversary(2, [5, 0, 1, 2]))
