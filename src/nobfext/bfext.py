@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,13 +34,14 @@ from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded, parse_errors)
 from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _scan_evals,
-                        _undetermined_mask, default_block_function,
+                        _undetermined_lookup, default_block_function,
                         function_from_descriptor)
 from .schemas import integer
 from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary,
                       mass)
-from .stats import (EMPIRICAL_M_CAP, Estimate, binomial_estimate, plugin_sd_estimate,
-                    sd_of_tables)
+
+if TYPE_CHECKING:
+    from .stats import Estimate
 
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 PLANE_ARITY_CAP = 8         # block arity above which exact walks stay packed
@@ -323,17 +324,6 @@ def _block_layout(spec: NobfSourceSpec, params: BfextParams):
     return layout
 
 
-def _some_block_undetermined(goods: np.ndarray, layout,
-                             f: ResilientFunction) -> np.ndarray:
-    """Mask over packed good outcomes: True where at least one block's
-    f-value still depends on that block's bad bits."""
-    some = np.zeros(goods.shape, dtype=bool)
-    for good_idx, good_off, bad_off in layout:
-        some |= _undetermined_mask(f, bad_off, good_off,
-                                   gather_bits_vec(goods, good_idx))
-    return some
-
-
 def _exact_good_enumeration_ok(spec: NobfSourceSpec) -> bool:
     """True when the exact oracles can walk the good-bit support: at most
     2^ENUM_SEED_BITS_CAP seeds (explicit tables always qualify) and inputs
@@ -355,18 +345,27 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     `_exact_good_enumeration_ok`), otherwise Monte Carlo over good-bit
     samples with a 99% binomial interval, drawn on `workers` threads (the
     result does not depend on the count).  An exact walk whose block scans
-    exceed `cap` raises WorkCapExceeded.
+    exceed `cap` raises WorkCapExceeded.  Each bad block's fixing table is
+    built once per call, before the walk (`_undetermined_lookup`).
     """
+    from .stats import Estimate, binomial_estimate
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     layout = _block_layout(spec, params)
     if not layout:
         return Estimate.exact_value(1.0)
     exact = not force_mc and _exact_good_enumeration_ok(spec)
+    blocks = [(good_idx, _undetermined_lookup(params.f, bad_off, good_off))
+              for good_idx, good_off, bad_off in layout]
+
+    def some_block_undetermined(goods, weights):
+        some = np.zeros(goods.shape, dtype=bool)
+        for good_idx, lookup in blocks:  # where the block's f-value still depends on its bad bits
+            some |= lookup(gather_bits_vec(goods, good_idx))
+        return mass(some, weights)
+
     undetermined, total = spec.good_dist.walk(
-        lambda goods, weights: mass(_some_block_undetermined(goods, layout, params.f),
-                                    weights),
-        exact, seed, samples, workers,
+        some_block_undetermined, exact, seed, samples, workers,
         units=sum(_scan_evals(params.f, len(b[2])) for b in layout), cap=cap,
         what="fixedness enumeration")
     if exact:
@@ -401,6 +400,7 @@ def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
     the kernel's block evaluations checked against `cap`), else a plug-in
     estimate over good bits sampled on `workers` threads (the result does
     not depend on the count)."""
+    from .stats import EMPIRICAL_M_CAP, Estimate, plugin_sd_estimate, sd_of_tables
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
     exact = not force_mc and _exact_good_enumeration_ok(spec)
@@ -642,6 +642,7 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                 changed = True
         if not changed:
             break
+    from .stats import sd_of_tables
     sd = sd_of_tables(diff, 0.0)
     adv = TableAdversary(n_good, entries, label="brute-force-worst",
                          provenance={"method": "ascent", "sweeps": swept,

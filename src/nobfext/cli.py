@@ -154,9 +154,9 @@ def _draw(spec: NobfSourceSpec, seed: int, count: int,
     from .sources import sample_nobf_batch
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    return np.concatenate(run_chunked(
+    return np.concatenate(list(run_chunked(
         lambda s, c: sample_nobf_batch(spec, seed, c, stream=0, start=s),
-        count, workers))
+        count, workers)))
 
 
 def _run_block(command: str, seed: int, config: dict,

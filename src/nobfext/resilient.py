@@ -29,17 +29,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import prng
 from .bitops import (as_words, check_packed, hex_from_words, popcount, scatter_bits_vec,
                      shift_right, words_from_hex, words_from_ints)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
 from .schemas import check_count, integer
 from .sources import Distribution, GoodBitDistribution, UniformBits, mass
-from .stats import Estimate, binomial_estimate
+
+if TYPE_CHECKING:
+    from .stats import Estimate
 
 TABLE_ARITY_CAP = 20
 SCAN_BITS_CAP = 20  # coalition size of the 2^|Q| scan of a non-monotone f
@@ -247,6 +251,7 @@ def bias_under(f: ResilientFunction, d: Distribution):
     if d.is_exact:
         p1 = float(np.dot(f.truth_table().astype(np.float64), d.as_table()))
         return abs(p1 - 0.5)
+    from .stats import Estimate, binomial_estimate
     samples = np.asarray(d.samples, dtype=np.uint64)
     vals = f.eval_batch(samples)
     est = binomial_estimate(int(vals.sum()), vals.size, confidence=0.99)
@@ -307,6 +312,16 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
         any1 |= vals
         any0 |= ~vals
     return any0 & any1
+
+
+def _undetermined_lookup(f: ResilientFunction, qpos: list[int], rest: list[int]):
+    """`_undetermined_mask` over a walk's fixings, read from one table of
+    all 2^|rest| fixings, built now, when that costs at most
+    prng.DRAW_CHUNK evaluations of f, so no piece rebuilds it."""
+    if _scan_evals(f, len(qpos)) << len(rest) > prng.DRAW_CHUNK:
+        return partial(_undetermined_mask, f, qpos, rest)
+    table = _undetermined_mask(f, qpos, rest, np.arange(1 << len(rest), dtype=np.uint64))
+    return lambda fixings: table[fixings.astype(np.intp)]
 
 
 def _undetermined_mass(f: ResilientFunction, qpos: list[int], rest: list[int]):
@@ -383,6 +398,7 @@ def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
                  samples: int, seed: int, workers: int = 1) -> Estimate:
     """Monte-Carlo influence with a 99% Clopper-Pearson interval, drawn on
     `workers` threads (the result does not depend on the count)."""
+    from .stats import Estimate, binomial_estimate
     qpos, rest = _coalition(f, q_set, d_good)
     if not qpos:
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,

@@ -28,7 +28,7 @@ packed width, not by n; only `exact_table` and `enumerate_nobf`, whose
 results are tables of 2^n_good and 2^n entries, keep n <= 24.  Every
 oracle, exact or sampled, runs its per-chunk kernel through
 `GoodBitDistribution.walk`, in the pieces of `prng.chunk_ranges` (at most
-2^18 seeds or draws each).  The work cap is the `cap` argument of each
+2^18 seeds or 2^15 draws each).  The work cap is the `cap` argument of each
 exact oracle (default DEFAULT_WORK_CAP = 2^28 units), checked by
 `GoodBitDistribution.check_work` against the support size times the
 oracle's units per walked outcome before the first chunk.
@@ -324,10 +324,12 @@ class GoodBitDistribution:
         of `seed_ranges()`), total `support_total`, once its own refusals
         and then `units` per outcome against `cap` (`check_work`) have
         passed; sampled ones on the draws at counters 0..samples-1 of
-        (seed, stream 0) with weights None, in the pieces of
-        `prng.run_chunked` (so the sum does not depend on `workers`), total
-        `samples`.  Results are added in order into one running total
-        (`_add`)."""
+        (seed, stream 0) with weights None, total `samples`, in the pieces
+        `prng.run_chunked` yields.  Seed pieces hold up to prng.CHUNK = 2^18
+        seeds, as a seed walk's per-piece set-up is dearer; draw pieces
+        2^15 draws, whose temporaries stay in L2 (`prng` has the timings).
+        Results are added in range order, as they come, into one running
+        total (`_add`), so the sum does not depend on `workers`."""
         if exact:
             chunks = self.seed_ranges() if on_seeds else self.support()
             parts, total = itertools.starmap(kernel, chunks), self.support_total
@@ -343,7 +345,7 @@ class GoodBitDistribution:
         acc = None
         for part in parts:
             acc = _add(acc, part)
-            del part  # free this chunk's result before the next kernel runs
+            del part  # free this piece's result before the next one comes
         return acc, total
 
     def table_of(self, key: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
@@ -761,7 +763,8 @@ class MajorityOfGood(AdversaryStrategy):
 class TableAdversary(AdversaryStrategy):
     """Explicit function table good-outcome -> bad pattern.
 
-    Missing entries (sentinel -1) are rejected at use, not silently zeroed.
+    Missing entries (sentinel -1) are rejected at use, not silently zeroed;
+    any other negative entry is refused here.
     The brute-force-worst search resolves to this class with its label and
     provenance attached.
     """
@@ -783,6 +786,9 @@ class TableAdversary(AdversaryStrategy):
             table = integers(entries)
             if table.shape != (size,):
                 raise ValidationError(f"table must have 2^{n_good} entries, got {table.size}")
+        if np.any(table < -1):  # -1 alone marks a missing entry
+            g = int(np.argmax(table < -1))
+            raise ValidationError(f"table entry {int(table[g])} for good outcome {g} is negative")
         self.kind = label
         self.n_good = n_good
         self.table = table

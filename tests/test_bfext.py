@@ -521,7 +521,7 @@ def test_block_values_from_the_truth_table_equal_eval_batch(f):
 
 @pytest.mark.parametrize("oracle", ["fixedness", "compare-zeroed", "influence"])
 def test_sampled_walks_hold_one_chunk_per_worker(oracle):
-    # millions of draws on 2 workers run in pieces of at most 2^18, so the
+    # millions of draws on 2 workers run in pieces of at most 2^15, so the
     # traced peak stays far below one worker-sized piece's temporaries
     bad = [0, 3, 6, 30, 46, 50]
     spec = NobfSourceSpec(63, bad, UniformBits(57), MajorityOfGood())
@@ -541,6 +541,56 @@ def test_sampled_walks_hold_one_chunk_per_worker(oracle):
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("oracle", ["fixedness", "compare-zeroed"])
+def test_sampled_walk_peak_does_not_grow_with_samples(oracle):
+    # the walk folds each piece as it comes, at most 2 * workers pieces
+    # ahead, so 8 times the draws hold no more memory: within four pieces'
+    # pairs of 2^16-entry tables (1 MiB each; the peak moves by up to 2.5 MiB
+    # with thread timing), where keeping every piece's tables grew by 14 MiB
+    spec = NobfSourceSpec(63, [0, 3, 6, 30, 46, 50], UniformBits(57), MajorityOfGood())
+    params = explicit_params(63, 21, 3, preset_code("identity-16"), Majority(3))
+    oracle = compare_zeroed if oracle == "compare-zeroed" else fixedness_probability
+
+    def run(samples):
+        return lambda: oracle(spec, params, seed=4, samples=samples, force_mc=True, workers=2)
+
+    run(1 << 15)()  # first-use caches
+    small, big = _traced_peak(run(1 << 19)), _traced_peak(run(1 << 22))
+    assert big - small < 4 << 20, (small, big)
+
+
+class _CountedMajority(Majority):
+    """Majority, counting its eval_batch calls."""
+
+    calls = 0
+
+    def eval_batch(self, xs):
+        self.calls += 1
+        return super().eval_batch(xs)
+
+
+def test_sampled_fixedness_builds_each_block_table_once(monkeypatch):
+    # 49 pieces of 2^10 draws: each of the 6 bad blocks' 4-row fixing
+    # tables is scanned once (2 evaluations of a monotone f), not per piece
+    monkeypatch.setattr("nobfext.prng.DRAW_CHUNK", 1 << 10)
+    spec = NobfSourceSpec(63, [0, 3, 6, 30, 46, 50], UniformBits(57), MajorityOfGood())
+    f = _CountedMajority(3)
+    params = explicit_params(63, 21, 3, preset_code("identity-2"), f)
+    est = fixedness_probability(spec, params, seed=2, samples=50_000, force_mc=True, workers=2)
+    assert f.calls == 2 * 6
+    plain = explicit_params(63, 21, 3, preset_code("identity-2"), Majority(3))
+    assert est == fixedness_probability(spec, plain, seed=2, samples=50_000, force_mc=True)
 
 
 # ---------------------------------------------------------------------------

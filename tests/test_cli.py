@@ -25,7 +25,7 @@ from nobfext.bitops import hex_from_words, words_from_ints
 from nobfext.cli import _run_block, canonical_json, main, report_chunks
 from nobfext.codes import LinearCode, min_distance_exact, preset_code
 from nobfext.errors import ValidationError, WorkCapExceeded
-from nobfext.prng import CHUNK, chunk_ranges
+from nobfext.prng import CHUNK, DRAW_CHUNK, chunk_ranges
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                default_block_function)
 from nobfext.schemas import SCHEMAS_BY_FORMAT, _failure, validate_document
@@ -594,6 +594,35 @@ def test_eps_biased_compare_is_byte_identical_over_workers(tmp_path):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     assert json.loads(blobs[0])["result"]["exact"] is False
+
+
+@pytest.mark.parametrize("analysis", ["fixedness", "compare-uniform", "compare-eps",
+                                      "influence"])
+def test_sampled_outputs_do_not_depend_on_the_piece_plan(tmp_path, monkeypatch, analysis):
+    # 70,000 draws in pieces of 2^10, of the default size and of 2^18, on
+    # 1, 2 and 3 workers: the tallies are integers, so every plan writes
+    # the same bytes
+    good = EpsBiased(57, 0.01) if analysis == "compare-eps" else UniformBits(57)
+    spath = _spec_file(tmp_path, NobfSourceSpec(63, [0, 3, 6, 30, 46, 50], good,
+                                                MajorityOfGood()))
+    ppath, _ = _params_file(tmp_path, explicit_params(
+        63, 7, 9, preset_code("simplex-k3"), RecursiveMajority3(2)))
+    config = {"spec": spath, "params": ppath, "force_mc": True,
+              "analysis": "fixedness" if analysis == "fixedness" else "compare-zeroed"}
+    if analysis == "influence":
+        config = {"analysis": "influence", "f": {"kind": "majority", "arity": 9},
+                  "coalition": [0, 4], "mode": "mc"}
+    cfg = _write(tmp_path / "analysis.json", config)
+    blobs = set()
+    for size in [1 << 10, DRAW_CHUNK, 1 << 18]:
+        monkeypatch.setattr("nobfext.prng.DRAW_CHUNK", size)
+        for workers in ["1", "2", "3"]:
+            out = tmp_path / f"{size}-{workers}.json"
+            assert _run("analyze", "--config", cfg, "--out", str(out), "--samples", "70000",
+                        "--seed", "5", "--workers", workers) == 0
+            blobs.add(out.read_bytes())
+    assert len(blobs) == 1
+    assert json.loads(blobs.pop())["result"]["exact"] is False
 
 
 def test_analyze_sampled_analyses_exact_when_nothing_can_vary(tmp_path):
@@ -1190,7 +1219,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
                  {"bfext", "codes"}),
         "influence": ("analyze", {"analysis": "influence", "max_size": 2,
                                   "f": {"kind": "majority", "arity": 5}}, {"bfext", "codes"}),
-        "extract": ("extract", {"params": ppath, "inputs": ["f3"]}, set()),
+        "extract": ("extract", {"params": ppath, "inputs": ["f3"]}, {"stats"}),
     }
     for name, (command, config, skipped) in commands.items():
         cfg = _write(tmp_path / f"{name}.json", config)
@@ -1203,6 +1232,18 @@ def test_each_command_loads_only_its_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-c", "import sys, nobfext; print(*sys.modules)"],
                           env=env, capture_output=True, text=True, check=True)
     assert {m for m in proc.stdout.split() if m.split(".")[0] == "nobfext"} == {"nobfext"}
+
+
+def test_threaded_walk_loads_neither_concurrent_futures_nor_logging(tmp_path):
+    # --workers 2 over several pieces runs on plain threads
+    spath = _spec_file(tmp_path, NobfSourceSpec(63, [1, 5], UniformBits(61), ParityOfGood()))
+    ppath, _ = _params_file(tmp_path, explicit_params(
+        63, 21, 3, preset_code("identity-2"), Majority(3)))
+    cfg = _write(tmp_path / "fixedness.json", {"analysis": "fixedness", "spec": spath,
+                                               "params": ppath, "samples": 100_000})
+    rc, loaded = _modules_loaded_by(tmp_path, "analyze", "--config", cfg, "--out", "out.json",
+                                    "--workers", "2", packages=("concurrent", "logging"))
+    assert rc == 0 and loaded == set()
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -1,12 +1,17 @@
 """Counter-addressed pseudo-random words."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from oracles import word64
 
 from nobfext.errors import ValidationError
-from nobfext.prng import check_word, low_bits, uniform01, words
+from nobfext.prng import (DRAW_CHUNK, check_word, chunk_ranges, low_bits, run_chunked, uniform01,
+                          words)
+from nobfext.sources import UniformBits
 
 
 def test_word64_deterministic_and_stream_separated():
@@ -96,3 +101,63 @@ def test_word_range_ends_are_distinct_streams():
     assert check_word(2 ** 64 - 1, "seed") == np.uint64(2 ** 64 - 1)
     with pytest.raises(ValidationError, match="seed must be in 0..2\\^64-1, got -1"):
         check_word(-1, "seed")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_walk_raises_a_middle_piece_error_and_leaves_no_thread(monkeypatch, workers):
+    # ten pieces of 2^10 draws; the kernel fails on the sixth, whose first
+    # draw it recognises
+    monkeypatch.setattr("nobfext.prng.DRAW_CHUNK", 1 << 10)
+    dist = UniformBits(20)
+    marker = int(dist.sample_batch(4, 0, 5 << 10, 1)[0])
+    err = ArithmeticError("piece 5")
+
+    def kernel(goods, weights):
+        if int(goods[0]) == marker:
+            raise err
+        return goods.size
+
+    before = threading.active_count()
+    assert dist.walk(lambda goods, weights: goods.size, False, 4, 10 << 10, workers) == \
+        (10 << 10, 10 << 10)
+    assert threading.active_count() == before
+    with pytest.raises(ArithmeticError) as info:
+        dist.walk(kernel, False, 4, 10 << 10, workers)
+    assert info.value is err
+    assert threading.active_count() == before
+
+
+def test_run_chunked_closed_early_joins_its_threads():
+    before = threading.active_count()
+    pieces = run_chunked(lambda start, count: count, 1 << 20, 2)
+    assert next(pieces) == DRAW_CHUNK
+    pieces.close()
+    assert threading.active_count() == before
+
+
+def test_run_chunked_under_contention_yields_each_piece_once_in_order(monkeypatch):
+    # 300 pieces on 8 threads and a shortened switch interval: every piece
+    # runs exactly once, comes back in range order, and no more than
+    # 2 * workers pieces start ahead of the one being yielded
+    monkeypatch.setattr("nobfext.prng.DRAW_CHUNK", 1 << 10)
+    workers, started = 8, []
+
+    def piece(start, count):
+        started.append(start)
+        return start, int(words(3, 0, start, count).sum(dtype=np.uint64))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        for i, (start, total) in enumerate(run_chunked(piece, 300 << 10, workers)):
+            assert len(started) <= i + 1 + 2 * workers
+            got.append((start, total))
+    finally:
+        sys.setswitchinterval(interval)
+    plan = chunk_ranges(300 << 10, workers, 1 << 10)
+    assert len(plan) == 300
+    assert [start for start, _ in got] == [start for start, _ in plan]
+    assert sorted(started) == [start for start, _ in plan]
+    assert [total for _, total in got] == \
+        [int(words(3, 0, s, c).sum(dtype=np.uint64)) for s, c in plan]

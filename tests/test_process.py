@@ -21,7 +21,7 @@ from nobfext.resilient import Majority
 from nobfext.sources import NobfSourceSpec, ParityOfGood, UniformBits
 
 ROOT = Path(__file__).resolve().parents[1]
-BIG = CHUNK + 1000  # draws that span two chunks of the sampled walks
+BIG = CHUNK + 1000  # draws that span many sampled pieces (of prng.DRAW_CHUNK), two exact chunks
 
 
 def _python(code, cwd, env_update=None, drop=("OPENBLAS_NUM_THREADS",)):

@@ -531,6 +531,18 @@ def test_table_adversary_keeps_integral_values_and_digit_keys():
         assert TableAdversary(2.0, entries).table.tolist() == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("entries", [[0, -5, 1, 0], {0: 0, 1: -5},
+                                     np.array([0, -5, 1, 0], dtype=np.int8)],
+                         ids=["list", "dict", "array"])
+def test_table_adversary_refuses_negative_entries_but_the_sentinel(entries):
+    # -1 alone marks a missing entry; -5 was accepted and later reported as
+    # a gap at good outcome 1
+    with pytest.raises(ValidationError, match="entry -5 for good outcome 1 is negative"):
+        TableAdversary(2, entries)
+    assert TableAdversary(2, [0, -1, 1, 0]).table.tolist() == [0, -1, 1, 0]
+    assert TableAdversary(2, {0: 0, 1: -1}).table.tolist() == [0, -1, -1, -1]
+
+
 def test_table_adversary_entry_wider_than_q_rejected_on_every_path():
     # entry 5 = 0b101 does not fit q = 2 bad bits; no path may truncate it
     spec = NobfSourceSpec(4, [2, 3], UniformBits(2), TableAdversary(2, [5, 0, 1, 2]))
