@@ -560,10 +560,10 @@ def test_sampled_walk_peak_does_not_grow_with_samples(oracle):
     # with thread timing), where keeping every piece's tables grew by 14 MiB
     spec = NobfSourceSpec(63, [0, 3, 6, 30, 46, 50], UniformBits(57), MajorityOfGood())
     params = explicit_params(63, 21, 3, preset_code("identity-16"), Majority(3))
-    oracle = compare_zeroed if oracle == "compare-zeroed" else fixedness_probability
+    estimate = compare_zeroed if oracle == "compare-zeroed" else fixedness_probability
 
     def run(samples):
-        return lambda: oracle(spec, params, seed=4, samples=samples, force_mc=True, workers=2)
+        return lambda: estimate(spec, params, seed=4, samples=samples, force_mc=True, workers=2)
 
     run(1 << 15)()  # first-use caches
     small, big = _traced_peak(run(1 << 19)), _traced_peak(run(1 << 22))
