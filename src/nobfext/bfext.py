@@ -28,17 +28,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, gather_bits_vec,
-                     hex_chars, n_words, scatter_bits_vec)
+from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, hex_chars, n_words,
+                     scatter_bits_vec)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded, parse_errors)
-from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _scan_evals,
-                        _undetermined_lookup, default_block_function,
-                        function_from_descriptor)
-from .schemas import integer
-from .sources import (ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary,
-                      mass)
+from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _undetermined_walk,
+                        default_block_function, function_from_descriptor)
+from .schemas import integer, real
+from .sources import ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary
 
 if TYPE_CHECKING:
     from .stats import Estimate
@@ -89,6 +87,7 @@ class BfextParams:
     t: int | None = None
 
     def __post_init__(self):
+        self.n, self.ell, self.block_len = map(integer, (self.n, self.ell, self.block_len))
         if self.n < 1 or self.ell < 1 or self.block_len < 1:
             raise ValidationError("n, ell, block_len must all be >= 1")
         if self.ell * self.block_len > self.n:
@@ -180,6 +179,7 @@ def derive_params(n: int, delta: float, t: int, beta: float = 1.0) -> BfextParam
     `default_block_function(block_len)`, the code
     `_default_code_builder(m, ell)`.
     """
+    n, delta, t, beta = integer(n), real(delta, "delta"), integer(t), real(beta, "beta")
     if not 0 < delta < 1:
         raise ValidationError("need 0 < delta < 1")
     if t < 1:
@@ -303,24 +303,17 @@ def output_distribution(spec: NobfSourceSpec, params: BfextParams,
 
 
 def _block_layout(spec: NobfSourceSpec, params: BfextParams):
-    """Per-block view of the bad/good coordinate split.
-
-    Returns a list over blocks that carry at least one bad bit:
-    (good_indices_into_global_good_order, local_good_offsets,
-    local_bad_offsets).
-    """
-    badset = set(spec.bad_positions)
-    good_positions = spec.good_positions
-    good_index = {p: k for k, p in enumerate(good_positions)}
+    """The coalition of each block that holds a bad bit, as
+    `_undetermined_walk` takes it: (the indices of the block's good bits
+    among all good bits, the offsets of its bad bits, of its good bits)."""
+    index = {p: k for k, p in enumerate(spec.good_positions)}
     layout = []
-    for i in range(params.ell):
-        lo = i * params.block_len
-        hi = lo + params.block_len
-        local_bads = [p - lo for p in spec.bad_positions if lo <= p < hi]
-        if not local_bads:
-            continue
-        goods = [p for p in range(lo, hi) if p not in badset]
-        layout.append(([good_index[p] for p in goods], [p - lo for p in goods], local_bads))
+    for lo in range(0, params.ell * params.block_len, params.block_len):
+        block = range(lo, lo + params.block_len)
+        bads = [p - lo for p in block if p not in index]
+        if bads:
+            layout.append(([index[p] for p in block if p in index], bads,
+                           [p - lo for p in block if p in index]))
     return layout
 
 
@@ -345,8 +338,8 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     `_exact_good_enumeration_ok`), otherwise Monte Carlo over good-bit
     samples with a 99% binomial interval, drawn on `workers` threads (the
     result does not depend on the count).  An exact walk whose block scans
-    exceed `cap` raises WorkCapExceeded.  Each bad block's fixing table is
-    built once per call, before the walk (`_undetermined_lookup`).
+    exceed `cap` raises WorkCapExceeded.  Each bad block is a coalition of
+    `_undetermined_walk`: its bad bits against the block's good bits.
     """
     from .stats import Estimate, binomial_estimate
     if spec.n != params.n:
@@ -355,19 +348,8 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     if not layout:
         return Estimate.exact_value(1.0)
     exact = not force_mc and _exact_good_enumeration_ok(spec)
-    blocks = [(good_idx, _undetermined_lookup(params.f, bad_off, good_off))
-              for good_idx, good_off, bad_off in layout]
-
-    def some_block_undetermined(goods, weights):
-        some = np.zeros(goods.shape, dtype=bool)
-        for good_idx, lookup in blocks:  # where the block's f-value still depends on its bad bits
-            some |= lookup(gather_bits_vec(goods, good_idx))
-        return mass(some, weights)
-
-    undetermined, total = spec.good_dist.walk(
-        some_block_undetermined, exact, seed, samples, workers,
-        units=sum(_scan_evals(params.f, len(b[2])) for b in layout), cap=cap,
-        what="fixedness enumeration")
+    undetermined, total = _undetermined_walk(params.f, spec.good_dist, layout, exact, seed,
+                                             samples, workers, cap, "fixedness enumeration")
     if exact:
         return Estimate.exact_value(1.0 - undetermined / total)
     return binomial_estimate(samples - undetermined, samples, confidence=0.99)

@@ -17,7 +17,7 @@ majority are monotone (Ben-Or and Linial 1985), marked by the class
 attribute `monotone`; for them a coalition is undetermined exactly when f
 differs between the coalition all 0 and all 1, two evaluations whatever
 its size.  Other functions are scanned over all 2^|Q| coalition patterns.
-A batch of more than 2^|rest| fixings is read from one scan over every fixing;
+Fixedness and influence both run on `_undetermined_walk` and its table rule;
 `_scan_evals` keeps the direct scan's units, so `--max-enum` refusals stay.
 `influence_max_exact` reads every coalition of a monotone f on uniform
 fixings from two subset-sum tables of its truth table, when the table's
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import prng
-from .bitops import (as_words, check_packed, hex_from_words, popcount, scatter_bits_vec,
-                     shift_right, words_from_hex, words_from_ints)
+from .bitops import (as_words, check_packed, gather_bits_vec, hex_from_words, popcount,
+                     scatter_bits_vec, shift_right, words_from_hex, words_from_ints)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
 from .schemas import check_count, integer
@@ -290,13 +290,8 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
     A monotone f takes its least value with the coalition all 0 and its
     greatest with it all 1, so two evaluations decide; any other f is
     evaluated on all 2^|Q| patterns (WorkCapExceeded above SCAN_BITS_CAP
-    coordinates).  A batch of more than the 2^|rest| distinct fixings is
-    read from one scan over all of them, so f is evaluated no more often;
-    `_scan_evals` still counts the direct scan, so refusals stay the same."""
+    coordinates)."""
     check_packed(f.arity, "packed block arity")
-    if len(fixings) > 1 << len(rest):
-        table = _undetermined_mask(f, qpos, rest, np.arange(1 << len(rest), dtype=np.uint64))
-        return table[fixings.astype(np.intp)]
     base = scatter_bits_vec(fixings, rest)
     if f.monotone:
         ones = np.uint64(sum(1 << p for p in qpos))
@@ -314,19 +309,30 @@ def _undetermined_mask(f: ResilientFunction, qpos: list[int], rest: list[int],
     return any0 & any1
 
 
-def _undetermined_lookup(f: ResilientFunction, qpos: list[int], rest: list[int]):
-    """`_undetermined_mask` over a walk's fixings, read from one table of
-    all 2^|rest| fixings, built now, when that costs at most
-    prng.DRAW_CHUNK evaluations of f, so no piece rebuilds it."""
-    if _scan_evals(f, len(qpos)) << len(rest) > prng.DRAW_CHUNK:
-        return partial(_undetermined_mask, f, qpos, rest)
-    table = _undetermined_mask(f, qpos, rest, np.arange(1 << len(rest), dtype=np.uint64))
-    return lambda fixings: table[fixings.astype(np.intp)]
+def _undetermined_walk(f: ResilientFunction, dist: GoodBitDistribution, coalitions,
+                       exact: bool, seed=None, samples=None, workers=1,
+                       cap=DEFAULT_WORK_CAP, what="undetermination walk"):
+    """The weight of `dist`'s walk where some coalition (the good bits that
+    fix it, or None for all; qpos; rest) leaves f undetermined, and the
+    total.  Masks are read from one table of the 2^|rest| fixings, built
+    first, when 2^|rest| <= min(V, prng.CHUNK) for the V outcomes walked
+    (an explicit table's V rows come as one piece: V alone); else scanned."""
+    units = sum(_scan_evals(f, len(qpos)) for _, qpos, _ in coalitions)
+    most = dist._visited(exact, seed, samples, workers, units, cap, what)
+    if not exact or dist.seed_bits is not None:
+        most = min(most, prng.CHUNK)
+    tables = [_undetermined_mask(f, qpos, rest, np.arange(1 << len(rest), dtype=np.uint64))
+              if 1 << len(rest) <= most else None for _, qpos, rest in coalitions]
 
+    def kernel(outcomes, weights):
+        some = np.zeros(outcomes.shape, dtype=bool)
+        for (goods, qpos, rest), table in zip(coalitions, tables):
+            fixings = outcomes if goods is None else gather_bits_vec(outcomes, goods)
+            some |= (_undetermined_mask(f, qpos, rest, fixings) if table is None
+                     else table[fixings.astype(np.intp)])
+        return mass(some, weights)
 
-def _undetermined_mass(f: ResilientFunction, qpos: list[int], rest: list[int]):
-    """The `GoodBitDistribution.walk` kernel of the influence oracles."""
-    return lambda fixings, weights: mass(_undetermined_mask(f, qpos, rest, fixings), weights)
+    return dist.walk(kernel, exact, seed, samples, workers, units, cap, what)
 
 
 def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
@@ -337,9 +343,8 @@ def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
     qpos, rest = _coalition(f, q_set, d_good)
     if not qpos:
         return 0.0
-    hits, total = d_good.walk(_undetermined_mass(f, qpos, rest), True,
-                              units=_scan_evals(f, len(qpos)), cap=cap,
-                              what="influence enumeration")
+    hits, total = _undetermined_walk(f, d_good, [(None, qpos, rest)], True, cap=cap,
+                                     what="influence enumeration")
     return hits / total
 
 
@@ -403,7 +408,7 @@ def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
     if not qpos:
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,
                         confidence=1.0, method="exact")
-    hits, _ = d_good.walk(_undetermined_mass(f, qpos, rest), False, seed, samples, workers)
+    hits, _ = _undetermined_walk(f, d_good, [(None, qpos, rest)], False, seed, samples, workers)
     return binomial_estimate(hits, samples, confidence=0.99)
 
 

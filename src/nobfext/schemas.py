@@ -15,6 +15,7 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import re
@@ -270,6 +271,17 @@ def check_count(value, name: str) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value, name: str) -> float:
+    """value as a float when it is a finite real number, numpy's included;
+    a bool, a string, nan, an infinity or an int beyond floats is a
+    ValidationError."""
+    if not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value := float(value)):
+                return value
+    raise ValidationError(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
 def _equal(a, b) -> bool:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -52,8 +51,8 @@ from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_v
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
 from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
                      parse_errors)
-from .schemas import (check_count, integer, integers, parse_json, read_text, staged_outputs,
-                      validate_document)
+from .schemas import (check_count, integer, integers, parse_json, read_text, real,
+                      staged_outputs, validate_document)
 
 ENUM_SEED_BITS_CAP = 24   # exact oracles enumerate at most 2^24 seeds
 ENUM_N_CAP = 24           # tables of outcomes have at most 2^24 entries
@@ -198,7 +197,7 @@ class Distribution:
 
     @classmethod
     def empirical(cls, m: int, samples, seed: int | None = None) -> "Distribution":
-        check_packed(m, "empirical sample width")
+        check_packed(m := _table_width(m), "empirical sample width")
         arr = np.asarray(samples, dtype=np.uint64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("empirical distribution needs a nonempty 1-d sample array")
@@ -314,31 +313,42 @@ class GoodBitDistribution:
         if self.support_size * units > cap:
             raise WorkCapExceeded(what, self.support_size * units, cap)
 
+    def _visited(self, exact: bool, seed, samples, workers, units, cap, what) -> int:
+        """The outcomes `walk` hands its kernel, the seed space or `samples`
+        draws, once its arguments and, if exact, its work are checked."""
+        if check_count(workers, "workers") < 1:
+            raise ValidationError(f"need at least one worker, got {workers}")
+        if exact:
+            self.support()  # its own refusals come before the work cap's
+            self.check_work(units, cap, what)
+            return self.support_size
+        if samples is None or seed is None:
+            raise ValidationError("exact enumeration infeasible; provide seed and samples")
+        if check_count(samples, "samples") < 1:
+            raise ValidationError("need at least one sample")
+        return samples
+
     def walk(self, kernel: Callable, exact: bool, seed: int | None = None,
              samples: int | None = None, workers: int = 1, units: int = 1,
              cap: int = DEFAULT_WORK_CAP, what: str = "support walk",
              on_seeds: bool = False):
         """The sum of kernel(goods, weights) over the good bits, and the
-        total weight to divide it by.  Exact walks run the kernel on each
-        chunk of `support()` (with `on_seeds`, as kernel(lo, count) on each
-        of `seed_ranges()`), total `support_total`, once its own refusals
-        and then `units` per outcome against `cap` (`check_work`) have
-        passed; sampled ones on the draws at counters 0..samples-1 of
+        total weight to divide it by, once `workers` >= 1 and, if exact, its
+        refusals, then `units` per outcome against `cap` (`check_work`), pass.
+        Exact walks run the kernel on each chunk of `support()` (with
+        `on_seeds`, as kernel(lo, count) on each of `seed_ranges()`), total
+        `support_total`; sampled ones on the draws at counters 0..samples-1 of
         (seed, stream 0) with weights None, total `samples`, in the pieces
         `prng.run_chunked` yields.  Seed pieces hold up to prng.CHUNK = 2^18
         seeds, as a seed walk's per-piece set-up is dearer; draw pieces
         2^15 draws, whose temporaries stay in L2 (`prng` has the timings).
         Results are added in range order, as they come, into one running
         total (`_add`), so the sum does not depend on `workers`."""
+        self._visited(exact, seed, samples, workers, units, cap, what)
         if exact:
             chunks = self.seed_ranges() if on_seeds else self.support()
             parts, total = itertools.starmap(kernel, chunks), self.support_total
-            self.check_work(units, cap, what)
         else:
-            if samples is None or seed is None:
-                raise ValidationError("exact enumeration infeasible; provide seed and samples")
-            if check_count(samples, "samples") < 1:
-                raise ValidationError("need at least one sample")
             parts, total = prng.run_chunked(
                 lambda start, count: kernel(self.sample_batch(seed, 0, start, count), None),
                 samples, workers), samples
@@ -522,8 +532,7 @@ class EpsBiased(GoodBitDistribution):
         n_good = integer(n_good)
         if n_good < 1:
             raise ValidationError("need at least one good bit")
-        if (isinstance(epsilon, (bool, np.bool_)) or not isinstance(epsilon, numbers.Real)
-                or not 0 < epsilon <= 1):
+        if not 0 < (epsilon := real(epsilon, "epsilon")) <= 1:
             raise ValidationError(f"epsilon must be a number in (0, 1], got {epsilon!r}")
         if field_bits is None:
             e = 1
@@ -613,6 +622,10 @@ class ExplicitTable(GoodBitDistribution):
         self._last = int(np.flatnonzero(self.probs)[-1])
 
     support_total = 1.0
+
+    def _visited(self, exact: bool, *args) -> int:
+        drawn = super()._visited(exact, *args)
+        return int(np.count_nonzero(self.probs)) if exact else drawn
 
     def support(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """The nonzero rows, in increasing order, as one chunk."""
@@ -718,7 +731,7 @@ class ConstantAdversary(AdversaryStrategy):
     kind = "constant"
 
     def __init__(self, pattern: int = 0):
-        if pattern < 0:
+        if (pattern := integer(pattern)) < 0:
             raise ValidationError("pattern must be nonnegative")
         self.pattern = pattern
         self.description = f"constant bad-bit pattern 0b{pattern:b}"
@@ -845,7 +858,7 @@ class NobfSourceSpec:
                  good_dist: GoodBitDistribution,
                  adversary: AdversaryStrategy | None = None,
                  t: int | None = None, gamma: float = 0.0):
-        if n < 1:
+        if (n := integer(n)) < 1:
             raise ValidationError(f"a source needs n >= 1 bits, got n={n}")
         bad = tuple(sorted(set(map(integer, bad_positions))))
         if bad and (bad[0] < 0 or bad[-1] >= n):
@@ -857,8 +870,7 @@ class NobfSourceSpec:
             )
         if adversary is None:
             adversary = ConstantAdversary(0)
-        if t is None:
-            t = good_dist.claimed_twise() or 0
+        t = integer(good_dist.claimed_twise() or 0 if t is None else t)
         if t < 0 or t > n - q:
             raise ValidationError(f"t={t} violates 0 <= t <= n - q = {n - q}")
         claimed = good_dist.claimed_twise()
@@ -866,7 +878,7 @@ class NobfSourceSpec:
             raise ValidationError(
                 f"t={t} exceeds the generator's guaranteed independence {claimed}"
             )
-        if not 0 <= gamma < math.inf:
+        if (gamma := real(gamma, "gamma")) < 0:
             raise ValidationError(f"gamma must be finite and nonnegative, got {gamma}")
         badset = set(bad)
         self.n = n

@@ -19,13 +19,12 @@ or divide by two themselves.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError, WorkCapExceeded
-from .schemas import check_count
+from .schemas import check_count, real
 from .sources import Distribution
 
 SPECTRUM_M_CAP = 20
@@ -195,9 +194,7 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     the relative margin `CP_MARGIN`.  The ends at k = 0 and k = n are 0.0
     and 1.0 exactly.  The result depends on (k, n, confidence) alone."""
     k, n = check_count(k, "k"), check_count(n, "n")
-    if (isinstance(confidence, (bool, np.bool_))
-            or not isinstance(confidence, numbers.Real)
-            or not 0.0 < confidence < 1.0):
+    if not 0.0 < real(confidence, "confidence") < 1.0:
         raise ValidationError("confidence must be a finite number strictly "
                               f"between 0 and 1, got {confidence!r}")
     if n <= 0:
@@ -369,7 +366,7 @@ def xor_bias_product(distances) -> XorBiasReport:
     [0, 1/2].  The XOR's distance is exactly (1/2) * prod(2 e_i): writing
     each bit as Pr[1] = 1/2 +- e_i, the XOR's deviation multiplies.
     """
-    ds = [float(e) for e in distances]
+    ds = [real(e, "per-bit distance") for e in distances]
     if not ds:
         raise ValidationError("need at least one bit")
     for e in ds:

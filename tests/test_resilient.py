@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import block_value, influence_max_brute, scatter_bits, tribes_value
 
+from nobfext.bfext import explicit_params, fixedness_probability
 from nobfext.bitops import popcount, words_from_ints
+from nobfext.codes import preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.resilient import (Majority, RecursiveMajority3, ResilientFunction,
                                TableFunction, Tribes, _scan_evals, _undetermined_mask,
-                               bias_under, default_block_function,
+                               _undetermined_walk, bias_under, default_block_function,
                                function_from_descriptor, influence_exact,
                                influence_max_exact, influence_mc, is_monotone)
-from nobfext.sources import Distribution, ExactTwise, ExplicitTable, UniformBits
+from nobfext.sources import (Distribution, ExactTwise, ExplicitTable, NobfSourceSpec,
+                             UniformBits)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +265,8 @@ _RANDOM_TABLES = st.builds(lambda bits: TableFunction(5, [(bits >> i) & 1 for i 
                                   RecursiveMajority3(2), _Parity(6)]), _RANDOM_TABLES),
        st.data())
 def test_mask_over_repeated_fixings_matches_brute_force(f, data):
-    # batches longer than the 2^|rest| distinct fixings, so with repeats:
-    # the mask is read from one scan over every fixing
+    # batches longer than the 2^|rest| distinct fixings, so with repeats,
+    # each scanned directly (tables are the walk's, `_undetermined_walk`)
     qpos = sorted(data.draw(st.sets(st.integers(0, f.arity - 1), min_size=1)))
     rest = [i for i in range(f.arity) if i not in qpos]
     rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1)))
@@ -295,15 +298,55 @@ def test_mask_table_branch_edges(f):
     assert _undetermined_mask(rec, qpos, rest, zeros).tolist() == \
         _brute_mask(f, qpos, rest, zeros)
     assert all(np.all(batch == batch[0]) for batch in rec.batches)
-    # one more: the same number of evaluations, over the 8 distinct fixings
+    # a walk of one more outcome than fixings: one table of the 8 fixings
     rec.batches.clear()
-    fixings = np.array([5, 5, 0, 7, 5, 1, 2, 3, 7], dtype=np.uint64)
-    assert _undetermined_mask(rec, qpos, rest, fixings).tolist() == \
-        _brute_mask(f, qpos, rest, fixings)
+    draws = UniformBits(3).sample_batch(5, 0, 0, 9)
+    assert _undetermined_walk(rec, UniformBits(3), [(None, qpos, rest)], False, 5, 9) == \
+        (sum(_brute_mask(f, qpos, rest, draws)), 9)
     assert [len(np.unique(batch)) for batch in rec.batches] == [8] * (2 if f.monotone else 4)
     # rest == []: the coalition is every coordinate, one fixing repeated
     assert _undetermined_mask(f, list(range(5)), [], np.zeros(3, dtype=np.uint64)).tolist() \
         == _brute_mask(f, list(range(5)), [], [0, 0, 0]) == [True] * 3
+
+
+def test_sampled_influence_builds_its_table_once(monkeypatch):
+    # 64 pieces of 2^10 draws: the 2^8 fixings of the coalition's rest are
+    # scanned once, before the walk (2 evaluations of a monotone f), not per piece
+    monkeypatch.setattr("nobfext.prng.DRAW_CHUNK", 1 << 10)
+    rec = _Recorded(Majority(11))
+    est = influence_mc(rec, [0, 1, 2], UniformBits(8), samples=1 << 16, seed=3, workers=2)
+    assert [len(batch) for batch in rec.batches] == [1 << 8] * 2
+    assert est == influence_mc(Majority(11), [0, 1, 2], UniformBits(8), 1 << 16, seed=3)
+
+
+def test_exact_influence_builds_its_table_once(monkeypatch):
+    # 2^12 seeds in 4 pieces of 2^10: one table of the 2^8 fixings, not one per piece
+    gen = ExactTwise(8, 4)
+    want = influence_exact(Majority(11), [0, 1, 2], gen)
+    monkeypatch.setattr("nobfext.prng.CHUNK", 1 << 10)
+    assert len(gen.seed_ranges()) == 4
+    rec = _Recorded(Majority(11))
+    assert influence_exact(rec, [0, 1, 2], gen) == want
+    assert [len(batch) for batch in rec.batches] == [1 << 8] * 2
+
+
+@pytest.mark.parametrize("visits", ["five-rows", "100-draws"])
+def test_walk_of_fewer_outcomes_than_fixings_scans_directly(visits):
+    # one bad bit in a Majority(9) block: 2^8 fixings of its good bits, more
+    # than the walk visits, so each visited outcome is scanned (2 evaluations)
+    probs = np.zeros(1 << 8)
+    probs[[3, 40, 77, 128, 255]] = 0.2
+    good, rows = (ExplicitTable(probs), 5) if visits == "five-rows" else (UniformBits(8), 100)
+    spec = NobfSourceSpec(9, [4], good)
+
+    def run(f):
+        params = explicit_params(9, 1, 9, preset_code("identity-1"), f)
+        return fixedness_probability(spec, params, seed=1, samples=100,
+                                     force_mc=visits == "100-draws")
+
+    rec = _Recorded(Majority(9))
+    assert run(rec) == run(Majority(9))
+    assert [len(batch) for batch in rec.batches] == [rows] * 2
 
 
 def test_monotone_matches_brute_force_on_random_tables():

@@ -14,8 +14,9 @@ from oracles import (adversary_bad_bits, eps_biased_outcome, gather_bits,
                      generator_outcome, gf2e_mul, scatter_bits)
 
 from nobfext import prng
+from nobfext.bfext import derive_params, explicit_params, extract_batch, fixedness_probability
 from nobfext.bitops import gather_bits_vec, ints_from_words, scatter_bits_vec, words_from_hex
-from nobfext.codes import build_good_code
+from nobfext.codes import build_good_code, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
                                influence_mc)
@@ -28,6 +29,7 @@ from nobfext.sources import (ConstantAdversary, Distribution,
                              mass, read_sample_batch,
                              sample_nobf_batch, verify_twise,
                              write_sample_batch, zeroed_counterpart)
+from nobfext.stats import xor_bias_product
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +415,53 @@ def test_bad_sizes_raise_validation_error(call):
     # (epsilon True as 1.0), or returned nothing
     with pytest.raises(ValidationError):
         call()
+
+
+def _params_9(n=9, ell=3):
+    return explicit_params(n, ell, 3, preset_code("identity-3"), Majority(3))
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: NobfSourceSpec(6.0, [1], UniformBits(5)).to_descriptor()["n"], 6),
+    (lambda: NobfSourceSpec(True, [], UniformBits(1)), ValidationError),
+    (lambda: NobfSourceSpec(6, [1], UniformBits(5), t=2.5), ValidationError),
+    (lambda: NobfSourceSpec(6, [1], UniformBits(5), gamma="x"), ValidationError),
+    (lambda: ConstantAdversary(1.0).descriptor(), {"kind": "constant", "pattern": 1}),
+    (lambda: ConstantAdversary(True), ValidationError),
+    (lambda: extract_batch(np.array([0b111000111], dtype=np.uint64),
+                           _params_9(ell=3.0)).tolist(), [0b101]),
+    (lambda: _params_9(n=9.0).to_json()["n"], 9),
+    (lambda: derive_params(64, 0.5, 3.5), ValidationError),
+    (lambda: derive_params(64, "0.5", 3), ValidationError),
+    (lambda: Distribution.empirical(-1, [1]), ValidationError),
+    (lambda: Distribution.empirical(2.0, [1, 2]).as_table().tolist(), [0.0, 0.5, 0.5, 0.0]),
+    (lambda: xor_bias_product(["0.25"]), ValidationError),
+], ids=["spec-n-float", "spec-n-bool", "spec-t-fraction", "spec-gamma-str",
+        "constant-float", "constant-bool", "explicit-ell-float", "explicit-n-float",
+        "derive-t-fraction", "derive-delta-str", "empirical-negative", "empirical-float",
+        "xor-str"])
+def test_constructors_read_sizes_and_real_numbers(call, want):
+    # sizes by `schemas.integer` (3.0 reads as 3, True and 2.5 are refused)
+    # and real numbers by `schemas.real`; each case raised a bare TypeError,
+    # ValueError or OverflowError, kept a float or bool size, or took a string
+    if want is ValidationError:
+        with pytest.raises(ValidationError):
+            call()
+    else:
+        assert json.dumps(call()) == json.dumps(want)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.0, "2", True])
+def test_walks_refuse_a_worker_count_that_is_not_a_positive_integer(workers):
+    # 0 and -3 ran on one thread, 2.0 and "2" raised a bare TypeError, and an
+    # exact walk never read the count
+    spec = NobfSourceSpec(9, [4], UniformBits(8))
+    for exact in (False, True):
+        with pytest.raises(ValidationError, match="worker"):
+            fixedness_probability(spec, _params_9(), seed=1, samples=100, force_mc=not exact,
+                                  workers=workers)
+    with pytest.raises(ValidationError, match="worker"):
+        influence_mc(Majority(3), [0], UniformBits(2), 100, 1, workers=workers)
 
 
 def test_epsilon_takes_numpy_floats():
