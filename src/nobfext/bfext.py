@@ -34,8 +34,8 @@ from .codes import LinearCode, build_good_code, compress_batch, preset_code
 from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded, parse_errors)
 from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _undetermined_walk,
-                        default_block_function, function_from_descriptor)
-from .schemas import integer, real
+                        default_block_function, function_from_descriptor, subset_sums)
+from .schemas import check_count, integer, real
 from .sources import ENUM_SEED_BITS_CAP, Distribution, NobfSourceSpec, TableAdversary
 
 if TYPE_CHECKING:
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 PLANE_ARITY_CAP = 8         # block arity above which exact walks stay packed
-EXHAUSTIVE_TABLE_BITS = 16  # q * 2^n_good above this falls back to ascent
+TRANSFORM_M_CAP = 4         # output width above which the adversary search ascends
 DEFAULT_SWEEPS = 64
 
 
@@ -344,12 +344,13 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     from .stats import Estimate, binomial_estimate
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
-    layout = _block_layout(spec, params)
-    if not layout:
-        return Estimate.exact_value(1.0)
+    layout, what = _block_layout(spec, params), "fixedness enumeration"
     exact = not force_mc and _exact_good_enumeration_ok(spec)
+    if not layout:
+        spec.good_dist._visited(exact, seed, samples, workers, 0, cap, what)
+        return Estimate.exact_value(1.0)
     undetermined, total = _undetermined_walk(params.f, spec.good_dist, layout, exact, seed,
-                                             samples, workers, cap, "fixedness enumeration")
+                                             samples, workers, cap, what)
     if exact:
         return Estimate.exact_value(1.0 - undetermined / total)
     return binomial_estimate(samples - undetermined, samples, confidence=0.99)
@@ -536,29 +537,32 @@ class WorstAdversaryReport:
 
 def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
                          cap: int = DEFAULT_WORK_CAP) -> WorstAdversaryReport:
-    """Search for the bad-bit strategy maximizing SD(Z, Z').
+    """The bad-bit strategy table maximizing SD(Z, Z'), and that SD.
 
-    Exhaustive over all strategy tables when the table is at most
-    EXHAUSTIVE_TABLE_BITS bits and the good-bit count is at most 4;
-    otherwise deterministic coordinate ascent over table entries
-    (steepest single-entry improvement, swept in order, at most
-    DEFAULT_SWEEPS sweeps).  The returned
-    adversary is labeled brute-force-worst with the search method in its
-    provenance.  The incoming spec's own adversary is ignored.
+    The outputs of the 2^q patterns at each of the 2^n_good good outcomes
+    (at most `cap` of them) are built first.  For m <= TRANSFORM_M_CAP the
+    maximum is exact: SD = max over output sets S of P_T(S) - P_0(S), and
+    the best T sends a good outcome g into S whenever one of its patterns
+    can, so SD = max_S [total - sum_{R within ~S} W(R)] - P_0(S), where W(R)
+    weighs the g whose reachable outputs are exactly R: one `subset_sums`
+    table of 2^(2^m) masks.  Ties go to the first maximal S in increasing
+    mask order, and each g to its first pattern whose output is in S
+    (pattern 0 when none is).  Wider outputs take a deterministic coordinate
+    ascent (the steepest single-entry improvement, swept in order, at most
+    DEFAULT_SWEEPS sweeps of at most ASCENT_STEP_CAP entries x patterns),
+    which can stop below the maximum.  The adversary is labeled
+    brute-force-worst with the method in its provenance; the spec's own
+    adversary is ignored.
     """
+    from .stats import sd_of_tables
     if spec.n != params.n:
         raise DimensionError("source length does not match parameters")
-    q = spec.q
-    n_good = spec.n - q
+    q, n_good, cap = spec.q, spec.n - spec.q, check_count(cap, "cap")
     if q < 1:
         raise ValidationError("need at least one bad position to optimize")
-    if not _exact_good_enumeration_ok(spec):
-        raise WorkCapExceeded(required=1 << n_good,
-                              cap=1 << ENUM_SEED_BITS_CAP,
-                              what="adversary search good-bit enumeration")
+    check_packed(spec.n, "adversary search source width")
     weights = spec.good_dist.exact_table()
-    gcount = weights.size
-    npat = 1 << q
+    gcount, npat, nz = weights.size, 1 << q, 1 << params.m
     if gcount * npat > cap:
         raise WorkCapExceeded(required=gcount * npat, cap=cap,
                               what="adversary search choice matrix")
@@ -569,65 +573,49 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
         bads = np.full(gcount, b, dtype=np.uint64)
         z_choice[b] = extract_batch(spec.compose_batch(goods, bads),
                                     params).astype(np.int64)
-    nz = 1 << params.m
     target = np.bincount(z_choice[0], weights=weights, minlength=nz)
-
-    table_bits = q * gcount
-    if n_good <= 4 and table_bits <= EXHAUSTIVE_TABLE_BITS:
-        ntables = 1 << table_bits
-        codes = np.arange(ntables, dtype=np.int64)
-        digits = np.empty((ntables, gcount), dtype=np.int64)
-        for g in range(gcount):
-            digits[:, g] = (codes >> (q * g)) & (npat - 1)
-        zsel = z_choice[digits, np.arange(gcount)]
-        tables = np.zeros((ntables, nz), dtype=np.float64)
-        np.add.at(tables, (np.repeat(np.arange(ntables), gcount),
-                           zsel.ravel()),
-                  np.tile(weights, ntables))
-        sds = 0.5 * np.abs(tables - target).sum(axis=1)
-        best = int(sds.argmax())
-        entries = [(best >> (q * g)) & (npat - 1) for g in range(gcount)]
-        adv = TableAdversary(n_good, entries, label="brute-force-worst",
-                             provenance={"method": "exhaustive",
-                                         "objective_sd": float(sds[best])})
-        return WorstAdversaryReport(adversary=adv, sd=float(sds[best]),
-                                    method="exhaustive")
-
-    if gcount * npat > ASCENT_STEP_CAP:
+    method, swept = "transform", 0
+    if params.m <= TRANSFORM_M_CAP:
+        # with A = ~S the value is P_0(A) - sum_{R within A} W(R): the
+        # subset sums of P_0 on the singletons less W on the reachable sets
+        sums = -np.bincount(np.bitwise_or.reduce(1 << z_choice), weights, 1 << nz)
+        sums[1 << np.arange(nz)] += target
+        best = int(subset_sums(sums)[::-1].argmax())  # reversed, S's value at S
+        entries = (best >> z_choice & 1).argmax(axis=0)
+        sd = sd_of_tables(np.bincount(z_choice[entries, goods], weights, nz), target)
+    elif gcount * npat > ASCENT_STEP_CAP:
         raise WorkCapExceeded(required=gcount * npat, cap=ASCENT_STEP_CAP,
                               what="adversary ascent sweep")
-    entries = [0] * gcount
-    diff = np.zeros_like(target)  # running P_T - P', updated entry by entry
-    for swept in range(1, DEFAULT_SWEEPS + 1):
-        changed = False
-        for g in range(gcount):
-            w = float(weights[g])
-            if w == 0.0:
-                continue
-            cur = entries[g]
-            zcur = z_choice[cur, g]
-            best_b, best_gain = cur, 0.0
-            for b in range(npat):
-                if b == cur:
+    else:
+        method, entries = "ascent", [0] * gcount
+        diff = np.zeros_like(target)  # running P_T - P', updated entry by entry
+        for swept in range(1, DEFAULT_SWEEPS + 1):
+            changed = False
+            for g in range(gcount):
+                w = float(weights[g])
+                if w == 0.0:
                     continue
-                znew = z_choice[b, g]
-                if znew == zcur:
-                    continue
-                gain = 0.5 * ((abs(diff[zcur] - w) - abs(diff[zcur]))
-                              + (abs(diff[znew] + w) - abs(diff[znew])))
-                if gain > best_gain + 1e-15:
-                    best_b, best_gain = b, gain
-            if best_b != cur:
-                diff[zcur] -= w
-                diff[z_choice[best_b, g]] += w
-                entries[g] = best_b
-                changed = True
-        if not changed:
-            break
-    from .stats import sd_of_tables
-    sd = sd_of_tables(diff, 0.0)
+                cur = entries[g]
+                zcur = z_choice[cur, g]
+                best_b, best_gain = cur, 0.0
+                for b in range(npat):
+                    if b == cur:
+                        continue
+                    znew = z_choice[b, g]
+                    if znew == zcur:
+                        continue
+                    gain = 0.5 * ((abs(diff[zcur] - w) - abs(diff[zcur]))
+                                  + (abs(diff[znew] + w) - abs(diff[znew])))
+                    if gain > best_gain + 1e-15:
+                        best_b, best_gain = b, gain
+                if best_b != cur:
+                    diff[zcur] -= w
+                    diff[z_choice[best_b, g]] += w
+                    entries[g] = best_b
+                    changed = True
+            if not changed:
+                break
+        sd = sd_of_tables(diff, 0.0)
     adv = TableAdversary(n_good, entries, label="brute-force-worst",
-                         provenance={"method": "ascent", "sweeps": swept,
-                                     "objective_sd": sd})
-    return WorstAdversaryReport(adversary=adv, sd=sd, method="ascent",
-                                sweeps=swept)
+                         provenance={"method": method, "sweeps": swept, "objective_sd": sd})
+    return WorstAdversaryReport(adversary=adv, sd=sd, method=method, sweeps=swept)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_M64 = (1 << 64) - 1
 _PHI1 = 0x9E3779B97F4A7C15
 _PHI2 = 0xD1B54A32D192ED03
 _MUL1 = 0xBF58476D1CE4E5B9

@@ -20,7 +20,7 @@ its size.  Other functions are scanned over all 2^|Q| coalition patterns.
 Fixedness and influence both run on `_undetermined_walk` and its table rule;
 `_scan_evals` keeps the direct scan's units, so `--max-enum` refusals stay.
 `influence_max_exact` reads every coalition of a monotone f on uniform
-fixings from two subset-sum tables of its truth table, when the table's
+fixings from two `subset_sums` tables of its truth table, when the table's
 2^arity evaluations are within the walks' units; those units are checked
 either way, so refusals stay.  Other fixings and functions walk.
 """
@@ -335,6 +335,17 @@ def _undetermined_walk(f: ResilientFunction, dist: GoodBitDistribution, coalitio
     return dist.walk(kernel, exact, seed, samples, workers, units, cap, what)
 
 
+def subset_sums(table: np.ndarray, supersets: bool = False) -> np.ndarray:
+    """`table` (2^k entries, contiguous) with each entry replaced in place by
+    the sum over the subsets of its index, or over its supersets: the zeta
+    transform (Yates 1937), k passes over the pairs of indices that differ
+    in one bit.  Returns `table`."""
+    into, src = (0, 1) if supersets else (1, 0)
+    for j in range(table.size.bit_length() - 1):
+        table.reshape(-1, 2, 1 << j)[:, into] += table.reshape(-1, 2, 1 << j)[:, src]
+    return table
+
+
 def influence_exact(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
                     cap: int = DEFAULT_WORK_CAP) -> float:
     """Probability over d_good-fixings of the non-coalition coordinates
@@ -376,10 +387,8 @@ def influence_max_exact(f: ResilientFunction, q: int,
             and f.arity <= TABLE_ARITY_CAP
             and 1 << f.arity <= units * d_good_family.support_size):
         up = f.truth_table().astype(np.int64)
-        down = up.copy()
-        for j in range(f.arity):  # zeta transforms: sums over supersets, subsets
-            up.reshape(-1, 2, 1 << j)[:, 0] += up.reshape(-1, 2, 1 << j)[:, 1]
-            down.reshape(-1, 2, 1 << j)[:, 1] += down.reshape(-1, 2, 1 << j)[:, 0]
+        down = subset_sums(up.copy())
+        subset_sums(up, supersets=True)
         full = (1 << f.arity) - 1
 
         def influence(subset):
@@ -406,6 +415,7 @@ def influence_mc(f: ResilientFunction, q_set, d_good: GoodBitDistribution,
     from .stats import Estimate, binomial_estimate
     qpos, rest = _coalition(f, q_set, d_good)
     if not qpos:
+        d_good._visited(False, seed, samples, workers, 0, DEFAULT_WORK_CAP, "influence")
         return Estimate(value=0.0, lo=0.0, hi=0.0, samples=samples,
                         confidence=1.0, method="exact")
     hits, _ = _undetermined_walk(f, d_good, [(None, qpos, rest)], False, seed, samples, workers)

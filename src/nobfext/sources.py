@@ -309,8 +309,8 @@ class GoodBitDistribution:
 
     def check_work(self, units: int, cap: int, what: str) -> None:
         """Raise WorkCapExceeded when `units` of work for each walked
-        outcome, over the whole support, exceed `cap`."""
-        if self.support_size * units > cap:
+        outcome, over the whole support, exceed `cap` (an integer)."""
+        if self.support_size * units > check_count(cap, "cap"):
             raise WorkCapExceeded(what, self.support_size * units, cap)
 
     def _visited(self, exact: bool, seed, samples, workers, units, cap, what) -> int:
@@ -673,7 +673,7 @@ def verify_twise(dist: GoodBitDistribution, n: int, t: int,
     outcome (`check_work`), exceed the work cap.  The report carries the
     worst subset (0-based) and its statistical distance from uniform.
     """
-    n, t = integer(n), integer(t)
+    n, t, cap = integer(n), integer(t), check_count(cap, "cap")
     if n != dist.n_good:
         raise DimensionError(f"distribution is over {dist.n_good} bits, not {n}")
     if not 1 <= t <= n:

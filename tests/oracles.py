@@ -39,7 +39,9 @@ inputs, and `dense_output_distribution`, `dense_compare_zeroed` and
 `dense_fixedness` derive z's table, SD(Z, Z') and the fixedness from it,
 where the library walks the good-bit support.  Their float sums run in
 increasing order of the input, 2^20 inputs at a time, the order the
-library's results must reproduce bit for bit.
+library's results must reproduce bit for bit.  `worst_sd_brute` tries
+every strategy table where `worst_case_adversary` reads one subset-sum
+table.
 """
 
 import itertools
@@ -422,3 +424,22 @@ def dense_fixedness(spec, params) -> float:
               for b in range(1 << spec.q)}
         moved.append(len(ys) > 1)
     return 1.0 - float(weights[support[np.array(moved, dtype=bool)]].sum())
+
+
+def worst_sd_brute(spec, params) -> float:
+    """The largest SD(Z, Z') over all 2^(q 2^n_good) strategy tables: each
+    table's output law, binned in increasing order of the good outcome,
+    against the zeroed one, with every output from `extract_trace`."""
+    weights = dense_good_table(spec.good_dist)
+    q, gcount = spec.q, weights.size
+    z = np.array([[int(extract_trace(scatter_bits([g], spec.good_positions)[0]
+                                     | scatter_bits([b], spec.bad_positions)[0],
+                                     params)["z"][::-1], 16)
+                   for g in range(gcount)] for b in range(1 << q)])
+    tables = np.arange(1 << (q * gcount))
+    entries = (tables[:, None] >> (q * np.arange(gcount))) & ((1 << q) - 1)
+    laws = np.zeros((tables.size, 1 << params.m))
+    np.add.at(laws, (np.repeat(tables, gcount), z[entries, np.arange(gcount)].ravel()),
+              np.tile(weights, tables.size))
+    zeroed = np.bincount(z[0], weights=weights, minlength=1 << params.m)
+    return float(0.5 * np.abs(laws - zeroed).sum(axis=1).max())

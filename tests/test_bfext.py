@@ -7,13 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import (countdown_code, dense_compare_zeroed, dense_fixedness,
                      dense_output_distribution, extract_trace)
 
+from nobfext import bfext
 from nobfext.bfext import (PLANE_ARITY_CAP, BfextParams, CompareZeroedReport,
                            _block_bits, _default_code_builder, _derived_m, _floor_pow, _on_planes,
                            compare_zeroed, derive_params, explicit_params, extract_batch,
@@ -24,12 +25,12 @@ from nobfext.bitops import ints_from_words, words_from_ints
 from nobfext.codes import LinearCode, build_good_code, min_distance_exact, preset_code
 from nobfext.errors import DimensionError, ValidationError, WorkCapExceeded
 from nobfext.resilient import (Majority, RecursiveMajority3, TableFunction, Tribes,
-                               influence_mc)
+                               influence_exact, influence_max_exact, influence_mc)
 from nobfext.schemas import validate_document
 from nobfext.sources import (ConstantAdversary, Distribution, EpsBiased,
                              ExactTwise, ExplicitTable, MajorityOfGood,
                              NobfSourceSpec, ParityOfGood, TableAdversary,
-                             UniformBits, sample_nobf_batch)
+                             UniformBits, sample_nobf_batch, verify_twise)
 from nobfext.stats import statistical_distance
 
 
@@ -882,7 +883,7 @@ def test_worst_adversary_exhaustive_matches_oracle():
     params = explicit_params(4, 2, 2, preset_code("identity-2"), Tribes(2, 1))
     spec = _uniform_spec(4, [0])
     report = worst_case_adversary(spec, params)
-    assert report.method == "exhaustive"
+    assert report.method == "transform"
     zero_dist = output_distribution(_uniform_spec(4, [0], ConstantAdversary(0)),
                                     params)
     best = 0.0
@@ -896,22 +897,22 @@ def test_worst_adversary_exhaustive_matches_oracle():
         NobfSourceSpec(4, [0], UniformBits(3), report.adversary), params)
     assert statistical_distance(achieved, zero_dist) == pytest.approx(report.sd)
     assert report.adversary.kind == "brute-force-worst"
-    assert report.adversary.provenance["method"] == "exhaustive"
+    assert report.adversary.provenance["method"] == "transform"
 
 
 def test_worst_adversary_ascent_consistent():
-    params = explicit_params(8, 2, 4, preset_code("identity-2"), Tribes(2, 2))
-    spec = _uniform_spec(8, [0, 5])
+    params = explicit_params(10, 5, 2, preset_code("identity-5"), Tribes(2, 1))
+    spec = _uniform_spec(10, [0, 5])
     report = worst_case_adversary(spec, params)
     assert report.method == "ascent"
     assert 1 <= report.sweeps <= 64
     # reported objective must match an exact recomputation
-    rebuilt = NobfSourceSpec(8, [0, 5], UniformBits(6), report.adversary)
+    rebuilt = NobfSourceSpec(10, [0, 5], UniformBits(8), report.adversary)
     rep = compare_zeroed(rebuilt, params)
     assert rep.exact and rep.sd.value == pytest.approx(report.sd)
     # it at least beats the fixed stock strategies
     for adv in [ParityOfGood(), ConstantAdversary(3)]:
-        stock = compare_zeroed(_uniform_spec(8, [0, 5], adv), params).sd.value
+        stock = compare_zeroed(_uniform_spec(10, [0, 5], adv), params).sd.value
         assert report.sd >= stock - 1e-12
     # and respects the coupling bound
     fixed = fixedness_probability(spec, params).value
@@ -933,3 +934,138 @@ def test_worst_adversary_saturates_single_free_block():
     fixed = fixedness_probability(spec, params).value
     assert fixed == pytest.approx(0.5)
     assert report.sd == pytest.approx(1.0 - fixed)
+
+
+def _ascent_report(spec, params):
+    """`worst_case_adversary` with the transform turned off: the ascent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bfext, "TRANSFORM_M_CAP", 0)
+        return worst_case_adversary(spec, params)
+
+
+def _check_worst(spec, params):
+    """The transform's report, once it is exact, reached by its own table,
+    never below the ascent and within the coupling bound."""
+    report = worst_case_adversary(spec, params)
+    assert report.method == "transform" and report.sweeps == 0
+    assert report.adversary.provenance["method"] == "transform"
+    reached = compare_zeroed(NobfSourceSpec(spec.n, spec.bad_positions, spec.good_dist,
+                                            report.adversary), params)
+    assert abs(reached.sd.value - report.sd) <= 1e-12
+    ascent = _ascent_report(spec, params)
+    assert ascent.method == "ascent" and ascent.sd <= report.sd + 1e-12
+    assert report.sd <= 1.0 - fixedness_probability(spec, params).value + 1e-12
+    return report
+
+
+@st.composite
+def _tiny_systems(draw):
+    """Sources with at most 2^12 strategy tables (q 2^n_good <= 12), outputs
+    of 1 to 4 bits, and majority, tribes or random table blocks."""
+    q = draw(st.integers(1, 2))
+    n_good = draw(st.integers(0, 3 if q == 1 else 2))
+    n = n_good + q
+    block_len = draw(st.integers(1, n))
+    ell = draw(st.integers(1, min(4, n // block_len)))
+    f = draw(st.sampled_from([Majority(block_len) if block_len % 2 else
+                              Tribes(2, block_len // 2),
+                              TableFunction(block_len, draw(st.lists(
+                                  st.integers(0, 1), min_size=1 << block_len,
+                                  max_size=1 << block_len)))]))
+    rows = tuple(draw(st.lists(st.integers(1, (1 << ell) - 1), min_size=1, max_size=ell)))
+    assume(len(oracles.gf2_echelon(rows)) == len(rows))  # full row rank
+    bad = sorted(draw(st.sets(st.integers(0, n - 1), min_size=q, max_size=q)))
+    good = UniformBits(n_good)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=1 << n_good,
+                                   max_size=1 << n_good))) + 0.0
+        w[draw(st.integers(0, w.size - 1))] += 1.0  # some row is nonzero
+        good = ExplicitTable(w / w.sum())
+    return (NobfSourceSpec(n, bad, good),
+            explicit_params(n, ell, block_len, LinearCode(ell, rows, oracles.gray_min_distance(
+                LinearCode(ell, rows))), f))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_tiny_systems())
+def test_worst_adversary_transform_equals_every_table(system):
+    # the one exact route against every strategy table, on any good-bit count
+    spec, params = system
+    report = _check_worst(spec, params)
+    assert abs(report.sd - oracles.worst_sd_brute(spec, params)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,params", [
+    # two tribes blocks and 2^6 good outcomes: 2^256 strategy tables
+    (_uniform_spec(8, [0, 5]), explicit_params(8, 2, 4, preset_code("identity-2"),
+                                               Tribes(2, 2))),
+    (_uniform_spec(6, [1, 5]), _maj3_params()),
+    (NobfSourceSpec(9, [4], ExactTwise(8, 3)), _maj3_params(3)),
+    (_uniform_spec(8, [2, 6]), explicit_params(8, 4, 2, preset_code("identity-4"),
+                                               Tribes(2, 1))),
+], ids=["tribes-m2", "maj3-m2", "twise-m3", "tribes-m4"])
+def test_worst_adversary_transform_beyond_brute_force(spec, params):
+    _check_worst(spec, params)
+
+
+def test_worst_adversary_memory_does_not_grow_with_tables():
+    # no good bits and ten bad ones, m = 10: the removed enumeration of
+    # 2^10 strategy tables by 2^10 outputs peaked at 24.1 MiB here
+    spec = NobfSourceSpec(10, range(10), UniformBits(0))
+    params = explicit_params(10, 10, 1, preset_code("identity-10"), Majority(1))
+    assert _traced_peak(lambda: worst_case_adversary(spec, params)) < 4 << 20
+
+
+@pytest.mark.parametrize("spec,params,message", [
+    (NobfSourceSpec(9, [4], ExactTwise(8, 9), t=8), _maj3_params(3),
+     r"seed space too large to enumerate \(required 1\.34218e\+08 "),
+    (NobfSourceSpec(70, [0, 1, 2, 3, *range(8, 70)], UniformBits(4)),
+     explicit_params(70, 1, 3, preset_code("identity-1"), Majority(3)),
+     r"\(required 70 > cap 64\)"),
+], ids=["seed-space", "width"])
+def test_worst_adversary_refusals_state_true_numbers(spec, params, message):
+    # both used to print the good-bit count against the 2^24 seed cap
+    with pytest.raises(WorkCapExceeded, match=message):
+        worst_case_adversary(spec, params)
+
+
+_CAP_ORACLES = {
+    "output_distribution": lambda cap: output_distribution(
+        _uniform_spec(6, [1]), _maj3_params(), cap=cap),
+    "fixedness_probability": lambda cap: fixedness_probability(
+        _uniform_spec(6, [1]), _maj3_params(), cap=cap),
+    "compare_zeroed": lambda cap: compare_zeroed(_uniform_spec(6, [1]), _maj3_params(), cap=cap),
+    "worst_case_adversary": lambda cap: worst_case_adversary(
+        _uniform_spec(6, [1]), _maj3_params(), cap=cap),
+    "influence_exact": lambda cap: influence_exact(Majority(3), [0], UniformBits(2), cap),
+    "influence_max_exact": lambda cap: influence_max_exact(Majority(3), 1, UniformBits(2), cap),
+    "verify_twise": lambda cap: verify_twise(UniformBits(4), 4, 2, cap),
+}
+
+
+@pytest.mark.parametrize("cap", ["x", float(1 << 28), True], ids=["str", "float", "bool"])
+@pytest.mark.parametrize("oracle", sorted(_CAP_ORACLES))
+def test_oracles_read_cap_as_an_integer(oracle, cap):
+    # a string cap raised a bare TypeError; a float or a bool was compared
+    with pytest.raises(ValidationError, match="cap must be an integer"):
+        _CAP_ORACLES[oracle](cap)
+    _CAP_ORACLES[oracle](np.int64(1 << 28))
+
+
+def test_early_returns_check_their_arguments():
+    # an empty coalition and a source with no bad bit returned before their
+    # arguments were read: Estimate(samples='x') and 1.0
+    with pytest.raises(ValidationError):
+        influence_mc(Majority(3), [], UniformBits(3), samples="x", seed=None, workers=-1)
+    with pytest.raises(ValidationError):
+        influence_mc(Majority(3), [], UniformBits(3), samples="x", seed=1)
+    no_bad = _uniform_spec(6, [])
+    with pytest.raises(ValidationError):
+        fixedness_probability(no_bad, _maj3_params(), workers=0, samples="x", force_mc=True)
+    with pytest.raises(ValidationError):
+        fixedness_probability(no_bad, _maj3_params(), seed=1, force_mc=True)
+    with pytest.raises(ValidationError):
+        fixedness_probability(no_bad, _maj3_params(), cap="x")
+    assert influence_mc(Majority(3), [], UniformBits(3), samples=5, seed=1).value == 0.0
+    assert fixedness_probability(no_bad, _maj3_params(), seed=1, samples=5,
+                                 force_mc=True).value == 1.0

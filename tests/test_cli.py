@@ -818,6 +818,21 @@ def test_influence_max_size_refuses_conflicting_keys(tmp_path, capsys, extra):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("analysis", ["influence", "fixedness"])
+def test_analyze_early_returns_need_samples(tmp_path, capsys, analysis):
+    # an empty MC coalition and a forced-MC source with no bad bit returned
+    # before their sample count was read, and exited 0
+    ppath, _ = _params_file(tmp_path)
+    config = ({"analysis": "influence", "f": _MAJ3, "coalition": [], "mode": "mc"}
+              if analysis == "influence" else
+              {"analysis": "fixedness", "params": ppath, "force_mc": True,
+               "spec": _spec_file(tmp_path, NobfSourceSpec(6, [], UniformBits(6)))})
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+    assert "sample" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_schema_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     spec = {**NobfSourceSpec(6, [1], UniformBits(5), ParityOfGood()).to_descriptor(),
             "n": True}
