@@ -936,13 +936,6 @@ def test_worst_adversary_saturates_single_free_block():
     assert report.sd == pytest.approx(1.0 - fixed)
 
 
-def _ascent_report(spec, params):
-    """`worst_case_adversary` with the transform turned off: the ascent."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bfext, "TRANSFORM_M_CAP", 0)
-        return worst_case_adversary(spec, params)
-
-
 def _check_worst(spec, params):
     """The transform's report, once it is exact, reached by its own table,
     never below the ascent and within the coupling bound."""
@@ -952,7 +945,9 @@ def _check_worst(spec, params):
     reached = compare_zeroed(NobfSourceSpec(spec.n, spec.bad_positions, spec.good_dist,
                                             report.adversary), params)
     assert abs(reached.sd.value - report.sd) <= 1e-12
-    ascent = _ascent_report(spec, params)
+    with pytest.MonkeyPatch.context() as mp:  # the transform off: the ascent
+        mp.setattr(bfext, "TRANSFORM_M_CAP", 0)
+        ascent = worst_case_adversary(spec, params)
     assert ascent.method == "ascent" and ascent.sd <= report.sd + 1e-12
     assert report.sd <= 1.0 - fixedness_probability(spec, params).value + 1e-12
     return report
