@@ -22,7 +22,6 @@ table) keep `zeroed_pair_counts`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 from .bitops import (PACKED_WIDTH, as_words, bit_field, check_packed, hex_chars, n_words,
                      scatter_bits_vec)
 from .codes import LinearCode, build_good_code, compress_batch, preset_code
-from .errors import (DEFAULT_WORK_CAP, DimensionError, SearchBudgetExceeded,
+from .errors import (DEFAULT_WORK_CAP, DimensionError, Frozen, Record, SearchBudgetExceeded,
                      ValidationError, WorkCapExceeded, parse_errors)
 from .resilient import (TABLE_ARITY_CAP, ResilientFunction, _undetermined_walk,
                         default_block_function, function_from_descriptor, subset_sums)
@@ -44,6 +43,7 @@ if TYPE_CHECKING:
 ASCENT_STEP_CAP = 1 << 16   # table entries x patterns per ascent sweep
 PLANE_ARITY_CAP = 8         # block arity above which exact walks stay packed
 TRANSFORM_M_CAP = 4         # output width above which the adversary search ascends
+ADVERSARY_PIECE = 1 << 14   # good outcomes per extract call of the adversary search
 DEFAULT_SWEEPS = 64
 
 
@@ -73,21 +73,13 @@ def _derived_m(n: int, alpha: float, t: int, beta: float) -> int:
         ctx.multiply(D(beta), ctx.power(D(t), ctx.divide(1, 21))))))
 
 
-@dataclass
-class BfextParams:
-    n: int
-    ell: int
-    block_len: int
-    code: LinearCode
-    f: ResilientFunction
-    mode: str = "explicit"
-    delta: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    t: int | None = None
+class BfextParams(Record):
+    __slots__ = ("n", "ell", "block_len", "code", "f", "mode", "delta", "alpha", "beta", "t")
 
-    def __post_init__(self):
-        self.n, self.ell, self.block_len = map(integer, (self.n, self.ell, self.block_len))
+    def __init__(self, n: int, ell: int, block_len: int, code: LinearCode, f: ResilientFunction,
+                 mode: str = "explicit", delta: float | None = None,
+                 alpha: float | None = None, beta: float | None = None, t: int | None = None):
+        super().__init__(*map(integer, (n, ell, block_len)), code, f, mode, delta, alpha, beta, t)
         if self.n < 1 or self.ell < 1 or self.block_len < 1:
             raise ValidationError("n, ell, block_len must all be >= 1")
         if self.ell * self.block_len > self.n:
@@ -356,18 +348,14 @@ def fixedness_probability(spec: NobfSourceSpec, params: BfextParams,
     return binomial_estimate(samples - undetermined, samples, confidence=0.99)
 
 
-@dataclass(frozen=True)
-class CompareZeroedReport:
+class CompareZeroedReport(Frozen):
     """Distance between the extractor output on the source and on its
     zeroed counterpart (same good bits, bad bits pinned to zero)."""
 
-    sd: Estimate
-    exact: bool
-    m: int
-    mismatch_rate: float | None = None
+    __slots__ = ("sd", "exact", "m", "mismatch_rate")
 
-    def to_json(self) -> dict:
-        return asdict(self)  # sd as Estimate.to_json gives it
+    def __init__(self, sd: Estimate, exact: bool, m: int, mismatch_rate: float | None = None):
+        super().__init__(sd, exact, m, mismatch_rate)
 
 
 def compare_zeroed(spec: NobfSourceSpec, params: BfextParams,
@@ -523,12 +511,11 @@ def zeroed_pair_counts(spec: NobfSourceSpec, params: BfextParams,
             int(np.count_nonzero(za != zb)))
 
 
-@dataclass(frozen=True)
-class WorstAdversaryReport:
-    adversary: TableAdversary
-    sd: float
-    method: str
-    sweeps: int = 0
+class WorstAdversaryReport(Frozen):
+    __slots__ = ("adversary", "sd", "method", "sweeps")
+
+    def __init__(self, adversary: TableAdversary, sd: float, method: str, sweeps: int = 0):
+        super().__init__(adversary, sd, method, sweeps)
 
     def to_json(self) -> dict:
         return {"adversary": self.adversary.descriptor(), "sd": self.sd,
@@ -566,23 +553,32 @@ def worst_case_adversary(spec: NobfSourceSpec, params: BfextParams,
     if gcount * npat > cap:
         raise WorkCapExceeded(required=gcount * npat, cap=cap,
                               what="adversary search choice matrix")
-    goods = np.arange(gcount, dtype=np.uint64)
-    # z_choice[b, g]: output when the good bits are g and the bad bits b.
-    z_choice = np.empty((npat, gcount), dtype=np.int64)
-    for b in range(npat):
-        bads = np.full(gcount, b, dtype=np.uint64)
-        z_choice[b] = extract_batch(spec.compose_batch(goods, bads),
-                                    params).astype(np.int64)
+    # z_choice[b, g]: output when the good bits are g and the bad bits b,
+    # built ADVERSARY_PIECE outcomes at a time; reach[g]: the mask of the
+    # outputs that g's patterns reach (m <= TRANSFORM_M_CAP)
+    z_choice = np.empty((npat, gcount), dtype=np.min_scalar_type(nz - 1))
+    reach = np.zeros(gcount, dtype=np.int64)
+    for lo in range(0, gcount, ADVERSARY_PIECE):
+        goods = np.arange(lo, min(gcount, lo + ADVERSARY_PIECE), dtype=np.uint64)
+        for b in range(npat):
+            z = extract_batch(spec.compose_batch(goods, np.full(goods.size, b, np.uint64)),
+                              params).astype(np.int64)
+            z_choice[b, lo:lo + goods.size] = z
+            if params.m <= TRANSFORM_M_CAP:
+                reach[lo:lo + goods.size] |= 1 << z
     target = np.bincount(z_choice[0], weights=weights, minlength=nz)
     method, swept = "transform", 0
     if params.m <= TRANSFORM_M_CAP:
         # with A = ~S the value is P_0(A) - sum_{R within A} W(R): the
         # subset sums of P_0 on the singletons less W on the reachable sets
-        sums = -np.bincount(np.bitwise_or.reduce(1 << z_choice), weights, 1 << nz)
+        sums = -np.bincount(reach, weights, 1 << nz)
         sums[1 << np.arange(nz)] += target
-        best = int(subset_sums(sums)[::-1].argmax())  # reversed, S's value at S
-        entries = (best >> z_choice & 1).argmax(axis=0)
-        sd = sd_of_tables(np.bincount(z_choice[entries, goods], weights, nz), target)
+        best = subset_sums(sums)[::-1].argmax()  # reversed, S's value at S
+        entries = np.zeros(gcount, dtype=np.intp)
+        for b in reversed(range(npat)):  # each g's first pattern into S
+            entries[best >> z_choice[b] & 1 == 1] = b
+        chosen = np.take_along_axis(z_choice, entries[None], 0)[0]
+        sd = sd_of_tables(np.bincount(chosen, weights, nz), target)
     elif gcount * npat > ASCENT_STEP_CAP:
         raise WorkCapExceeded(required=gcount * npat, cap=ASCENT_STEP_CAP,
                               what="adversary ascent sweep")

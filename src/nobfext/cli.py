@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
-Four subcommands, all driven by a JSON config file and a master seed:
+Four commands, all driven by a JSON config file and a master seed, take
+the same options, before or after the command:
 
   gen-source   build a source spec file, optionally with a sample batch
   extract      run the pipeline over inputs, emit per-sample traces
@@ -392,19 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nobfext",
         description="Bit-fixing source extractor toolbox (batch front end).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides config)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="sample count (overrides config)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads; outputs do not depend on this")
-        p.add_argument("--max-enum", type=int, default=None, metavar="BITS",
-                       help="override the work cap to 2^BITS units")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output path")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="sample count (overrides config)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker threads; outputs do not depend on this")
+    parser.add_argument("--max-enum", type=int, default=None, metavar="BITS",
+                        help="override the work cap to 2^BITS units")
     return parser
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, as_words, bit_field,
                      hex_from_words, ints_from_words, linear_map_tables, n_words,
                      popcount, words_from_hex, words_from_ints, xor_table)
-from .errors import (DimensionError, SearchBudgetExceeded, ValidationError,
+from .errors import (DimensionError, Record, SearchBudgetExceeded, ValidationError,
                      WorkCapExceeded, parse_errors)
 from .schemas import integer
 
@@ -62,15 +61,12 @@ def echelon_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.count_nonzero(pivots.any(axis=2), axis=1)
 
 
-@dataclass
-class LinearCode:
-    r: int
-    rows: tuple[int, ...]
-    verified_d: int = 0
-    construction: dict = field(default_factory=lambda: {"kind": "explicit"})
+class LinearCode(Record):
+    __slots__ = ("r", "rows", "verified_d", "construction")
 
-    def __post_init__(self):
-        self.r, self.rows = integer(self.r), tuple(map(integer, self.rows))
+    def __init__(self, r: int, rows, verified_d: int = 0, construction: dict | None = None):
+        super().__init__(integer(r), tuple(map(integer, rows)), verified_d,
+                         {"kind": "explicit"} if construction is None else construction)
         if not self.rows or self.r < 1:
             raise ValidationError("need m >= 1 and r >= 1")
         for i, row in enumerate(self.rows):

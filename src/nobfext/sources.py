@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -49,8 +48,8 @@ import numpy as np
 from . import prng
 from .bitops import (PACKED_WIDTH, apply_linear_map, check_packed, gather_bits_vec,
                      hex_chars, linear_map_tables, scatter_bits_vec, words_from_hex)
-from .errors import (DEFAULT_WORK_CAP, DimensionError, ValidationError, WorkCapExceeded,
-                     parse_errors)
+from .errors import (DEFAULT_WORK_CAP, DimensionError, Frozen, ValidationError,
+                     WorkCapExceeded, parse_errors)
 from .schemas import (check_count, integer, integers, parse_json, read_text, real,
                       staged_outputs, validate_document)
 
@@ -152,8 +151,7 @@ def _table_width(m) -> int:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(Frozen):
     """Exact probability table or seeded sample batch over m-bit strings.
 
     Exact tables index outcomes by their packed-int value (coordinate i =
@@ -161,10 +159,12 @@ class Distribution:
     that produced them; they are always flagged as estimates.
     """
 
-    m: int
-    probs: np.ndarray | None = None
-    samples: np.ndarray | None = None
-    seed: int | None = None
+    __slots__ = ("m", "probs", "samples", "seed")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # one object, one distribution
+
+    def __init__(self, m: int, probs: np.ndarray | None = None,
+                 samples: np.ndarray | None = None, seed: int | None = None):
+        super().__init__(m, probs, samples, seed)
 
     @property
     def kind(self) -> str:
@@ -559,15 +559,17 @@ class EpsBiased(GoodBitDistribution):
         """(e, 2^e) words: bit i of word c is coefficient c of x^i, for every
         x; worker threads that race here build equal tables.  Each power's
         coefficient bits also select the columns of x * X^c that multiply
-        it by x, all e at once, on uint32 field elements."""
+        it by x, all e at once, on field elements of the narrowest unsigned
+        type that holds e bits (at most uint16 for e <= 16)."""
         xs = np.arange(1 << self.field_bits, dtype=np.uint64)
-        times_x = gf2e_times_columns(xs, self.field_bits, self._poly).astype(np.uint32)
-        shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
+        field = np.min_scalar_type(xs.size - 1)
+        times_x = gf2e_times_columns(xs, self.field_bits, self._poly).astype(field)
+        shifts = np.arange(self.field_bits, dtype=field)[:, None]
         bits, wide = np.empty_like(times_x), np.empty(times_x.shape, dtype=np.uint64)
-        cols, xi = np.zeros_like(wide), np.ones(len(xs), dtype=np.uint32)
+        cols, xi = np.zeros_like(wide), np.ones(len(xs), dtype=field)
         for i in range(self.n_good):
             np.right_shift(xi, shifts, out=bits)
-            bits &= np.uint32(1)  # row c: coefficient c of x^i
+            bits &= field.type(1)  # row c: coefficient c of x^i
             cols |= np.left_shift(bits, np.uint64(i), out=wide, casting="unsafe")
             np.negative(bits, out=bits)
             bits &= times_x
@@ -656,11 +658,11 @@ def good_dist_from_descriptor(d: dict) -> GoodBitDistribution:
     raise ValidationError(f"unknown good-bit distribution kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class TwiseReport:
-    ok: bool
-    worst_subset: tuple[int, ...] | None
-    worst_distance: float
+class TwiseReport(Frozen):
+    __slots__ = ("ok", "worst_subset", "worst_distance")
+
+    def __init__(self, ok: bool, worst_subset: tuple[int, ...] | None, worst_distance: float):
+        super().__init__(ok, worst_subset, worst_distance)
 
 
 def verify_twise(dist: GoodBitDistribution, n: int, t: int,

@@ -19,11 +19,10 @@ or divide by two themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, WorkCapExceeded
+from .errors import DimensionError, Frozen, ValidationError, WorkCapExceeded
 from .schemas import check_count, real
 from .sources import Distribution
 
@@ -33,23 +32,19 @@ EMPIRICAL_MIN_FACTOR = 100   # required samples per table cell
 CP_MARGIN = 1e-9             # relative outward rounding of each interval end
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Frozen):
     """A point estimate with a two-sided interval.
 
     `method` records how the interval was produced ("exact" intervals are
     zero width).  `contains` is inclusive on both ends.
     """
 
-    value: float
-    lo: float
-    hi: float
-    samples: int = 0
-    confidence: float = 1.0
-    method: str = "exact"
+    __slots__ = ("value", "lo", "hi", "samples", "confidence", "method")
 
-    def __post_init__(self):
-        if not (self.lo <= self.value <= self.hi):
+    def __init__(self, value: float, lo: float, hi: float, samples: int = 0,
+                 confidence: float = 1.0, method: str = "exact"):
+        super().__init__(value, lo, hi, samples, confidence, method)
+        if not (lo <= value <= hi):
             raise ValidationError("estimate value outside its interval")
 
     @classmethod
@@ -66,9 +61,6 @@ class Estimate:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # Stirling series of lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)): the
@@ -249,8 +241,7 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return a.reshape(n)
 
 
-@dataclass(frozen=True)
-class BiasSpectrum:
+class BiasSpectrum(Frozen):
     """Bias of every parity test of an m-bit distribution.
 
     `biases[s]` is |Pr[Z_s = 0] - Pr[Z_s = 1]| for the parity over the
@@ -258,12 +249,15 @@ class BiasSpectrum:
     excluded from `max_bias`.
     """
 
-    m: int
-    biases: np.ndarray = field(repr=False)
+    __slots__ = ("m", "biases")
 
-    def __post_init__(self):
-        if self.biases.size != 1 << self.m:
+    def __init__(self, m: int, biases: np.ndarray):
+        super().__init__(m, biases)
+        if biases.size != 1 << m:
             raise DimensionError("spectrum table has wrong size")
+
+    def __repr__(self) -> str:
+        return f"BiasSpectrum(m={self.m!r})"
 
     @property
     def max_bias(self) -> float:
@@ -300,16 +294,11 @@ def linear_test_bias(d: Distribution) -> BiasSpectrum:
     return BiasSpectrum(m=d.m, biases=np.abs(coeffs))
 
 
-@dataclass(frozen=True)
-class VaziraniReport:
-    max_bias: float
-    sd: float
-    bound: float
-    holds: bool
+class VaziraniReport(Frozen):
+    __slots__ = ("max_bias", "sd", "bound", "holds")
 
-    def to_json(self) -> dict:
-        return {"max_bias": self.max_bias, "sd": self.sd,
-                "bound": self.bound, "holds": self.holds}
+    def __init__(self, max_bias: float, sd: float, bound: float, holds: bool):
+        super().__init__(max_bias, sd, bound, holds)
 
 
 def vazirani_check(d: Distribution, tol: float = 1e-12) -> VaziraniReport:
@@ -332,8 +321,7 @@ def parseval_bound(d: Distribution) -> float:
     return 0.5 * float(np.sqrt(np.square(spec.biases[1:]).sum()))
 
 
-@dataclass(frozen=True)
-class XorBiasReport:
+class XorBiasReport(Frozen):
     """Exact distance from uniform of the XOR of independent bits.
 
     `distance` is the statistical distance of the XOR bit from uniform,
@@ -345,10 +333,11 @@ class XorBiasReport:
     enforced.
     """
 
-    distance: float
-    factors: tuple[float, ...]
-    literal_bound: float | None
-    literal_holds: bool | None
+    __slots__ = ("distance", "factors", "literal_bound", "literal_holds")
+
+    def __init__(self, distance: float, factors: tuple[float, ...],
+                 literal_bound: float | None, literal_holds: bool | None):
+        super().__init__(distance, factors, literal_bound, literal_holds)
 
     def to_json(self) -> dict:
         return {

@@ -1011,6 +1011,15 @@ def test_worst_adversary_memory_does_not_grow_with_tables():
     assert _traced_peak(lambda: worst_case_adversary(spec, params)) < 4 << 20
 
 
+def test_worst_adversary_holds_one_full_size_array():
+    # 2^16 good outcomes by 4 patterns: the choice matrix, one byte an
+    # entry, is the one array of that size; full-size int64 masks and
+    # shifts of it peaked at 8.5 MiB here
+    spec = NobfSourceSpec(18, [0, 9], UniformBits(16))
+    params = explicit_params(18, 6, 3, preset_code("identity-4"), Majority(3))
+    assert _traced_peak(lambda: worst_case_adversary(spec, params)) < 4 << 20
+
+
 @pytest.mark.parametrize("spec,params,message", [
     (NobfSourceSpec(9, [4], ExactTwise(8, 9), t=8), _maj3_params(3),
      r"seed space too large to enumerate \(required 1\.34218e\+08 "),

@@ -311,6 +311,23 @@ def test_eps_biased_batches_on_both_sides_of_the_whole_field_rule(counts):
     assert ("_field_columns" in vars(gen)) == (max(counts) >= 1 << 13)
 
 
+@pytest.mark.parametrize("e", range(6, 18))
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(n_good=st.integers(1, 20), data=st.data())
+def test_eps_biased_field_table_equals_the_per_x_path(e, n_good, data):
+    # the whole-field table holds field elements in the narrowest type of
+    # e bits (uint16 up to e = 16, uint32 above): a batch padded to 2^e
+    # seeds reads it, and the same seeds alone take the per-x path
+    gen = EpsBiased(n_good, 1.0, field_bits=e)
+    seeds = np.array(data.draw(st.lists(st.integers(0, (1 << 2 * e) - 1), min_size=1,
+                                        max_size=64)), dtype=np.uint64)
+    padded = np.zeros(1 << e, dtype=np.uint64)
+    padded[:seeds.size] = seeds
+    assert np.array_equal(gen.outcomes_for_seeds(padded)[:seeds.size],
+                          gen.outcomes_for_seeds(seeds))
+    assert "_field_columns" in vars(gen)
+
+
 @pytest.mark.parametrize("gen", [EpsBiased(40, 1e-6, field_bits=31),
                                  ExactTwise(64, 2, field_bits=31)],
                          ids=["eps-biased-e31", "exact-twise-e31"])
